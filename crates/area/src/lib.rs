@@ -13,7 +13,7 @@
 //!   (multipipeline steering support).
 //!
 //! We do not have the Karlsruhe tool, so this is a *parametric* model
-//! (DESIGN.md §3) whose constants are calibrated against the two anchors
+//! whose constants are calibrated against the two anchors
 //! the paper publishes: the per-model stacked areas of Fig 2(b) (M8 total
 //! ≈ 170 mm²) and the microarchitecture deltas of Fig 3 (3M4 ≈ −17 %,
 //! 4M4 ≈ +10.14 %, 2M4+2M2 ≈ −27 %, 3M4+2M2 ≈ −1 %, 1M6+2M4+2M2 ≈ +2 %

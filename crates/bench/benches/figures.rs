@@ -8,10 +8,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use hdsmt_area::{microarch_area, paper_area_table, pipeline_area};
-use hdsmt_core::MissProfile;
+use hdsmt_campaign::Budget;
 use hdsmt_pipeline::{MicroArch, M2, M4, M6, M8};
-use hdsmt_workloads::all_workloads;
-use hdsmt_workloads::experiments::{envelope_for, ExperimentConfig};
+use hdsmt_workloads::{quick_spec, run_paper_experiments};
 
 fn bench_fig2b(c: &mut Criterion) {
     c.bench_function("fig2b_area_model", |b| {
@@ -42,17 +41,17 @@ fn bench_fig3(c: &mut Criterion) {
 fn bench_fig4_smoke(c: &mut Criterion) {
     // One representative cell at smoke scale; the criterion timing covers
     // a full envelope computation (oracle search + measured runs).
-    let profile = MissProfile::build_with_len(50_000);
-    let mut cfg = ExperimentConfig::quick();
-    cfg.measure_insts = 6_000;
-    cfg.search_insts = 3_000;
-    let arch = MicroArch::parse("2M4+2M2").unwrap();
-    let w = all_workloads().iter().find(|w| w.id == "2W7").unwrap();
+    let mut spec = quick_spec();
+    spec.archs = vec!["2M4+2M2".to_string()];
+    spec.workloads = vec!["2W7".to_string()];
+    spec.budget = Some(Budget { measure_insts: 6_000, warmup_insts: 8_000, search_insts: 3_000 });
+    spec.profile_insts = Some(50_000);
+    let envelope = || run_paper_experiments(&spec).expect("envelope campaign").envelopes.remove(0);
     let mut g = c.benchmark_group("fig4_smoke");
     g.sample_size(10);
-    g.bench_function("envelope_2M4+2M2_2W7", |b| b.iter(|| envelope_for(&arch, w, &profile, &cfg)));
+    g.bench_function("envelope_2M4+2M2_2W7", |b| b.iter(envelope));
     g.finish();
-    let e = envelope_for(&arch, w, &profile, &cfg);
+    let e = envelope();
     eprintln!(
         "[fig4 smoke] 2W7 on 2M4+2M2: BEST {:.2} / HEUR {:.2} / WORST {:.2} over {} mappings",
         e.best_ipc, e.heur_ipc, e.worst_ipc, e.n_mappings

@@ -8,17 +8,22 @@
 //!
 //! Printed tables follow the paper's layout; machine-readable copies land
 //! in `results/*.json`. Absolute IPCs are not expected to match the
-//! paper's (different traces, scaled runs — see EXPERIMENTS.md); shapes
-//! and relative orderings are the reproduction targets.
+//! paper's: the paper runs 300 M-instruction SimPoint segments of Alpha
+//! SPECint2000 traces, while these runs use calibrated synthetic
+//! benchmark models (`hdsmt-trace`) at 120k instructions per thread
+//! (12k with `--quick`). Shapes and relative orderings are the
+//! reproduction targets.
 
 use std::fs;
 
 use hdsmt_area::{paper_area_table, pipeline_area};
 use hdsmt_bench::format_figure_panel;
+use hdsmt_campaign::CampaignSpec;
 use hdsmt_core::{run_sim, FetchPolicy, MissProfile, SimConfig, ThreadSpec};
 use hdsmt_pipeline::{MicroArch, M2, M4, M6, M8};
-use hdsmt_workloads::experiments::{run_paper_experiments, ExperimentConfig};
-use hdsmt_workloads::{all_workloads, summarize, WorkloadClass};
+use hdsmt_workloads::{
+    all_workloads, paper_spec, quick_spec, run_paper_experiments, summarize, WorkloadClass,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,13 +65,13 @@ fn main() {
     }
 }
 
-fn experiment_config(quick: bool) -> ExperimentConfig {
-    let mut cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::paper() };
+fn envelope_spec(quick: bool) -> CampaignSpec {
+    let mut spec = if quick { quick_spec() } else { paper_spec() };
     // Route every simulation through the campaign result cache: an
     // interrupted or repeated `reproduce` run only simulates missing
     // cells (`rm -rf results/sim-cache` forces a cold run).
-    cfg.cache_dir = Some("results/sim-cache".to_string());
-    cfg
+    spec.cache_dir = Some("results/sim-cache".to_string());
+    spec
 }
 
 // ---------------------------------------------------------------- Fig 2(a)
@@ -189,9 +194,7 @@ fn tables23() {
                 match w.class {
                     WorkloadClass::Ilp => "I",
                     WorkloadClass::Mem => "M",
-                    // Tables 2–3 only contain the paper's three classes;
-                    // the RV extension never appears here.
-                    _ => "X",
+                    WorkloadClass::Mix => "X",
                 }
             );
         }
@@ -201,17 +204,20 @@ fn tables23() {
 
 // ------------------------------------------------------------- Fig 4/5/§5
 fn figs45(quick: bool, what: &str) {
-    let cfg = experiment_config(quick);
+    let spec = envelope_spec(quick);
     eprintln!(
         "running full campaign (6 archs × 22 workloads, oracle mapping search; {} insts/thread)…",
-        cfg.measure_insts
+        spec.budget().measure_insts
     );
     let t0 = std::time::Instant::now();
-    let r = run_paper_experiments(&cfg);
+    let r = run_paper_experiments(&spec).unwrap_or_else(|e| {
+        eprintln!("envelope campaign failed: {e}");
+        std::process::exit(1);
+    });
     eprintln!(
         "campaign finished in {:.1}s (cache at {})",
         t0.elapsed().as_secs_f64(),
-        cfg.cache_dir.as_deref().unwrap_or("-")
+        spec.cache_dir.as_deref().unwrap_or("-")
     );
     fs::write("results/fig45_campaign.json", serde_json::to_string_pretty(&r).unwrap()).ok();
 

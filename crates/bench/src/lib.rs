@@ -9,8 +9,10 @@
 //! * `cargo run -p hdsmt-bench --bin reproduce --release [-- <exp>]` — the
 //!   full reproduction harness: regenerates every table and figure of the
 //!   paper (Fig 2(a,b), Fig 3, Table 1, Tables 2–3, Fig 4, Fig 5, the §5
-//!   summary) plus the ablations called out in DESIGN.md §7, printing
-//!   paper-style tables and writing JSON to `results/`.
+//!   summary) plus ablations of fetch policy, register-file latency,
+//!   mapping policy, branch predictor, buffer depth and dynamic
+//!   re-mapping, printing paper-style tables and writing JSON to
+//!   `results/`.
 
 #![forbid(unsafe_code)]
 
@@ -64,7 +66,7 @@ pub fn format_figure_panel(r: &PaperResults, class: WorkloadClass, per_area: boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdsmt_workloads::experiments::{EnvelopeResult, ExperimentConfig};
+    use hdsmt_workloads::experiments::{quick_spec, EnvelopeResult};
 
     #[test]
     fn panel_formatting_smoke() {
@@ -83,7 +85,7 @@ mod tests {
                 n_mappings: 1,
             }],
             areas: vec![("M8".into(), 170.0)],
-            config: ExperimentConfig::quick(),
+            config: quick_spec(),
         };
         let s = format_figure_panel(&r, WorkloadClass::Ilp, false);
         assert!(s.contains("ILP workloads"));

@@ -1,8 +1,8 @@
 //! Workload catalog: name → benchmark list resolution for campaign specs.
 //!
-//! Ships the paper's Tables 2–3 as the built-in catalog (the canonical
-//! typed table in `hdsmt-workloads` cross-checks against this one in its
-//! tests), and accepts user-defined entries from spec files.
+//! Ships the paper's Tables 2–3 as the built-in catalog (the workspace's
+//! only copy: `hdsmt-workloads` builds its typed table from it), and
+//! accepts user-defined entries from spec files.
 
 /// One named multiprogrammed workload.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]

@@ -17,9 +17,9 @@
 //! ```
 //!
 //! The `hdsmt-campaign` binary (`run` / `status` / `export`) drives this
-//! from the command line; `hdsmt-workloads` drives its BEST/HEUR/WORST
-//! envelope experiments through [`job::JobRunner`] as well, so the
-//! `reproduce` harness shares the same cache and scheduler.
+//! from the command line; `hdsmt-workloads` folds a `best`/`heur`/`worst`
+//! campaign run through [`engine::run_campaign_with`] into its envelopes,
+//! so the `reproduce` harness shares the same engine, cache and scheduler.
 
 pub mod cache;
 pub mod catalog;

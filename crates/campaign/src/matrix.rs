@@ -96,8 +96,7 @@ impl Cell {
         }
     }
 
-    /// A search-phase job (reduced budget, halved warm-up — matching the
-    /// envelope methodology in `hdsmt-workloads`).
+    /// A search-phase job (reduced budget, halved warm-up).
     pub fn search_job(&self, mapping: Vec<u8>, budget: &Budget) -> JobSpec {
         JobSpec {
             arch: self.arch.clone(),
@@ -167,8 +166,8 @@ pub fn cell_shard(cell: &Cell, count: u32) -> u32 {
     (h % count.max(1) as u64) as u32
 }
 
-/// Deterministic per-thread stream seed (same scheme as the workloads
-/// crate, so identical runs share cache entries).
+/// Deterministic per-thread stream seed, so identical runs share cache
+/// entries.
 pub fn thread_seed(base: u64, workload_id: &str, position: usize) -> u64 {
     let mut h = base ^ 0x9e37_79b9_7f4a_7c15;
     for b in workload_id.bytes() {

@@ -151,8 +151,8 @@ pub struct SimConfig {
     /// configurations (shared-register-file routing overhead).
     pub regfile_lat: Option<u32>,
     /// Stop when any thread has retired this many instructions *after
-    /// warm-up* (the paper runs 300 M; scaled runs are recorded in
-    /// EXPERIMENTS.md).
+    /// warm-up* (the paper runs 300 M; the reproduction's scaled budgets
+    /// are `paper_spec`/`quick_spec` in `hdsmt-workloads`).
     pub max_retired_per_thread: u64,
     /// Statistics reset once this many instructions have been committed in
     /// total — the scaled-run substitute for the paper's 300 M-instruction

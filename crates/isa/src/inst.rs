@@ -1,7 +1,7 @@
 //! Static instructions and their behavioural annotations.
 //!
 //! Because we substitute the paper's Alpha SPECint2000 traces with synthetic
-//! programs (see DESIGN.md §3), each static memory instruction carries a
+//! programs (see the `hdsmt-trace` crate docs), each static memory instruction carries a
 //! *generator annotation* ([`MemGen`]) describing how its dynamic effective
 //! addresses behave: strided scans, uniformly random accesses within a
 //! working-set region (the cache-behaviour equivalent of pointer chasing),

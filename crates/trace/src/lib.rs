@@ -3,7 +3,10 @@
 //! The paper drives its SMTSIM-derived simulator with Alpha traces of the
 //! twelve SPECint2000 benchmarks (300M-instruction SimPoint segments). Those
 //! traces are not redistributable, so this crate builds the closest
-//! synthetic equivalent (DESIGN.md §3):
+//! synthetic equivalent. The paper's results depend on where each
+//! benchmark sits on a few behavioural axes, not on its exact instruction
+//! stream, so a model that reproduces those positions preserves the
+//! relative results the evaluation compares:
 //!
 //! 1. a [`BenchProfile`] captures the *behavioural axes* that the paper's
 //!    evaluation actually depends on — instruction mix, dependence-chain

@@ -2,7 +2,7 @@
 //!
 //! A [`BenchProfile`] is the knob set from which a synthetic benchmark is
 //! generated. Every knob maps onto one of the behavioural axes the paper's
-//! evaluation depends on; see DESIGN.md §3 for the substitution argument.
+//! evaluation depends on; see the crate docs for the substitution argument.
 
 /// Paper-level workload classification of a benchmark (Table 2/3 footnote:
 /// I = high instruction-level parallelism, M = bad memory behaviour).

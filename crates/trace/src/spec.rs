@@ -1,7 +1,7 @@
 //! Calibrated models of the twelve SPECint2000 benchmarks.
 //!
 //! Absolute fidelity to the Alpha binaries is neither possible nor needed
-//! (DESIGN.md §3): what the paper's evaluation consumes is each benchmark's
+//! (see the crate docs): what the paper's evaluation consumes is each benchmark's
 //! *position* on a handful of behavioural axes. The knob values below encode
 //! the published SPECint2000 characterisation:
 //!

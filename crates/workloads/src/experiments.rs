@@ -1,78 +1,51 @@
-//! The paper's experiment engine: BEST / HEUR / WORST mapping envelopes
-//! per (microarchitecture, workload) — the data behind Figs 4 and 5.
+//! The paper's experiment: BEST / HEUR / WORST mapping envelopes per
+//! (microarchitecture, workload) — the data behind Figs 4 and 5.
 //!
-//! For every multipipeline machine the oracle envelope is found exactly as
-//! in the paper: evaluate *every* distinct thread-to-pipeline mapping and
-//! keep the maximum (BEST) and minimum (WORST); HEUR is the §2.1 heuristic.
-//! Mapping search runs at a reduced instruction budget, then the three
-//! chosen mappings are re-simulated at full length (DESIGN.md §3).
-//!
-//! Since the campaign engine landed, both phases execute as
-//! [`hdsmt_campaign::JobSpec`] batches on the shared work-stealing
-//! [`JobRunner`] — optionally backed by the content-addressed result
-//! cache (`cache_dir`), which makes interrupted or repeated figure
-//! regeneration incremental.
+//! An envelope is three cells of one campaign: the `best` and `worst`
+//! oracle policies (every distinct thread-to-pipeline mapping simulated
+//! at a reduced search budget, the extremes re-simulated at full length)
+//! and the §2.1 `heur` heuristic. [`run_paper_experiments`] runs that
+//! campaign through the campaign engine — cached when the spec names a
+//! `cache_dir` — and folds each (arch, workload) cell triple into one
+//! [`EnvelopeResult`].
 
-use hdsmt_campaign::{best_worst, JobRunner, JobSpec, JobThread, ResultCache};
-use hdsmt_core::{enumerate_mappings, heuristic_mapping, MissProfile, SimResult};
+use hdsmt_campaign::engine::open_cache;
+use hdsmt_campaign::{
+    run_campaign_with, Budget, CampaignError, CampaignSpec, Catalog, CellResult, JobRunner,
+};
 use hdsmt_pipeline::MicroArch;
 
-use crate::runner::default_workers;
-use crate::tables::{all_workloads, Workload, WorkloadClass};
+use crate::tables::WorkloadClass;
 
-/// Scale parameters for one experiment campaign.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct ExperimentConfig {
-    /// Per-thread retire target for the measured envelope runs (the paper
-    /// uses 300 M; see EXPERIMENTS.md for the scaling argument).
-    pub measure_insts: u64,
-    /// Total committed instructions before statistics reset.
-    pub warmup_insts: u64,
-    /// Per-thread retire target for oracle mapping-search runs.
-    pub search_insts: u64,
-    /// Worker threads for the parallel sweep.
-    pub workers: usize,
-    /// Base seed for workload streams.
-    pub seed: u64,
-    /// Content-addressed result cache (None = always simulate).
-    pub cache_dir: Option<String>,
+/// The envelope campaign over all six microarchitectures × Tables 2–3.
+/// Workers are left to the runner's default; the `heur` miss profile is
+/// the engine's default 300k-instruction synthetic profile.
+fn envelope_spec(budget: Budget) -> CampaignSpec {
+    CampaignSpec {
+        name: Some("paper-envelopes".to_string()),
+        archs: MicroArch::paper_set().into_iter().map(|a| a.name).collect(),
+        workloads: vec!["all".to_string()],
+        policies: Some(["best", "heur", "worst"].map(String::from).to_vec()),
+        budget: Some(budget),
+        seed: Some(0x5eed),
+        workers: None,
+        cache_dir: None,
+        profile_insts: None,
+        extra_workloads: None,
+        use_rv_workloads: None,
+    }
 }
 
-impl ExperimentConfig {
-    /// Full reproduction scale (the `reproduce` binary).
-    pub fn paper() -> Self {
-        ExperimentConfig {
-            measure_insts: 120_000,
-            warmup_insts: 60_000,
-            search_insts: 25_000,
-            workers: default_workers(),
-            seed: 0x5eed,
-            cache_dir: None,
-        }
-    }
+/// Full reproduction scale (the `reproduce` binary). The paper measures
+/// 300 M instructions per thread; these runs are scaled down, so absolute
+/// IPCs differ while the orderings between machines are the target.
+pub fn paper_spec() -> CampaignSpec {
+    envelope_spec(Budget { measure_insts: 120_000, warmup_insts: 60_000, search_insts: 25_000 })
+}
 
-    /// Reduced scale for tests and smoke benches.
-    pub fn quick() -> Self {
-        ExperimentConfig {
-            measure_insts: 12_000,
-            warmup_insts: 8_000,
-            search_insts: 5_000,
-            workers: default_workers(),
-            seed: 0x5eed,
-            cache_dir: None,
-        }
-    }
-
-    fn runner(&self) -> JobRunner {
-        let cache = self.cache_dir.as_ref().and_then(|dir| match ResultCache::open(dir) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!("warning: result cache at {dir} unavailable ({e}); running uncached");
-                None
-            }
-        });
-        JobRunner::new(self.workers, cache)
-    }
+/// Reduced scale for tests, smoke benches and `reproduce --quick`.
+pub fn quick_spec() -> CampaignSpec {
+    envelope_spec(Budget { measure_insts: 12_000, warmup_insts: 8_000, search_insts: 5_000 })
 }
 
 /// BEST/HEUR/WORST outcome for one (microarchitecture, workload) cell.
@@ -104,107 +77,37 @@ impl EnvelopeResult {
     }
 }
 
-/// Deterministic per-thread stream seed (shared with the campaign matrix
-/// expander, so envelope runs and campaign runs hit the same cache keys).
-fn thread_seed(base: u64, workload: &str, position: usize) -> u64 {
-    hdsmt_campaign::matrix::thread_seed(base, workload, position)
-}
-
-fn job_threads(w: &Workload, seed: u64) -> Vec<JobThread> {
-    w.benchmarks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| JobThread { bench: b.to_string(), seed: thread_seed(seed, w.id, i) })
-        .collect()
-}
-
-fn search_job(arch: &MicroArch, w: &Workload, mapping: Vec<u8>, cfg: &ExperimentConfig) -> JobSpec {
-    JobSpec {
-        arch: arch.name.clone(),
-        threads: job_threads(w, cfg.seed),
-        mapping,
-        max_insts: cfg.search_insts,
-        warmup_insts: cfg.warmup_insts / 2,
-        fetch_policy: None,
-        regfile_lat: None,
-    }
-}
-
-fn measure_job(
-    arch: &MicroArch,
-    w: &Workload,
-    mapping: Vec<u8>,
-    cfg: &ExperimentConfig,
-) -> JobSpec {
-    JobSpec {
-        arch: arch.name.clone(),
-        threads: job_threads(w, cfg.seed),
-        mapping,
-        max_insts: cfg.measure_insts,
-        warmup_insts: cfg.warmup_insts,
-        fetch_policy: None,
-        regfile_lat: None,
-    }
-}
-
-fn run_jobs(runner: &JobRunner, jobs: Vec<JobSpec>) -> Vec<SimResult> {
-    // Jobs are valid by construction, but run_all can also fail on cache
-    // I/O (e.g. full disk) — surface the real error, not a misleading one.
-    runner.run_all(&jobs).unwrap_or_else(|e| panic!("envelope job batch failed: {e}"))
-}
-
-/// Compute the envelope for one (arch, workload) cell. Convenient for
-/// examples and tests; the full campaign uses [`run_paper_experiments`],
-/// which parallelises across cells *and* mappings.
-pub fn envelope_for(
-    arch: &MicroArch,
-    w: &Workload,
-    profile: &MissProfile,
-    cfg: &ExperimentConfig,
-) -> EnvelopeResult {
-    let runner = cfg.runner();
-    let mappings = enumerate_mappings(arch, w.threads());
-    let heur = heuristic_mapping(arch, w.benchmarks, profile);
-
-    let search_jobs: Vec<JobSpec> =
-        mappings.iter().map(|m| search_job(arch, w, m.clone(), cfg)).collect();
-    let scores: Vec<f64> = run_jobs(&runner, search_jobs).iter().map(SimResult::ipc).collect();
-    let (bi, wi) = best_worst(&mappings, &scores);
-
-    let jobs = [mappings[bi].clone(), heur.clone(), mappings[wi].clone()];
-    let measure_jobs: Vec<JobSpec> =
-        jobs.iter().map(|m| measure_job(arch, w, m.clone(), cfg)).collect();
-    let measured: Vec<f64> = run_jobs(&runner, measure_jobs).iter().map(SimResult::ipc).collect();
-
-    finish_envelope(arch, w, mappings.len(), jobs, measured)
-}
-
-fn finish_envelope(
-    arch: &MicroArch,
-    w: &Workload,
-    n_mappings: usize,
-    jobs: [Vec<u8>; 3],
-    measured: Vec<f64>,
-) -> EnvelopeResult {
-    let [best_mapping, heur_mapping, worst_mapping] = jobs;
+/// Fold the `best`/`heur`/`worst` cells of one (arch, workload) into its
+/// envelope. A missing or failed cell is an error naming that cell.
+fn fold_envelope(cells: &[CellResult]) -> Result<EnvelopeResult, CampaignError> {
+    let (arch, workload) = (&cells[0].arch, &cells[0].workload);
+    let cell = |policy: &str| match cells.iter().find(|c| c.policy == policy) {
+        None => Err(CampaignError(format!("{arch}/{workload}: spec has no `{policy}` policy"))),
+        Some(CellResult { error: Some(e), .. }) => {
+            Err(CampaignError(format!("cell {arch}/{workload}/{policy} failed: {e}")))
+        }
+        Some(c) => Ok(c),
+    };
+    let (best, heur, worst) = (cell("best")?, cell("heur")?, cell("worst")?);
+    let class = heur.class.as_deref().and_then(WorkloadClass::from_label).ok_or_else(|| {
+        CampaignError(format!("{arch}/{workload}: workload has no paper class label"))
+    })?;
     // The measured (full-length) envelope must stay ordered even if the
     // short search mispicked: clamp so BEST ≥ HEUR ≥ WORST holds by
     // definition of an envelope.
-    let best_ipc = measured[0].max(measured[1]);
-    let worst_ipc = measured[2].min(measured[1]);
-    EnvelopeResult {
-        arch: arch.name.clone(),
-        workload: w.id.to_string(),
-        class: w.class,
-        threads: w.threads(),
-        best_ipc,
-        best_mapping,
-        heur_ipc: measured[1],
-        heur_mapping,
-        worst_ipc,
-        worst_mapping,
-        n_mappings,
-    }
+    Ok(EnvelopeResult {
+        arch: arch.clone(),
+        workload: workload.clone(),
+        class,
+        threads: heur.threads,
+        best_ipc: best.ipc.max(heur.ipc),
+        best_mapping: best.mapping.clone(),
+        heur_ipc: heur.ipc,
+        heur_mapping: heur.mapping.clone(),
+        worst_ipc: worst.ipc.min(heur.ipc),
+        worst_mapping: worst.mapping.clone(),
+        n_mappings: best.n_mappings,
+    })
 }
 
 /// Metric selector for aggregation.
@@ -222,16 +125,12 @@ pub struct PaperResults {
     pub envelopes: Vec<EnvelopeResult>,
     /// (arch name, total mm²).
     pub areas: Vec<(String, f64)>,
-    pub config: ExperimentConfig,
+    pub config: CampaignSpec,
 }
 
 impl PaperResults {
     pub fn area_of(&self, arch: &str) -> f64 {
         self.areas.iter().find(|(n, _)| n == arch).map(|(_, a)| *a).unwrap_or(f64::NAN)
-    }
-
-    pub fn cell(&self, arch: &str, workload: &str) -> Option<&EnvelopeResult> {
-        self.envelopes.iter().find(|e| e.arch == arch && e.workload == workload)
     }
 
     fn pick(e: &EnvelopeResult, m: Metric) -> f64 {
@@ -286,103 +185,52 @@ impl PaperResults {
     }
 }
 
-/// Run the full campaign: 6 microarchitectures × 22 workloads, mapping
-/// search and envelope measurement globally parallelised (and cached,
-/// when `cfg.cache_dir` is set).
-pub fn run_paper_experiments(cfg: &ExperimentConfig) -> PaperResults {
-    run_experiments_on(&MicroArch::paper_set(), all_workloads(), cfg)
-}
+/// Run an envelope campaign (`policies = ["best", "heur", "worst"]`; see
+/// [`paper_spec`] / [`quick_spec`]) over the paper catalog and fold its
+/// cells into envelopes. The job totals go to stderr.
+pub fn run_paper_experiments(spec: &CampaignSpec) -> Result<PaperResults, CampaignError> {
+    let cache = spec.cache_dir.as_ref().map(|_| open_cache(spec)).transpose()?;
+    let runner = JobRunner::new(spec.workers.unwrap_or(0) as usize, cache);
+    let campaign = run_campaign_with(spec, &Catalog::paper(), &runner)?;
+    let r = &campaign.report;
+    eprintln!("{} jobs ({} cache hits, {} simulated)", r.total, r.cache_hits, r.simulated);
 
-/// Run a campaign over explicit architectures/workloads (ablations use
-/// subsets).
-pub fn run_experiments_on(
-    archs: &[MicroArch],
-    workloads: &[Workload],
-    cfg: &ExperimentConfig,
-) -> PaperResults {
-    let profile = MissProfile::build();
-    let runner = cfg.runner();
-
-    // ---- phase 1: oracle mapping search, globally flattened ----
-    let mut cell_mappings: Vec<Vec<Vec<Vec<u8>>>> = Vec::new(); // [arch][wl] -> mappings
-    let mut search_jobs: Vec<JobSpec> = Vec::new();
-    let mut job_cell: Vec<(usize, usize)> = Vec::new();
-    for (ai, arch) in archs.iter().enumerate() {
-        cell_mappings.push(Vec::new());
-        for (wi, w) in workloads.iter().enumerate() {
-            let mappings = enumerate_mappings(arch, w.threads());
-            for m in &mappings {
-                search_jobs.push(search_job(arch, w, m.clone(), cfg));
-                job_cell.push((ai, wi));
-            }
-            cell_mappings[ai].push(mappings);
+    let mut envelopes = Vec::new();
+    let mut areas: Vec<(String, f64)> = Vec::new();
+    // Cells come in arch × workload × policy order, so each envelope's
+    // cells are adjacent.
+    for cells in campaign.cells.chunk_by(|a, b| a.arch == b.arch && a.workload == b.workload) {
+        envelopes.push(fold_envelope(cells)?);
+        if !areas.iter().any(|(name, _)| *name == cells[0].arch) {
+            areas.push((cells[0].arch.clone(), cells[0].area_mm2));
         }
     }
-    let search_scores: Vec<f64> =
-        run_jobs(&runner, search_jobs).iter().map(SimResult::ipc).collect();
-
-    // ---- reduce: pick best/worst per cell ----
-    let mut per_cell_scores: Vec<Vec<Vec<f64>>> = cell_mappings
-        .iter()
-        .map(|per_wl| per_wl.iter().map(|ms| Vec::with_capacity(ms.len())).collect())
-        .collect();
-    for (&(ai, wi), score) in job_cell.iter().zip(search_scores.iter()) {
-        per_cell_scores[ai][wi].push(*score);
-    }
-
-    // ---- phase 2: measured envelope runs, globally flattened ----
-    struct MeasureCell {
-        arch_i: usize,
-        wl_i: usize,
-        mappings: [Vec<u8>; 3],
-    }
-    let mut cells = Vec::new();
-    let mut measure_jobs = Vec::new();
-    for (ai, arch) in archs.iter().enumerate() {
-        for (wi, w) in workloads.iter().enumerate() {
-            let mappings = &cell_mappings[ai][wi];
-            let scores = &per_cell_scores[ai][wi];
-            let (bi, worsti) = best_worst(mappings, scores);
-            let heur = heuristic_mapping(arch, w.benchmarks, &profile);
-            let chosen = [mappings[bi].clone(), heur, mappings[worsti].clone()];
-            for m in &chosen {
-                measure_jobs.push(measure_job(arch, w, m.clone(), cfg));
-            }
-            cells.push(MeasureCell { arch_i: ai, wl_i: wi, mappings: chosen });
-        }
-    }
-    let measured: Vec<f64> = run_jobs(&runner, measure_jobs).iter().map(SimResult::ipc).collect();
-
-    let mut envelopes = Vec::with_capacity(cells.len());
-    for (ci, cell) in cells.into_iter().enumerate() {
-        let arch = &archs[cell.arch_i];
-        let w = &workloads[cell.wl_i];
-        envelopes.push(finish_envelope(
-            arch,
-            w,
-            cell_mappings[cell.arch_i][cell.wl_i].len(),
-            cell.mappings,
-            measured[ci * 3..ci * 3 + 3].to_vec(),
-        ));
-    }
-
-    let areas =
-        archs.iter().map(|a| (a.name.clone(), hdsmt_area::microarch_area(a).total())).collect();
-    PaperResults { envelopes, areas, config: cfg.clone() }
+    Ok(PaperResults { envelopes, areas, config: spec.clone() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::WORKLOADS;
+
+    /// A one-arch, one-workload envelope spec at quick scale.
+    fn one_cell(arch: &str, workload: &str) -> CampaignSpec {
+        let mut spec = quick_spec();
+        spec.archs = vec![arch.to_string()];
+        spec.workloads = vec![workload.to_string()];
+        spec.profile_insts = Some(50_000);
+        spec
+    }
+
+    fn envelope(spec: &CampaignSpec) -> EnvelopeResult {
+        let mut r = run_paper_experiments(spec).unwrap();
+        assert_eq!(r.envelopes.len(), 1);
+        r.envelopes.remove(0)
+    }
 
     #[test]
     fn envelope_ordering_holds() {
-        let profile = MissProfile::build_with_len(50_000);
-        let cfg = ExperimentConfig::quick();
-        let arch = MicroArch::parse("2M4+2M2").unwrap();
-        let w = &WORKLOADS[6]; // 2W7 gzip+twolf (MIX)
-        let e = envelope_for(&arch, w, &profile, &cfg);
+        let e = envelope(&one_cell("2M4+2M2", "2W7")); // gzip+twolf (MIX)
+        assert_eq!(e.class, WorkloadClass::Mix);
         assert!(e.best_ipc >= e.heur_ipc, "{e:?}");
         assert!(e.heur_ipc >= e.worst_ipc, "{e:?}");
         assert!(e.n_mappings > 1);
@@ -391,39 +239,82 @@ mod tests {
 
     #[test]
     fn monolithic_envelope_is_degenerate() {
-        let profile = MissProfile::build_with_len(50_000);
-        let cfg = ExperimentConfig::quick();
-        let arch = MicroArch::baseline();
-        let e = envelope_for(&arch, &WORKLOADS[0], &profile, &cfg);
+        let e = envelope(&one_cell("M8", "2W1"));
         assert_eq!(e.n_mappings, 1);
         assert_eq!(e.best_ipc, e.heur_ipc);
         assert_eq!(e.heur_ipc, e.worst_ipc);
     }
 
     #[test]
-    fn thread_seeds_are_stable_and_distinct() {
-        assert_eq!(thread_seed(1, "2W1", 0), thread_seed(1, "2W1", 0));
-        assert_ne!(thread_seed(1, "2W1", 0), thread_seed(1, "2W1", 1));
-        assert_ne!(thread_seed(1, "2W1", 0), thread_seed(1, "2W2", 0));
-    }
-
-    #[test]
     fn cached_envelope_is_bit_identical() {
         let dir = std::env::temp_dir().join(format!("hdsmt-envelope-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let profile = MissProfile::build_with_len(50_000);
-        let mut cfg = ExperimentConfig::quick();
-        cfg.measure_insts = 3_000;
-        cfg.search_insts = 1_500;
-        cfg.warmup_insts = 1_000;
-        cfg.cache_dir = Some(dir.to_string_lossy().into_owned());
-        let arch = MicroArch::parse("2M4+2M2").unwrap();
-        let cold = envelope_for(&arch, &WORKLOADS[6], &profile, &cfg);
-        let warm = envelope_for(&arch, &WORKLOADS[6], &profile, &cfg);
+        let mut spec = one_cell("2M4+2M2", "2W7");
+        spec.budget =
+            Some(Budget { measure_insts: 3_000, warmup_insts: 1_000, search_insts: 1_500 });
+        spec.cache_dir = Some(dir.to_string_lossy().into_owned());
+        let cold = envelope(&spec);
+        let warm = envelope(&spec);
         assert_eq!(cold.best_ipc.to_bits(), warm.best_ipc.to_bits());
         assert_eq!(cold.heur_ipc.to_bits(), warm.heur_ipc.to_bits());
         assert_eq!(cold.worst_ipc.to_bits(), warm.worst_ipc.to_bits());
         assert_eq!(cold.best_mapping, warm.best_mapping);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fixture holds the envelopes of the standalone engine this fold
+    /// replaced (its own mapping enumeration, search, best/worst pick and
+    /// measure runs), recorded with the spec stored beside them. Same
+    /// seeds, budgets and profile give the same jobs, so the fold must
+    /// reproduce them bit for bit.
+    #[test]
+    fn fold_reproduces_recorded_envelopes() {
+        let fixture: serde_json::Value =
+            serde_json::from_str(include_str!("../tests/fixtures/envelopes_tiny.json")).unwrap();
+        let spec: CampaignSpec = serde_json::from_value(fixture.get("spec").unwrap()).unwrap();
+        let expected = fixture.get("envelopes").and_then(|v| v.as_array()).unwrap();
+        let r = run_paper_experiments(&spec).unwrap();
+        assert_eq!(r.envelopes.len(), expected.len());
+        for (e, want) in r.envelopes.iter().zip(expected) {
+            let got = serde_json::json!({
+                "arch": e.arch,
+                "workload": e.workload,
+                "class": e.class.label(),
+                "threads": e.threads,
+                "n_mappings": e.n_mappings,
+                "best_ipc_bits": e.best_ipc.to_bits(),
+                "best_mapping": e.best_mapping,
+                "heur_ipc_bits": e.heur_ipc.to_bits(),
+                "heur_mapping": e.heur_mapping,
+                "worst_ipc_bits": e.worst_ipc.to_bits(),
+                "worst_mapping": e.worst_mapping,
+            });
+            assert_eq!(&got, want);
+        }
+    }
+
+    #[test]
+    fn failed_cell_is_an_error_naming_it() {
+        let cell = |policy: &str, error: Option<&str>| CellResult {
+            arch: "3M4".into(),
+            workload: "2W7".into(),
+            class: Some("MIX".into()),
+            threads: 2,
+            policy: policy.into(),
+            mapping: vec![0, 1],
+            ipc: 1.0,
+            cycles: 1,
+            retired: 1,
+            area_mm2: 1.0,
+            n_mappings: 2,
+            error: error.map(String::from),
+        };
+        let ok = [cell("best", None), cell("heur", None), cell("worst", None)];
+        assert!(fold_envelope(&ok).is_ok());
+        let failed = [cell("best", None), cell("heur", Some("timed out")), cell("worst", None)];
+        let err = fold_envelope(&failed).unwrap_err().0;
+        assert!(err.contains("3M4/2W7/heur") && err.contains("timed out"), "{err}");
+        let err = fold_envelope(&ok[..2]).unwrap_err().0;
+        assert!(err.contains("worst"), "{err}");
     }
 }

@@ -1,29 +1,24 @@
-//! # hdsmt-workloads — workload tables and the experiment engine
+//! # hdsmt-workloads — the paper's workloads, envelopes and §5 summary
 //!
-//! This crate owns everything between the raw simulator and the paper's
-//! figures:
+//! This crate turns campaign results into the paper's figures:
 //!
 //! * [`tables`] — the multiprogrammed workloads of Tables 2–3 (2W1–2W9,
-//!   4W1–4W9, 6W1–6W4, classed ILP / MEM / MIX);
-//! * [`runner`] — a deterministic parallel job runner (independent
-//!   simulations fan out over a scoped thread pool; results are
-//!   order-stable regardless of scheduling);
+//!   4W1–4W9, 6W1–6W4, classed ILP / MEM / MIX), typed over the campaign
+//!   catalog's single copy;
 //! * [`experiments`] — the BEST / HEUR / WORST mapping envelope per
-//!   (microarchitecture, workload): the data behind Fig 4 (IPC) and
-//!   Fig 5 (IPC/area);
+//!   (microarchitecture, workload), folded from one `best`/`heur`/`worst`
+//!   campaign: the data behind Fig 4 (IPC) and Fig 5 (IPC/area);
 //! * [`summary`] — the §5 headline numbers (performance-per-area
 //!   improvements, heuristic accuracy, raw-performance comparisons).
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod runner;
 pub mod summary;
 pub mod tables;
 
 pub use experiments::{
-    envelope_for, run_paper_experiments, EnvelopeResult, ExperimentConfig, PaperResults,
+    paper_spec, quick_spec, run_paper_experiments, EnvelopeResult, PaperResults,
 };
-pub use runner::parallel_map;
 pub use summary::{summarize, Summary};
-pub use tables::{all_workloads, workloads_by, Workload, WorkloadClass};
+pub use tables::{all_workloads, Workload, WorkloadClass};

@@ -40,10 +40,14 @@ pub fn summarize(r: &PaperResults) -> Summary {
     let per_area_all = |arch: &str| r.hmean_ipc_all(arch, Metric::Heur) / r.area_of(arch);
     let raw_all = |arch: &str| r.hmean_ipc_all(arch, Metric::Heur);
 
+    // An arch missing from the results has no area (NaN per-area value):
+    // it cannot win, and must not poison the comparison.
     let best_het = HET
         .iter()
-        .max_by(|a, b| per_area_all(a).partial_cmp(&per_area_all(b)).unwrap())
-        .unwrap()
+        .map(|a| (a, per_area_all(a)))
+        .filter(|(_, pa)| pa.is_finite())
+        .max_by(|(_, x), (_, y)| x.total_cmp(y))
+        .map_or("n/a", |(a, _)| a)
         .to_string();
     let best_homo_pa = HOMO.iter().map(|a| per_area_all(a)).fold(f64::MIN, f64::max);
     let best_homo_raw = HOMO.iter().map(|a| raw_all(a)).fold(f64::MIN, f64::max);
@@ -89,12 +93,11 @@ pub fn summarize(r: &PaperResults) -> Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{EnvelopeResult, ExperimentConfig, PaperResults};
+    use crate::experiments::{quick_spec, EnvelopeResult, PaperResults};
 
-    /// Build a synthetic campaign with known numbers to verify the
-    /// summary arithmetic without running simulations.
-    fn fake_results() -> PaperResults {
-        let archs = ["M8", "3M4", "4M4", "2M4+2M2", "3M4+2M2", "1M6+2M4+2M2"];
+    /// Build a synthetic campaign over `archs` with known numbers to
+    /// verify the summary arithmetic without running simulations.
+    fn fake_results(archs: &[&str]) -> PaperResults {
         // IPCs chosen so 2M4+2M2 wins per-area (its area is smallest).
         let ipc = |arch: &str| match arch {
             "M8" => 3.0,
@@ -105,7 +108,7 @@ mod tests {
             _ => 2.8,
         };
         let mut envelopes = Vec::new();
-        for arch in archs {
+        for &arch in archs {
             for (wl, class, threads) in [
                 ("2W1", WorkloadClass::Ilp, 2),
                 ("2W4", WorkloadClass::Mem, 2),
@@ -138,12 +141,14 @@ mod tests {
                 )
             })
             .collect();
-        PaperResults { envelopes, areas, config: ExperimentConfig::quick() }
+        PaperResults { envelopes, areas, config: quick_spec() }
     }
+
+    const PAPER_ARCHS: [&str; 6] = ["M8", "3M4", "4M4", "2M4+2M2", "3M4+2M2", "1M6+2M4+2M2"];
 
     #[test]
     fn summary_arithmetic() {
-        let s = summarize(&fake_results());
+        let s = summarize(&fake_results(&PAPER_ARCHS));
         // 2M4+2M2: ipc 2.6 at ~0.73× area vs M8 3.0 → per-area win ~18%.
         assert_eq!(s.best_het_per_area, "2M4+2M2");
         assert!(s.per_area_vs_mono_pct > 10.0, "{}", s.per_area_vs_mono_pct);
@@ -153,5 +158,15 @@ mod tests {
         for (_, acc) in &s.heuristic_accuracy {
             assert!((acc - 1.0 / 1.05).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn missing_het_arch_is_skipped() {
+        // A subset campaign without 3M4+2M2: its per-area value is NaN,
+        // which must neither panic nor win.
+        let archs: Vec<&str> = PAPER_ARCHS.into_iter().filter(|a| *a != "3M4+2M2").collect();
+        let s = summarize(&fake_results(&archs));
+        assert_eq!(s.best_het_per_area, "2M4+2M2");
+        assert!(s.per_area_vs_mono_pct.is_finite());
     }
 }

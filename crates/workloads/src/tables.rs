@@ -1,16 +1,19 @@
-//! The multiprogrammed workloads of Tables 2 and 3.
+//! The multiprogrammed workloads of Tables 2 and 3, typed.
+//!
+//! The table itself lives once, in the campaign catalog
+//! ([`PAPER_WORKLOADS`]); this module gives it typed classes.
+
+use std::sync::OnceLock;
+
+use hdsmt_campaign::PAPER_WORKLOADS;
 
 /// Workload classification: Tables 2–3 use I = high instruction-level
-/// parallelism, M = bad memory behaviour, X = a mix of both. The
-/// program-backed extension adds RV (all-real RV64I threads) and XRV
-/// (real + synthetic mixes).
+/// parallelism, M = bad memory behaviour, X = a mix of both.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
 pub enum WorkloadClass {
     Ilp,
     Mem,
     Mix,
-    Rv,
-    RvMix,
 }
 
 impl WorkloadClass {
@@ -19,9 +22,14 @@ impl WorkloadClass {
             WorkloadClass::Ilp => "ILP",
             WorkloadClass::Mem => "MEM",
             WorkloadClass::Mix => "MIX",
-            WorkloadClass::Rv => "RV",
-            WorkloadClass::RvMix => "XRV",
         }
+    }
+
+    /// Inverse of [`Self::label`] (the campaign catalog's class labels).
+    pub fn from_label(label: &str) -> Option<Self> {
+        [WorkloadClass::Ilp, WorkloadClass::Mem, WorkloadClass::Mix]
+            .into_iter()
+            .find(|c| c.label() == label)
     }
 }
 
@@ -39,78 +47,19 @@ impl Workload {
     }
 }
 
-use WorkloadClass::{Ilp, Mem, Mix};
-
-/// Tables 2 and 3, verbatim.
-pub const WORKLOADS: [Workload; 22] = [
-    // ---- two-threaded (Table 2, left) ----
-    Workload { id: "2W1", benchmarks: &["eon", "gcc"], class: Ilp },
-    Workload { id: "2W2", benchmarks: &["crafty", "bzip2"], class: Ilp },
-    Workload { id: "2W3", benchmarks: &["gap", "vortex"], class: Ilp },
-    Workload { id: "2W4", benchmarks: &["mcf", "twolf"], class: Mem },
-    Workload { id: "2W5", benchmarks: &["vpr", "perlbmk"], class: Mem },
-    Workload { id: "2W6", benchmarks: &["vpr", "twolf"], class: Mem },
-    Workload { id: "2W7", benchmarks: &["gzip", "twolf"], class: Mix },
-    Workload { id: "2W8", benchmarks: &["crafty", "perlbmk"], class: Mix },
-    Workload { id: "2W9", benchmarks: &["parser", "vpr"], class: Mix },
-    // ---- four-threaded (Table 2, right) ----
-    Workload { id: "4W1", benchmarks: &["eon", "gcc", "gzip", "bzip2"], class: Ilp },
-    Workload { id: "4W2", benchmarks: &["crafty", "bzip2", "eon", "gzip"], class: Ilp },
-    Workload { id: "4W3", benchmarks: &["gap", "vortex", "parser", "crafty"], class: Ilp },
-    Workload { id: "4W4", benchmarks: &["mcf", "twolf", "vpr", "perlbmk"], class: Mem },
-    Workload { id: "4W5", benchmarks: &["vpr", "perlbmk", "mcf", "twolf"], class: Mem },
-    Workload { id: "4W6", benchmarks: &["gzip", "twolf", "bzip2", "mcf"], class: Mix },
-    Workload { id: "4W7", benchmarks: &["crafty", "perlbmk", "mcf", "bzip2"], class: Mix },
-    Workload { id: "4W8", benchmarks: &["parser", "vpr", "vortex", "twolf"], class: Mix },
-    Workload { id: "4W9", benchmarks: &["vpr", "twolf", "gap", "vortex"], class: Mix },
-    // ---- six-threaded (Table 3) ----
-    Workload {
-        id: "6W1",
-        benchmarks: &["gzip", "gcc", "crafty", "eon", "gap", "bzip2"],
-        class: Ilp,
-    },
-    Workload {
-        id: "6W2",
-        benchmarks: &["gcc", "crafty", "parser", "eon", "gap", "vortex"],
-        class: Ilp,
-    },
-    Workload {
-        id: "6W3",
-        benchmarks: &["gzip", "vpr", "mcf", "eon", "perlbmk", "bzip2"],
-        class: Mix,
-    },
-    Workload {
-        id: "6W4",
-        benchmarks: &["vpr", "mcf", "crafty", "perlbmk", "vortex", "twolf"],
-        class: Mix,
-    },
-];
-
-use WorkloadClass::{Rv, RvMix};
-
-/// Program-backed workloads: real RV64I instruction streams, pure and
-/// mixed with the synthetic models. Mirrors the campaign catalog's
-/// opt-in RV extension.
-pub const RV_WORKLOADS: [Workload; 4] = [
-    Workload { id: "RV2", benchmarks: &["rv:matmul", "rv:sort"], class: Rv },
-    Workload { id: "RV4", benchmarks: &["rv:matmul", "rv:sort", "rv:prime", "rv:fib"], class: Rv },
-    Workload { id: "XRV2", benchmarks: &["gzip", "rv:matmul"], class: RvMix },
-    Workload { id: "XRV4", benchmarks: &["mcf", "rv:sort", "gzip", "rv:prime"], class: RvMix },
-];
-
-/// Every workload of Tables 2–3.
+/// Every workload of Tables 2–3, in table order.
 pub fn all_workloads() -> &'static [Workload] {
-    &WORKLOADS
-}
-
-/// The program-backed (RV64I) workload extension.
-pub fn rv_workloads() -> &'static [Workload] {
-    &RV_WORKLOADS
-}
-
-/// Workloads of a given class and thread count.
-pub fn workloads_by(class: WorkloadClass, threads: usize) -> Vec<&'static Workload> {
-    WORKLOADS.iter().filter(|w| w.class == class && w.threads() == threads).collect()
+    static TABLE: OnceLock<Vec<Workload>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        PAPER_WORKLOADS
+            .iter()
+            .map(|&(id, benchmarks, class)| Workload {
+                id,
+                benchmarks,
+                class: WorkloadClass::from_label(class).expect("Tables 2-3 use ILP/MEM/MIX"),
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -119,15 +68,21 @@ mod tests {
 
     #[test]
     fn table_shape_matches_paper() {
-        assert_eq!(WORKLOADS.len(), 22);
-        assert_eq!(WORKLOADS.iter().filter(|w| w.threads() == 2).count(), 9);
-        assert_eq!(WORKLOADS.iter().filter(|w| w.threads() == 4).count(), 9);
-        assert_eq!(WORKLOADS.iter().filter(|w| w.threads() == 6).count(), 4);
+        let count = |class: Option<WorkloadClass>, threads: usize| {
+            all_workloads()
+                .iter()
+                .filter(|w| class.is_none_or(|c| w.class == c) && w.threads() == threads)
+                .count()
+        };
+        assert_eq!(all_workloads().len(), 22);
+        assert_eq!(count(None, 2), 9);
+        assert_eq!(count(None, 4), 9);
+        assert_eq!(count(None, 6), 4);
         // "MEM workloads are only feasible for 2 and 4 threads" (§4).
-        assert!(workloads_by(WorkloadClass::Mem, 6).is_empty());
-        assert_eq!(workloads_by(WorkloadClass::Mem, 2).len(), 3);
-        assert_eq!(workloads_by(WorkloadClass::Ilp, 6).len(), 2);
-        assert_eq!(workloads_by(WorkloadClass::Mix, 6).len(), 2);
+        assert_eq!(count(Some(WorkloadClass::Mem), 6), 0);
+        assert_eq!(count(Some(WorkloadClass::Mem), 2), 3);
+        assert_eq!(count(Some(WorkloadClass::Ilp), 6), 2);
+        assert_eq!(count(Some(WorkloadClass::Mix), 6), 2);
     }
 
     #[test]
@@ -142,40 +97,6 @@ mod tests {
             names.sort_unstable();
             names.dedup();
             assert_eq!(names.len(), w.benchmarks.len(), "{}", w.id);
-        }
-    }
-
-    #[test]
-    fn matches_campaign_catalog() {
-        // The campaign engine ships the same Tables 2-3 as its built-in
-        // catalog (plain static data, since it sits below this crate in
-        // the dependency graph). The two must never drift.
-        let catalog = hdsmt_campaign::Catalog::paper();
-        assert_eq!(catalog.entries().len(), WORKLOADS.len());
-        for w in all_workloads() {
-            let e = catalog.get(w.id).unwrap_or_else(|| panic!("{} missing", w.id));
-            assert_eq!(e.benchmarks, w.benchmarks, "{}", w.id);
-            assert_eq!(e.class.as_deref(), Some(w.class.label()), "{}", w.id);
-        }
-    }
-
-    #[test]
-    fn rv_workloads_match_campaign_catalog_and_resolve() {
-        // Same drift guard as the paper tables: the typed RV table and
-        // the campaign catalog extension must agree entry for entry.
-        let catalog = hdsmt_campaign::Catalog::paper_with_rv();
-        for w in rv_workloads() {
-            let e = catalog.get(w.id).unwrap_or_else(|| panic!("{} missing", w.id));
-            assert_eq!(e.benchmarks, w.benchmarks, "{}", w.id);
-            assert_eq!(e.class.as_deref(), Some(w.class.label()), "{}", w.id);
-            for b in w.benchmarks {
-                assert!(hdsmt_core::ThreadSpec::exists(b), "{}: unknown benchmark {b}", w.id);
-            }
-            // Mixed workloads really mix: at least one thread per front-end.
-            if w.class == WorkloadClass::RvMix {
-                assert!(w.benchmarks.iter().any(|b| b.starts_with("rv:")));
-                assert!(w.benchmarks.iter().any(|b| !b.starts_with("rv:")));
-            }
         }
     }
 

@@ -20,7 +20,7 @@
 //! | [`pipeline`] | out-of-order backend structures (wakeup lists, ready sets, completion wheel) and the M8/M6/M4/M2 models |
 //! | [`core`] | the processor: fetch engine + policies, mapping policies, cycle loop |
 //! | [`area`] | the §3 area cost model (Fig 2(b) / Fig 3) |
-//! | [`workloads`] | Tables 2–3 workloads, envelope experiments, §5 summary |
+//! | [`workloads`] | typed Tables 2–3, BEST/HEUR/WORST envelopes folded from a campaign, §5 summary |
 //! | [`campaign`] | declarative, cached, resumable experiment-campaign engine + CLI + [`campaign::serve`] sweep-service daemon |
 //! | `lint` | `hdsmt-lint`: project-invariant static analysis (see below) |
 //!
@@ -98,7 +98,8 @@
 //! spec only simulates the new cells. `export` writes `campaign.json`,
 //! `cells.csv`, and a §5-style `summary.txt`. The same engine backs the
 //! programmatic API ([`campaign::run_campaign`], [`campaign::JobRunner`])
-//! used by `workloads`' envelope experiments and the examples.
+//! used by the examples; [`workloads::run_paper_experiments`] folds a
+//! `best`/`heur`/`worst` campaign into the Fig 4/5 envelopes.
 //!
 //! Campaigns can also run as a service: `hdsmt-campaign serve` exposes
 //! the engine over an HTTP/JSON API (submit specs, poll per-cell
