@@ -11,7 +11,7 @@
 //!                       [--cell-deadline-ms N] [--cell-retries N]
 //!                       [--durable] [--no-journal]
 //! hdsmt-campaign fsck   [--cache DIR] [--tmp-age-secs N] [--gc]
-//!                       [--gc-age-secs N] [--repair-journal]
+//!                       [--gc-age-secs N]
 //! ```
 //!
 //! `run` executes the campaign (cache-first) and prints the summary;
@@ -20,14 +20,14 @@
 //! and writes `campaign.json`, `cells.csv`, and `summary.txt`; `serve`
 //! runs the sweep-service daemon (see `hdsmt_campaign::serve`); `fsck`
 //! verifies and repairs a cache tree — scrub + quarantine, orphaned-tmp
-//! reaping, write-ahead-journal torn-tail truncation, quarantine GC —
-//! and prints a machine-readable JSON report (see `hdsmt_campaign::fsck`).
+//! reaping, a pending-accept count, quarantine GC — and prints a
+//! machine-readable JSON report (see `hdsmt_campaign::fsck`).
 //!
-//! `serve` journals every accepted campaign to `<cache>/journal/` before
-//! acknowledging it and replays unfinished campaigns at startup
-//! (`--no-journal` opts out); `--durable` additionally fsyncs every
-//! cache entry before publishing it, extending the crash model from
-//! process death to host power loss.
+//! `serve` records every accepted campaign as an atomically renamed file
+//! under `<cache>/pending/` before acknowledging it and replays
+//! unfinished campaigns at startup (`--no-journal` opts out);
+//! `--durable` additionally fsyncs every cache entry before publishing
+//! it, extending the crash model from process death to host power loss.
 //!
 //! `serve --supervise n` runs the daemon as a fleet parent over `n`
 //! restart-supervised shard workers; `--addr-file` makes a worker report
@@ -55,6 +55,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use hdsmt_campaign::cache::write_atomic;
 use hdsmt_campaign::job::Watchdog;
 use hdsmt_campaign::serve::http::{http_request_retry, RetryPolicy};
 use hdsmt_campaign::serve::{Server, ServerConfig};
@@ -98,7 +99,7 @@ struct Options {
     poll_timeout_secs: u64,
     /// Fsync cache entries before publishing them (host-crash safety).
     durable: bool,
-    /// Disable the write-ahead accept journal in `serve`.
+    /// Disable durable pending accepts in `serve`.
     no_journal: bool,
     /// `fsck`: only reap `*.tmp` files at least this old.
     tmp_age_secs: u64,
@@ -106,8 +107,6 @@ struct Options {
     gc: bool,
     /// `fsck`: age threshold for `--gc`.
     gc_age_secs: u64,
-    /// `fsck`: truncate torn journal tails instead of just reporting.
-    repair_journal: bool,
 }
 
 fn usage() -> String {
@@ -120,7 +119,7 @@ fn usage() -> String {
      [--addr-file PATH] [--cell-deadline-ms N] [--cell-retries N] \
      [--durable] [--no-journal]\n       \
      hdsmt-campaign fsck [--cache DIR] [--tmp-age-secs N] [--gc] \
-     [--gc-age-secs N] [--repair-journal]"
+     [--gc-age-secs N]"
         .to_string()
 }
 
@@ -147,7 +146,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         tmp_age_secs: 15 * 60,
         gc: false,
         gc_age_secs: 7 * 24 * 3600,
-        repair_journal: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -219,7 +217,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 let v = it.next().ok_or("--gc-age-secs needs a value")?;
                 opts.gc_age_secs = v.parse::<u64>().map_err(|_| "--gc-age-secs: not a number")?;
             }
-            "--repair-journal" => opts.repair_journal = true,
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag {other}\n{}", usage()));
             }
@@ -327,13 +324,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 println!("cache quarantine oldest: {}s ago", age.as_secs());
             }
             println!("cache tmp files: {}", cache.tmp_files());
-            for j in hdsmt_campaign::fsck::journal_checks(cache.dir(), false)
-                .map_err(|e| e.to_string())?
-            {
-                println!(
-                    "journal {}: {} record(s), {} pending, {} torn byte(s)",
-                    j.file, j.records, j.pending, j.torn_bytes
-                );
+            for (role, n) in hdsmt_campaign::pending::counts(cache.dir()) {
+                println!("pending accepts {role}: {n}");
             }
             Ok(())
         }
@@ -361,7 +353,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 tmp_age: Duration::from_secs(opts.tmp_age_secs),
                 gc: opts.gc,
                 gc_age: Duration::from_secs(opts.gc_age_secs),
-                repair_journal: opts.repair_journal,
             };
             let report = hdsmt_campaign::fsck::fsck(std::path::Path::new(&cache_dir), &fsck_opts)
                 .map_err(|e| format!("fsck of {cache_dir}: {e}"))?;
@@ -369,11 +360,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             // human commentary goes to stderr.
             println!("{}", serde_json::to_string_pretty(&report).map_err(|e| e.0)?);
             if !report.clean {
-                eprintln!(
-                    "fsck: tree NOT clean ({} quarantined, {} journal(s) with torn tails)",
-                    report.corrupt_quarantined,
-                    report.journals.iter().filter(|j| j.torn_bytes > 0 && !j.repaired).count()
-                );
+                eprintln!("fsck: tree NOT clean ({} quarantined)", report.corrupt_quarantined);
             }
             Ok(())
         }
@@ -412,9 +399,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             // ephemeral) address atomically, so a reader never sees a
             // torn write.
             if let Some(addr_file) = &opts.addr_file {
-                let tmp = addr_file.with_extension("tmp");
-                std::fs::write(&tmp, format!("{}\n", server.addr()))
-                    .and_then(|()| std::fs::rename(&tmp, addr_file))
+                write_atomic(addr_file, format!("{}\n", server.addr()).as_bytes(), false)
                     .map_err(|e| format!("cannot write {}: {e}", addr_file.display()))?;
             }
             eprintln!(

@@ -314,69 +314,21 @@ impl ResultCache {
     /// Atomically store `result` under `key`, alongside its descriptor
     /// (kept for human inspection of the cache).
     pub fn put(&self, key: &str, descriptor_json: &str, result: &SimResult) -> std::io::Result<()> {
-        // Unique per write: two threads simulating the same deterministic
-        // job (e.g. the heuristic mapping equalling the oracle best in one
-        // measure batch) must not share a tmp path, or the loser's rename
-        // fails. The final rename is atomic and both payloads are
-        // identical, so last-writer-wins is correct.
-        static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
         let descriptor = serde_json::from_str_value(descriptor_json)
             .unwrap_or(serde_json::Value::String(descriptor_json.to_string()));
         let entry =
             CacheEntry { version: CODE_VERSION.to_string(), descriptor, result: result.clone() };
-        let final_path = self.path(key);
-        let shard_dir = final_path
-            .parent()
-            .ok_or_else(|| std::io::Error::other("cache entry path has no parent directory"))?;
-        fs::create_dir_all(shard_dir)?;
-        let tmp = final_path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
         let mut payload = serde_json::to_string_pretty(&entry).map_err(io_err)?.into_bytes();
         crate::fault::on_cache_put(&mut payload)?;
-        fs::write(&tmp, payload)?;
-        if self.durable {
-            // Flush the entry's bytes before publishing the name, then
-            // make the rename itself durable: after a power loss the key
-            // either resolves to the complete entry or does not exist.
-            fs::File::open(&tmp)?.sync_all()?;
-        }
-        fs::rename(&tmp, &final_path)?;
-        if self.durable {
-            crate::journal::fsync_dir(shard_dir)?;
-        }
-        Ok(())
+        self.land_text(key, &payload)
     }
 
-    /// Atomically land verbatim entry bytes under `key` (tmp + rename,
-    /// honoring `--durable`) — the write half of the remote tier, where
-    /// the payload is an already-serialized entry instead of a
-    /// [`SimResult`]. Callers validate the bytes first.
+    /// Publish verbatim entry bytes under `key` through [`write_atomic`]
+    /// (honoring `--durable`). Shared by [`Self::put`] and the remote
+    /// tier, whose payload is an already-serialized entry; callers
+    /// validate the bytes first.
     fn land_text(&self, key: &str, payload: &[u8]) -> std::io::Result<()> {
-        // Unique per write, same reasoning as `put`: concurrent landings
-        // of one deterministic entry must not share a tmp path.
-        static LAND_SEQ: AtomicU64 = AtomicU64::new(0);
-        let final_path = self.path(key);
-        let shard_dir = final_path
-            .parent()
-            .ok_or_else(|| std::io::Error::other("cache entry path has no parent directory"))?;
-        fs::create_dir_all(shard_dir)?;
-        let tmp = final_path.with_extension(format!(
-            "tmp.{}.r{}",
-            std::process::id(),
-            LAND_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, payload)?;
-        if self.durable {
-            fs::File::open(&tmp)?.sync_all()?;
-        }
-        fs::rename(&tmp, &final_path)?;
-        if self.durable {
-            crate::journal::fsync_dir(shard_dir)?;
-        }
-        Ok(())
+        write_atomic(&self.path(key), payload, self.durable)
     }
 
     /// Land a replicated entry pushed by a peer (`PUT /cells/:hash`).
@@ -472,7 +424,12 @@ impl ResultCache {
         let Ok(value) = serde_json::from_str_value(&body) else { return 0 };
         let mut pulled = 0usize;
         for cell in value.get("cells").and_then(|c| c.as_array()).into_iter().flatten() {
-            let Some(key) = cell.get("key").and_then(|k| k.as_str()) else { continue };
+            // The key names a file: a peer's manifest is outside input,
+            // and `../..` must not walk out of the cache directory.
+            let Some(key) = cell.get("key").and_then(|k| k.as_str()).filter(|k| valid_cell_key(k))
+            else {
+                continue;
+            };
             if self.contains(key) {
                 continue;
             }
@@ -539,24 +496,26 @@ impl ResultCache {
     }
 
     /// Directories a killed writer can strand `*.tmp` files in: the
-    /// shard dirs (cache entries), `journal/` (compaction tmps), and
+    /// shard dirs (cache entries), `pending/*/` (accepted campaigns), and
     /// `.supervise/` (address files).
     fn tmp_dirs(&self) -> Vec<PathBuf> {
-        let mut dirs: Vec<PathBuf> = fs::read_dir(&self.dir)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .filter(|d| {
-                let name = d.file_name();
-                let name = name.to_string_lossy();
-                let shard = name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit());
-                (shard || name == crate::journal::JOURNAL_DIR || name == ".supervise")
-                    && d.path().is_dir()
-            })
-            .map(|d| d.path())
-            .collect();
-        dirs.push(self.dir.clone());
-        dirs
+        let subdirs = |dir: &Path| {
+            fs::read_dir(dir)
+                .into_iter()
+                .flatten()
+                .flatten()
+                .map(|d| d.path())
+                .filter(|p| p.is_dir())
+        };
+        let shard_or_handshake = |d: &PathBuf| {
+            let name = d.file_name().unwrap_or_default().to_string_lossy();
+            (name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit())) || name == ".supervise"
+        };
+        subdirs(&self.dir)
+            .filter(shard_or_handshake)
+            .chain(subdirs(&self.dir.join(crate::pending::PENDING_DIR)))
+            .chain([self.dir.clone()])
+            .collect()
     }
 
     /// Every orphan-candidate `*.tmp*` file under the cache tree.
@@ -641,6 +600,52 @@ impl ResultCache {
 
 fn io_err(e: serde_json::Error) -> std::io::Error {
     std::io::Error::other(e.0)
+}
+
+/// Is `key` a well-formed cache key (64 lowercase hex chars, a SHA-256)?
+/// Keys that arrive from outside — a request path, a peer's manifest —
+/// must pass this before they name a file.
+pub(crate) fn valid_cell_key(key: &str) -> bool {
+    key.len() == 64 && key.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
+}
+
+/// The workspace's one way to publish a file: write `bytes` to a unique
+/// sibling `<path>.tmp.<pid>.<seq>` (creating the directory as needed),
+/// then rename it over `path`, so a reader sees the old file or the
+/// complete new one, never a torn write.
+/// With `durable`, the tmp file is fsynced before the rename and the
+/// directory after it, extending the guarantee from process death to
+/// host power loss. The tmp name is unique per write: concurrent writers
+/// of one deterministic payload must not share a tmp path, or the
+/// loser's rename fails; last-writer-wins on the final name is correct.
+pub fn write_atomic(path: &Path, bytes: &[u8], durable: bool) -> std::io::Result<()> {
+    let tmp = write_tmp(path, bytes, durable)?;
+    if let Err(e) = fs::rename(&tmp, path) {
+        let _ = fs::remove_file(&tmp);
+        return Err(e);
+    }
+    match path.parent() {
+        Some(dir) if durable => fs::File::open(dir)?.sync_all(),
+        _ => Ok(()),
+    }
+}
+
+/// The first half of [`write_atomic`]: `bytes` in a fresh tmp sibling of
+/// `path` (fsynced when `durable`). Returns the tmp path.
+pub(crate) fn write_tmp(path: &Path, bytes: &[u8], durable: bool) -> std::io::Result<PathBuf> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".tmp.{}.{}", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed)));
+    let tmp = path.with_file_name(name);
+    if let Some(dir) = path.parent() {
+        fs::create_dir_all(dir)?;
+    }
+    let mut file = fs::File::create(&tmp)?;
+    std::io::Write::write_all(&mut file, bytes)?;
+    if durable {
+        file.sync_all()?;
+    }
+    Ok(tmp)
 }
 
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
@@ -764,11 +769,12 @@ mod tests {
         let key = ResultCache::key_for("{\"job\":20}");
         cache.put(&key, "{\"job\":20}", &fake_result()).unwrap();
         // Strand tmp files where killed writers leave them: a shard dir
-        // and the journal dir.
+        // and a pending-accept role dir.
         let shard = dir.join(&key[..2]);
         fs::write(shard.join(format!("{key}.json.tmp.999.0")), "orphan").unwrap();
-        fs::create_dir_all(dir.join(crate::journal::JOURNAL_DIR)).unwrap();
-        fs::write(dir.join(crate::journal::JOURNAL_DIR).join("serve.wal.tmp"), "orphan").unwrap();
+        let role = dir.join(crate::pending::PENDING_DIR).join("serve");
+        fs::create_dir_all(&role).unwrap();
+        fs::write(role.join("c1-aa.spec.tmp.999.1"), "orphan").unwrap();
         assert_eq!(cache.tmp_files(), 2);
 
         // Fresh files survive a thresholded reap (they might be a live
@@ -790,6 +796,46 @@ mod tests {
         assert!(cache.get(&key).is_some());
         assert_eq!(cache.tmp_files(), 0, "no tmp file survives a durable put");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sync_skips_manifest_keys_that_would_escape_the_cache_dir() {
+        use crate::serve::http::{read_request, write_response, Response};
+        let base = tmpdir("sync-escape");
+        let cache = ResultCache::open(base.join("a/b/cache")).unwrap();
+        let entry = CacheEntry {
+            version: CODE_VERSION.into(),
+            descriptor: serde_json::Value::Null,
+            result: fake_result(),
+        };
+        let body = serde_json::to_string(&entry).unwrap();
+        let manifest = r#"{"cells":[{"key":"../../x","mtime":0},{"key":"..","mtime":0}]}"#;
+
+        // A hostile raw-socket peer: its manifest names files outside the
+        // cache, and it serves a valid entry body for any key asked. It
+        // records every path requested until told to `/quit`.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = listener.local_addr().unwrap().to_string();
+        let served = std::thread::spawn(move || {
+            let mut paths = Vec::new();
+            for mut conn in listener.incoming().flatten() {
+                let Ok(req) = read_request(&mut conn) else { continue };
+                if req.path == "/quit" {
+                    break;
+                }
+                let reply = if req.path == "/cells" { manifest.to_string() } else { body.clone() };
+                let _ = write_response(&mut conn, &Response::json(200, reply), false);
+                paths.push(req.path);
+            }
+            paths
+        });
+
+        assert_eq!(cache.sync_from_peer(&peer, None), 0);
+        let _ = crate::serve::http::http_get(&peer, "/quit");
+        assert_eq!(served.join().unwrap(), ["/cells"], "no hostile key is ever fetched");
+        // Where `../../x` and `..` would have landed, outside the cache.
+        assert!(!base.join("x.json").exists() && !base.join("a/b/...json").exists());
+        let _ = fs::remove_dir_all(&base);
     }
 
     #[test]

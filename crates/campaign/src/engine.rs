@@ -195,6 +195,15 @@ pub fn catalog_for(spec: &CampaignSpec) -> Catalog {
     }
 }
 
+/// Parse spec text and expand it (cheap, no simulation), so selector,
+/// arch and capacity errors surface at admission — a daemon's 400, or a
+/// pending file dropped at replay — instead of as a failed campaign.
+pub fn admit(spec_text: &str) -> Result<CampaignSpec, CampaignError> {
+    let spec = CampaignSpec::parse(spec_text)?;
+    expand(&spec, &catalog_for(&spec))?;
+    Ok(spec)
+}
+
 /// Open the spec's cache (default directory `.hdsmt-cache`).
 pub fn open_cache(spec: &CampaignSpec) -> Result<ResultCache, CampaignError> {
     let dir = spec.cache_dir.clone().unwrap_or_else(|| ".hdsmt-cache".to_string());

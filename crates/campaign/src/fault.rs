@@ -19,9 +19,9 @@
 //! | `corrupt@put=n`  | the n-th cache write is torn (payload truncated)     |
 //! | `err@put=n`      | the n-th cache write fails with an injected I/O error |
 //! | `err@get=n`      | the n-th cache lookup fails (served as a miss)       |
-//! | `kill@accept=n`  | abort right after the n-th journaled campaign accept |
-//! | `err@journal=n`  | the n-th journal append fails with an injected I/O error |
-//! | `torn@journal=n` | the n-th journal append persists half a frame, then the process aborts |
+//! | `kill@accept=n`  | abort right after the n-th durably recorded campaign accept |
+//! | `err@journal=n`  | the n-th pending-accept write fails with an injected I/O error |
+//! | `torn@journal=n` | the n-th pending-accept write fsyncs half its bytes to the tmp file, then the process aborts before the rename |
 //! | `drop@net=n`     | the n-th outbound HTTP request fails with a connection reset |
 //! | `delay@net=n:ms` | the n-th outbound HTTP request stalls `ms` milliseconds first |
 //! | `partition@net=n:ms` | a network partition opens at the n-th outbound request: it and every request in the next `ms` milliseconds fail |
@@ -147,7 +147,7 @@ mod active {
     pub(super) static PUTS: AtomicU64 = AtomicU64::new(0);
     pub(super) static GETS: AtomicU64 = AtomicU64::new(0);
     pub(super) static ACCEPTS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static JOURNALS: AtomicU64 = AtomicU64::new(0);
+    pub(super) static PENDING_WRITES: AtomicU64 = AtomicU64::new(0);
     pub(super) static NETS: AtomicU64 = AtomicU64::new(0);
     /// Network faults actually injected (dropped, delayed, or blocked by
     /// an open partition) — surfaced through `/stats`.
@@ -243,14 +243,14 @@ pub fn on_cache_put(payload: &mut Vec<u8>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// What [`on_journal_append`] decided for this frame.
+/// What [`on_pending_write`] decided for this accept.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JournalWrite {
-    /// Write the frame normally.
+pub enum PendingWrite {
+    /// Publish the file normally.
     Write,
-    /// The frame was torn in place (`torn@journal`); the journal must
-    /// persist the half-frame and then abort the process, emulating a
-    /// power loss mid-append.
+    /// The bytes were torn in place (`torn@journal`); the writer must
+    /// persist them to the tmp file and abort before the rename,
+    /// emulating a power loss mid-accept.
     TornAbort,
 }
 
@@ -317,9 +317,9 @@ pub fn net_faults_injected() -> u64 {
     }
 }
 
-/// Called right after a campaign accept is durably journaled, before the
+/// Called right after a campaign accept is durably recorded, before the
 /// 202 is sent. May abort the process (`kill@accept`) — the canonical
-/// "daemon died between journal and reply" crash point.
+/// "daemon died between the durable write and the reply" crash point.
 pub fn on_accept() {
     #[cfg(feature = "fault-inject")]
     {
@@ -334,30 +334,31 @@ pub fn on_accept() {
     }
 }
 
-/// Called with each journal frame before it hits disk. May fail the
-/// append (`err@journal` → the API degrades to 503) or tear the frame
-/// (`torn@journal` → half the frame persists, then the journal aborts
-/// the process).
+/// Called with each pending-accept file's bytes before they hit disk
+/// (accepts only; resolving unlinks, which is no write). May fail the
+/// write (`err@journal` → the API degrades to 503) or tear the bytes
+/// (`torn@journal` → half persist in the tmp file, then the process
+/// aborts before the rename).
 #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
-pub fn on_journal_append(frame: &mut Vec<u8>) -> std::io::Result<JournalWrite> {
+pub fn on_pending_write(bytes: &mut Vec<u8>) -> std::io::Result<PendingWrite> {
     #[cfg(feature = "fault-inject")]
     {
         use std::sync::atomic::Ordering;
         if let Some(plan) = active::plan() {
-            let n = active::JOURNALS.fetch_add(1, Ordering::Relaxed) + 1;
+            let n = active::PENDING_WRITES.fetch_add(1, Ordering::Relaxed) + 1;
             if plan.err_journal.contains(&n) {
                 eprintln!("fault-inject: err@journal={n}");
-                return Err(std::io::Error::other("injected journal write failure (err@journal)"));
+                return Err(std::io::Error::other("injected pending write failure (err@journal)"));
             }
             if plan.torn_journal.contains(&n) {
                 eprintln!("fault-inject: torn@journal={n}");
-                frame.truncate(frame.len() / 2);
-                return Ok(JournalWrite::TornAbort);
+                bytes.truncate(bytes.len() / 2);
+                return Ok(PendingWrite::TornAbort);
             }
         }
     }
-    let _ = frame;
-    Ok(JournalWrite::Write)
+    let _ = bytes;
+    Ok(PendingWrite::Write)
 }
 
 #[cfg(test)]
@@ -414,9 +415,9 @@ mod tests {
         on_cache_put(&mut payload).unwrap();
         assert_eq!(payload, b"{\"ok\":true}");
         on_accept();
-        let mut frame = vec![1u8, 2, 3, 4];
-        assert_eq!(on_journal_append(&mut frame).unwrap(), JournalWrite::Write);
-        assert_eq!(frame, vec![1, 2, 3, 4]);
+        let mut bytes = vec![1u8, 2, 3, 4];
+        assert_eq!(on_pending_write(&mut bytes).unwrap(), PendingWrite::Write);
+        assert_eq!(bytes, vec![1, 2, 3, 4]);
         on_net_op().unwrap();
         assert_eq!(net_faults_injected(), 0);
     }

@@ -10,10 +10,9 @@
 //! 2. **Reaps** orphaned `*.tmp` files stranded by killed writers, but
 //!    only ones older than [`FsckOptions::tmp_age`], so a racing live
 //!    writer's in-flight tmp file is never touched.
-//! 3. **Checks** every `journal/*.wal` write-ahead journal: replays it,
-//!    reports complete records, pending campaigns, and torn tail bytes;
-//!    with [`FsckOptions::repair_journal`] the torn tail is truncated
-//!    away (crash-consistently, via tmp + fsync + rename).
+//! 3. **Counts** the pending campaign accepts under `pending/*/` — the
+//!    work a restarted daemon would resume. Each is one atomically
+//!    renamed file, so there is no torn state to check or repair.
 //! 4. Optionally (**`--gc`**) removes quarantined entries older than
 //!    [`FsckOptions::gc_age`] — quarantine is evidence, not a landfill.
 //!    Besides scrub-time deserialization failures, replication conflicts
@@ -23,10 +22,9 @@
 //!    honest replicas can never differ).
 //!
 //! The report is machine-readable (the CLI prints it as JSON). `clean`
-//! means the live tree had no rot and no journal carries an unrepaired
-//! torn tail; the *presence* of tmp files, pending journal records, or
-//! quarantine evidence is expected operational state, not corruption,
-//! and does not fail the check.
+//! means the live tree had no rot; the *presence* of tmp files, pending
+//! accepts, or quarantine evidence is expected operational state, not
+//! corruption, and does not fail the check.
 //!
 //! Run fsck on a quiescent cache. Every individual repair is atomic, so
 //! racing a live daemon cannot corrupt anything, but the report's counts
@@ -37,7 +35,6 @@ use std::path::Path;
 use std::time::Duration;
 
 use crate::cache::ResultCache;
-use crate::journal;
 
 /// Tuning knobs for an fsck pass.
 #[derive(Clone, Debug)]
@@ -49,8 +46,6 @@ pub struct FsckOptions {
     pub gc: bool,
     /// Age threshold for `--gc`.
     pub gc_age: Duration,
-    /// Truncate torn journal tails instead of just reporting them.
-    pub repair_journal: bool,
 }
 
 impl Default for FsckOptions {
@@ -59,25 +54,8 @@ impl Default for FsckOptions {
             tmp_age: Duration::from_secs(15 * 60),
             gc: false,
             gc_age: Duration::from_secs(7 * 24 * 3600),
-            repair_journal: false,
         }
     }
-}
-
-/// Replay summary of one `journal/*.wal` file.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct JournalCheck {
-    /// File name (`serve.wal`, `fleet.wal`, …).
-    pub file: String,
-    /// Complete, checksum-valid records.
-    pub records: u64,
-    /// Accepted campaigns without a terminal record — the work a
-    /// restarted daemon would resume.
-    pub pending: u64,
-    /// Bytes of torn tail after the last complete record.
-    pub torn_bytes: u64,
-    /// Whether this pass truncated the torn tail away.
-    pub repaired: bool,
 }
 
 /// Machine-readable result of an fsck pass.
@@ -100,32 +78,10 @@ pub struct FsckReport {
     pub quarantine_oldest_secs: Option<u64>,
     /// Quarantined entries removed by `--gc`.
     pub quarantine_gc_removed: u64,
-    /// One summary per `journal/*.wal` file.
-    pub journals: Vec<JournalCheck>,
-    /// No rot found and no journal left with an unrepaired torn tail.
+    /// Pending campaign accepts, summed over every role.
+    pub pending: u64,
+    /// No rot found.
     pub clean: bool,
-}
-
-/// Replay every `journal/*.wal` under `cache_dir`, optionally truncating
-/// torn tails. Shared by `fsck` and the `status` verb.
-pub fn journal_checks(cache_dir: &Path, repair: bool) -> io::Result<Vec<JournalCheck>> {
-    let mut checks = Vec::new();
-    for path in journal::journal_files(cache_dir) {
-        let replay = journal::replay_file(&path)?;
-        let mut repaired = false;
-        if repair && replay.torn_bytes > 0 {
-            journal::rewrite(&path, &replay.records)?;
-            repaired = true;
-        }
-        checks.push(JournalCheck {
-            file: path.file_name().unwrap_or_default().to_string_lossy().into_owned(),
-            records: replay.records.len() as u64,
-            pending: replay.pending.len() as u64,
-            torn_bytes: replay.torn_bytes,
-            repaired,
-        });
-    }
-    Ok(checks)
 }
 
 /// Run a full fsck pass over the cache at `cache_dir`.
@@ -134,8 +90,6 @@ pub fn fsck(cache_dir: &Path, opts: &FsckOptions) -> io::Result<FsckReport> {
     let (checked, quarantined) = cache.scrub();
     let tmp_reaped = cache.reap_tmp(opts.tmp_age);
     let gc_removed = if opts.gc { cache.quarantine_gc(opts.gc_age) } else { 0 };
-    let journals = journal_checks(cache_dir, opts.repair_journal)?;
-    let torn_unrepaired = journals.iter().any(|j| j.torn_bytes > 0 && !j.repaired);
     Ok(FsckReport {
         cache_dir: cache_dir.display().to_string(),
         entries_checked: checked as u64,
@@ -146,15 +100,14 @@ pub fn fsck(cache_dir: &Path, opts: &FsckOptions) -> io::Result<FsckReport> {
         quarantine_entries: cache.quarantined_entries() as u64,
         quarantine_oldest_secs: cache.quarantine_oldest_age().map(|a| a.as_secs()),
         quarantine_gc_removed: gc_removed as u64,
-        journals,
-        clean: quarantined == 0 && !torn_unrepaired,
+        pending: crate::pending::counts(cache_dir).iter().map(|(_, n)| n).sum(),
+        clean: quarantined == 0,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{Journal, Record};
     use hdsmt_core::{SimResult, SimStats};
     use std::fs;
     use std::path::PathBuf;
@@ -171,7 +124,7 @@ mod tests {
     }
 
     #[test]
-    fn fsck_quarantines_rot_reaps_orphans_and_repairs_torn_journals() {
+    fn fsck_quarantines_rot_reaps_orphans_and_counts_pending() {
         let dir = tmpdir("full");
         let cache = ResultCache::open(&dir).unwrap();
         let good = ResultCache::key_for("{\"job\":1}");
@@ -181,43 +134,29 @@ mod tests {
         fs::write(dir.join(&bad[..2]).join(format!("{bad}.json")), "rot").unwrap();
         fs::write(dir.join(&good[..2]).join(format!("{good}.json.tmp.1.0")), "orphan").unwrap();
 
-        // A journal with one resolved pair, one pending accept, and a
-        // hand-torn tail.
-        let (journal, _) = Journal::open(&dir, "serve").unwrap();
-        journal.append(&Record::accept("c1-aa", "one", "s1")).unwrap();
-        journal.append(&Record::done("c1-aa")).unwrap();
-        journal.append(&Record::accept("c2-bb", "two", "s2")).unwrap();
-        let wal = journal.path().to_path_buf();
-        drop(journal);
-        let mut bytes = fs::read(&wal).unwrap();
-        bytes.extend_from_slice(&[7u8; 5]);
-        fs::write(&wal, &bytes).unwrap();
+        // One pending accept, plus the tmp file a writer killed before
+        // its rename leaves behind.
+        let role = dir.join(crate::pending::PENDING_DIR).join("serve");
+        fs::create_dir_all(&role).unwrap();
+        fs::write(role.join("c2-bb.spec"), "s2").unwrap();
+        fs::write(role.join("c3-cc.spec.tmp.1.1"), "s").unwrap();
 
         let opts = FsckOptions { tmp_age: Duration::ZERO, ..FsckOptions::default() };
         let report = fsck(&dir, &opts).unwrap();
         assert_eq!(report.entries_checked, 2);
         assert_eq!(report.entries_valid, 1);
         assert_eq!(report.corrupt_quarantined, 1);
-        assert_eq!(report.tmp_reaped, 1);
+        assert_eq!(report.tmp_reaped, 2);
         assert_eq!(report.tmp_remaining, 0);
         assert_eq!(report.quarantine_entries, 1);
-        assert_eq!(report.journals.len(), 1);
-        assert_eq!(report.journals[0].records, 3);
-        assert_eq!(report.journals[0].pending, 1, "c2-bb is still pending");
-        assert_eq!(report.journals[0].torn_bytes, 5);
-        assert!(!report.journals[0].repaired, "repair is opt-in");
-        assert!(!report.clean, "rot + torn tail → not clean");
+        assert_eq!(report.pending, 1, "c2-bb is still pending");
+        assert!(!report.clean, "rot → not clean");
 
-        // Repair pass: torn tail truncated, tree now clean.
-        let opts = FsckOptions { repair_journal: true, ..opts };
+        // The rot is quarantined now; pending accepts and quarantine
+        // evidence alone do not fail the check.
         let report = fsck(&dir, &opts).unwrap();
         assert_eq!(report.corrupt_quarantined, 0);
-        assert_eq!(report.journals[0].torn_bytes, 5, "reported before truncation");
-        assert!(report.journals[0].repaired);
-        assert!(report.clean, "quarantine evidence alone does not fail the check");
-        let replay = journal::replay_file(&wal).unwrap();
-        assert_eq!(replay.torn_bytes, 0, "the repair truncated the tail");
-        assert_eq!(replay.records.len(), 3);
+        assert!(report.clean);
 
         // --gc clears the quarantine.
         let opts = FsckOptions { gc: true, gc_age: Duration::ZERO, ..opts };
@@ -238,7 +177,7 @@ mod tests {
         let report = fsck(&dir, &FsckOptions::default()).unwrap();
         assert!(report.clean);
         assert_eq!(report.entries_checked, 0);
-        assert!(report.journals.is_empty());
+        assert_eq!(report.pending, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }

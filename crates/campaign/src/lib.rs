@@ -29,8 +29,8 @@ pub mod fault;
 pub mod fsck;
 pub mod hash;
 pub mod job;
-pub mod journal;
 pub mod matrix;
+pub mod pending;
 pub mod sched;
 pub mod serve;
 pub mod spec;
@@ -46,7 +46,6 @@ pub use fsck::{FsckOptions, FsckReport};
 pub use job::{
     CampaignError, JobEvent, JobOutcome, JobRunner, JobSpec, JobThread, RunReport, Watchdog,
 };
-pub use journal::Journal;
 pub use matrix::{cell_shard, expand, Cell, Policy, ShardSpec};
 pub use sched::{default_workers, parallel_map, parallel_map_indexed};
 pub use spec::{Budget, CampaignSpec, ExtraWorkload};

@@ -28,7 +28,7 @@
 //! slice). Queue-full 503s carry a `Retry-After` header scaled to the
 //! backlog.
 
-use crate::cache::{EntryLookup, Replicate, ReplicateError};
+use crate::cache::{valid_cell_key, EntryLookup, Replicate, ReplicateError};
 use crate::export;
 use crate::serve::http::{HttpError, Request, Response};
 use crate::serve::state::{CampaignPhase, ServerState, SubmitError};
@@ -190,9 +190,9 @@ fn submit(state: &ServerState, req: &Request) -> Response {
     }
 }
 
-/// A failed journal append (full disk, injected fault) refuses the
+/// A failed pending-accept write (full disk, injected fault) refuses the
 /// submission: the daemon must not 202 work it cannot promise to
-/// survive. Degrade to 503 + Retry-After — journal failures are usually
+/// survive. Degrade to 503 + Retry-After — such failures are usually
 /// transient (disk pressure), so tell the client to come back.
 fn journal_unavailable(msg: &str) -> Response {
     error_response(503, format!("cannot journal the accept ({msg}); retry later"))
@@ -246,10 +246,6 @@ fn results(state: &ServerState, req: &Request, id: &str) -> Response {
         "summary" => Response::text(200, export::summary(&result)),
         other => error_response(400, format!("unknown format `{other}` (json|csv|summary)")),
     }
-}
-
-fn valid_cell_key(hash: &str) -> bool {
-    hash.len() == 64 && hash.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
 }
 
 fn cell(state: &ServerState, hash: &str) -> Response {

@@ -143,8 +143,9 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Read and parse one request from `stream`.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+/// Read and parse one request from `stream` (a `TcpStream` in the
+/// daemon; any byte source in the parser's robustness tests).
+pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
     let io = |e: std::io::Error| HttpError::Io(e.to_string());
     let mut reader = BufReader::new(stream);
 

@@ -140,38 +140,36 @@
 //!
 //! # Durability & recovery
 //!
-//! The cache makes finished *cells* durable; the write-ahead journal
-//! makes accepted *campaigns* durable. Before any `POST /campaigns`
-//! returns its 202, the accept — id, name, and the verbatim spec text —
-//! is appended to `<cache>/journal/<role>.wal` and fsynced (`serve`
-//! writes `serve.wal`, `serve --shard i/n` a per-shard file, and
-//! `serve --supervise` a `fleet.wal`). Completion appends a `done`
-//! (or `failed`) mark. Each record is a length-prefixed, checksummed
-//! frame (`u32 LE` length, `u64 LE` FNV-1a of the payload, JSON
-//! payload — see [`crate::journal`]), so a crash mid-append leaves at
-//! most one torn frame, which replay discards instead of poisoning
-//! recovery.
+//! The cache makes finished *cells* durable; pending files make accepted
+//! *campaigns* durable. Before any `POST /campaigns` returns its 202,
+//! the verbatim spec text is published as
+//! `<cache>/pending/<role>/<id>.spec` by [`crate::cache::write_atomic`]
+//! (role `serve`, `serve-shard-i-of-n`, or `fleet` for `--supervise`),
+//! and deleted when the campaign reaches `done` or `failed`. The rename
+//! is the commit point, so there is no torn record to detect or repair
+//! (see [`crate::pending`]).
 //!
-//! On startup the daemon replays its journal, compacts it (pending
-//! accepts only, via tmp + fsync + rename), reaps orphaned `*.tmp`
-//! files older than a safety threshold, and resubmits every unfinished
-//! campaign — **with its original id** — through the ordinary cached
-//! JobRunner path. Replay is idempotent by construction: cells the
-//! previous incarnation finished are cache hits, so a SIGKILLed
-//! campaign resumes rather than restarts, with zero lost or duplicated
-//! cells. `GET /stats` reports `journal_records`, `journal_replayed`,
-//! and `tmp_reaped`.
+//! On startup the daemon reaps orphaned `*.tmp` files older than a
+//! safety threshold, replays its role directory in id order, and
+//! resubmits every unfinished campaign — **with its original id** —
+//! through the ordinary cached JobRunner path. Replay is idempotent by
+//! construction: cells the previous incarnation finished are cache
+//! hits, so a SIGKILLed campaign resumes rather than restarts, with zero
+//! lost or duplicated cells. A campaign cancelled by shutdown keeps its
+//! file and resumes the same way. `GET /stats` reports
+//! `journal_records` (pending files this daemon holds),
+//! `journal_replayed`, and `tmp_reaped`.
 //!
-//! A journal append that fails (full disk, injected `err@journal`)
-//! refuses the submission with 503 + `Retry-After` — the daemon never
+//! An accept that cannot be made durable (full disk, injected
+//! `err@journal`) is refused with 503 + `Retry-After` — the daemon never
 //! acknowledges work it cannot promise to survive. `--no-journal`
-//! disables the journal entirely (supervised workers run this way: the
-//! fleet journal at the supervisor is their source of truth), and
+//! disables pending files entirely (supervised workers run this way:
+//! the fleet directory at the supervisor is their source of truth), and
 //! `--durable` extends the crash model from process death to host power
 //! loss by fsyncing every cache entry before its rename publishes it.
 //! `hdsmt-campaign fsck` (see [`crate::fsck`]) verifies and repairs a
-//! cache tree offline: scrub + quarantine, tmp reaping, torn-tail
-//! truncation, quarantine GC.
+//! cache tree offline: scrub + quarantine, tmp reaping, a pending-accept
+//! count, quarantine GC.
 
 pub mod api;
 pub mod http;
@@ -260,6 +258,8 @@ impl Server {
 
         if let Some(n) = state.config.supervise {
             let remote_workers = state.config.remote_workers.clone();
+            let pending = state.pending.clone();
+            let recovered = pending.as_ref().map(|p| p.take_recovered()).unwrap_or_default();
             // `--supervise 0` is adopt-only (remote workers required by
             // the CLI); without remotes, keep the old floor of 1 child.
             let spawned = if n == 0 && !remote_workers.is_empty() { 0 } else { n.max(1) };
@@ -276,8 +276,8 @@ impl Server {
                     ..supervisor::SupervisorConfig::default()
                 },
                 state.cache.clone(),
-                state.journal_arc(),
-                state.take_recovered(),
+                pending,
+                recovered,
             )?;
             state.set_supervisor(sup);
         }

@@ -74,7 +74,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Enqueue bypassing the capacity bound (still refuses when closed).
-    /// Journal recovery must never drop a campaign the previous
+    /// Pending-accept replay must never drop a campaign the previous
     /// incarnation already acknowledged with a 202 — a replayed backlog
     /// larger than the queue bound is admitted whole, and backpressure
     /// only applies to *new* submissions on top of it.

@@ -7,10 +7,9 @@ use std::time::Instant;
 
 use crate::cache::ResultCache;
 use crate::engine::{self, CampaignProgress, CampaignResult};
-use crate::hash::sha256_hex;
 use crate::job::{JobOutcome, JobRunner, RunReport};
-use crate::journal::{self, Journal, Record};
 use crate::matrix::{Cell, ShardSpec};
+use crate::pending::{self, Pending};
 use crate::serve::queue::{BoundedQueue, PushError};
 use crate::spec::CampaignSpec;
 
@@ -48,10 +47,11 @@ pub struct ServerConfig {
     /// Extra environment for supervised workers only (fault plans are
     /// injected here so the supervisor itself stays fault-free).
     pub child_env: Vec<(String, String)>,
-    /// Write a durable accept journal and replay it at startup. On by
-    /// default; supervised *worker* children run with `--no-journal`
-    /// because the fleet journal at the supervisor is their source of
-    /// truth (a worker restart is the supervisor's job, not replay's).
+    /// Record every accept durably under `<cache>/pending/` and replay
+    /// the unfinished ones at startup. On by default; supervised *worker*
+    /// children run with `--no-journal` because the fleet's pending
+    /// directory at the supervisor is their source of truth (a worker
+    /// restart is the supervisor's job, not replay's).
     pub journal: bool,
     /// Fsync cache entries before publishing them (`--durable`): extends
     /// the crash model from process death to host power loss, at the
@@ -282,7 +282,7 @@ pub enum SubmitError {
     QueueFull,
     /// Daemon is draining for shutdown (503).
     ShuttingDown,
-    /// The accept could not be durably journaled (ENOSPC, injected
+    /// The accept could not be durably recorded (ENOSPC, injected
     /// fault). The daemon must not acknowledge work it cannot promise to
     /// survive, so this degrades to 503 + Retry-After.
     Journal(String),
@@ -315,12 +315,9 @@ pub struct ServerState {
     /// Set once by `Server::start` when `config.supervise` is on; the API
     /// layer routes campaign verbs here instead of the local queue.
     supervisor: std::sync::OnceLock<Arc<crate::serve::supervisor::Supervisor>>,
-    /// The durable accept journal (absent with `--no-journal`).
-    journal: Option<Arc<Journal>>,
-    /// Pending accepts replayed from a fleet journal, parked here until
-    /// `Server::start` hands them to the supervisor (the supervisor does
-    /// not exist yet when `new()` replays).
-    recovered: Mutex<Vec<Record>>,
+    /// Durable pending accepts (absent with `--no-journal`), shared with
+    /// the supervisor in `--supervise` mode.
+    pub(crate) pending: Option<Arc<Pending>>,
     /// Orphaned tmp files reaped at startup.
     tmp_reaped: u64,
 }
@@ -333,10 +330,6 @@ impl ServerState {
         self.campaigns.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn recovered_lock(&self) -> std::sync::MutexGuard<'_, Vec<Record>> {
-        self.recovered.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     pub fn new(config: ServerConfig) -> std::io::Result<Self> {
         let cache = ResultCache::open(&config.cache_dir)?
             .with_durable(config.durable)
@@ -344,16 +337,12 @@ impl ServerState {
         // Reap what killed writers stranded before accepting new work;
         // the age threshold protects other live daemons on this cache.
         let tmp_reaped = cache.reap_tmp(config.tmp_reap_age) as u64;
-        let (journal, pending) = if config.journal {
-            let (journal, replay) =
-                Journal::open(std::path::Path::new(&config.cache_dir), &journal_role(&config))?;
-            (Some(Arc::new(journal)), replay.pending)
+        let pending = if config.journal {
+            let dir = std::path::Path::new(&config.cache_dir);
+            Some(Arc::new(Pending::open(dir, &pending_role(&config))?))
         } else {
-            (None, Vec::new())
+            None
         };
-        // Seed the id counter past every replayed campaign so fresh
-        // submissions never collide with revived ids.
-        let seq0 = pending.iter().map(|r| journal::id_seq(&r.id)).max().unwrap_or(0);
         let state = ServerState {
             queue: BoundedQueue::new(config.queue_cap),
             config,
@@ -361,87 +350,59 @@ impl ServerState {
             campaigns: Mutex::new(Vec::new()),
             shutdown: Arc::new(AtomicBool::new(false)),
             started: Instant::now(),
-            seq: AtomicU64::new(seq0),
+            seq: AtomicU64::new(0),
             jobs: JobTotals::default(),
             campaigns_done: AtomicU64::new(0),
             campaigns_failed: AtomicU64::new(0),
             supervisor: std::sync::OnceLock::new(),
-            journal,
-            recovered: Mutex::new(Vec::new()),
+            pending,
             tmp_reaped,
         };
-        if state.config.supervise.is_some() {
-            // The supervisor is built later by `Server::start`; park the
-            // replayed accepts for it to re-ledger.
-            *state.recovered_lock() = pending;
-        } else {
-            state.recover_local(pending);
+        // A supervisor re-ledgers the fleet's recovered accepts itself.
+        if state.config.supervise.is_none() {
+            state.recover_local();
         }
         Ok(state)
     }
 
-    /// Resubmit journal-replayed campaigns through the ordinary executor
-    /// path, preserving their ids. Idempotent by construction: every
+    /// Resubmit replayed campaigns through the ordinary executor path,
+    /// preserving their ids. Idempotent by construction: every
     /// already-finished cell is a cache hit, so a campaign that was 90%
-    /// done re-runs as 10% simulation. A spec that no longer parses
-    /// (schema drift across an upgrade) is marked failed in the journal
-    /// rather than wedging recovery forever.
-    fn recover_local(&self, pending: Vec<Record>) {
-        let n = pending.len() as u64;
-        for rec in pending {
-            match self.revive(&rec) {
-                Ok(entry) => {
-                    self.campaigns_lock().push(entry.clone());
-                    if self.queue.push_recovered(entry).is_err() {
-                        // Only possible if the queue is already closed —
-                        // leave the record pending for the next restart.
-                        self.campaigns_lock().retain(|e| e.id != rec.id);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("journal replay: dropping campaign {}: {}", rec.id, e);
-                    self.journal_mark(&Record::failed(&rec.id));
-                }
+    /// done re-runs as 10% simulation.
+    fn recover_local(&self) {
+        let recovered = self.pending.as_ref().map(|p| p.take_recovered()).unwrap_or_default();
+        for rec in recovered {
+            // Seed the id counter past every revived campaign so fresh
+            // submissions never collide with it.
+            self.seq.fetch_max(pending::id_seq(&rec.id).unwrap_or(0), Ordering::Relaxed);
+            let entry = Arc::new(CampaignEntry::new(rec.id, self.daemon_owned(rec.spec)));
+            self.campaigns_lock().push(entry.clone());
+            if self.queue.push_recovered(entry.clone()).is_err() {
+                // Only possible if the queue is already closed — the file
+                // stays pending for the next restart.
+                self.campaigns_lock().retain(|e| e.id != entry.id);
             }
-        }
-        if let Some(journal) = &self.journal {
-            journal.set_replayed(n);
         }
     }
 
-    fn revive(&self, rec: &Record) -> Result<Arc<CampaignEntry>, String> {
-        let mut spec = CampaignSpec::parse(&rec.spec).map_err(|e| e.0)?;
+    /// The daemon owns the cache and worker budget: any `cache_dir` or
+    /// `workers` fields in a submitted spec are overridden.
+    fn daemon_owned(&self, mut spec: CampaignSpec) -> CampaignSpec {
         spec.cache_dir = Some(self.config.cache_dir.clone());
         spec.workers = Some(self.config.sim_workers as u64);
-        let catalog = engine::catalog_for(&spec);
-        crate::matrix::expand(&spec, &catalog).map_err(|e| e.0)?;
-        Ok(Arc::new(CampaignEntry::new(rec.id.clone(), spec)))
+        spec
     }
 
-    /// Append a terminal (`done`/`failed`) record, best-effort: a failed
-    /// mark only costs a redundant — idempotent — replay next restart.
-    fn journal_mark(&self, record: &Record) {
-        if let Some(journal) = &self.journal {
-            if let Err(e) = journal.append(record) {
-                eprintln!("journal: failed to mark {} {}: {}", record.id, record.op, e);
-            }
+    /// Delete a settled campaign's pending file.
+    fn resolve(&self, id: &str) {
+        if let Some(pending) = &self.pending {
+            pending.resolve(id);
         }
     }
 
     /// The fleet supervisor, when this daemon runs in `--supervise` mode.
     pub fn supervisor(&self) -> Option<&Arc<crate::serve::supervisor::Supervisor>> {
         self.supervisor.get()
-    }
-
-    /// The accept journal, for sharing with the supervisor.
-    pub(crate) fn journal_arc(&self) -> Option<Arc<Journal>> {
-        self.journal.clone()
-    }
-
-    /// Pending fleet accepts replayed at startup (supervise mode only);
-    /// drains the parked list.
-    pub(crate) fn take_recovered(&self) -> Vec<Record> {
-        std::mem::take(&mut *self.recovered_lock())
     }
 
     pub(crate) fn set_supervisor(&self, sup: Arc<crate::serve::supervisor::Supervisor>) {
@@ -474,34 +435,22 @@ impl ServerState {
     }
 
     /// Parse, validate, register, and enqueue a campaign spec (TOML or
-    /// JSON text). The daemon owns the cache and worker budget: any
-    /// `cache_dir`/`workers` fields in the submitted spec are overridden.
+    /// JSON text).
     pub fn submit(&self, spec_text: &str) -> Result<Arc<CampaignEntry>, SubmitError> {
         if self.is_shutting_down() {
             return Err(SubmitError::ShuttingDown);
         }
-        let mut spec = CampaignSpec::parse(spec_text).map_err(|e| SubmitError::Invalid(e.0))?;
-        spec.cache_dir = Some(self.config.cache_dir.clone());
-        spec.workers = Some(self.config.sim_workers as u64);
-        // Expand now (cheap, no simulation) so selector/arch/capacity
-        // errors fail the submission with a clear 400 instead of a failed
-        // campaign later.
-        let catalog = engine::catalog_for(&spec);
-        crate::matrix::expand(&spec, &catalog).map_err(|e| SubmitError::Invalid(e.0))?;
+        let spec = engine::admit(spec_text).map_err(|e| SubmitError::Invalid(e.0))?;
+        let spec = self.daemon_owned(spec);
 
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let digest = sha256_hex(spec_text.as_bytes());
-        // sha256_hex always yields 64 ASCII hex chars, but this is a
-        // durability path: degrade to the full digest over panicking.
-        let short = digest.get(..8).unwrap_or(&digest);
-        let id = format!("c{seq}-{short}");
-        let entry = Arc::new(CampaignEntry::new(id, spec));
-        // Journal the accept — durably, *before* the 202 leaves the
-        // daemon. If the journal cannot promise the campaign will survive
-        // a crash, the daemon refuses the work instead of lying.
-        if let Some(journal) = &self.journal {
-            journal
-                .append(&Record::accept(&entry.id, &entry.name, spec_text))
+        let entry = Arc::new(CampaignEntry::new(pending::campaign_id('c', seq, spec_text), spec));
+        // Record the accept — durably, *before* the 202 leaves the
+        // daemon. If the write cannot promise the campaign will survive a
+        // crash, the daemon refuses the work instead of lying.
+        if let Some(pending) = &self.pending {
+            pending
+                .accept(&entry.id, spec_text)
                 .map_err(|e| SubmitError::Journal(e.to_string()))?;
         }
         crate::fault::on_accept();
@@ -510,10 +459,10 @@ impl ServerState {
             Ok(()) => Ok(entry),
             Err(push_err) => {
                 // Un-register so a rejected submission leaves no ghost —
-                // including in the journal, or the rejected accept would
-                // be resurrected on every restart.
+                // including its pending file, or the rejected accept
+                // would be resurrected on every restart.
                 self.campaigns_lock().retain(|e| e.id != entry.id);
-                self.journal_mark(&Record::failed(&entry.id));
+                self.resolve(&entry.id);
                 Err(match push_err {
                     PushError::Full => SubmitError::QueueFull,
                     PushError::Closed => SubmitError::ShuttingDown,
@@ -556,21 +505,21 @@ impl ServerState {
             Ok(result) => {
                 self.campaigns_done.fetch_add(1, Ordering::Relaxed);
                 entry.finish(Ok(result));
-                self.journal_mark(&Record::done(&entry.id));
+                self.resolve(&entry.id);
             }
             Err(e) if self.is_shutting_down() => {
                 entry.finish(Err((
                     CampaignPhase::Cancelled,
                     format!("interrupted by shutdown; resubmit to resume from the cache ({e})"),
                 )));
-                // Deliberately NOT journal-marked: a shutdown-cancelled
+                // Deliberately NOT resolved: a shutdown-cancelled
                 // campaign stays pending, so the next incarnation resumes
                 // it automatically from the cache.
             }
             Err(e) => {
                 self.campaigns_failed.fetch_add(1, Ordering::Relaxed);
                 entry.finish(Err((CampaignPhase::Failed, e.0)));
-                self.journal_mark(&Record::failed(&entry.id));
+                self.resolve(&entry.id);
             }
         }
     }
@@ -619,18 +568,18 @@ impl ServerState {
             quarantine_oldest_secs: self.cache.quarantine_oldest_age().map(|a| a.as_secs()),
             net_faults_injected: crate::fault::net_faults_injected(),
             partitions_total: self.supervisor().map_or(0, |s| s.partitions_total()),
-            journal_records: self.journal.as_ref().map_or(0, |j| j.records()),
-            journal_replayed: self.journal.as_ref().map_or(0, |j| j.replayed()),
+            journal_records: self.pending.as_ref().map_or(0, |p| p.held()),
+            journal_replayed: self.pending.as_ref().map_or(0, |p| p.replayed),
             tmp_reaped: self.tmp_reaped,
         }
     }
 }
 
-/// Which `journal/*.wal` file this daemon owns. Shard workers sharing a
-/// cache directory each get their own journal; the supervisor's fleet
-/// ledger gets another. The role is part of the filename so concurrent
-/// daemons never interleave appends in one file.
-fn journal_role(config: &ServerConfig) -> String {
+/// Which `pending/<role>/` directory this daemon owns. Shard workers
+/// sharing a cache directory each get their own; the supervisor's fleet
+/// ledger gets another, so concurrent daemons never replay each other's
+/// accepts.
+fn pending_role(config: &ServerConfig) -> String {
     if config.supervise.is_some() {
         "fleet".to_string()
     } else if let Some(shard) = config.shard {
@@ -686,9 +635,10 @@ pub struct ServerStats {
     pub net_faults_injected: u64,
     /// Fleet-wide network-attributed worker losses (supervise mode).
     pub partitions_total: u64,
-    /// Frames currently in this daemon's write-ahead journal.
+    /// Pending-accept files this daemon holds (accepted, not yet done
+    /// or failed).
     pub journal_records: u64,
-    /// Campaigns resubmitted from the journal at startup.
+    /// Pending campaigns resubmitted at startup.
     pub journal_replayed: u64,
     /// Orphaned `*.tmp` files reaped at startup.
     pub tmp_reaped: u64,

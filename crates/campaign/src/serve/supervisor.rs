@@ -58,10 +58,9 @@ use std::time::{Duration, Instant};
 
 use crate::cache::ResultCache;
 use crate::engine::{self, CampaignResult};
-use crate::hash::sha256_hex;
 use crate::job::JobRunner;
-use crate::journal::{self, Journal, Record};
 use crate::matrix::ShardSpec;
+use crate::pending::{self, Pending, Replayed};
 use crate::serve::http::{http_get, http_post, HttpClient, RetryPolicy};
 use crate::serve::state::{CampaignSnapshot, CellCounts, SearchCounts, SubmitError};
 use crate::spec::CampaignSpec;
@@ -209,10 +208,10 @@ struct LedgerEntry {
     name: String,
     spec_text: String,
     result: Option<CampaignResult>,
-    /// Whether a terminal (`done`/`failed`) record has been appended to
-    /// the fleet journal for this campaign — appended once, by the
-    /// monitor, when the aggregate status settles.
-    done_logged: bool,
+    /// Whether the campaign's fleet pending file has been resolved —
+    /// once, by the monitor, when the aggregate status settles on `done`
+    /// or `failed`.
+    resolved: bool,
 }
 
 struct Inner {
@@ -230,10 +229,10 @@ pub struct Supervisor {
     inner: Mutex<Inner>,
     stop: Arc<AtomicBool>,
     monitor: Mutex<Option<JoinHandle<()>>>,
-    /// The fleet's write-ahead journal (`fleet.wal`), shared with the
+    /// The fleet's pending accepts (`pending/fleet/`), shared with the
     /// owning [`crate::serve::ServerState`]. Workers run `--no-journal`;
     /// this is the single source of truth for accepted fleet campaigns.
-    journal: Option<Arc<Journal>>,
+    pending: Option<Arc<Pending>>,
     /// Finished re-own runs, pushed by their worker threads and drained
     /// by the next monitor tick (`(ledger id, worker index, outcome)` —
     /// `None` means the run failed and may be retried).
@@ -274,14 +273,14 @@ pub struct FleetReport {
 impl Supervisor {
     /// Spawn the fleet and its monitor thread. `recovered` is the
     /// pending accepts replayed from a previous incarnation's fleet
-    /// journal — they are re-ledgered with their original ids, and the
+    /// directory — they are re-ledgered with their original ids, and the
     /// monitor backfills them into workers exactly like any other
     /// ledgered campaign (idempotent: finished cells are cache hits).
     pub fn start(
         config: SupervisorConfig,
         cache: ResultCache,
-        journal: Option<Arc<Journal>>,
-        recovered: Vec<Record>,
+        pending: Option<Arc<Pending>>,
+        recovered: Vec<Replayed>,
     ) -> std::io::Result<Arc<Supervisor>> {
         let handshake_dir = std::path::Path::new(&config.cache_dir).join(".supervise");
         std::fs::create_dir_all(&handshake_dir)?;
@@ -315,27 +314,24 @@ impl Supervisor {
             eprintln!("supervisor: adopting remote worker {index} at {addr}");
             workers.push(new_worker(index, WorkerKind::Remote { addr: addr.clone() }));
         }
-        let seq = recovered.iter().map(|r| journal::id_seq(&r.id)).max().unwrap_or(0);
+        let seq = recovered.iter().filter_map(|r| pending::id_seq(&r.id)).max().unwrap_or(0);
         let ledger: Vec<LedgerEntry> = recovered
             .into_iter()
             .map(|rec| LedgerEntry {
+                name: rec.spec.display_name().to_string(),
                 id: rec.id,
-                name: rec.name,
-                spec_text: rec.spec,
+                spec_text: rec.spec_text,
                 result: None,
-                done_logged: false,
+                resolved: false,
             })
             .collect();
-        if let Some(j) = &journal {
-            j.set_replayed(ledger.len() as u64);
-        }
         let supervisor = Arc::new(Supervisor {
             config,
             cache,
             inner: Mutex::new(Inner { workers, ledger, seq }),
             stop: Arc::new(AtomicBool::new(false)),
             monitor: Mutex::new(None),
-            journal,
+            pending,
             reown_done: Arc::new(Mutex::new(Vec::new())),
             reown_inflight: Mutex::new(HashSet::new()),
             reowned: AtomicU64::new(0),
@@ -496,20 +492,14 @@ impl Supervisor {
             }
         }
         let reown = self.reown_candidates(workers, ledger);
-        // Journal terminal marks once per campaign, from the aggregate
+        // Resolve pending files once per campaign, from the aggregate
         // view: `done` and `failed` are settled; `degraded`/`cancelled`
         // stay pending so the next incarnation resumes them.
-        if let Some(j) = &self.journal {
-            for entry in ledger.iter_mut().filter(|e| !e.done_logged) {
-                let status = aggregate(entry, workers).status;
-                let record = match status.as_str() {
-                    "done" => Record::done(&entry.id),
-                    "failed" => Record::failed(&entry.id),
-                    _ => continue,
-                };
-                match j.append(&record) {
-                    Ok(()) => entry.done_logged = true,
-                    Err(e) => eprintln!("fleet journal: failed to mark {}: {e}", entry.id),
+        if let Some(p) = &self.pending {
+            for entry in ledger.iter_mut().filter(|e| !e.resolved) {
+                if matches!(aggregate(entry, workers).status.as_str(), "done" | "failed") {
+                    p.resolve(&entry.id);
+                    entry.resolved = true;
                 }
             }
         }
@@ -630,9 +620,9 @@ impl Supervisor {
             .arg("1")
             .arg("--cell-retries")
             .arg(self.config.cell_retries.to_string())
-            // The fleet journal is the source of truth for accepted
-            // campaigns; per-worker journals would replay every backfilled
-            // spec a second time on each restart.
+            // The fleet's pending directory is the source of truth for
+            // accepted campaigns; per-worker ones would replay every
+            // backfilled spec a second time on each restart.
             .arg("--no-journal");
         // Fault domains are explicit: a worker sees only the plan in
         // `child_env`, never one inherited from the supervisor's own
@@ -662,22 +652,15 @@ impl Supervisor {
     pub fn submit(&self, spec_text: &str) -> Result<CampaignSnapshot, SubmitError> {
         // Same pre-flight as the local path: a bad spec must fail the
         // submission, not n workers later.
-        let spec = CampaignSpec::parse(spec_text).map_err(|e| SubmitError::Invalid(e.0))?;
-        let catalog = engine::catalog_for(&spec);
-        crate::matrix::expand(&spec, &catalog).map_err(|e| SubmitError::Invalid(e.0))?;
+        let spec = engine::admit(spec_text).map_err(|e| SubmitError::Invalid(e.0))?;
 
         let mut guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        // sha256_hex always yields 64 hex chars; degrade to the full
-        // digest rather than indexing (durability path, no panics).
-        let digest = sha256_hex(spec_text.as_bytes());
-        let short = digest.get(..8).unwrap_or(&digest);
-        let id = format!("f{}-{short}", guard.seq + 1);
-        // Durably journal the accept before the ledger (and thus the 202)
-        // sees it — an accept the journal cannot promise to survive is
+        let id = pending::campaign_id('f', guard.seq + 1, spec_text);
+        // Durably record the accept before the ledger (and thus the 202)
+        // sees it — an accept that cannot be promised to survive is
         // refused, not acknowledged.
-        if let Some(j) = &self.journal {
-            j.append(&Record::accept(&id, spec.display_name(), spec_text))
-                .map_err(|e| SubmitError::Journal(e.to_string()))?;
+        if let Some(p) = &self.pending {
+            p.accept(&id, spec_text).map_err(|e| SubmitError::Journal(e.to_string()))?;
         }
         crate::fault::on_accept();
         guard.seq += 1;
@@ -690,7 +673,7 @@ impl Supervisor {
             name: spec.display_name().to_string(),
             spec_text: spec_text.to_string(),
             result: None,
-            done_logged: false,
+            resolved: false,
         };
         for w in &mut guard.workers {
             if matches!(w.phase, Phase::Up { .. }) {

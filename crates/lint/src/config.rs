@@ -59,7 +59,7 @@ impl Default for LintConfig {
             .map(String::from)
             .to_vec(),
             panic_safety_paths: [
-                "crates/campaign/src/journal.rs",
+                "crates/campaign/src/pending.rs",
                 "crates/campaign/src/cache.rs",
                 "crates/campaign/src/fsck.rs",
                 "crates/campaign/src/serve",

@@ -180,7 +180,7 @@ pub fn check_determinism(path: &str, scan: &FileScan, cfg: &LintConfig, out: &mu
     }
 }
 
-/// Rule 2 — panic-safety: durability-path code (journal, cache, fsck,
+/// Rule 2 — panic-safety: durability-path code (pending, cache, fsck,
 /// serve) must not be able to panic: no `unwrap`/`expect`, no panic-family
 /// macros, no range slice-indexing.
 pub fn check_panic_safety(path: &str, scan: &FileScan, cfg: &LintConfig, out: &mut Vec<Finding>) {

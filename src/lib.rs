@@ -123,7 +123,7 @@
 //! | Rule | Invariant it guards |
 //! |---|---|
 //! | `determinism` | simulator-core crates never read wall-clock time or use `HashMap`/`HashSet`, so runs are bit-identical and the golden-stats matrix (`tests/golden_stats.rs`) stays meaningful across refactors |
-//! | `panic-safety` | campaign durability paths (journal, cache, fsck, serve) propagate errors instead of panicking — a crash mid-write must leave recoverable state, never take the daemon down (PR 8 contract: degrade, don't die) |
+//! | `panic-safety` | campaign durability paths (pending accepts, cache, fsck, serve) propagate errors instead of panicking — a crash mid-write must leave recoverable state, never take the daemon down (degrade, don't die) |
 //! | `lock-order` | per-function `.lock()` acquisition orders in the serve modules form an acyclic lock graph, so no two call paths can deadlock on a pair of mutexes |
 //! | `timeline` | time-bearing fields (`*_cycle`, `*due*`, `*expiry*`) in `crates/core` reference the `Timeline`/`act::` machinery — scheduled state lives in one place, which is what makes shadow-stepping comparisons sound |
 //! | `unsafe-audit` | every `unsafe` block carries a `// SAFETY:` comment; crates with zero unsafe declare `#![forbid(unsafe_code)]` |
