@@ -1,18 +1,15 @@
-//! # hdsmt-bench — benchmark harness and figure regeneration
+//! # hdsmt-bench — paper figure and table regeneration
 //!
-//! Two entry points:
+//! `cargo run -p hdsmt-bench --bin reproduce --release [-- <exp>]`
+//! regenerates every table and figure of the paper (Fig 2(a,b), Fig 3,
+//! Table 1, Tables 2–3, Fig 4, Fig 5, the §5 summary) plus ablations of
+//! fetch policy, register-file latency, mapping policy, branch predictor,
+//! buffer depth and dynamic re-mapping, printing paper-style tables and
+//! writing JSON to `results/`. This library holds the shared panel
+//! formatter.
 //!
-//! * `cargo bench` — criterion benches: component micro-benchmarks
-//!   (`benches/components.rs`), simulator throughput (`benches/
-//!   simulator.rs`), and smoke-scale figure regeneration
-//!   (`benches/figures.rs`);
-//! * `cargo run -p hdsmt-bench --bin reproduce --release [-- <exp>]` — the
-//!   full reproduction harness: regenerates every table and figure of the
-//!   paper (Fig 2(a,b), Fig 3, Table 1, Tables 2–3, Fig 4, Fig 5, the §5
-//!   summary) plus ablations of fetch policy, register-file latency,
-//!   mapping policy, branch predictor, buffer depth and dynamic
-//!   re-mapping, printing paper-style tables and writing JSON to
-//!   `results/`.
+//! Performance is measured by the separate `benchmark/` package (end to
+//! end and per layer), not here.
 
 #![forbid(unsafe_code)]
 

@@ -57,7 +57,7 @@ use std::time::Duration;
 
 use hdsmt_campaign::cache::write_atomic;
 use hdsmt_campaign::job::Watchdog;
-use hdsmt_campaign::serve::http::{http_request_retry, RetryPolicy};
+use hdsmt_campaign::serve::http::{HttpClient, RetryPolicy};
 use hdsmt_campaign::serve::{Server, ServerConfig};
 use hdsmt_campaign::{engine, export, CampaignSpec, JobRunner, ResultCache, ShardSpec};
 
@@ -439,7 +439,8 @@ fn client_policy() -> RetryPolicy {
 /// `GET` a path and fail on any non-2xx (surfacing the structured error
 /// body the daemon returns).
 fn remote_get(addr: &str, path: &str) -> Result<String, String> {
-    let resp = http_request_retry(addr, "GET", path, None, &client_policy())
+    let resp = HttpClient::new(addr)
+        .request_retry("GET", path, None, &client_policy())
         .map_err(|e| format!("cannot reach {addr}: {e}"))?;
     if !(200..300).contains(&resp.status) {
         return Err(format!("{addr} answered {} for {path}: {}", resp.status, resp.body));
@@ -455,7 +456,8 @@ fn remote_submit_and_wait(addr: &str, opts: &Options) -> Result<String, String> 
     let path = spec_path(opts)?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let resp = http_request_retry(addr, "POST", "/campaigns", Some(&text), &client_policy())
+    let resp = HttpClient::new(addr)
+        .request_retry("POST", "/campaigns", Some(&text), &client_policy())
         .map_err(|e| format!("cannot reach {addr}: {e}"))?;
     if resp.status != 202 {
         return Err(format!("{addr} rejected the spec ({}): {}", resp.status, resp.body));

@@ -234,32 +234,18 @@ pub fn write_response(
 
 // ---------------------------------------------------------------- client
 
-/// Blocking one-shot HTTP client: send `method path` with an optional
-/// body to `addr`, return `(status, body)`. Used by the `--remote` CLI
-/// verbs and the tests, so the daemon is exercised end-to-end over a real
-/// socket by everything that talks to it.
-pub fn http_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<(u16, String)> {
-    let resp = http_request_full(addr, method, path, body)?;
-    Ok((resp.status, resp.body))
-}
-
+/// One-shot `GET`: a fresh [`HttpClient`] that pools nothing. Returns
+/// `(status, body)`.
 pub fn http_get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
-    http_request(addr, "GET", path, None)
+    HttpClient::new(addr).request("GET", path, None).map(|r| (r.status, r.body))
 }
 
+/// One-shot `POST` of `body`; see [`http_get`].
 pub fn http_post(addr: &str, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-    http_request(addr, "POST", path, Some(body))
+    HttpClient::new(addr).request("POST", path, Some(body)).map(|r| (r.status, r.body))
 }
 
-// ------------------------------------------------------- retrying client
-
-/// A parsed client-side response, including the `Retry-After` hint that
-/// plain `http_request` discards.
+/// A parsed client-side response, including the `Retry-After` hint.
 #[derive(Clone, Debug)]
 pub struct HttpResponse {
     pub status: u16,
@@ -268,23 +254,12 @@ pub struct HttpResponse {
     pub retry_after: Option<u64>,
 }
 
-/// Like [`http_request`], but keeps the header section long enough to
-/// extract `Retry-After`. One-shot: pools nothing.
-pub fn http_request_full(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<HttpResponse> {
-    HttpClient::new(addr).request(method, path, body)
-}
-
 /// A keep-alive HTTP/1.1 client: pools one TCP connection to `addr` and
 /// reuses it across requests. Responses are `Content-Length`-framed, so
 /// the connection stays usable after every exchange; a stale pooled
-/// connection (the server closed it while idle) is retried exactly once
-/// on a fresh one. Every request first passes the [`crate::fault`]
-/// network seam.
+/// connection (the server closed it while idle, so it fails before any
+/// response arrives) is retried exactly once on a fresh one. Every
+/// request first passes the [`crate::fault`] network seam.
 #[derive(Debug)]
 pub struct HttpClient {
     addr: String,
@@ -310,21 +285,22 @@ impl HttpClient {
         crate::fault::on_net_op()?;
         let reused = self.stream.is_some();
         match self.send(method, path, body) {
-            Err(e) if reused => {
-                // The server may have dropped the idle pooled connection
-                // between requests; that failure mode gets one fresh
-                // connection, anything on a fresh connection is real.
-                let _ = e;
-                self.stream = None;
-                self.send(method, path, body)
-            }
+            // The server may have dropped the idle pooled connection
+            // between requests; that failure mode gets one fresh
+            // connection. Anything else — a timeout or a malformed
+            // response after the request went out — may have been acted
+            // on, and anything on a fresh connection is real.
+            Err(e) if reused && stale(&e) => self.send(method, path, body),
             other => other,
         }
     }
 
-    /// [`HttpClient::request`] with bounded retry under `policy` — the
-    /// same 503/transient-error schedule as [`http_request_retry`], but
-    /// reusing this client's pooled connection across attempts.
+    /// [`HttpClient::request`] with bounded retry under `policy`:
+    /// connection-refused/reset and 503 responses are retried, honoring
+    /// a server-sent `Retry-After` (clamped to `policy.cap`) over the
+    /// computed backoff. Every other status — including 4xx/5xx — returns
+    /// on the first attempt; status handling stays with the caller. The
+    /// pooled connection is reused across attempts.
     pub fn request_retry(
         &mut self,
         method: &str,
@@ -515,20 +491,17 @@ fn transient(e: &std::io::Error) -> bool {
     )
 }
 
-/// [`http_request_full`] with bounded retry: connection-refused/reset and
-/// 503 responses are retried under `policy`, honoring a server-sent
-/// `Retry-After` (clamped to `policy.cap`) over the computed backoff.
-/// Every other status — including 4xx/5xx — returns on the first attempt;
-/// status handling stays with the caller. One pooled connection is reused
-/// across the attempts.
-pub fn http_request_retry(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    policy: &RetryPolicy,
-) -> std::io::Result<HttpResponse> {
-    HttpClient::new(addr).request_retry(method, path, body, policy)
+/// Did a pooled connection prove dead before any response began? A
+/// write into a closed socket breaks the pipe, and a read finds the
+/// peer's reset or its close ahead of the status line. Only these are
+/// safe to resend: the server never saw the request.
+fn stale(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::BrokenPipe
+            | std::io::ErrorKind::ConnectionReset
+            | std::io::ErrorKind::ConnectionAborted
+    )
 }
 
 #[cfg(test)]
@@ -603,7 +576,7 @@ mod tests {
             cap: Duration::from_millis(20),
         };
         let started = std::time::Instant::now();
-        let resp = http_request_retry(&addr, "GET", "/stats", None, &policy).unwrap();
+        let resp = HttpClient::new(&addr).request_retry("GET", "/stats", None, &policy).unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, "done");
         assert_eq!(served.load(Ordering::SeqCst), 3);
@@ -619,7 +592,7 @@ mod tests {
             base: Duration::from_millis(1),
             cap: Duration::from_millis(4),
         };
-        let resp = http_request_retry(&addr, "GET", "/stats", None, &policy).unwrap();
+        let resp = HttpClient::new(&addr).request_retry("GET", "/stats", None, &policy).unwrap();
         // The final 503 comes back to the caller instead of an error.
         assert_eq!(resp.status, 503);
     }
@@ -636,7 +609,8 @@ mod tests {
             base: Duration::from_millis(1),
             cap: Duration::from_millis(4),
         };
-        let err = http_request_retry(&refused, "GET", "/healthz", None, &policy).unwrap_err();
+        let err =
+            HttpClient::new(&refused).request_retry("GET", "/healthz", None, &policy).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
     }
 
@@ -662,7 +636,7 @@ mod tests {
     fn full_client_surfaces_retry_after() {
         let addr =
             one_shot_server(1, |_req| Response::text(503, "q full".into()).with_retry_after(7));
-        let resp = http_request_full(&addr, "GET", "/stats", None).unwrap();
+        let resp = HttpClient::new(&addr).request("GET", "/stats", None).unwrap();
         assert_eq!(resp.status, 503);
         assert_eq!(resp.retry_after, Some(7));
         assert_eq!(resp.body, "q full");
@@ -719,15 +693,68 @@ mod tests {
         assert_eq!(connections.load(Ordering::SeqCst), 1, "three requests, one connection");
     }
 
+    /// Serve keep-alive connections, counting every request read;
+    /// `respond(n, stream)` answers request `n` (1-based) and says
+    /// whether to keep serving that connection.
+    fn counting_server(
+        respond: impl Fn(usize, &mut TcpStream) -> bool + Send + 'static,
+    ) -> (String, std::sync::Arc<std::sync::atomic::AtomicUsize>) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let served = std::sync::Arc::new(AtomicUsize::new(0));
+        let served_in = served.clone();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            while let Ok((mut stream, _)) = listener.accept() {
+                while read_request(&mut stream).is_ok() {
+                    let n = served_in.fetch_add(1, Ordering::SeqCst) + 1;
+                    if !respond(n, &mut stream) {
+                        break;
+                    }
+                }
+            }
+        });
+        (addr, served)
+    }
+
     #[test]
     fn stale_pooled_connection_is_retried_on_a_fresh_one() {
-        // Each connection serves exactly one request, then closes — so
-        // the client's second request hits a dead pooled connection and
-        // must transparently reconnect.
-        let addr = one_shot_server(2, |_req| Response::text(200, "ok".into()));
+        use std::sync::atomic::Ordering;
+
+        // Request 1 is answered keep-alive and the server then closes the
+        // connection anyway, so request 2 meets a dead pooled connection
+        // before any response: that one is safe to resend.
+        let (addr, served) = counting_server(|n, stream| {
+            let ok = Response::text(200, format!("req {n}"));
+            write_response(stream, &ok, true).unwrap();
+            n != 1
+        });
+        let mut client = HttpClient::new(&addr);
+        assert_eq!(client.request("GET", "/a", None).unwrap().body, "req 1");
+        assert_eq!(client.request("GET", "/b", None).unwrap().body, "req 2");
+        assert_eq!(served.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn malformed_response_on_a_reused_connection_is_not_resent() {
+        use std::sync::atomic::Ordering;
+
+        // Request 2 reaches the server, which acts on it and answers with
+        // an unparseable status line. Resending it would act twice.
+        let (addr, served) = counting_server(|n, stream| {
+            if n == 1 {
+                let ok = Response::text(200, "ok".into());
+                write_response(stream, &ok, true).unwrap();
+            } else {
+                stream.write_all(b"garbage\r\n\r\n").unwrap();
+            }
+            true
+        });
         let mut client = HttpClient::new(&addr);
         assert_eq!(client.request("GET", "/a", None).unwrap().status, 200);
-        assert_eq!(client.request("GET", "/b", None).unwrap().status, 200);
+        assert!(client.request("POST", "/campaigns", Some("x")).is_err());
+        assert_eq!(served.load(Ordering::SeqCst), 2, "the acted-on request was sent again");
     }
 
     #[test]
@@ -736,28 +763,28 @@ mod tests {
         let addr = raw_server(vec![
             "HTTP/1.1 503 Service Unavailable\r\nContent-Length: 4\r\nConnection: close\r\n\r\nbusy",
         ]);
-        let resp = http_request_full(&addr, "GET", "/stats", None).unwrap();
+        let resp = HttpClient::new(&addr).request("GET", "/stats", None).unwrap();
         assert_eq!((resp.status, resp.retry_after), (503, None));
 
         // Malformed: an HTTP-date (or garbage) is "no hint", not an error.
         let addr = raw_server(vec![
             "HTTP/1.1 503 Service Unavailable\r\nRetry-After: soon\r\nContent-Length: 4\r\nConnection: close\r\n\r\nbusy",
         ]);
-        let resp = http_request_full(&addr, "GET", "/stats", None).unwrap();
+        let resp = HttpClient::new(&addr).request("GET", "/stats", None).unwrap();
         assert_eq!((resp.status, resp.retry_after), (503, None));
 
         // Wider than u64: also "no hint".
         let addr = raw_server(vec![
             "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 99999999999999999999999999\r\nContent-Length: 4\r\nConnection: close\r\n\r\nbusy",
         ]);
-        let resp = http_request_full(&addr, "GET", "/stats", None).unwrap();
+        let resp = HttpClient::new(&addr).request("GET", "/stats", None).unwrap();
         assert_eq!((resp.status, resp.retry_after), (503, None));
 
         // Huge but parseable survives parsing; the retry loop clamps it.
         let addr = raw_server(vec![
             "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 4294967295\r\nContent-Length: 4\r\nConnection: close\r\n\r\nbusy",
         ]);
-        let resp = http_request_full(&addr, "GET", "/stats", None).unwrap();
+        let resp = HttpClient::new(&addr).request("GET", "/stats", None).unwrap();
         assert_eq!((resp.status, resp.retry_after), (503, Some(4_294_967_295)));
     }
 
@@ -774,7 +801,7 @@ mod tests {
             cap: Duration::from_millis(20),
         };
         let started = std::time::Instant::now();
-        let resp = http_request_retry(&addr, "GET", "/stats", None, &policy).unwrap();
+        let resp = HttpClient::new(&addr).request_retry("GET", "/stats", None, &policy).unwrap();
         assert_eq!(resp.status, 200);
         assert!(started.elapsed() < Duration::from_millis(900), "{:?}", started.elapsed());
     }

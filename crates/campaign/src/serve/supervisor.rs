@@ -61,7 +61,7 @@ use crate::engine::{self, CampaignResult};
 use crate::job::JobRunner;
 use crate::matrix::ShardSpec;
 use crate::pending::{self, Pending, Replayed};
-use crate::serve::http::{http_get, http_post, HttpClient, RetryPolicy};
+use crate::serve::http::{HttpClient, RetryPolicy};
 use crate::serve::state::{CampaignSnapshot, CellCounts, SearchCounts, SubmitError};
 use crate::spec::CampaignSpec;
 
@@ -446,11 +446,15 @@ impl Supervisor {
                         WorkerKind::Spawned => read_addr_file(&w.addr_file),
                         WorkerKind::Remote { addr } => Some(addr.clone()),
                     };
-                    let live_addr =
-                        candidate.filter(|addr| matches!(http_get(addr, "/healthz"), Ok((200, _))));
-                    if let Some(addr) = live_addr {
+                    let live = candidate.and_then(|addr| {
+                        let mut client = HttpClient::new(&addr);
+                        let resp = client.request("GET", "/healthz", None);
+                        resp.is_ok_and(|r| r.status == 200).then_some(client)
+                    });
+                    if let Some(client) = live {
+                        let addr = client.addr().to_string();
                         eprintln!("supervisor: worker {} up at {addr}", w.index);
-                        w.client = Some(HttpClient::new(&addr));
+                        w.client = Some(client);
                         w.phase = Phase::Up { addr, missed: 0 };
                     } else if now.duration_since(since) > self.config.spawn_timeout {
                         let partition = w.is_remote();
@@ -815,8 +819,8 @@ impl Supervisor {
                 w.phase = Phase::Stopped;
                 continue;
             }
-            if let Phase::Up { addr, .. } = &w.phase {
-                let _ = http_post(addr, "/shutdown", "");
+            if let (Phase::Up { .. }, Some(client)) = (&w.phase, w.client.as_mut()) {
+                let _ = client.request("POST", "/shutdown", None);
             }
             if let Some(child) = w.child.as_mut() {
                 let deadline = Instant::now() + Duration::from_secs(5);

@@ -562,7 +562,7 @@ fn healthz_up(addr: &str) -> bool {
 #[test]
 fn distributed_fleet_replicates_results_over_http_with_no_shared_filesystem() {
     use hdsmt_campaign::hash::sha256_hex;
-    use hdsmt_campaign::serve::http::http_request_full;
+    use hdsmt_campaign::serve::http::HttpClient;
 
     let dir = tmpdir("dist");
     let cache_a = dir.join("cache-a");
@@ -644,13 +644,13 @@ fn distributed_fleet_replicates_results_over_http_with_no_shared_filesystem() {
     let (victim_key, victim_text) = &cells_b[0];
     let foreign_text = &cells_a[0].1;
     assert_ne!(victim_text, foreign_text);
-    let resp = http_request_full(
-        &addr_b,
-        "PUT",
-        &format!("/cells/{victim_key}?sha256={}", sha256_hex(foreign_text.as_bytes())),
-        Some(foreign_text),
-    )
-    .unwrap();
+    let resp = HttpClient::new(&addr_b)
+        .request(
+            "PUT",
+            &format!("/cells/{victim_key}?sha256={}", sha256_hex(foreign_text.as_bytes())),
+            Some(foreign_text),
+        )
+        .unwrap();
     assert_eq!(resp.status, 409, "conflicting bytes must be refused: {}", resp.body);
     let (_, after) = http_get(&addr_b, &format!("/cells/{victim_key}")).unwrap();
     assert_eq!(&after, victim_text, "the quarantined impostor must never be served");
@@ -1003,14 +1003,14 @@ search_insts = 500
     /// ledgered — and the retry goes through cleanly.
     #[test]
     fn journal_write_failure_refuses_the_accept_with_a_retry_hint() {
-        use hdsmt_campaign::serve::http::http_request_full;
+        use hdsmt_campaign::serve::http::HttpClient;
 
         let dir = tmpdir("err-journal");
         let cache = dir.join("cache");
         let (daemon, addr) =
             spawn_daemon(&dir, &cache, "a", &[], &[("HDSMT_FAULT", "err@journal=1")]);
 
-        let resp = http_request_full(&addr, "POST", "/campaigns", Some(SPEC)).unwrap();
+        let resp = HttpClient::new(&addr).request("POST", "/campaigns", Some(SPEC)).unwrap();
         assert_eq!(resp.status, 503, "{}", resp.body);
         assert_eq!(resp.retry_after, Some(10), "{resp:?}");
         assert!(resp.body.contains("journal"), "{}", resp.body);
