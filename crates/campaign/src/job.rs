@@ -117,8 +117,9 @@ impl JobSpec {
         Ok(cfg)
     }
 
-    /// Validate and build the simulator configuration + thread specs
-    /// (synthesizes each thread's program — only call when simulating).
+    /// Validate and build the simulator configuration + thread specs. The
+    /// first use of a benchmark in the process synthesizes its program;
+    /// later jobs share it (see [`ThreadSpec::for_benchmark`]).
     pub fn materialize(&self) -> Result<(SimConfig, Vec<ThreadSpec>), CampaignError> {
         let cfg = self.check()?;
         let specs =

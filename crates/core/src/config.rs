@@ -56,9 +56,10 @@ pub struct ThreadSpec {
 }
 
 impl ThreadSpec {
-    /// Build the spec for `benchmark`, synthesizing (or reusing) its
-    /// program deterministically. Names starting with
-    /// [`RV_BENCH_PREFIX`] resolve to bundled RV64I programs.
+    /// Build the spec for `benchmark` over its fixed binary: the first use
+    /// of a name in the process synthesizes the program, and every later
+    /// spec of that name shares it ([`hdsmt_trace::program`]). Names
+    /// starting with [`RV_BENCH_PREFIX`] resolve to bundled RV64I programs.
     ///
     /// # Panics
     /// Panics on an unknown benchmark name; use
@@ -74,12 +75,9 @@ impl ThreadSpec {
                 .ok_or_else(|| format!("unknown RISC-V program `{benchmark}`"))?;
             WorkloadKind::Riscv { image }
         } else {
-            let profile = hdsmt_trace::by_name(benchmark)
+            let (profile, program) = hdsmt_trace::by_name(benchmark)
+                .zip(hdsmt_trace::program(benchmark))
                 .ok_or_else(|| format!("unknown benchmark `{benchmark}`"))?;
-            let program = Arc::new(hdsmt_trace::synthesize(
-                profile,
-                hdsmt_trace::spec::program_seed(benchmark),
-            ));
             WorkloadKind::Synthetic { profile, program }
         };
         Ok(ThreadSpec { name: benchmark.to_string(), kind, seed })
@@ -245,7 +243,7 @@ mod tests {
     fn thread_spec_reuses_the_fixed_binary() {
         let a = ThreadSpec::for_benchmark("gzip", 1);
         let b = ThreadSpec::for_benchmark("gzip", 2);
-        assert_eq!(a.program().len_insts(), b.program().len_insts());
+        assert!(Arc::ptr_eq(a.program(), b.program()));
         assert_eq!(a.name, "gzip");
     }
 

@@ -15,7 +15,8 @@
 //!    footprint;
 //! 2. [`synth::synthesize`] turns a profile into a concrete static
 //!    [`hdsmt_isa::Program`] (a control-flow graph of basic blocks), fully
-//!    deterministic given a seed;
+//!    deterministic given a seed; [`spec::program`] is each benchmark's
+//!    fixed binary, synthesized once per process and shared;
 //! 3. a [`TraceStream`] walks the program, producing the infinite dynamic
 //!    instruction stream (with concrete effective addresses and branch
 //!    outcomes) consumed by the processor model. Wrong-path address
@@ -42,6 +43,6 @@ pub use chunk::{ChunkBuf, CHUNK_INSTS};
 pub use dyninst::{CtrlOutcome, DynInst};
 pub use profile::{BenchClass, BenchProfile};
 pub use source::TraceSource;
-pub use spec::{all_benchmarks, by_name, BENCHMARK_NAMES};
+pub use spec::{all_benchmarks, by_name, program, BENCHMARK_NAMES};
 pub use stream::TraceStream;
 pub use synth::synthesize;

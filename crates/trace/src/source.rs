@@ -124,7 +124,6 @@ pub trait TraceSource: Send {
 mod tests {
     use super::*;
     use crate::spec;
-    use crate::synth::synthesize;
     use crate::TraceStream;
 
     /// The synthetic stream is usable through the trait object exactly
@@ -132,7 +131,7 @@ mod tests {
     #[test]
     fn trace_stream_works_as_a_trait_object() {
         let p = spec::by_name("gzip").unwrap();
-        let prog = Arc::new(synthesize(p, spec::program_seed("gzip")));
+        let prog = spec::program("gzip").unwrap();
         let mut a: Box<dyn TraceSource> = Box::new(TraceStream::new(prog.clone(), p, 9, 0));
         let mut b = TraceStream::new(prog, p, 9, 0);
         for _ in 0..5_000 {
@@ -177,7 +176,7 @@ mod tests {
         }
 
         let p = spec::by_name("twolf").unwrap();
-        let prog = Arc::new(synthesize(p, spec::program_seed("twolf")));
+        let prog = spec::program("twolf").unwrap();
         let mut a: Box<dyn TraceSource> =
             Box::new(NoOverride(TraceStream::new(prog.clone(), p, 4, 0)));
         let mut b = TraceStream::new(prog, p, 4, 0);

@@ -22,7 +22,12 @@
 //! The classification (`Ilp` vs `Mem`) matches the workload tables of the
 //! paper (Tables 2–3): mcf, twolf, vpr and perlbmk appear in MEM workloads.
 
+use std::sync::{Arc, OnceLock};
+
+use hdsmt_isa::Program;
+
 use crate::profile::{BenchClass, BenchProfile};
+use crate::synth::synthesize;
 
 /// The benchmark names in SPECint2000 order, as used by the paper.
 pub const BENCHMARK_NAMES: [&str; 12] = [
@@ -40,10 +45,31 @@ pub fn by_name(name: &str) -> Option<&'static BenchProfile> {
     BENCHMARKS.iter().find(|p| p.name == name)
 }
 
+/// The fixed synthetic binary of benchmark `name`, or `None` for an
+/// unknown name. The first call for a name synthesizes the program from
+/// its [`program_seed`]; every later call in the process shares that one
+/// immutable image, so concurrent callers racing on a name get the same
+/// pointer.
+pub fn program(name: &str) -> Option<Arc<Program>> {
+    static PROGRAMS: ProgramMemo = [const { OnceLock::new() }; BENCHMARK_NAMES.len()];
+    program_in(&PROGRAMS, name)
+}
+
+/// One lazily synthesized program per profile, in [`all_benchmarks`] order.
+type ProgramMemo = [OnceLock<Arc<Program>>; BENCHMARK_NAMES.len()];
+
+/// [`program`] over an explicit memo, so tests can race on a fresh one.
+fn program_in(memo: &ProgramMemo, name: &str) -> Option<Arc<Program>> {
+    let i = BENCHMARKS.iter().position(|p| p.name == name)?;
+    let program = memo[i].get_or_init(|| Arc::new(synthesize(&BENCHMARKS[i], program_seed(name))));
+    Some(Arc::clone(program))
+}
+
 /// Deterministic per-benchmark program seed: every simulation of a given
 /// benchmark uses the same synthetic binary, mirroring how the paper traces
-/// one fixed binary per benchmark.
-pub fn program_seed(name: &str) -> u64 {
+/// one fixed binary per benchmark. [`program`] synthesizes that binary once
+/// per process and shares it.
+pub(crate) fn program_seed(name: &str) -> u64 {
     // FNV-1a over the name — stable across runs and platforms.
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in name.bytes() {
@@ -425,6 +451,44 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 12, "program seeds must be distinct");
+    }
+
+    #[test]
+    fn program_is_the_fixed_binary_of_each_benchmark() {
+        for name in BENCHMARK_NAMES {
+            let memo = program(name).unwrap();
+            let fresh = synthesize(by_name(name).unwrap(), program_seed(name));
+            assert_eq!(memo.entry(), fresh.entry(), "{name}");
+            assert_eq!(memo.blocks().len(), fresh.blocks().len(), "{name}");
+            for (m, f) in memo.blocks().iter().zip(fresh.blocks()) {
+                assert_eq!(m.start, f.start, "{name} block {:?}", f.id);
+                assert_eq!(m.term, f.term, "{name} block {:?}", f.id);
+                assert_eq!(m.insts, f.insts, "{name} block {:?}", f.id);
+            }
+            assert!(Arc::ptr_eq(&memo, &program(name).unwrap()), "{name}: one shared image");
+        }
+        assert!(program("nonexistent").is_none());
+    }
+
+    #[test]
+    fn threads_racing_on_one_name_share_one_program() {
+        // A fresh memo, so the race is on a name no other test has filled.
+        let memo: ProgramMemo = [const { OnceLock::new() }; BENCHMARK_NAMES.len()];
+        let barrier = std::sync::Barrier::new(4);
+        let got: Vec<Arc<Program>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        program_in(&memo, "vortex").unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for p in &got[1..] {
+            assert!(Arc::ptr_eq(&got[0], p));
+        }
     }
 
     #[test]

@@ -491,12 +491,11 @@ impl crate::TraceSource for TraceStream {
 mod tests {
     use super::*;
     use crate::spec;
-    use crate::synth::synthesize;
     use hdsmt_isa::{ArchReg, BasicBlock, Op, StaticInst};
 
     fn stream_for(name: &str, seed: u64, asid: u8) -> TraceStream {
         let p = spec::by_name(name).unwrap();
-        let prog = Arc::new(synthesize(p, spec::program_seed(name)));
+        let prog = spec::program(name).unwrap();
         TraceStream::new(prog, p, seed, asid)
     }
 
