@@ -33,6 +33,7 @@ use std::time::Duration;
 use hdsmt_core::SimResult;
 
 use crate::hash::sha256_hex;
+use crate::serve::http::HttpClient;
 
 /// Bump when the meaning of a cached result changes (simulator semantics,
 /// result schema, key schema). Old entries are then simply never hit.
@@ -249,11 +250,11 @@ impl ResultCache {
     /// returns 200 with a body that deserializes as a cache entry (a
     /// truncated or tampered response must not poison this cache).
     fn fetch_from_peer(&self, peer: &str, key: &str) -> Option<String> {
-        let (status, body) = crate::serve::http::http_get(peer, &format!("/cells/{key}")).ok()?;
-        if status != 200 || serde_json::from_str::<CacheEntry>(&body).is_err() {
+        let resp = HttpClient::new(peer).request("GET", &format!("/cells/{key}"), None).ok()?;
+        if resp.status != 200 || serde_json::from_str::<CacheEntry>(&resp.body).is_err() {
             return None;
         }
-        Some(body)
+        Some(resp.body)
     }
 
     /// Move a rotten entry into `<dir>/quarantine/` (atomic rename) with a
@@ -417,11 +418,11 @@ impl ResultCache {
             Some(s) => format!("/cells?since={s}"),
             None => "/cells".to_string(),
         };
-        let Ok((status, body)) = crate::serve::http::http_get(peer, &path) else { return 0 };
-        if status != 200 {
+        let Ok(resp) = HttpClient::new(peer).request("GET", &path, None) else { return 0 };
+        if resp.status != 200 {
             return 0;
         }
-        let Ok(value) = serde_json::from_str_value(&body) else { return 0 };
+        let Ok(value) = serde_json::from_str_value(&resp.body) else { return 0 };
         let mut pulled = 0usize;
         for cell in value.get("cells").and_then(|c| c.as_array()).into_iter().flatten() {
             // The key names a file: a peer's manifest is outside input,
@@ -831,7 +832,7 @@ mod tests {
         });
 
         assert_eq!(cache.sync_from_peer(&peer, None), 0);
-        let _ = crate::serve::http::http_get(&peer, "/quit");
+        let _ = HttpClient::new(&peer).request("GET", "/quit", None);
         assert_eq!(served.join().unwrap(), ["/cells"], "no hostile key is ever fetched");
         // Where `../../x` and `..` would have landed, outside the cache.
         assert!(!base.join("x.json").exists() && !base.join("a/b/...json").exists());

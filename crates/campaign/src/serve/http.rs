@@ -234,17 +234,6 @@ pub fn write_response(
 
 // ---------------------------------------------------------------- client
 
-/// One-shot `GET`: a fresh [`HttpClient`] that pools nothing. Returns
-/// `(status, body)`.
-pub fn http_get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
-    HttpClient::new(addr).request("GET", path, None).map(|r| (r.status, r.body))
-}
-
-/// One-shot `POST` of `body`; see [`http_get`].
-pub fn http_post(addr: &str, path: &str, body: &str) -> std::io::Result<(u16, String)> {
-    HttpClient::new(addr).request("POST", path, Some(body)).map(|r| (r.status, r.body))
-}
-
 /// A parsed client-side response, including the `Retry-After` hint.
 #[derive(Clone, Debug)]
 pub struct HttpResponse {
@@ -544,15 +533,19 @@ mod tests {
                 ),
             )
         });
-        let (status, body) = http_get(&addr, "/healthz").unwrap();
+        let HttpResponse { status, body, .. } =
+            HttpClient::new(&addr).request("GET", "/healthz", None).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "GET healthz q= fmt=None body=");
 
-        let (status, body) = http_post(&addr, "/campaigns", "name = \"x\"").unwrap();
+        let HttpResponse { status, body, .. } =
+            HttpClient::new(&addr).request("POST", "/campaigns", Some("name = \"x\"")).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "POST campaigns q= fmt=None body=name = \"x\"");
 
-        let (_, body) = http_get(&addr, "/campaigns/c1/results?format=csv&x=1").unwrap();
+        let HttpResponse { body, .. } = HttpClient::new(&addr)
+            .request("GET", "/campaigns/c1/results?format=csv&x=1", None)
+            .unwrap();
         assert!(body.contains("campaigns,c1,results"), "{body}");
         assert!(body.contains("fmt=Some(\"csv\")"), "{body}");
     }

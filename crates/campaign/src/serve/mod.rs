@@ -34,8 +34,12 @@
 //! `serve --supervise n` turns the daemon into a fleet parent: instead of
 //! executing campaigns in-process it spawns `n` child daemons (`--shard
 //! i/n`, ephemeral ports, shared cache) and routes every campaign verb
-//! through a ledger that keeps all shards fed. See [`supervisor`] for the
-//! moving parts. The failure model, in decreasing order of blast radius:
+//! through a ledger that keeps all shards fed. Each child reports its
+//! address through a file, and the supervisor then adopts that address
+//! exactly like a `--worker` one (below): one worker lifecycle, whose
+//! only ownership-specific steps are reaping, killing and relaunching
+//! the child. See [`supervisor`] for the moving parts. The failure
+//! model, in decreasing order of blast radius:
 //!
 //! - **Worker crash** (SIGKILL, `abort()`, OOM): detected by process
 //!   reaping or three consecutive missed `/healthz` probes. The worker is
@@ -94,11 +98,11 @@
 //! Nothing above requires one filesystem. A fleet can span machines:
 //!
 //! - **Remote workers** (`serve --supervise 0 --worker HOST:PORT ...`):
-//!   each `--worker` entry is *adopted* instead of spawned — the
-//!   supervisor never forks or kills it, but health-probes it over
-//!   `/healthz` with the same max-missed / backoff / circuit-breaker
-//!   machinery as spawned children, and backfills every ledgered
-//!   campaign over the retrying client. The operator starts each remote
+//!   each `--worker` entry is adopted at its address through the same
+//!   lifecycle as a spawned child — health probes over `/healthz`,
+//!   max-missed / backoff / circuit breaker, backfill of every ledgered
+//!   campaign over the retrying client — except that the supervisor
+//!   never forks or kills it. The operator starts each remote
 //!   daemon with the matching `--shard i/n` (`n` = spawned + adopted)
 //!   and its own cache directory. `--supervise k --worker ...` mixes
 //!   `k` local children with adopted remotes.
@@ -256,25 +260,12 @@ impl Server {
         let state = Arc::new(ServerState::new(config)?);
         let poked = Arc::new(AtomicBool::new(false));
 
-        if let Some(n) = state.config.supervise {
-            let remote_workers = state.config.remote_workers.clone();
+        if state.config.supervise.is_some() {
             let pending = state.pending.clone();
             let recovered = pending.as_ref().map(|p| p.take_recovered()).unwrap_or_default();
-            // `--supervise 0` is adopt-only (remote workers required by
-            // the CLI); without remotes, keep the old floor of 1 child.
-            let spawned = if n == 0 && !remote_workers.is_empty() { 0 } else { n.max(1) };
             let sup = supervisor::Supervisor::start(
-                supervisor::SupervisorConfig {
-                    workers: spawned,
-                    remote_workers,
-                    cache_dir: state.config.cache_dir.clone(),
-                    sim_workers: state.config.sim_workers,
-                    binary: state.config.worker_binary.clone(),
-                    cell_deadline: state.config.cell_deadline,
-                    cell_retries: state.config.cell_retries,
-                    child_env: state.config.child_env.clone(),
-                    ..supervisor::SupervisorConfig::default()
-                },
+                &state.config,
+                supervisor::SupervisorConfig::default(),
                 state.cache.clone(),
                 pending,
                 recovered,
@@ -466,7 +457,7 @@ fn wait_for_next_request(state: &ServerState, stream: &mut TcpStream) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::http::{http_get, http_post};
+    use crate::serve::http::{HttpClient, HttpResponse};
 
     fn test_config(tag: &str) -> ServerConfig {
         let dir =
@@ -484,9 +475,11 @@ mod tests {
     fn serves_health_and_stats_over_a_real_socket() {
         let server = Server::start(test_config("health")).unwrap();
         let addr = server.addr().to_string();
-        let (status, body) = http_get(&addr, "/healthz").unwrap();
+        let HttpResponse { status, body, .. } =
+            HttpClient::new(&addr).request("GET", "/healthz", None).unwrap();
         assert_eq!((status, body.as_str()), (200, r#"{"status":"ok"}"#));
-        let (status, body) = http_get(&addr, "/stats").unwrap();
+        let HttpResponse { status, body, .. } =
+            HttpClient::new(&addr).request("GET", "/stats", None).unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"uptime_secs\""), "{body}");
         let cache_dir = server.state().cache.dir().to_path_buf();
@@ -498,12 +491,16 @@ mod tests {
     fn post_shutdown_terminates_the_daemon() {
         let server = Server::start(test_config("shutdown")).unwrap();
         let addr = server.addr().to_string();
-        let (status, _) = http_post(&addr, "/shutdown", "").unwrap();
+        let HttpResponse { status, .. } =
+            HttpClient::new(&addr).request("POST", "/shutdown", None).unwrap();
         assert_eq!(status, 202);
         let cache_dir = server.state().cache.dir().to_path_buf();
         // All threads must come down without an external poke or timeout.
         server.shutdown_and_join();
-        assert!(http_get(&addr, "/healthz").is_err(), "the socket must be closed after shutdown");
+        assert!(
+            HttpClient::new(&addr).request("GET", "/healthz", None).is_err(),
+            "the socket must be closed after shutdown"
+        );
         let _ = std::fs::remove_dir_all(cache_dir);
     }
 }

@@ -1,46 +1,50 @@
-//! Fleet supervision: `serve --supervise n` runs the daemon as a parent
-//! that spawns, monitors, and restarts `n` shard-worker child processes
-//! instead of executing campaigns in-process.
+//! Fleet supervision: `serve --supervise n [--worker ADDR]...` runs the
+//! daemon as a parent over shard workers instead of executing campaigns
+//! in-process.
 //!
-//! Each worker is a plain `hdsmt-campaign serve --shard i/n` child on the
-//! shared content-addressed cache, bound to an ephemeral port it reports
-//! back through an atomically written address file. The supervisor:
+//! # One worker lifecycle
 //!
-//! - **submits** every accepted campaign to every live worker, keeping a
-//!   ledger of spec texts so restarted workers are backfilled (the cache
-//!   makes resubmission idempotent — completed cells are hits);
-//! - **monitors** workers with a heartbeat loop: process exit, address
-//!   handshake timeout, or [`MAX_MISSED`](SupervisorConfig::max_missed)
-//!   consecutive failed `/healthz` probes all count as a crash;
-//! - **restarts** crashed workers under exponential backoff with
-//!   deterministic jitter, up to a crash-loop circuit breaker
-//!   ([`SupervisorConfig::max_restarts`]); a worker that trips the
-//!   breaker is marked *broken* and the fleet degrades to the surviving
-//!   shards — their cells still complete, the broken shard's cells stay
-//!   resumable in the cache;
-//! - **aggregates** per-worker campaign snapshots into one fleet-level
-//!   view (`GET /campaigns/:id` sums per-cell counters across shards) and
-//!   reports worker health at `GET /workers`;
-//! - **serves results** by replaying the campaign through the local
-//!   engine once every shard reports done — by then every cell is a
-//!   cache hit, so the replay is a read, not a re-simulation.
+//! Every worker is a `hdsmt-campaign serve --shard i/n` daemon that the
+//! supervisor *adopts by address*. A `--worker ADDR` entry names the
+//! address up front. A spawned child runs on the shared cache, binds an
+//! ephemeral port and reports it through an atomically written address
+//! file; once that file appears, the child is adopted exactly like a
+//! `--worker`. From there every worker follows one path:
+//!
+//! - **Starting**: wait for an address that answers `/healthz`. An
+//!   address alone is not proof of life: a stale address file points at
+//!   a dead port, and a configured address is just configuration.
+//! - **Up**: every heartbeat probes `/healthz`, **backfills** each
+//!   ledgered campaign the worker has not accepted (the cache makes
+//!   resubmission idempotent: completed cells are hits), and polls the
+//!   worker's campaign snapshots. [`MAX_MISSED`] consecutive failed
+//!   probes count as a loss.
+//! - **Backoff**: a lost worker is restarted under exponential backoff
+//!   with deterministic jitter.
+//! - **Broken**: past [`SupervisorConfig::max_restarts`] the crash-loop
+//!   breaker trips and the fleet degrades to the surviving shards. Their
+//!   cells still complete, and the broken shard's cells are re-owned
+//!   (below).
+//!
+//! What differs is only what owning a process means. A spawned child is
+//! reaped (an exit is a loss too), killed on any loss and relaunched on
+//! restart, and drained at shutdown. An adoptee is never killed and is
+//! left running at shutdown: it belongs to its own operator. Its losses
+//! count as *partitions* — the worker may be fine, the network between
+//! us is not — and surface per worker in `GET /workers`.
+//!
+//! The supervisor also **aggregates** per-worker snapshots into one
+//! fleet-level view (`GET /campaigns/:id` sums per-cell counters across
+//! shards) and **serves results** by replaying the campaign through the
+//! local engine once every shard reports done. Adoptees may keep their
+//! own cache directories, so the supervisor's cache reads through its
+//! configured peers and runs an anti-entropy manifest pull before the
+//! replay; by then every cell is a hit, so the replay is a read, not a
+//! re-simulation.
 //!
 //! The supervisor itself runs no simulations and holds no job state: kill
 //! it (or any worker) at any point and resubmitting the same specs to a
 //! fresh fleet resumes from the cache.
-//!
-//! # Remote workers and partitions
-//!
-//! `--worker ADDR` entries are **adopted** rather than spawned: the
-//! supervisor probes the fixed address through the same
-//! Starting→Up→Backoff lifecycle, but never forks a process, never kills
-//! one, and leaves the remote daemon running at shutdown (it belongs to
-//! its own operator). A remote worker's health failures are counted as
-//! *partitions* — the worker may be fine, the network between us is not —
-//! and surface per-worker in `GET /workers`. Remote workers keep their
-//! own cache directories; the supervisor's cache reads through its
-//! configured peers and runs an anti-entropy manifest pull before the
-//! results replay, so results never assume filesystem locality.
 //!
 //! When a worker trips the circuit breaker with campaign cells still
 //! unfinished, the monitor **re-owns** the broken shard: a local engine
@@ -49,8 +53,8 @@
 //! its behalf, so the campaign completes instead of staying `degraded`.
 
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -58,35 +62,21 @@ use std::time::{Duration, Instant};
 
 use crate::cache::ResultCache;
 use crate::engine::{self, CampaignResult};
-use crate::job::JobRunner;
+use crate::job::{CampaignError, JobRunner};
 use crate::matrix::ShardSpec;
 use crate::pending::{self, Pending, Replayed};
 use crate::serve::http::{HttpClient, RetryPolicy};
-use crate::serve::state::{CampaignSnapshot, CellCounts, SearchCounts, SubmitError};
+use crate::serve::state::{CampaignSnapshot, CellCounts, SearchCounts, ServerConfig, SubmitError};
 use crate::spec::CampaignSpec;
 
-/// Everything the supervisor needs to run a fleet. Defaults are tuned
-/// for "a worker crash costs sub-second recovery" on a local machine.
+/// Fleet timing. Everything else (fleet size, cache, simulation threads,
+/// the worker binary and its flags) comes from the daemon's
+/// [`ServerConfig`]. Defaults are tuned for "a worker crash costs
+/// sub-second recovery" on a local machine.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
-    /// Number of shard workers (shard `i/n` for `i` in `0..n`).
-    pub workers: u32,
-    /// Shared cache directory (also holds the worker address files under
-    /// `.supervise/`).
-    pub cache_dir: String,
-    /// Simulation threads per worker (0 = auto).
-    pub sim_workers: usize,
-    /// Worker binary. `None` = this executable (`std::env::current_exe`);
-    /// tests point it at `CARGO_BIN_EXE_hdsmt-campaign`.
-    pub binary: Option<PathBuf>,
-    /// Per-cell watchdog forwarded to workers (`--cell-deadline-ms`).
-    pub cell_deadline: Option<Duration>,
-    pub cell_retries: u32,
     /// Monitor tick period (heartbeat + snapshot poll).
     pub heartbeat_interval: Duration,
-    /// Consecutive failed `/healthz` probes before a worker is declared
-    /// crashed.
-    pub max_missed: u32,
     /// Restart backoff: `base * 2^(restarts-1)` clamped to `cap`, plus
     /// deterministic jitter.
     pub backoff_base: Duration,
@@ -94,47 +84,35 @@ pub struct SupervisorConfig {
     /// Crash-loop circuit breaker: restarts beyond this mark the worker
     /// broken and the fleet degrades to the surviving shards.
     pub max_restarts: u32,
-    /// How long a spawned worker may take to report its address before
-    /// the start counts as a crash.
+    /// How long a (re)started worker may take to answer `/healthz` at its
+    /// address before the start counts as a loss.
     pub spawn_timeout: Duration,
-    /// Extra environment for workers only — fault plans (`HDSMT_FAULT`)
-    /// are injected here so the supervisor process stays fault-free.
-    pub child_env: Vec<(String, String)>,
-    /// Remote workers to adopt (fixed `host:port` addresses). They take
-    /// the shard indices after the spawned workers; the operator must
-    /// start each with the matching `--shard i/n`.
-    pub remote_workers: Vec<String>,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            workers: 1,
-            cache_dir: ".hdsmt-cache".into(),
-            sim_workers: 0,
-            binary: None,
-            cell_deadline: None,
-            cell_retries: 2,
             heartbeat_interval: Duration::from_millis(200),
-            max_missed: 3,
             backoff_base: Duration::from_millis(250),
             backoff_cap: Duration::from_secs(5),
             max_restarts: 5,
             spawn_timeout: Duration::from_secs(10),
-            child_env: Vec::new(),
-            remote_workers: Vec::new(),
         }
     }
 }
 
+/// Consecutive failed `/healthz` probes before an Up worker counts as
+/// lost.
+const MAX_MISSED: u32 = 3;
+
 /// One worker's lifecycle state.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Phase {
-    /// Spawned; waiting for the address-file handshake.
+    /// (Re)started; waiting for an address that answers `/healthz`.
     Starting { since: Instant },
-    /// Handshook and answering `/healthz`.
-    Up { addr: String, missed: u32 },
-    /// Crashed; waiting out the restart backoff.
+    /// Adopted and answering `/healthz`.
+    Up { missed: u32 },
+    /// Lost; waiting out the restart backoff.
     Backoff { until: Instant },
     /// Crash-loop breaker tripped: no further restarts.
     Broken,
@@ -154,29 +132,22 @@ impl Phase {
     }
 }
 
-/// How a worker came to be supervised.
-#[derive(Clone, Debug)]
-enum WorkerKind {
-    /// A child process this supervisor forks, kills, and restarts.
-    Spawned,
-    /// A daemon someone else runs at a fixed address: probed and
-    /// backfilled like any worker, never forked or killed.
-    Remote { addr: String },
-}
-
 struct Worker {
     index: u32,
-    kind: WorkerKind,
-    addr_file: PathBuf,
-    child: Option<Child>,
+    /// The address this worker is adopted at: fixed for a `--worker`
+    /// adoptee; for an owned child, read from its address file and
+    /// forgotten when the child goes.
+    addr: Option<String>,
+    /// The child process behind this worker, when the supervisor spawned
+    /// it.
+    owned: Option<OwnedChild>,
     /// Pooled keep-alive connection to the worker, created when it
-    /// reaches `Up` and dropped on any crash/partition.
+    /// reaches `Up` and dropped on any loss.
     client: Option<HttpClient>,
     phase: Phase,
     restarts: u32,
-    /// Health failures attributed to the network rather than the
-    /// process (remote workers only — we cannot tell a dead remote from
-    /// an unreachable one, so every remote loss counts as a partition).
+    /// Losses of an adoptee. We cannot tell a dead remote from an
+    /// unreachable one, so every adoptee loss counts as a partition.
     partitions: u64,
     /// Ledger id → this incarnation's child-side campaign id.
     submitted: HashMap<String, String>,
@@ -186,9 +157,87 @@ struct Worker {
     snapshots: HashMap<String, ChildSnapshot>,
 }
 
-impl Worker {
-    fn is_remote(&self) -> bool {
-        matches!(self.kind, WorkerKind::Remote { .. })
+/// What owning a worker's process means: the supervisor launches it,
+/// reaps it, kills it and relaunches it. An adoptee has none of this.
+struct OwnedChild {
+    /// Where the child reports its bound address
+    /// (`<cache>/.supervise/worker-<i>.addr`).
+    addr_file: PathBuf,
+    /// The running incarnation, if any.
+    process: Option<Child>,
+}
+
+impl OwnedChild {
+    /// Launch a fresh incarnation as shard `shard` of the fleet, with
+    /// the daemon's simulation flags.
+    fn launch(&mut self, server: &ServerConfig, shard: &str) -> std::io::Result<()> {
+        let _ = std::fs::remove_file(&self.addr_file);
+        let binary = server
+            .worker_binary
+            .clone()
+            .or_else(|| std::env::current_exe().ok())
+            .unwrap_or_else(|| PathBuf::from("hdsmt-campaign"));
+        let mut cmd = Command::new(binary);
+        cmd.arg("serve")
+            .arg("--addr")
+            .arg("127.0.0.1:0")
+            .arg("--addr-file")
+            .arg(&self.addr_file)
+            .arg("--cache")
+            .arg(&server.cache_dir)
+            .arg("--shard")
+            .arg(shard)
+            .arg("--workers")
+            .arg(server.sim_workers.to_string())
+            .arg("--executors")
+            .arg("1")
+            .arg("--cell-retries")
+            .arg(server.cell_retries.to_string())
+            // The fleet's pending directory is the source of truth for
+            // accepted campaigns; per-worker ones would replay every
+            // backfilled spec a second time on each restart.
+            .arg("--no-journal");
+        // Fault domains are explicit: a worker sees only the plan in
+        // `child_env`, never one inherited from the supervisor's own
+        // environment (the net-fault chaos tests seed the supervisor).
+        cmd.env_remove("HDSMT_FAULT");
+        if let Some(d) = server.cell_deadline {
+            cmd.arg("--cell-deadline-ms").arg(d.as_millis().to_string());
+        }
+        for (k, v) in &server.child_env {
+            cmd.env(k, v);
+        }
+        cmd.stdin(Stdio::null()).stdout(Stdio::null());
+        self.process = Some(cmd.spawn()?);
+        Ok(())
+    }
+
+    /// The status of an incarnation that has exited, which is then
+    /// forgotten.
+    fn reap(&mut self) -> Option<ExitStatus> {
+        let status = self.process.as_mut()?.try_wait().ok()??;
+        self.process = None;
+        Some(status)
+    }
+
+    fn kill(&mut self) {
+        if let Some(mut child) = self.process.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+
+    /// Give an incarnation asked to shut down `grace` to exit, then kill
+    /// it.
+    fn drain(&mut self, grace: Duration) {
+        let deadline = Instant::now() + grace;
+        while let Some(child) = self.process.as_mut() {
+            match child.try_wait() {
+                Ok(Some(_)) => self.process = None,
+                _ if Instant::now() >= deadline => self.kill(),
+                _ => std::thread::sleep(Duration::from_millis(20)),
+            }
+        }
     }
 }
 
@@ -225,6 +274,11 @@ struct Inner {
 /// here instead of the local queue.
 pub struct Supervisor {
     config: SupervisorConfig,
+    /// The daemon's configuration: fleet size, cache, simulation flags.
+    server: ServerConfig,
+    /// Shard count: spawned children plus adoptees. Every `--shard i/n`
+    /// denominator and fleet report uses it.
+    shards: u32,
     cache: ResultCache,
     inner: Mutex<Inner>,
     stop: Arc<AtomicBool>,
@@ -271,49 +325,57 @@ pub struct FleetReport {
 }
 
 impl Supervisor {
-    /// Spawn the fleet and its monitor thread. `recovered` is the
+    /// Start the fleet described by `server` (`supervise`,
+    /// `remote_workers`) and its monitor thread. `recovered` is the
     /// pending accepts replayed from a previous incarnation's fleet
     /// directory — they are re-ledgered with their original ids, and the
     /// monitor backfills them into workers exactly like any other
     /// ledgered campaign (idempotent: finished cells are cache hits).
     pub fn start(
+        server: &ServerConfig,
         config: SupervisorConfig,
         cache: ResultCache,
         pending: Option<Arc<Pending>>,
         recovered: Vec<Replayed>,
     ) -> std::io::Result<Arc<Supervisor>> {
-        let handshake_dir = std::path::Path::new(&config.cache_dir).join(".supervise");
+        let handshake_dir = Path::new(&server.cache_dir).join(".supervise");
         std::fs::create_dir_all(&handshake_dir)?;
         // A SIGKILLed previous incarnation leaves its workers' address
         // files behind; trusting one would point this supervisor at a
         // dead port (or worse, an unrelated process that reused it).
-        let stale = clean_stale_addr_files(&config.cache_dir);
+        let stale = clean_stale_addr_files(&server.cache_dir);
         if stale > 0 {
             eprintln!("supervisor: removed {stale} stale worker address file(s)");
         }
-        // Spawned workers take shard indices 0..spawned; adopted remote
-        // workers take the indices after them. Everyone starts in an
-        // expired Backoff so startup and restart share one code path.
-        let spawned = spawned_workers(&config);
-        let new_worker = |index: u32, kind: WorkerKind| Worker {
-            index,
-            kind,
-            addr_file: handshake_dir.join(format!("worker-{index}.addr")),
-            child: None,
-            client: None,
-            phase: Phase::Backoff { until: Instant::now() },
-            restarts: 0,
-            partitions: 0,
-            submitted: HashMap::new(),
-            snapshots: HashMap::new(),
-        };
-        let mut workers: Vec<Worker> =
-            (0..spawned).map(|index| new_worker(index, WorkerKind::Spawned)).collect();
-        for (i, addr) in config.remote_workers.iter().enumerate() {
-            let index = spawned + i as u32;
-            eprintln!("supervisor: adopting remote worker {index} at {addr}");
-            workers.push(new_worker(index, WorkerKind::Remote { addr: addr.clone() }));
-        }
+        // Spawned children take shard indices 0..children; adoptees take
+        // the indices after them. Everyone starts in an expired Backoff
+        // so startup and restart share one code path.
+        let children = (0..spawned_children(server)).map(|i| {
+            let addr_file = handshake_dir.join(format!("worker-{i}.addr"));
+            (None, Some(OwnedChild { addr_file, process: None }))
+        });
+        let adoptees = server.remote_workers.iter().map(|addr| (Some(addr.clone()), None));
+        let workers: Vec<Worker> = children
+            .chain(adoptees)
+            .enumerate()
+            .map(|(index, (addr, owned))| {
+                let index = index as u32;
+                if let (Some(addr), None) = (&addr, &owned) {
+                    eprintln!("supervisor: adopting remote worker {index} at {addr}");
+                }
+                Worker {
+                    index,
+                    addr,
+                    owned,
+                    client: None,
+                    phase: Phase::Backoff { until: Instant::now() },
+                    restarts: 0,
+                    partitions: 0,
+                    submitted: HashMap::new(),
+                    snapshots: HashMap::new(),
+                }
+            })
+            .collect();
         let seq = recovered.iter().filter_map(|r| pending::id_seq(&r.id)).max().unwrap_or(0);
         let ledger: Vec<LedgerEntry> = recovered
             .into_iter()
@@ -327,6 +389,8 @@ impl Supervisor {
             .collect();
         let supervisor = Arc::new(Supervisor {
             config,
+            server: server.clone(),
+            shards: workers.len() as u32,
             cache,
             inner: Mutex::new(Inner { workers, ledger, seq }),
             stop: Arc::new(AtomicBool::new(false)),
@@ -347,26 +411,12 @@ impl Supervisor {
         Ok(supervisor)
     }
 
-    fn binary(&self) -> PathBuf {
-        self.config
-            .binary
-            .clone()
-            .or_else(|| std::env::current_exe().ok())
-            .unwrap_or_else(|| PathBuf::from("hdsmt-campaign"))
-    }
-
     fn backoff_policy(&self) -> RetryPolicy {
         RetryPolicy {
             attempts: u32::MAX,
             base: self.config.backoff_base,
             cap: self.config.backoff_cap,
         }
-    }
-
-    /// Total shard count: spawned children plus adopted remotes. Every
-    /// `--shard i/n` denominator and fleet report uses this.
-    fn shard_total(&self) -> u32 {
-        (spawned_workers(&self.config) + self.config.remote_workers.len() as u32).max(1)
     }
 
     // ------------------------------------------------------------ monitor
@@ -378,9 +428,8 @@ impl Supervisor {
         }
     }
 
-    /// One heartbeat over every worker: reap exits, advance handshakes,
-    /// probe health, backfill submissions, poll snapshots, restart what
-    /// the backoff clock allows, and re-own broken shards' cells.
+    /// One heartbeat over every worker: reap exited children, advance
+    /// every worker one lifecycle step, and re-own broken shards' cells.
     ///
     /// Locks are taken strictly sequentially (re-own queues first, then
     /// `inner`, then the queues again after `inner` is released) — never
@@ -414,85 +463,17 @@ impl Supervisor {
         for w in workers.iter_mut() {
             // A reaped child trumps whatever phase says: SIGKILL, abort(),
             // or a clean-but-unexpected exit all land here.
-            if let Some(child) = w.child.as_mut() {
-                if let Ok(Some(status)) = child.try_wait() {
-                    w.child = None;
-                    if !matches!(w.phase, Phase::Stopped) {
-                        self.crashed(w, now, &format!("process exited: {status}"), false);
-                        continue;
-                    }
+            if let Some(status) = w.owned.as_mut().and_then(OwnedChild::reap) {
+                if !matches!(w.phase, Phase::Stopped) {
+                    self.lost(w, now, &format!("process exited: {status}"));
+                    continue;
                 }
             }
-            enum Action {
-                Spawn,
-                Handshake { since: Instant },
-                Probe,
-                Idle,
-            }
-            let action = match &w.phase {
-                Phase::Backoff { until } if now >= *until => Action::Spawn,
-                Phase::Starting { since } => Action::Handshake { since: *since },
-                Phase::Up { .. } => Action::Probe,
-                _ => Action::Idle,
-            };
-            match action {
-                Action::Spawn => self.spawn_worker(w, now),
-                Action::Handshake { since } => {
-                    // An address alone is not proof of life: a stale
-                    // address file points at a dead port, and a remote
-                    // address is just configuration. Only a live
-                    // `/healthz` promotes the worker to Up.
-                    let candidate = match &w.kind {
-                        WorkerKind::Spawned => read_addr_file(&w.addr_file),
-                        WorkerKind::Remote { addr } => Some(addr.clone()),
-                    };
-                    let live = candidate.and_then(|addr| {
-                        let mut client = HttpClient::new(&addr);
-                        let resp = client.request("GET", "/healthz", None);
-                        resp.is_ok_and(|r| r.status == 200).then_some(client)
-                    });
-                    if let Some(client) = live {
-                        let addr = client.addr().to_string();
-                        eprintln!("supervisor: worker {} up at {addr}", w.index);
-                        w.client = Some(client);
-                        w.phase = Phase::Up { addr, missed: 0 };
-                    } else if now.duration_since(since) > self.config.spawn_timeout {
-                        let partition = w.is_remote();
-                        self.crashed(
-                            w,
-                            now,
-                            "no address handshake before the spawn timeout",
-                            partition,
-                        );
-                    }
-                }
-                Action::Probe => {
-                    let healthy = w
-                        .client
-                        .as_mut()
-                        .and_then(|c| c.request("GET", "/healthz", None).ok())
-                        .is_some_and(|resp| resp.status == 200);
-                    if healthy {
-                        if let Phase::Up { missed, .. } = &mut w.phase {
-                            *missed = 0;
-                        }
-                        backfill(w, ledger);
-                        poll_snapshots(w);
-                    } else {
-                        let gone = match &mut w.phase {
-                            Phase::Up { missed, .. } => {
-                                *missed += 1;
-                                *missed >= self.config.max_missed.max(1)
-                            }
-                            _ => false,
-                        };
-                        if gone {
-                            let partition = w.is_remote();
-                            self.crashed(w, now, "health probes timed out", partition);
-                        }
-                    }
-                }
-                Action::Idle => {}
+            match w.phase {
+                Phase::Backoff { until } if now >= until => self.restart(w, now),
+                Phase::Starting { since } => self.handshake(w, now, since),
+                Phase::Up { .. } => self.probe(w, now, ledger),
+                _ => {}
             }
         }
         let reown = self.reown_candidates(workers, ledger);
@@ -516,6 +497,60 @@ impl Supervisor {
                 .insert((id.clone(), widx));
             if claimed {
                 self.spawn_reown(id, spec_text, widx);
+            }
+        }
+    }
+
+    /// Backoff → Starting: relaunch an owned child, then wait for its
+    /// address like any adoptee's.
+    fn restart(&self, w: &mut Worker, now: Instant) {
+        if let Some(child) = &mut w.owned {
+            let shard = format!("{}/{}", w.index, self.shards);
+            if let Err(e) = child.launch(&self.server, &shard) {
+                self.lost(w, now, &format!("spawn failed: {e}"));
+                return;
+            }
+        }
+        w.phase = Phase::Starting { since: now };
+    }
+
+    /// Starting → Up once the worker's address answers `/healthz`. An
+    /// owned child's address is the one its address file reports.
+    fn handshake(&self, w: &mut Worker, now: Instant, since: Instant) {
+        if w.addr.is_none() {
+            w.addr = w.owned.as_ref().and_then(|child| read_addr_file(&child.addr_file));
+        }
+        let live = w.addr.as_deref().and_then(|addr| {
+            let mut client = HttpClient::new(addr);
+            let resp = client.request("GET", "/healthz", None);
+            resp.is_ok_and(|r| r.status == 200).then_some(client)
+        });
+        if let Some(client) = live {
+            eprintln!("supervisor: worker {} up at {}", w.index, client.addr());
+            w.client = Some(client);
+            w.phase = Phase::Up { missed: 0 };
+        } else if now.duration_since(since) > self.config.spawn_timeout {
+            self.lost(w, now, "no address handshake before the spawn timeout");
+        }
+    }
+
+    /// Up: probe `/healthz`; a healthy worker is backfilled and polled,
+    /// and [`MAX_MISSED`] failed probes in a row lose it.
+    fn probe(&self, w: &mut Worker, now: Instant, ledger: &[LedgerEntry]) {
+        let healthy = w
+            .client
+            .as_mut()
+            .and_then(|c| c.request("GET", "/healthz", None).ok())
+            .is_some_and(|resp| resp.status == 200);
+        let Phase::Up { missed } = &mut w.phase else { return };
+        if healthy {
+            *missed = 0;
+            backfill(w, ledger);
+            poll_snapshots(w);
+        } else {
+            *missed += 1;
+            if *missed >= MAX_MISSED {
+                self.lost(w, now, "health probes timed out");
             }
         }
     }
@@ -549,14 +584,13 @@ impl Supervisor {
     /// for the next tick.
     fn spawn_reown(&self, id: String, spec_text: String, widx: u32) {
         eprintln!("supervisor: worker {widx} is broken; re-owning its shard of {id} locally");
-        let total = self.shard_total();
+        let total = self.shards;
         let cache = self.cache.clone();
-        let cache_dir = self.config.cache_dir.clone();
-        let sim_workers = self.config.sim_workers;
+        let server = self.server.clone();
         let done = self.reown_done.clone();
         let key = (id.clone(), widx);
         let spawned = std::thread::Builder::new().name(format!("reown-{widx}")).spawn(move || {
-            let outcome = reown_shard(&spec_text, &cache_dir, sim_workers, cache, widx, total);
+            let outcome = reown_shard(&spec_text, &server, cache, widx, total);
             done.lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .push((id, widx, outcome));
@@ -569,16 +603,20 @@ impl Supervisor {
         }
     }
 
-    /// Account a crash: clear the incarnation, arm the backoff clock, or
-    /// trip the breaker. `partition` attributes the loss to the network
-    /// (remote workers) rather than the process.
-    fn crashed(&self, w: &mut Worker, now: Instant, why: &str, partition: bool) {
-        kill(w);
+    /// Account a lost worker: end the incarnation, then arm the backoff
+    /// clock or trip the breaker. An owned child is killed and its
+    /// address forgotten (the next incarnation reports a fresh one); an
+    /// adoptee's loss counts as a partition.
+    fn lost(&self, w: &mut Worker, now: Instant, why: &str) {
+        match &mut w.owned {
+            Some(child) => {
+                child.kill();
+                w.addr = None;
+            }
+            None => w.partitions += 1,
+        }
         w.client = None;
         w.submitted.clear();
-        if partition {
-            w.partitions += 1;
-        }
         w.restarts += 1;
         if w.restarts > self.config.max_restarts {
             eprintln!(
@@ -598,54 +636,6 @@ impl Supervisor {
             delay.as_secs_f64()
         );
         w.phase = Phase::Backoff { until: now + delay };
-    }
-
-    fn spawn_worker(&self, w: &mut Worker, now: Instant) {
-        if w.is_remote() {
-            // Adopted, not spawned: enter Starting and let the handshake
-            // probe the fixed address until it answers or times out.
-            w.phase = Phase::Starting { since: now };
-            return;
-        }
-        let _ = std::fs::remove_file(&w.addr_file);
-        let mut cmd = Command::new(self.binary());
-        cmd.arg("serve")
-            .arg("--addr")
-            .arg("127.0.0.1:0")
-            .arg("--addr-file")
-            .arg(&w.addr_file)
-            .arg("--cache")
-            .arg(&self.config.cache_dir)
-            .arg("--shard")
-            .arg(format!("{}/{}", w.index, self.shard_total()))
-            .arg("--workers")
-            .arg(self.config.sim_workers.to_string())
-            .arg("--executors")
-            .arg("1")
-            .arg("--cell-retries")
-            .arg(self.config.cell_retries.to_string())
-            // The fleet's pending directory is the source of truth for
-            // accepted campaigns; per-worker ones would replay every
-            // backfilled spec a second time on each restart.
-            .arg("--no-journal");
-        // Fault domains are explicit: a worker sees only the plan in
-        // `child_env`, never one inherited from the supervisor's own
-        // environment (the net-fault chaos tests seed the supervisor).
-        cmd.env_remove("HDSMT_FAULT");
-        if let Some(d) = self.config.cell_deadline {
-            cmd.arg("--cell-deadline-ms").arg(d.as_millis().to_string());
-        }
-        for (k, v) in &self.config.child_env {
-            cmd.env(k, v);
-        }
-        cmd.stdin(Stdio::null()).stdout(Stdio::null());
-        match cmd.spawn() {
-            Ok(child) => {
-                w.child = Some(child);
-                w.phase = Phase::Starting { since: now };
-            }
-            Err(e) => self.crashed(w, now, &format!("spawn failed: {e}"), false),
-        }
     }
 
     // ---------------------------------------------------------- campaigns
@@ -731,10 +721,8 @@ impl Supervisor {
             let addrs: Vec<String> = guard
                 .workers
                 .iter()
-                .filter_map(|w| match &w.phase {
-                    Phase::Up { addr, .. } => Some(addr.clone()),
-                    _ => None,
-                })
+                .filter(|w| matches!(w.phase, Phase::Up { .. }))
+                .filter_map(|w| w.addr.clone())
                 .collect();
             (entry.spec_text.clone(), addrs)
         };
@@ -750,13 +738,7 @@ impl Supervisor {
         }
         // Replay outside the lock: the engine run is all cache hits, but
         // there is no reason to stall heartbeats on it.
-        let mut spec =
-            CampaignSpec::parse(&spec_text).map_err(|e| (500, format!("ledger spec: {}", e.0)))?;
-        spec.cache_dir = Some(self.config.cache_dir.clone());
-        spec.workers = Some(self.config.sim_workers as u64);
-        let catalog = engine::catalog_for(&spec);
-        let runner = JobRunner::new(self.config.sim_workers, Some(self.cache.clone()));
-        let result = engine::run_campaign_with(&spec, &catalog, &runner)
+        let result = run_locally(&spec_text, &self.server, self.cache.clone(), None)
             .map_err(|e| (500, format!("results replay failed: {}", e.0)))?;
         let mut guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(entry) = guard.ledger.iter_mut().find(|e| e.id == id) {
@@ -773,26 +755,19 @@ impl Supervisor {
             .iter()
             .map(|w| WorkerReport {
                 index: w.index,
-                shard: format!("{}/{}", w.index, self.shard_total()),
-                kind: match &w.kind {
-                    WorkerKind::Spawned => "spawned".to_string(),
-                    WorkerKind::Remote { .. } => "remote".to_string(),
-                },
+                shard: format!("{}/{}", w.index, self.shards),
+                kind: if w.owned.is_some() { "spawned" } else { "remote" }.to_string(),
                 state: w.phase.label().to_string(),
-                addr: match (&w.phase, &w.kind) {
-                    (Phase::Up { addr, .. }, _) => Some(addr.clone()),
-                    // A down remote still has a configured address worth
-                    // showing to the operator.
-                    (_, WorkerKind::Remote { addr }) => Some(addr.clone()),
-                    _ => None,
-                },
-                pid: w.child.as_ref().map(Child::id),
+                // A down adoptee still has a configured address worth
+                // showing to the operator.
+                addr: w.addr.clone(),
+                pid: w.owned.as_ref().and_then(|c| c.process.as_ref()).map(Child::id),
                 restarts: w.restarts,
                 partitions: w.partitions,
             })
             .collect();
         FleetReport {
-            supervising: self.shard_total(),
+            supervising: self.shards,
             restarts_total: guard.workers.iter().map(|w| w.restarts as u64).sum(),
             broken: guard.workers.iter().filter(|w| matches!(w.phase, Phase::Broken)).count(),
             partitions_total: guard.workers.iter().map(|w| w.partitions).sum(),
@@ -812,31 +787,15 @@ impl Supervisor {
         }
         let mut guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         for w in &mut guard.workers {
-            if w.is_remote() {
-                // An adopted worker belongs to its own operator: stop
-                // probing it, but never drain or kill it.
-                w.client = None;
-                w.phase = Phase::Stopped;
-                continue;
-            }
-            if let (Phase::Up { .. }, Some(client)) = (&w.phase, w.client.as_mut()) {
-                let _ = client.request("POST", "/shutdown", None);
-            }
-            if let Some(child) = w.child.as_mut() {
-                let deadline = Instant::now() + Duration::from_secs(5);
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) => break,
-                        _ if Instant::now() >= deadline => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
-                        _ => std::thread::sleep(Duration::from_millis(20)),
-                    }
+            // An adoptee belongs to its own operator: stop probing it,
+            // but never drain or kill it.
+            if let Some(child) = &mut w.owned {
+                if let (Phase::Up { .. }, Some(client)) = (w.phase, w.client.as_mut()) {
+                    let _ = client.request("POST", "/shutdown", None);
                 }
+                child.drain(Duration::from_secs(5));
+                w.addr = None;
             }
-            w.child = None;
             w.client = None;
             w.phase = Phase::Stopped;
         }
@@ -859,28 +818,19 @@ impl Drop for Supervisor {
         // Never leak child processes, even on a panicking exit path.
         self.stop.store(true, Ordering::Relaxed);
         let mut guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for w in &mut guard.workers {
-            kill(w);
+        for child in guard.workers.iter_mut().filter_map(|w| w.owned.as_mut()) {
+            child.kill();
         }
     }
 }
 
-fn kill(w: &mut Worker) {
-    if let Some(child) = w.child.as_mut() {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-    w.child = None;
-}
-
-/// How many workers this supervisor forks itself. The legacy default (no
-/// remotes, `workers: 0`) still spawns one; a pure-remote fleet
-/// (`--supervise 0 --worker ...`) spawns none.
-fn spawned_workers(config: &SupervisorConfig) -> u32 {
-    if config.workers == 0 && config.remote_workers.is_empty() {
-        1
-    } else {
-        config.workers
+/// The fleet-size rule: how many children `--supervise n` spawns. That
+/// is `n`, except that a fleet with no `--worker` adoptees always spawns
+/// at least one; `--supervise 0 --worker ...` spawns none.
+fn spawned_children(server: &ServerConfig) -> u32 {
+    match server.supervise.unwrap_or(0) {
+        0 if !server.remote_workers.is_empty() => 0,
+        n => n.max(1),
     }
 }
 
@@ -890,26 +840,36 @@ fn spawned_workers(config: &SupervisorConfig) -> u32 {
 /// retry.
 fn reown_shard(
     spec_text: &str,
-    cache_dir: &str,
-    sim_workers: usize,
+    server: &ServerConfig,
     cache: ResultCache,
     widx: u32,
     total: u32,
 ) -> Option<ChildSnapshot> {
     let shard = ShardSpec::parse(&format!("{widx}/{total}")).ok()?;
-    let mut spec = CampaignSpec::parse(spec_text).ok()?;
-    spec.cache_dir = Some(cache_dir.to_string());
-    spec.workers = Some(sim_workers as u64);
-    let catalog = engine::catalog_for(&spec);
-    let runner = JobRunner::new(sim_workers, Some(cache));
-    let result = engine::run_campaign_observed(&spec, &catalog, &runner, Some(shard), &()).ok()?;
-    let n = result.cells.len();
+    let n = run_locally(spec_text, server, cache, Some(shard)).ok()?.cells.len();
     Some(ChildSnapshot {
         status: "done".to_string(),
         cells: CellCounts { total: n, done: n, ..CellCounts::default() },
         search: SearchCounts::default(),
         error: None,
     })
+}
+
+/// Run a ledgered campaign, or one shard of it, through the local engine
+/// on the supervisor's (peer-reading) cache, with the daemon's cache
+/// directory and simulation threads.
+fn run_locally(
+    spec_text: &str,
+    server: &ServerConfig,
+    cache: ResultCache,
+    shard: Option<ShardSpec>,
+) -> Result<CampaignResult, CampaignError> {
+    let mut spec = CampaignSpec::parse(spec_text)?;
+    spec.cache_dir = Some(server.cache_dir.clone());
+    spec.workers = Some(server.sim_workers as u64);
+    let catalog = engine::catalog_for(&spec);
+    let runner = JobRunner::new(server.sim_workers, Some(cache));
+    engine::run_campaign_observed(&spec, &catalog, &runner, shard, &())
 }
 
 /// Remove every `*.addr` (and stranded `*.tmp`) file under

@@ -137,6 +137,10 @@ impl CampaignSpec {
         if b.measure_insts == 0 {
             return Err(CampaignError("budget.measure_insts must be positive".into()));
         }
+        // A zero-length profile has no miss rate to rank threads by.
+        if self.profile_insts == Some(0) {
+            return Err(CampaignError("profile_insts must be positive".into()));
+        }
         Ok(())
     }
 }
@@ -194,5 +198,16 @@ class = "MIX"
             r#"{"archs": ["M8"], "workloads": ["2W1"], "policies": ["bogus"]}"#
         )
         .is_err());
+    }
+
+    #[test]
+    fn rejects_a_zero_length_profile() {
+        // Zero profiled instructions would rank `heur` threads by a NaN
+        // miss rate; admission refuses the spec instead.
+        let err = CampaignSpec::parse(
+            r#"{"archs": ["2M4+2M2"], "workloads": ["2W1"], "profile_insts": 0}"#,
+        )
+        .unwrap_err();
+        assert!(err.0.contains("profile_insts must be positive"), "{err}");
     }
 }

@@ -8,7 +8,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use hdsmt_campaign::serve::http::{http_get, http_post};
+use hdsmt_campaign::serve::http::{HttpClient, HttpResponse};
 use hdsmt_campaign::serve::{Server, ServerConfig};
 use hdsmt_campaign::{JobRunner, JobSpec, JobThread, ResultCache, Watchdog};
 
@@ -24,7 +24,8 @@ fn json(body: &str) -> serde_json::Value {
 }
 
 fn submit(addr: &str, spec: &str) -> String {
-    let (status, body) = http_post(addr, "/campaigns", spec).unwrap();
+    let HttpResponse { status, body, .. } =
+        HttpClient::new(addr).request("POST", "/campaigns", Some(spec)).unwrap();
     assert_eq!(status, 202, "{body}");
     json(&body).get("id").and_then(|i| i.as_str()).unwrap().to_string()
 }
@@ -37,7 +38,8 @@ fn cell_count(snap: &serde_json::Value, key: &str) -> u64 {
 fn wait_terminal(addr: &str, id: &str) -> serde_json::Value {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let (status, body) = http_get(addr, &format!("/campaigns/{id}")).unwrap();
+        let HttpResponse { status, body, .. } =
+            HttpClient::new(addr).request("GET", &format!("/campaigns/{id}"), None).unwrap();
         assert_eq!(status, 200, "{body}");
         let snap = json(&body);
         let phase = snap.get("status").and_then(|s| s.as_str()).unwrap().to_string();
@@ -75,7 +77,8 @@ fn supervised_server_with(
 }
 
 fn fleet(addr: &str) -> serde_json::Value {
-    let (status, body) = http_get(addr, "/workers").unwrap();
+    let HttpResponse { status, body, .. } =
+        HttpClient::new(addr).request("GET", "/workers", None).unwrap();
     assert_eq!(status, 200, "{body}");
     json(&body)
 }
@@ -144,9 +147,11 @@ fn supervised_fleet_completes_a_campaign_and_reports_its_workers() {
     }
 
     // Results come from a cache replay; two fetches are byte-identical.
-    let (status, body1) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+    let HttpResponse { status, body: body1, .. } =
+        HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}/results"), None).unwrap();
     assert_eq!(status, 200, "{body1}");
-    let (_, body2) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+    let HttpResponse { body: body2, .. } =
+        HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}/results"), None).unwrap();
     assert_eq!(body1, body2, "results must be memoized bit-identically");
     assert_eq!(json(&body1).get("cells").and_then(|c| c.as_array()).map(|a| a.len()), Some(4));
 
@@ -170,7 +175,8 @@ fn sigkilled_worker_restarts_and_the_campaign_still_completes_exactly() {
     // Let the worker make some progress, then SIGKILL it mid-campaign.
     let deadline = Instant::now() + Duration::from_secs(120);
     let pid = loop {
-        let (_, body) = http_get(&addr, &format!("/campaigns/{id}")).unwrap();
+        let HttpResponse { body, .. } =
+            HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}"), None).unwrap();
         let snap = json(&body);
         let concluded = cell_count(&snap, "done") + cell_count(&snap, "cached");
         let report = fleet(&addr);
@@ -216,9 +222,11 @@ fn sigkilled_worker_restarts_and_the_campaign_still_completes_exactly() {
     assert_eq!(report.get("broken").and_then(|v| v.as_u64()), Some(0), "{report:?}");
 
     // Bit-identical results, twice, and a fully cached resubmit.
-    let (status, body1) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+    let HttpResponse { status, body: body1, .. } =
+        HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}/results"), None).unwrap();
     assert_eq!(status, 200, "{body1}");
-    let (_, body2) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+    let HttpResponse { body: body2, .. } =
+        HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}/results"), None).unwrap();
     assert_eq!(body1, body2);
     assert_eq!(json(&body1).get("cells").and_then(|c| c.as_array()).map(|a| a.len()), Some(8));
 
@@ -269,7 +277,11 @@ fn spawn_daemon(
     loop {
         if let Ok(text) = fs::read_to_string(&addr_file) {
             let addr = text.trim().to_string();
-            if addr.contains(':') && matches!(http_get(&addr, "/healthz"), Ok((200, _))) {
+            if addr.contains(':')
+                && HttpClient::new(&addr)
+                    .request("GET", "/healthz", None)
+                    .is_ok_and(|r| r.status == 200)
+            {
                 return (child, addr);
             }
         }
@@ -288,7 +300,7 @@ fn sigkill(child: &mut Child) {
 
 /// Graceful drain: `POST /shutdown`, then reap the process.
 fn shutdown_daemon(mut child: Child, addr: &str) {
-    let _ = http_post(addr, "/shutdown", "");
+    let _ = HttpClient::new(addr).request("POST", "/shutdown", None);
     let deadline = Instant::now() + Duration::from_secs(60);
     while Instant::now() < deadline {
         if let Ok(Some(_)) = child.try_wait() {
@@ -301,7 +313,8 @@ fn shutdown_daemon(mut child: Child, addr: &str) {
 }
 
 fn stats(addr: &str) -> serde_json::Value {
-    let (status, body) = http_get(addr, "/stats").unwrap();
+    let HttpResponse { status, body, .. } =
+        HttpClient::new(addr).request("GET", "/stats", None).unwrap();
     assert_eq!(status, 200, "{body}");
     json(&body)
 }
@@ -345,7 +358,8 @@ fn reference_cells(spec_text: &str, cache: &Path) -> serde_json::Value {
 fn wait_progress(addr: &str, id: &str) {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let (_, body) = http_get(addr, &format!("/campaigns/{id}")).unwrap();
+        let HttpResponse { body, .. } =
+            HttpClient::new(addr).request("GET", &format!("/campaigns/{id}"), None).unwrap();
         let snap = json(&body);
         if cell_count(&snap, "done") + cell_count(&snap, "cached") >= 1 {
             return;
@@ -364,7 +378,8 @@ fn wait_progress(addr: &str, id: &str) {
 fn wait_partial(addr: &str, id: &str) {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let (_, body) = http_get(addr, &format!("/campaigns/{id}")).unwrap();
+        let HttpResponse { body, .. } =
+            HttpClient::new(addr).request("GET", &format!("/campaigns/{id}"), None).unwrap();
         let snap = json(&body);
         let status = snap.get("status").and_then(|s| s.as_str()).unwrap().to_string();
         let concluded = cell_count(&snap, "done")
@@ -407,9 +422,11 @@ fn sigkilled_daemon_replays_its_journal_and_completes_the_campaign() {
 
     // Byte-identical results, and cell-for-cell identical to an
     // undisturbed run on a fresh cache.
-    let (status, body1) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+    let HttpResponse { status, body: body1, .. } =
+        HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}/results"), None).unwrap();
     assert_eq!(status, 200, "{body1}");
-    let (_, body2) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+    let HttpResponse { body: body2, .. } =
+        HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}/results"), None).unwrap();
     assert_eq!(body1, body2, "results must replay bit-identically");
     assert_eq!(
         json(&body1).get("cells").unwrap(),
@@ -459,9 +476,11 @@ fn sigkilled_supervisor_replays_its_fleet_journal_and_completes() {
     assert_eq!(cell_count(&snap, "failed"), 0, "{snap:?}");
     assert_eq!(cell_count(&snap, "done") + cell_count(&snap, "cached"), 8, "{snap:?}");
 
-    let (status, body1) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+    let HttpResponse { status, body: body1, .. } =
+        HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}/results"), None).unwrap();
     assert_eq!(status, 200, "{body1}");
-    let (_, body2) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+    let HttpResponse { body: body2, .. } =
+        HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}/results"), None).unwrap();
     assert_eq!(body1, body2, "results must replay bit-identically");
 
     shutdown_daemon(second, &addr);
@@ -539,7 +558,8 @@ fn startup_reaps_aged_tmp_files_but_spares_fresh_ones() {
 
 /// Fetch a daemon's cell manifest (`GET /cells`) as `(key, text)` pairs.
 fn manifest_cells(addr: &str) -> Vec<(String, String)> {
-    let (status, body) = http_get(addr, "/cells").unwrap();
+    let HttpResponse { status, body, .. } =
+        HttpClient::new(addr).request("GET", "/cells", None).unwrap();
     assert_eq!(status, 200, "{body}");
     json(&body)
         .get("cells")
@@ -548,7 +568,8 @@ fn manifest_cells(addr: &str) -> Vec<(String, String)> {
         .iter()
         .map(|c| {
             let key = c.get("key").and_then(|k| k.as_str()).unwrap().to_string();
-            let (status, text) = http_get(addr, &format!("/cells/{key}")).unwrap();
+            let HttpResponse { status, body: text, .. } =
+                HttpClient::new(addr).request("GET", &format!("/cells/{key}"), None).unwrap();
             assert_eq!(status, 200, "{text}");
             (key, text)
         })
@@ -556,13 +577,12 @@ fn manifest_cells(addr: &str) -> Vec<(String, String)> {
 }
 
 fn healthz_up(addr: &str) -> bool {
-    matches!(http_get(addr, "/healthz"), Ok((200, _)))
+    HttpClient::new(addr).request("GET", "/healthz", None).is_ok_and(|r| r.status == 200)
 }
 
 #[test]
 fn distributed_fleet_replicates_results_over_http_with_no_shared_filesystem() {
     use hdsmt_campaign::hash::sha256_hex;
-    use hdsmt_campaign::serve::http::HttpClient;
 
     let dir = tmpdir("dist");
     let cache_a = dir.join("cache-a");
@@ -616,9 +636,11 @@ fn distributed_fleet_replicates_results_over_http_with_no_shared_filesystem() {
 
     // Results replay through HTTP replication: byte-identical, twice,
     // and cell-for-cell equal to an undisturbed single-node run.
-    let (status, body1) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+    let HttpResponse { status, body: body1, .. } =
+        HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}/results"), None).unwrap();
     assert_eq!(status, 200, "{body1}");
-    let (_, body2) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+    let HttpResponse { body: body2, .. } =
+        HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}/results"), None).unwrap();
     assert_eq!(body1, body2, "results must replay bit-identically");
     assert_eq!(
         json(&body1).get("cells").unwrap(),
@@ -652,7 +674,8 @@ fn distributed_fleet_replicates_results_over_http_with_no_shared_filesystem() {
         )
         .unwrap();
     assert_eq!(resp.status, 409, "conflicting bytes must be refused: {}", resp.body);
-    let (_, after) = http_get(&addr_b, &format!("/cells/{victim_key}")).unwrap();
+    let HttpResponse { body: after, .. } =
+        HttpClient::new(&addr_b).request("GET", &format!("/cells/{victim_key}"), None).unwrap();
     assert_eq!(&after, victim_text, "the quarantined impostor must never be served");
     let st_b = stats(&addr_b);
     let conflicts = st_b.get("cache").and_then(|c| c.get("conflicts")).and_then(|v| v.as_u64());
@@ -679,6 +702,64 @@ fn distributed_fleet_replicates_results_over_http_with_no_shared_filesystem() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `--supervise 1 --worker ADDR`: one spawned child and one adoptee in a
+/// single fleet. Both reach `up` through the same lifecycle; only
+/// ownership differs — shutdown stops the child, never the adoptee.
+#[test]
+fn mixed_fleet_runs_a_spawned_child_beside_an_adoptee() {
+    let dir = tmpdir("mixed");
+    // The adoptee takes the shard index after the spawned child's.
+    let (remote, addr_remote) =
+        spawn_daemon(&dir, &dir.join("cache-remote"), "remote", &["--shard", "1/2"], &[]);
+    let adoptee = addr_remote.clone();
+    let server = supervised_server_with(&dir.join("cache"), 1, Vec::new(), |config| {
+        config.remote_workers = vec![adoptee];
+    });
+    let addr = server.addr().to_string();
+
+    let id = submit(&addr, SPEC);
+    let snap = wait_terminal(&addr, &id);
+    assert_eq!(snap.get("status").and_then(|s| s.as_str()), Some("done"), "{snap:?}");
+    assert_eq!(cell_count(&snap, "failed"), 0, "{snap:?}");
+    assert_eq!(cell_count(&snap, "done") + cell_count(&snap, "cached"), 4, "{snap:?}");
+
+    let report = fleet(&addr);
+    assert_eq!(report.get("supervising").and_then(|v| v.as_u64()), Some(2), "{report:?}");
+    let workers = report.get("workers").and_then(|w| w.as_array()).unwrap();
+    assert_eq!(workers.len(), 2, "{report:?}");
+    let (spawned, adopted) = (&workers[0], &workers[1]);
+    assert_eq!(spawned.get("kind").and_then(|k| k.as_str()), Some("spawned"), "{spawned:?}");
+    assert_eq!(spawned.get("state").and_then(|s| s.as_str()), Some("up"), "{spawned:?}");
+    let child_pid = spawned.get("pid").and_then(|p| p.as_u64()).expect("a spawned child has a pid");
+    let child_addr = spawned.get("addr").and_then(|a| a.as_str()).unwrap().to_string();
+    assert_eq!(adopted.get("kind").and_then(|k| k.as_str()), Some("remote"), "{adopted:?}");
+    assert_eq!(adopted.get("state").and_then(|s| s.as_str()), Some("up"), "{adopted:?}");
+    assert!(adopted.get("pid").and_then(|p| p.as_u64()).is_none(), "adopted: {adopted:?}");
+    assert_eq!(adopted.get("addr").and_then(|a| a.as_str()), Some(addr_remote.as_str()));
+
+    let HttpResponse { status, body, .. } =
+        HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}/results"), None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        json(&body).get("cells").unwrap(),
+        &reference_cells(SPEC, &dir.join("reference-cache")),
+        "a mixed fleet must not perturb a single cell"
+    );
+
+    server.shutdown_and_join();
+    let child_alive = Command::new("kill")
+        .args(["-0", &child_pid.to_string()])
+        .stderr(Stdio::null())
+        .status()
+        .unwrap()
+        .success();
+    assert!(!child_alive, "supervisor shutdown must stop its spawned child");
+    assert!(!healthz_up(&child_addr), "the spawned child's port must be closed");
+    assert!(healthz_up(&addr_remote), "supervisor shutdown must not kill the adoptee");
+    shutdown_daemon(remote, &addr_remote);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn broken_remote_workers_shard_is_reowned_and_the_campaign_completes() {
     use hdsmt_campaign::serve::supervisor::{Supervisor, SupervisorConfig};
@@ -695,19 +776,21 @@ fn broken_remote_workers_shard_is_reowned_and_the_campaign_completes() {
     };
 
     let cache = ResultCache::open(&cache_sup).unwrap().with_peers(vec![addr_live.clone()]);
-    let config = SupervisorConfig {
-        workers: 0,
+    let server = ServerConfig {
         cache_dir: cache_sup.to_string_lossy().into_owned(),
         sim_workers: 1,
+        supervise: Some(0),
         remote_workers: vec![addr_live.clone(), dead],
+        ..ServerConfig::default()
+    };
+    let config = SupervisorConfig {
         heartbeat_interval: Duration::from_millis(50),
         spawn_timeout: Duration::from_millis(300),
         backoff_base: Duration::from_millis(50),
         backoff_cap: Duration::from_millis(100),
         max_restarts: 0,
-        ..SupervisorConfig::default()
     };
-    let sup = Supervisor::start(config, cache, None, Vec::new()).unwrap();
+    let sup = Supervisor::start(&server, config, cache, None, Vec::new()).unwrap();
 
     let id = sup.submit(SPEC).unwrap().id;
     // "degraded" is transient here — the breaker trips, then the re-own
@@ -866,7 +949,8 @@ search_insts = 500
         let report = fleet(&addr);
         assert_eq!(restarts_total(&report), 2, "{report:?}");
         assert_eq!(report.get("broken").and_then(|v| v.as_u64()), Some(0), "{report:?}");
-        let (_, stats) = http_get(&addr, "/stats").unwrap();
+        let HttpResponse { body: stats, .. } =
+            HttpClient::new(&addr).request("GET", "/stats", None).unwrap();
         let stats = json(&stats);
         assert_eq!(
             stats.get("cache_quarantined").and_then(|v| v.as_u64()),
@@ -883,9 +967,13 @@ search_insts = 500
         assert_eq!(cell_count(&snap2, "done"), 0, "{snap2:?}");
 
         // And the results replay cleanly, twice, byte-identically.
-        let (status, body1) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+        let HttpResponse { status, body: body1, .. } = HttpClient::new(&addr)
+            .request("GET", &format!("/campaigns/{id}/results"), None)
+            .unwrap();
         assert_eq!(status, 200, "{body1}");
-        let (_, body2) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+        let HttpResponse { body: body2, .. } = HttpClient::new(&addr)
+            .request("GET", &format!("/campaigns/{id}/results"), None)
+            .unwrap();
         assert_eq!(body1, body2);
 
         server.shutdown_and_join();
@@ -1003,8 +1091,6 @@ search_insts = 500
     /// ledgered — and the retry goes through cleanly.
     #[test]
     fn journal_write_failure_refuses_the_accept_with_a_retry_hint() {
-        use hdsmt_campaign::serve::http::HttpClient;
-
         let dir = tmpdir("err-journal");
         let cache = dir.join("cache");
         let (daemon, addr) =
@@ -1014,7 +1100,8 @@ search_insts = 500
         assert_eq!(resp.status, 503, "{}", resp.body);
         assert_eq!(resp.retry_after, Some(10), "{resp:?}");
         assert!(resp.body.contains("journal"), "{}", resp.body);
-        let (_, list) = http_get(&addr, "/campaigns").unwrap();
+        let HttpResponse { body: list, .. } =
+            HttpClient::new(&addr).request("GET", "/campaigns", None).unwrap();
         assert_eq!(
             json(&list).as_array().map(|a| a.len()),
             Some(0),
@@ -1044,12 +1131,13 @@ search_insts = 500
             spawn_daemon(&dir, &cache, "a", &[], &[("HDSMT_FAULT", "kill@accept=1")]);
 
         // The POST rides into the abort: a dead socket, never a 202.
-        let _ = http_post(&addr, "/campaigns", SPEC);
+        let _ = HttpClient::new(&addr).request("POST", "/campaigns", Some(SPEC));
         wait_exit(&mut first, "kill@accept should have aborted the daemon");
 
         let (second, addr) = spawn_daemon(&dir, &cache, "b", &[], &[]);
         assert_eq!(journal_replayed(&addr), 1);
-        let (_, list) = http_get(&addr, "/campaigns").unwrap();
+        let HttpResponse { body: list, .. } =
+            HttpClient::new(&addr).request("GET", "/campaigns", None).unwrap();
         let list = json(&list);
         let campaigns = list.as_array().unwrap();
         assert_eq!(campaigns.len(), 1, "{list:?}");
@@ -1079,12 +1167,13 @@ search_insts = 500
         // done-mark far behind these two appends, so the schedule is
         // deterministic.)
         let id = submit(&addr, SLOW_SPEC);
-        let _ = http_post(&addr, "/campaigns", SPEC);
+        let _ = HttpClient::new(&addr).request("POST", "/campaigns", Some(SPEC));
         wait_exit(&mut first, "torn@journal should have aborted the daemon");
 
         let (second, addr) = spawn_daemon(&dir, &cache, "b", &[], &[]);
         assert_eq!(journal_replayed(&addr), 1, "exactly the complete record replays");
-        let (_, list) = http_get(&addr, "/campaigns").unwrap();
+        let HttpResponse { body: list, .. } =
+            HttpClient::new(&addr).request("GET", "/campaigns", None).unwrap();
         assert_eq!(
             json(&list).as_array().map(|a| a.len()),
             Some(1),
@@ -1170,9 +1259,13 @@ search_insts = 500
         assert!(st.get("partitions_total").and_then(|v| v.as_u64()).unwrap() >= 1, "{st:?}");
 
         // Bit-stability rides through the partition.
-        let (status, body1) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+        let HttpResponse { status, body: body1, .. } = HttpClient::new(&addr)
+            .request("GET", &format!("/campaigns/{id}/results"), None)
+            .unwrap();
         assert_eq!(status, 200, "{body1}");
-        let (_, body2) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+        let HttpResponse { body: body2, .. } = HttpClient::new(&addr)
+            .request("GET", &format!("/campaigns/{id}/results"), None)
+            .unwrap();
         assert_eq!(body1, body2, "results must replay bit-identically");
         assert_eq!(
             json(&body1).get("cells").unwrap(),

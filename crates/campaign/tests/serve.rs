@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use hdsmt_campaign::serve::http::{http_get, http_post};
+use hdsmt_campaign::serve::http::{HttpClient, HttpResponse};
 use hdsmt_campaign::serve::{Server, ServerConfig};
 use hdsmt_campaign::{engine, expand, CampaignSpec, MicroArch, ShardSpec};
 
@@ -49,7 +49,8 @@ fn json(body: &str) -> serde_json::Value {
 }
 
 fn submit(addr: &str, spec: &str) -> String {
-    let (status, body) = http_post(addr, "/campaigns", spec).unwrap();
+    let HttpResponse { status, body, .. } =
+        HttpClient::new(addr).request("POST", "/campaigns", Some(spec)).unwrap();
     assert_eq!(status, 202, "{body}");
     json(&body).get("id").and_then(|i| i.as_str()).unwrap().to_string()
 }
@@ -59,7 +60,8 @@ fn submit(addr: &str, spec: &str) -> String {
 fn wait_terminal(addr: &str, id: &str) -> serde_json::Value {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let (status, body) = http_get(addr, &format!("/campaigns/{id}")).unwrap();
+        let HttpResponse { status, body, .. } =
+            HttpClient::new(addr).request("GET", &format!("/campaigns/{id}"), None).unwrap();
         assert_eq!(status, 200, "{body}");
         let snap = json(&body);
         let phase = snap.get("status").and_then(|s| s.as_str()).unwrap().to_string();
@@ -89,12 +91,15 @@ fn submit_poll_results_and_full_cache_on_resubmit() {
     assert_eq!(cell_count(&snap, "done"), 4, "cold cache: all simulated: {snap:?}");
     assert_eq!(cell_count(&snap, "cached"), 0, "{snap:?}");
 
-    let (status, body) = http_get(&addr, &format!("/campaigns/{id}/results")).unwrap();
+    let HttpResponse { status, body, .. } =
+        HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}/results"), None).unwrap();
     assert_eq!(status, 200);
     let result = json(&body);
     assert_eq!(result.get("cells").and_then(|c| c.as_array()).map(|a| a.len()), Some(4));
 
-    let (status, csv) = http_get(&addr, &format!("/campaigns/{id}/results?format=csv")).unwrap();
+    let HttpResponse { status, body: csv, .. } = HttpClient::new(&addr)
+        .request("GET", &format!("/campaigns/{id}/results?format=csv"), None)
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(csv.lines().count(), 5, "header + 4 rows: {csv}");
 
@@ -115,14 +120,16 @@ fn submit_poll_results_and_full_cache_on_resubmit() {
         let arch = MicroArch::parse(&cell.arch).unwrap();
         let mapping = hdsmt_core::mapping::round_robin_mapping(&arch, cell.workload.threads());
         let key = cell.job(mapping, &budget).key();
-        let (status, body) = http_get(&addr, &format!("/cells/{key}")).unwrap();
+        let HttpResponse { status, body, .. } =
+            HttpClient::new(&addr).request("GET", &format!("/cells/{key}"), None).unwrap();
         assert_eq!(status, 200, "cell {}/{} must be cached: {body}", cell.arch, cell.workload.id);
         let entry = json(&body);
         assert!(entry.get("result").is_some(), "verbatim cache entry: {body}");
     }
 
     // ---- /stats reflects the work ----
-    let (_, stats) = http_get(&addr, "/stats").unwrap();
+    let HttpResponse { body: stats, .. } =
+        HttpClient::new(&addr).request("GET", "/stats", None).unwrap();
     let stats = json(&stats);
     let jobs = stats.get("jobs").unwrap();
     assert_eq!(jobs.get("total").and_then(|v| v.as_u64()), Some(8));
@@ -142,20 +149,24 @@ fn api_errors_over_the_socket_are_structured_json() {
     let server = server_on(&dir.join("cache"), None);
     let addr = server.addr().to_string();
 
-    let (status, body) = http_post(&addr, "/campaigns", "{ not a spec").unwrap();
+    let HttpResponse { status, body, .. } =
+        HttpClient::new(&addr).request("POST", "/campaigns", Some("{ not a spec")).unwrap();
     assert_eq!(status, 400);
     let err = json(&body).get("error").cloned().expect("structured error");
     assert_eq!(err.get("status").and_then(|s| s.as_u64()), Some(400));
     assert!(err.get("message").and_then(|m| m.as_str()).is_some());
 
-    let (status, body) =
-        http_post(&addr, "/campaigns", r#"{"archs": ["M99"], "workloads": ["2W1"]}"#).unwrap();
+    let HttpResponse { status, body, .. } = HttpClient::new(&addr)
+        .request("POST", "/campaigns", Some(r#"{"archs": ["M99"], "workloads": ["2W1"]}"#))
+        .unwrap();
     assert_eq!(status, 400, "validation failures are client errors: {body}");
     assert!(body.contains("M99"), "the message names the bad arch: {body}");
 
-    let (status, _) = http_get(&addr, "/campaigns/c0-nope").unwrap();
+    let HttpResponse { status, .. } =
+        HttpClient::new(&addr).request("GET", "/campaigns/c0-nope", None).unwrap();
     assert_eq!(status, 404);
-    let (status, _) = http_get(&addr, "/campaigns/c0-nope/results").unwrap();
+    let HttpResponse { status, .. } =
+        HttpClient::new(&addr).request("GET", "/campaigns/c0-nope/results", None).unwrap();
     assert_eq!(status, 404);
     let (status, _) = http_request_raw(&addr, "PUT /campaigns HTTP/1.1");
     assert_eq!(status, 405);
@@ -212,7 +223,8 @@ search_insts = 500
     // Wait until at least one cell concluded, then pull the plug.
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let (_, body) = http_get(&addr, &format!("/campaigns/{id}")).unwrap();
+        let HttpResponse { body, .. } =
+            HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}"), None).unwrap();
         let snap = json(&body);
         let concluded = cell_count(&snap, "done") + cell_count(&snap, "cached");
         let terminal = snap.get("status").and_then(|s| s.as_str()).unwrap() != "running"
@@ -223,7 +235,8 @@ search_insts = 500
         assert!(Instant::now() < deadline, "no progress: {snap:?}");
         std::thread::sleep(Duration::from_millis(10));
     }
-    let (status, _) = http_post(&addr, "/shutdown", "").unwrap();
+    let HttpResponse { status, .. } =
+        HttpClient::new(&addr).request("POST", "/shutdown", None).unwrap();
     assert_eq!(status, 202);
     server.shutdown_and_join();
 

@@ -6,16 +6,16 @@
 //! during execution."
 //!
 //! This module implements that extension: at a fixed cycle interval, the
-//! §2.1 heuristic is re-evaluated on *runtime* data-cache-miss counters
+//! §2.1 heuristic ([`heuristic_by_misses`]) is re-evaluated on *runtime*
+//! data-cache misses per retired instruction over the last interval
 //! (instead of offline profile data) and threads whose assignment changed
 //! are migrated. A migration squashes the thread's uncommitted work
 //! (replaying the architectural instructions through the normal FLUSH
 //! recovery path) and re-homes it on the new pipeline, modelling the
 //! drain-and-move cost a real implementation would pay.
 
-use hdsmt_pipeline::MicroArch;
-
 use crate::config::{SimConfig, ThreadSpec};
+use crate::mapping::heuristic_by_misses;
 use crate::proc::Processor;
 use crate::sim::SimResult;
 
@@ -27,40 +27,6 @@ pub struct DynMapResult {
     pub migrations: u64,
     /// Re-mapping decisions evaluated (intervals elapsed).
     pub intervals: u64,
-}
-
-/// Re-evaluate the §2.1 heuristic on runtime miss rates.
-///
-/// Threads are ranked by data-cache misses per retired instruction over
-/// the last interval; pipelines by width. The seven-step algorithm of
-/// `mapping::heuristic_mapping` is then applied verbatim.
-fn runtime_heuristic(arch: &MicroArch, interval_mpki: &[f64]) -> Vec<u8> {
-    let n = interval_mpki.len();
-    let mut threads: Vec<usize> = (0..n).collect();
-    threads
-        .sort_by(|&a, &b| interval_mpki[a].partial_cmp(&interval_mpki[b]).unwrap().then(a.cmp(&b)));
-    let mut pipes: Vec<usize> = (0..arch.pipes.len()).collect();
-    pipes.sort_by_key(|&p| (std::cmp::Reverse(arch.pipes[p].width), p));
-
-    let total_contexts: usize = arch.pipes.iter().map(|p| p.contexts as usize).sum();
-    let mut free: Vec<usize> = arch.pipes.iter().map(|p| p.contexts as usize).collect();
-    let mut mapping = vec![0u8; n];
-    let mut first = true;
-    for &t in &threads {
-        let p = *pipes.first().expect("capacity");
-        mapping[t] = p as u8;
-        free[p] -= 1;
-        if first && total_contexts > n {
-            pipes.remove(0);
-        }
-        first = false;
-        if let Some(&top) = pipes.first() {
-            if free[top] == 0 {
-                pipes.remove(0);
-            }
-        }
-    }
-    mapping
 }
 
 /// Run a simulation with periodic dynamic re-mapping every
@@ -98,7 +64,7 @@ pub fn run_dynamic(
                     misses as f64 * 1000.0 / retired as f64
                 })
                 .collect();
-            let target = runtime_heuristic(&proc.arch().clone(), &mpki);
+            let target = heuristic_by_misses(proc.arch(), &mpki);
             let moves: Vec<(usize, u8)> = (0..n)
                 .filter(|&t| proc.thread_pipe(t) != target[t])
                 .map(|t| (t, target[t]))
@@ -123,6 +89,7 @@ pub fn run_dynamic(
 mod tests {
     use super::*;
     use crate::mapping::MissProfile;
+    use hdsmt_pipeline::MicroArch;
 
     fn specs() -> Vec<ThreadSpec> {
         vec![ThreadSpec::for_benchmark("gzip", 61), ThreadSpec::for_benchmark("mcf", 62)]
@@ -132,8 +99,19 @@ mod tests {
     fn runtime_heuristic_matches_static_shape() {
         // Low-miss thread to the widest pipe, exclusively (step 4).
         let arch = MicroArch::parse("2M4+2M2").unwrap();
-        let m = runtime_heuristic(&arch, &[120.0, 2.0]);
+        let m = heuristic_by_misses(&arch, &[120.0, 2.0]);
         assert_eq!(m, vec![1, 0], "low-miss thread owns the widest pipe");
+    }
+
+    #[test]
+    fn monolithic_core_never_migrates() {
+        // One pipeline with spare contexts: step 4 would retire the only
+        // pipe after the first thread, so the monolithic guard must hold.
+        let cfg = SimConfig::paper_defaults(MicroArch::parse("M8").unwrap(), 5_000);
+        let d = run_dynamic(&cfg, &specs(), &[0, 0], 1_000);
+        assert!(d.intervals > 0, "re-mapping must be evaluated");
+        assert_eq!(d.migrations, 0);
+        assert_eq!(d.result.mapping, vec![0, 0]);
     }
 
     #[test]

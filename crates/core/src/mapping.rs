@@ -95,15 +95,22 @@ pub enum MappingPolicy {
 /// 6. if the top pipeline has no free contexts, retire it;
 /// 7. repeat from 3 while threads remain.
 pub fn heuristic_mapping(arch: &MicroArch, benchmarks: &[&str], profile: &MissProfile) -> Vec<u8> {
-    let n = benchmarks.len();
+    let misses: Vec<f64> = benchmarks.iter().map(|b| profile.get(b)).collect();
+    heuristic_by_misses(arch, &misses)
+}
+
+/// The seven steps of [`heuristic_mapping`] over one miss key per thread:
+/// profiled MPKI there, the last interval's MPKI in [`crate::dynmap`].
+/// Keys are ordered by `f64::total_cmp`, so a NaN key sorts to one end
+/// instead of panicking.
+pub(crate) fn heuristic_by_misses(arch: &MicroArch, misses: &[f64]) -> Vec<u8> {
+    let n = misses.len();
     if arch.is_monolithic() {
         return vec![0; n];
     }
     // Step 1: threads by misses ascending (stable on ties by position).
     let mut threads: Vec<usize> = (0..n).collect();
-    threads.sort_by(|&a, &b| {
-        profile.get(benchmarks[a]).partial_cmp(&profile.get(benchmarks[b])).unwrap().then(a.cmp(&b))
-    });
+    threads.sort_by(|&a, &b| misses[a].total_cmp(&misses[b]).then(a.cmp(&b)));
     // Step 2: pipelines by width descending (stable on ties by index).
     let mut pipes: Vec<usize> = (0..arch.pipes.len()).collect();
     pipes.sort_by_key(|&p| (std::cmp::Reverse(arch.pipes[p].width), p));

@@ -17,12 +17,12 @@
 use std::fs;
 
 use hdsmt_area::{paper_area_table, pipeline_area};
-use hdsmt_bench::format_figure_panel;
 use hdsmt_campaign::CampaignSpec;
 use hdsmt_core::{run_sim, FetchPolicy, MissProfile, SimConfig, ThreadSpec};
 use hdsmt_pipeline::{MicroArch, M2, M4, M6, M8};
 use hdsmt_workloads::{
-    all_workloads, paper_spec, quick_spec, run_paper_experiments, summarize, WorkloadClass,
+    all_workloads, format_figure_panel, paper_spec, quick_spec, run_paper_experiments, summarize,
+    WorkloadClass,
 };
 
 fn main() {

@@ -41,7 +41,7 @@
 //! ```
 //!
 //! See `examples/` for complete scenarios and the `reproduce` binary
-//! (`crates/bench`) for full figure regeneration.
+//! (`crates/workloads`) for full figure regeneration.
 //!
 //! ## Workload front-ends
 //!
