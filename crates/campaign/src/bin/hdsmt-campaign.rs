@@ -5,7 +5,7 @@
 //! hdsmt-campaign status [<spec>]           [--cache DIR] [--remote ADDR]
 //! hdsmt-campaign export <spec> [--out DIR] [--cache DIR] [--remote ADDR]
 //! hdsmt-campaign serve  [--addr A] [--cache DIR] [--workers N]
-//!                       [--executors N] [--queue-cap N] [--shard I/N]
+//!                       [--queue-cap N] [--shard I/N]
 //!                       [--supervise N] [--worker ADDR]... [--peer ADDR]...
 //!                       [--addr-file PATH]
 //!                       [--cell-deadline-ms N] [--cell-retries N]
@@ -81,7 +81,6 @@ struct Options {
     addr: String,
     /// Thin-client mode: talk to a daemon instead of simulating locally.
     remote: Option<String>,
-    executors: usize,
     queue_cap: usize,
     shard: Option<ShardSpec>,
     /// Run `serve` as a fleet supervisor over N shard workers.
@@ -114,7 +113,7 @@ fn usage() -> String {
      [--workers N] [--cache DIR] [--out DIR] [--remote ADDR] \
      [--poll-timeout-secs N]\n       \
      hdsmt-campaign serve [--addr A] [--cache DIR] [--workers N] \
-     [--executors N] [--queue-cap N] [--shard I/N] [--supervise N] \
+     [--queue-cap N] [--shard I/N] [--supervise N] \
      [--worker ADDR]... [--peer ADDR]... \
      [--addr-file PATH] [--cell-deadline-ms N] [--cell-retries N] \
      [--durable] [--no-journal]\n       \
@@ -131,7 +130,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         out_dir: PathBuf::from("results"),
         addr: "127.0.0.1:8181".to_string(),
         remote: None,
-        executors: 1,
         queue_cap: 64,
         shard: None,
         supervise: None,
@@ -165,10 +163,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--remote" => {
                 opts.remote = Some(it.next().ok_or("--remote needs a value")?.clone());
-            }
-            "--executors" => {
-                let v = it.next().ok_or("--executors needs a value")?;
-                opts.executors = v.parse::<usize>().map_err(|_| "--executors: not a number")?;
             }
             "--queue-cap" => {
                 let v = it.next().ok_or("--queue-cap needs a value")?;
@@ -380,7 +374,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 addr: opts.addr.clone(),
                 cache_dir: opts.cache_dir.clone().unwrap_or_else(|| ".hdsmt-cache".into()),
                 sim_workers: opts.workers.unwrap_or(0),
-                executors: opts.executors,
                 queue_cap: opts.queue_cap,
                 shard: opts.shard,
                 supervise: opts.supervise,
@@ -412,7 +405,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                         "supervising {n} spawned + {} remote worker(s)",
                         opts.worker_addrs.len()
                     ),
-                    None => format!("{} executor(s)", opts.executors.max(1)),
+                    None => "1 executor".to_string(),
                 },
                 match opts.shard {
                     Some(s) => format!(", shard {s}"),

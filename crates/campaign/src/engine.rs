@@ -1,9 +1,11 @@
 //! The campaign engine: expand → resolve mappings → simulate (cached).
 //!
 //! Execution is phased so that *every* simulation — oracle mapping-search
-//! runs included — goes through the cached, work-stealing [`JobRunner`]:
+//! runs included — goes through the cached [`JobRunner`]:
 //!
-//! 1. **Expand** the spec into the deterministic cell matrix.
+//! 1. **Plan**: expand the spec into the deterministic cell matrix,
+//!    derive the oracle search sweeps and every static mapping. `run`
+//!    and `status` share this step.
 //! 2. **Search** (only for `best`/`worst` cells): every distinct mapping
 //!    of every oracle cell, flattened into one global batch.
 //! 3. **Measure**: one full-length job per cell, mappings now known.
@@ -13,6 +15,7 @@
 //! re-simulated on the next run.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hdsmt_core::{enumerate_mappings, heuristic_mapping, MissProfile};
@@ -152,12 +155,14 @@ fn heur_needs_rv(cells: &[Cell]) -> bool {
     })
 }
 
+/// The mapping a `heur`/`rr`/`random` cell decides without simulating;
+/// `None` for oracle cells, and for `heur` cells without a profile.
 fn static_mapping(cell: &Cell, arch: &MicroArch, profile: Option<&MissProfile>) -> Option<Vec<u8>> {
     match &cell.policy {
         Policy::Heur => {
             let benchmarks: Vec<&str> =
                 cell.workload.benchmarks.iter().map(String::as_str).collect();
-            Some(heuristic_mapping(arch, &benchmarks, profile.expect("profile built")))
+            profile.map(|p| heuristic_mapping(arch, &benchmarks, p))
         }
         Policy::RoundRobin => {
             Some(hdsmt_core::mapping::round_robin_mapping(arch, cell.workload.threads()))
@@ -167,6 +172,84 @@ fn static_mapping(cell: &Cell, arch: &MicroArch, profile: Option<&MissProfile>) 
         }
         Policy::Best | Policy::Worst => None,
     }
+}
+
+/// One search sweep per distinct (arch, workload): `best` and `worst`
+/// cells of the same pair share it rather than enqueueing duplicate jobs.
+struct SearchSweep {
+    cell_indices: Vec<usize>,
+    mappings: Vec<Vec<u8>>,
+    job_range: Range<usize>,
+}
+
+/// Everything a campaign will run, derived once from its spec.
+struct Plan {
+    /// The expanded (and shard-filtered) cells, in measure order.
+    cells: Vec<Cell>,
+    /// Each cell's parsed architecture, by name.
+    archs: HashMap<String, MicroArch>,
+    sweeps: Vec<SearchSweep>,
+    /// The oracle search batch; each sweep owns a contiguous range.
+    search_jobs: Vec<JobSpec>,
+    /// Per cell: its [`static_mapping`].
+    static_mappings: Vec<Option<Vec<u8>>>,
+}
+
+/// Plan `spec` (or one shard of it). `with_profile` builds the miss
+/// profile that `heur` mappings need; without it those cells stay
+/// unresolved. `progress` hears about the cells as soon as they are
+/// expanded, before any profiling.
+fn plan(
+    spec: &CampaignSpec,
+    catalog: &Catalog,
+    shard: Option<ShardSpec>,
+    with_profile: bool,
+    progress: &dyn CampaignProgress,
+) -> Result<Plan, CampaignError> {
+    let mut cells = expand(spec, catalog)?;
+    if let Some(shard) = shard {
+        cells.retain(|c| shard.owns(c));
+    }
+    progress.cells_expanded(&cells);
+    let budget = spec.budget();
+
+    // Parse each arch once; expansion already validated them.
+    let mut archs: HashMap<String, MicroArch> = HashMap::new();
+    for cell in &cells {
+        if !archs.contains_key(&cell.arch) {
+            archs.insert(cell.arch.clone(), MicroArch::parse(&cell.arch).map_err(CampaignError)?);
+        }
+    }
+
+    let profile = (with_profile && cells.iter().any(|c| c.policy == Policy::Heur))
+        .then(|| miss_profile(spec.profile_insts.unwrap_or(300_000), heur_needs_rv(&cells)));
+
+    let mut search_jobs: Vec<JobSpec> = Vec::new();
+    let mut sweeps: Vec<SearchSweep> = Vec::new();
+    let mut sweep_of: HashMap<(&str, &str), usize> = HashMap::new();
+    let mut static_mappings = Vec::with_capacity(cells.len());
+    for (i, cell) in cells.iter().enumerate() {
+        let arch = &archs[&cell.arch];
+        static_mappings.push(static_mapping(cell, arch, profile.as_deref()));
+        if !cell.policy.is_oracle() {
+            continue;
+        }
+        let pair = (cell.arch.as_str(), cell.workload.id.as_str());
+        if let Some(&s) = sweep_of.get(&pair) {
+            sweeps[s].cell_indices.push(i);
+            continue;
+        }
+        let mappings = enumerate_mappings(arch, cell.workload.threads());
+        let start = search_jobs.len();
+        search_jobs.extend(mappings.iter().map(|m| cell.search_job(m.clone(), &budget)));
+        sweep_of.insert(pair, sweeps.len());
+        sweeps.push(SearchSweep {
+            cell_indices: vec![i],
+            mappings,
+            job_range: start..search_jobs.len(),
+        });
+    }
+    Ok(Plan { cells, archs, sweeps, search_jobs, static_mappings })
 }
 
 /// Index of the best and worst mapping by score (ties broken by mapping
@@ -239,68 +322,24 @@ pub fn run_campaign_observed(
     shard: Option<ShardSpec>,
     progress: &dyn CampaignProgress,
 ) -> Result<CampaignResult, CampaignError> {
-    let mut cells = expand(spec, catalog)?;
-    if let Some(shard) = shard {
-        cells.retain(|c| shard.owns(c));
-    }
-    progress.cells_expanded(&cells);
+    let Plan { cells, archs, sweeps, search_jobs, static_mappings } =
+        plan(spec, catalog, shard, true, progress)?;
     let budget = spec.budget();
 
-    // Pre-parse archs once; expansion already validated them.
-    let mut archs: HashMap<&str, MicroArch> = HashMap::new();
-    for cell in &cells {
-        if !archs.contains_key(cell.arch.as_str()) {
-            archs.insert(&cell.arch, MicroArch::parse(&cell.arch).map_err(CampaignError)?);
-        }
-    }
-
-    let needs_profile = cells.iter().any(|c| c.policy == Policy::Heur);
-    let profile = if needs_profile {
-        Some(miss_profile(spec.profile_insts.unwrap_or(300_000), heur_needs_rv(&cells)))
-    } else {
-        None
-    };
-
     // ---- phase 1: oracle mapping search, flattened across cells ----
-    // One sweep per distinct (arch, workload): `best` and `worst` cells
-    // of the same pair share it rather than enqueueing duplicate jobs.
-    struct SearchSweep {
-        cell_indices: Vec<usize>,
-        mappings: Vec<Vec<u8>>,
-        job_range: std::ops::Range<usize>,
-    }
-    let mut search_jobs: Vec<JobSpec> = Vec::new();
-    let mut sweeps: Vec<SearchSweep> = Vec::new();
-    let mut sweep_of: HashMap<(String, String), usize> = HashMap::new();
-    for (i, cell) in cells.iter().enumerate() {
-        if !cell.policy.is_oracle() {
-            continue;
-        }
-        let pair = (cell.arch.clone(), cell.workload.id.clone());
-        if let Some(&s) = sweep_of.get(&pair) {
-            sweeps[s].cell_indices.push(i);
-            continue;
-        }
-        let arch = &archs[cell.arch.as_str()];
-        let mappings = enumerate_mappings(arch, cell.workload.threads());
-        let start = search_jobs.len();
-        search_jobs.extend(mappings.iter().map(|m| cell.search_job(m.clone(), &budget)));
-        sweep_of.insert(pair, sweeps.len());
-        sweeps.push(SearchSweep {
-            cell_indices: vec![i],
-            mappings,
-            job_range: start..search_jobs.len(),
-        });
-    }
     progress.search_planned(search_jobs.len());
-    let search_results = runner.run_all_observed(&search_jobs, &|_, event| {
-        if let JobEvent::Finished(outcome) = event {
-            progress.search_job_finished(outcome);
-        }
-    })?;
+    let search_results = runner
+        .try_run_all(&search_jobs, &|_, event| {
+            if let JobEvent::Finished(outcome) = event {
+                progress.search_job_finished(outcome);
+            }
+        })?
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
     // ---- reduce: chosen mapping per cell ----
-    let mut chosen: Vec<Option<(Vec<u8>, usize)>> = vec![None; cells.len()];
+    let mut chosen: Vec<Option<(Vec<u8>, usize)>> =
+        static_mappings.into_iter().map(|m| m.map(|m| (m, 1))).collect();
     for sweep in &sweeps {
         let scores: Vec<f64> =
             search_results[sweep.job_range.clone()].iter().map(|r| r.ipc()).collect();
@@ -314,20 +353,14 @@ pub fn run_campaign_observed(
             chosen[ci] = Some((sweep.mappings[pick].clone(), sweep.mappings.len()));
         }
     }
-    for (i, cell) in cells.iter().enumerate() {
-        if chosen[i].is_none() {
-            let arch = &archs[cell.arch.as_str()];
-            let mapping =
-                static_mapping(cell, arch, profile.as_deref()).expect("static policy resolves");
-            chosen[i] = Some((mapping, 1));
-        }
-    }
+    let chosen: Vec<(Vec<u8>, usize)> =
+        chosen.into_iter().map(|c| c.expect("every cell's mapping resolves")).collect();
 
     // ---- phase 2: full-length measurement, one job per cell ----
     let measure_jobs: Vec<JobSpec> = cells
         .iter()
         .zip(&chosen)
-        .map(|(cell, m)| cell.job(m.as_ref().unwrap().0.clone(), &budget))
+        .map(|(cell, (mapping, _))| cell.job(mapping.clone(), &budget))
         .collect();
     // Per-cell fault isolation: a timed-out or panicking cell becomes a
     // failed `CellResult` (zeroed numerics, error message attached) and
@@ -348,8 +381,7 @@ pub fn run_campaign_observed(
     }
 
     let mut results = Vec::with_capacity(cells.len());
-    for ((cell, m), sim) in cells.iter().zip(&chosen).zip(&measured) {
-        let (mapping, n_mappings) = m.as_ref().unwrap();
+    for ((cell, (mapping, n_mappings)), sim) in cells.iter().zip(&chosen).zip(&measured) {
         let arch = &archs[cell.arch.as_str()];
         let (ipc, cycles, retired, error) = match sim {
             Ok(sim) => (sim.ipc(), sim.stats.cycles, sim.stats.retired, None),
@@ -408,57 +440,28 @@ pub fn status(
     catalog: &Catalog,
     cache: &ResultCache,
 ) -> Result<CampaignStatus, CampaignError> {
-    let cells = expand(spec, catalog)?;
-    let budget = spec.budget();
     // `heur` cache keys need the miss profile, which costs real profiling
     // simulations — only worth it if the cache could contain anything.
     // An empty cache trivially has zero coverage; report that without
     // simulating a single instruction.
-    let needs_profile = cells.iter().any(|c| c.policy == Policy::Heur) && !cache.is_empty();
-    let profile = if needs_profile {
-        Some(miss_profile(spec.profile_insts.unwrap_or(300_000), heur_needs_rv(&cells)))
-    } else {
-        None
-    };
-
-    let mut st = CampaignStatus {
-        cells: cells.len(),
-        search_jobs: 0,
-        search_cached: 0,
-        measure_known: 0,
-        measure_cached: 0,
-        measure_pending_search: 0,
-    };
-    // Oracle cells of the same (arch, workload) share one search sweep in
-    // the engine — count it once here too, so status totals match `run`.
-    let mut counted_sweeps: std::collections::HashSet<(String, String)> =
-        std::collections::HashSet::new();
-    for cell in &cells {
-        let arch = MicroArch::parse(&cell.arch).map_err(CampaignError)?;
-        if cell.policy.is_oracle() {
-            st.measure_pending_search += 1;
-            if !counted_sweeps.insert((cell.arch.clone(), cell.workload.id.clone())) {
-                continue;
-            }
-            for m in enumerate_mappings(&arch, cell.workload.threads()) {
-                st.search_jobs += 1;
-                if !cache.is_empty() {
-                    let job = cell.search_job(m, &budget);
-                    if cache.contains(&job.key()) {
-                        st.search_cached += 1;
-                    }
-                }
-            }
-        } else {
-            st.measure_known += 1;
-            if cell.policy == Policy::Heur && profile.is_none() {
-                continue; // empty cache: trivially uncached
-            }
-            let mapping = static_mapping(cell, &arch, profile.as_deref()).expect("static policy");
-            if cache.contains(&cell.job(mapping, &budget).key()) {
-                st.measure_cached += 1;
-            }
-        }
-    }
-    Ok(st)
+    let empty = cache.is_empty();
+    let plan = plan(spec, catalog, None, !empty, &())?;
+    let budget = spec.budget();
+    let cached = |job: &JobSpec| !empty && cache.contains(&job.key());
+    let oracle_cells = plan.cells.iter().filter(|c| c.policy.is_oracle()).count();
+    let measure_cached = plan
+        .cells
+        .iter()
+        .zip(&plan.static_mappings)
+        .filter_map(|(cell, mapping)| Some(cell.job(mapping.clone()?, &budget)))
+        .filter(|job| cached(job))
+        .count();
+    Ok(CampaignStatus {
+        cells: plan.cells.len(),
+        search_jobs: plan.search_jobs.len(),
+        search_cached: plan.search_jobs.iter().filter(|job| cached(job)).count(),
+        measure_known: plan.cells.len() - oracle_cells,
+        measure_cached,
+        measure_pending_search: oracle_cells,
+    })
 }

@@ -1,7 +1,7 @@
 //! The unit of campaign work: one deterministic simulation, fully
 //! described by a serializable [`JobSpec`] — which is also its cache
-//! identity — plus the cached, work-stealing [`JobRunner`] that executes
-//! batches of them.
+//! identity — plus the cached [`JobRunner`] that executes batches of
+//! them.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -11,7 +11,23 @@ use hdsmt_core::{run_sim, run_sim_interruptible, FetchPolicy, SimConfig, SimResu
 use hdsmt_pipeline::MicroArch;
 
 use crate::cache::ResultCache;
-use crate::sched::default_workers;
+
+/// Default worker count: leave a couple of cores for the OS.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism().map(|n| n.get().saturating_sub(2).max(1)).unwrap_or(4)
+}
+
+/// Human-readable panic payload (the `&str`/`String` forms `panic!`
+/// produces).
+fn payload_msg(p: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 /// One software thread of a job: benchmark model + stream seed.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -181,8 +197,9 @@ pub enum JobEvent {
 }
 
 /// Execution counters for one `run_all` batch. `simulated` counts every
-/// job not served from the cache (including the ones that ultimately
-/// failed); `failed`/`timeouts`/`retries` break the unhappy paths out.
+/// job that started and was not served from the cache (including the
+/// ones that ultimately failed); a job skipped by cancellation counts in
+/// neither. `failed`/`timeouts`/`retries` break the unhappy paths out.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct RunReport {
     pub total: usize,
@@ -220,7 +237,7 @@ pub struct Watchdog {
     pub retries: u32,
 }
 
-/// Batch executor: work-stealing parallelism + content-addressed caching.
+/// Batch executor: parallel workers + content-addressed caching.
 pub struct JobRunner {
     workers: usize,
     cache: Option<ResultCache>,
@@ -263,15 +280,11 @@ impl JobRunner {
         self.cache.as_ref()
     }
 
-    /// Shared cancellation token. Setting it to `true` makes every
-    /// not-yet-started job of any current or future batch fail with a
-    /// `cancelled by shutdown` error; completed work stays cached.
-    pub fn cancel_token(&self) -> Arc<AtomicBool> {
-        self.cancel.clone()
-    }
-
     /// Link this runner to an externally owned cancel token (the serve
     /// daemon points every campaign's runner at its shutdown flag).
+    /// Setting it to `true` makes every not-yet-started job of any
+    /// current or future batch fail with a `cancelled by shutdown`
+    /// error; completed work stays cached.
     pub fn with_cancel_token(mut self, token: Arc<AtomicBool>) -> Self {
         self.cancel = token;
         self
@@ -289,26 +302,20 @@ impl JobRunner {
     /// Execute `jobs` (cache-first), returning results in input order.
     /// Any job failure fails the batch (all-or-nothing).
     pub fn run_all(&self, jobs: &[JobSpec]) -> Result<Vec<SimResult>, CampaignError> {
-        self.run_all_observed(jobs, &|_, _| {})
+        self.try_run_all(jobs, &|_, _| {})?.into_iter().collect()
     }
 
-    /// [`Self::run_all`] with a per-job lifecycle callback `(index,
-    /// event)`, invoked from worker threads. The batch result is
-    /// unaffected by the observer — same cache keys, same panic
-    /// isolation, same output order.
-    pub fn run_all_observed(
-        &self,
-        jobs: &[JobSpec],
-        observe: &(dyn Fn(usize, JobEvent) + Sync),
-    ) -> Result<Vec<SimResult>, CampaignError> {
-        self.try_run_all(jobs, observe)?.into_iter().collect()
-    }
-
-    /// Like [`Self::run_all_observed`], but with per-job fault isolation:
-    /// each job's outcome comes back individually, so a panicking or
-    /// timed-out cell does not take its siblings' finished work with it.
-    /// The outer `Err` is batch-level only (a job failed pre-flight
-    /// validation — nothing was simulated).
+    /// Execute `jobs` (cache-first) with per-job fault isolation: each
+    /// job's outcome comes back individually, at its input index, so a
+    /// panicking or timed-out cell does not take its siblings' finished
+    /// work with it. `observe(index, event)` is called from the worker
+    /// threads as each job starts and concludes. The outer `Err` is
+    /// batch-level only (a job failed pre-flight validation — nothing
+    /// was simulated).
+    ///
+    /// Workers take the next job index from one shared cursor; the
+    /// calling thread is one of them, so a single worker spawns no
+    /// thread.
     pub fn try_run_all(
         &self,
         jobs: &[JobSpec],
@@ -320,45 +327,58 @@ impl JobRunner {
         for job in jobs {
             job.check()?;
         }
-        let counts = BatchCounts::default();
-        let results: Vec<Result<SimResult, CampaignError>> =
-            crate::sched::parallel_map_indexed(jobs, self.workers, |i, job| {
+        let cursor = AtomicUsize::new(0);
+        // Each worker tallies its own counters; they are summed once the
+        // batch drains.
+        let work = || {
+            let mut done = Vec::new();
+            let mut report = RunReport::default();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { return (done, report) };
                 if self.is_cancelled() {
                     observe(i, JobEvent::Finished(JobOutcome::Cancelled));
-                    return Err(CampaignError(
-                        "cancelled by shutdown before this job started".into(),
-                    ));
+                    let err = "cancelled by shutdown before this job started";
+                    done.push((i, Err(CampaignError(err.into()))));
+                    continue;
                 }
                 observe(i, JobEvent::Started);
-                let out = self.run_one(job, &counts);
-                observe(
-                    i,
-                    JobEvent::Finished(match &out {
-                        Ok((outcome, _)) => *outcome,
-                        Err(_) => JobOutcome::Failed,
-                    }),
-                );
-                if out.is_err() {
-                    counts.failed.fetch_add(1, Ordering::Relaxed);
+                let out = self.run_one(job, &mut report);
+                let outcome = out.as_ref().map_or(JobOutcome::Failed, |(o, _)| *o);
+                match outcome {
+                    JobOutcome::CacheHit => report.cache_hits += 1,
+                    _ => report.simulated += 1,
                 }
-                out.map(|(_, r)| r)
-            });
-        let hits = counts.hits.load(Ordering::Relaxed);
-        self.report.lock().unwrap().merge(RunReport {
-            total: jobs.len(),
-            cache_hits: hits,
-            simulated: jobs.len() - hits,
-            failed: counts.failed.load(Ordering::Relaxed),
-            timeouts: counts.timeouts.load(Ordering::Relaxed),
-            retries: counts.retries.load(Ordering::Relaxed),
+                if outcome == JobOutcome::Failed {
+                    report.failed += 1;
+                }
+                observe(i, JobEvent::Finished(outcome));
+                done.push((i, out.map(|(_, r)| r)));
+            }
+        };
+        let (mut done, mut report) = std::thread::scope(|scope| {
+            let helpers: Vec<_> =
+                (1..self.workers.min(jobs.len())).map(|_| scope.spawn(work)).collect();
+            let (mut done, mut report) = work();
+            for helper in helpers {
+                // `run_one` contains simulation panics; anything else
+                // (an observer bug) propagates with its own payload.
+                let (more, tally) = helper.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                done.extend(more);
+                report.merge(tally);
+            }
+            (done, report)
         });
-        Ok(results)
+        done.sort_unstable_by_key(|&(i, _)| i);
+        report.total = jobs.len();
+        self.report.lock().unwrap().merge(report);
+        Ok(done.into_iter().map(|(_, out)| out).collect())
     }
 
     fn run_one(
         &self,
         job: &JobSpec,
-        counts: &BatchCounts,
+        report: &mut RunReport,
     ) -> Result<(JobOutcome, SimResult), CampaignError> {
         let descriptor = job.descriptor();
         let key = ResultCache::key_for(&descriptor);
@@ -369,7 +389,6 @@ impl JobRunner {
             // same cache — may have finished the job.
             if let Some(cache) = &self.cache {
                 if let Some(hit) = cache.get(&key) {
-                    counts.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok((JobOutcome::CacheHit, hit));
                 }
             }
@@ -384,14 +403,14 @@ impl JobRunner {
                 job.run_watched(deadline)
             }))
             .unwrap_or_else(|p| {
-                let msg = crate::sched::payload_msg(p.as_ref());
+                let msg = payload_msg(p.as_ref());
                 Err(CampaignError(format!("job `{descriptor}` panicked: {msg}")))
             })?;
             let Some(result) = result else {
                 // The watchdog deadline fired mid-simulation.
-                counts.timeouts.fetch_add(1, Ordering::Relaxed);
+                report.timeouts += 1;
                 if attempt < attempts {
-                    counts.retries.fetch_add(1, Ordering::Relaxed);
+                    report.retries += 1;
                     continue;
                 }
                 let deadline = self.watchdog.expect("timeouts imply a watchdog").deadline;
@@ -414,14 +433,4 @@ impl JobRunner {
         }
         unreachable!("the attempt loop always returns")
     }
-}
-
-/// One batch's shared atomic tallies (merged into [`RunReport`] at the
-/// end of the batch).
-#[derive(Default)]
-struct BatchCounts {
-    hits: AtomicUsize,
-    failed: AtomicUsize,
-    timeouts: AtomicUsize,
-    retries: AtomicUsize,
 }

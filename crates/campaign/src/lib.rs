@@ -4,7 +4,7 @@
 //! simulator. A campaign is declared in a TOML/JSON [`spec::CampaignSpec`]
 //! (microarchitectures × workloads × mapping policies × budgets), expanded
 //! into a deterministic job [`matrix`], and executed by the [`engine`]
-//! through a work-stealing [`sched`]uler, with every simulation result
+//! through the parallel [`job::JobRunner`], with every simulation result
 //! written to a content-addressed on-disk [`cache`]. Re-running after an
 //! interrupt — or after an incremental spec edit — only simulates the
 //! missing cells.
@@ -19,7 +19,7 @@
 //! The `hdsmt-campaign` binary (`run` / `status` / `export`) drives this
 //! from the command line; `hdsmt-workloads` folds a `best`/`heur`/`worst`
 //! campaign run through [`engine::run_campaign_with`] into its envelopes,
-//! so the `reproduce` harness shares the same engine, cache and scheduler.
+//! so the `reproduce` harness shares the same engine, cache and job runner.
 
 pub mod cache;
 pub mod catalog;
@@ -31,7 +31,6 @@ pub mod hash;
 pub mod job;
 pub mod matrix;
 pub mod pending;
-pub mod sched;
 pub mod serve;
 pub mod spec;
 mod toml;
@@ -44,10 +43,10 @@ pub use engine::{
 };
 pub use fsck::{FsckOptions, FsckReport};
 pub use job::{
-    CampaignError, JobEvent, JobOutcome, JobRunner, JobSpec, JobThread, RunReport, Watchdog,
+    default_workers, CampaignError, JobEvent, JobOutcome, JobRunner, JobSpec, JobThread, RunReport,
+    Watchdog,
 };
 pub use matrix::{cell_shard, expand, Cell, Policy, ShardSpec};
-pub use sched::{default_workers, parallel_map, parallel_map_indexed};
 pub use spec::{Budget, CampaignSpec, ExtraWorkload};
 
 // Re-export the simulator-facing spec types so campaign users need only

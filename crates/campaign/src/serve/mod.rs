@@ -2,10 +2,11 @@
 //!
 //! Runs campaigns as a long-lived HTTP/JSON service instead of one-shot
 //! CLI invocations: clients `POST` a TOML/JSON spec, poll per-cell
-//! progress, and fetch results, while a persistent worker pool executes
-//! jobs through the exact same cached, work-stealing [`crate::job::JobRunner`]
-//! path as `hdsmt-campaign run` — identical cache keys, identical oracle
-//! search sub-jobs, identical panic isolation.
+//! progress, and fetch results, while a persistent executor runs them,
+//! one campaign at a time, through the exact same cached
+//! [`crate::job::JobRunner`] path as `hdsmt-campaign run` — identical
+//! cache keys, identical oracle search sub-jobs, identical panic
+//! isolation.
 //!
 //! # API
 //!
@@ -193,6 +194,9 @@ pub use state::{ServerConfig, ServerState};
 /// thread forever.
 const CONN_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Connection-handler threads for the HTTP front door.
+const HTTP_WORKERS: usize = 4;
+
 // ------------------------------------------------------------- SIGINT
 // No `libc` crate is available offline, so the handler installation is a
 // one-line FFI declaration of POSIX `signal(2)`. The handler itself only
@@ -235,13 +239,15 @@ mod sigint {
     }
 }
 
-/// A running daemon: acceptor + HTTP handler pool + campaign executors.
+/// A running daemon: acceptor + HTTP handler pool + campaign executor.
 pub struct Server {
     state: Arc<ServerState>,
     addr: SocketAddr,
     acceptor: JoinHandle<()>,
     handlers: Vec<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
+    /// Runs queued campaigns one at a time, each on its own
+    /// [`crate::job::JobRunner`]; `None` for a supervisor.
+    executor: Option<JoinHandle<()>>,
     /// Set once a shutdown poke has been sent, so idempotent shutdown
     /// paths (handler, SIGINT loop, explicit call) don't race.
     poked: Arc<AtomicBool>,
@@ -253,10 +259,6 @@ impl Server {
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        // A supervising daemon runs no campaigns itself — the shard
-        // workers do — so its executor pool is empty.
-        let executors_n = if config.supervise.is_some() { 0 } else { config.executors.max(1) };
-        let http_n = config.http_workers.max(1);
         let state = Arc::new(ServerState::new(config)?);
         let poked = Arc::new(AtomicBool::new(false));
 
@@ -273,25 +275,28 @@ impl Server {
             state.set_supervisor(sup);
         }
 
-        // Campaign executors: drain the bounded queue until it closes.
-        // Spawn failures (thread exhaustion) propagate as the start error
-        // they are, instead of panicking half-started.
-        let executors = (0..executors_n)
-            .map(|i| {
+        // The campaign executor drains the bounded queue until it
+        // closes. A supervising daemon runs no campaigns itself — the
+        // shard workers do — so it has none. Spawn failures (thread
+        // exhaustion) propagate as the start error they are, instead of
+        // panicking half-started.
+        let executor = match state.config.supervise {
+            Some(_) => None,
+            None => {
                 let state = state.clone();
-                std::thread::Builder::new().name(format!("serve-exec-{i}")).spawn(move || {
+                Some(std::thread::Builder::new().name("serve-exec".into()).spawn(move || {
                     while let Some(entry) = state.queue.pop() {
                         state.execute(&entry);
                     }
-                })
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
+                })?)
+            }
+        };
 
         // HTTP handlers: one shared receiver of accepted connections.
         // Handlers exit when the acceptor drops the sender.
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
         let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let handlers = (0..http_n)
+        let handlers = (0..HTTP_WORKERS)
             .map(|i| {
                 let state = state.clone();
                 let conn_rx = conn_rx.clone();
@@ -331,7 +336,7 @@ impl Server {
             })?
         };
 
-        Ok(Server { state, addr, acceptor, handlers, executors, poked })
+        Ok(Server { state, addr, acceptor, handlers, executor, poked })
     }
 
     /// The bound address (resolves port 0).
@@ -375,7 +380,7 @@ impl Server {
         for h in self.handlers {
             let _ = h.join();
         }
-        for e in self.executors {
+        if let Some(e) = self.executor {
             let _ = e.join();
         }
     }

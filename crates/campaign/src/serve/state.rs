@@ -23,15 +23,11 @@ pub struct ServerConfig {
     /// Simulation worker threads per running campaign (0 = auto). The
     /// daemon overrides any `workers` field in submitted specs.
     pub sim_workers: usize,
-    /// Campaigns executed concurrently (each gets its own [`JobRunner`]).
-    pub executors: usize,
     /// Bounded campaign-queue capacity; beyond it, `POST /campaigns`
     /// returns 503.
     pub queue_cap: usize,
     /// This worker's slice of every submitted campaign (`--shard i/n`).
     pub shard: Option<ShardSpec>,
-    /// Connection-handler threads for the HTTP front door.
-    pub http_workers: usize,
     /// Run as a fleet supervisor over N shard-worker child processes
     /// instead of executing campaigns in-process (`--supervise n`).
     pub supervise: Option<u32>,
@@ -74,10 +70,8 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:8181".into(),
             cache_dir: ".hdsmt-cache".into(),
             sim_workers: 0,
-            executors: 1,
             queue_cap: 64,
             shard: None,
-            http_workers: 4,
             supervise: None,
             worker_binary: None,
             cell_deadline: None,
@@ -115,16 +109,12 @@ impl CampaignPhase {
             CampaignPhase::Cancelled => "cancelled",
         }
     }
-
-    pub fn is_terminal(self) -> bool {
-        matches!(self, CampaignPhase::Done | CampaignPhase::Failed | CampaignPhase::Cancelled)
-    }
 }
 
 /// Per-cell progress counters of one campaign (measure phase; one job per
 /// cell). Invariant once expanded: `queued + running + done + cached +
 /// failed + cancelled == total`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CellCounts {
     pub total: usize,
     pub queued: usize,
@@ -138,7 +128,7 @@ pub struct CellCounts {
 }
 
 /// Oracle search-phase counters (reduced-budget mapping-search sub-jobs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SearchCounts {
     pub total: usize,
     pub finished: usize,
@@ -164,7 +154,7 @@ pub struct CampaignEntry {
 
 /// JSON shape of `GET /campaigns/:id` (and the list elements of
 /// `GET /campaigns`).
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct CampaignSnapshot {
     pub id: String,
     pub name: String,
@@ -298,7 +288,7 @@ struct JobTotals {
     retries: AtomicU64,
 }
 
-/// Everything the HTTP handlers and executors share.
+/// Everything the HTTP handlers and the campaign executor share.
 pub struct ServerState {
     pub config: ServerConfig,
     pub cache: ResultCache,
@@ -407,10 +397,6 @@ impl ServerState {
 
     pub(crate) fn set_supervisor(&self, sup: Arc<crate::serve::supervisor::Supervisor>) {
         let _ = self.supervisor.set(sup);
-    }
-
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        self.shutdown.clone()
     }
 
     pub fn is_shutting_down(&self) -> bool {
@@ -542,10 +528,9 @@ impl ServerState {
             accepting: !self.is_shutting_down(),
             shard: self.config.shard.map(|s| s.label()),
             sim_workers: match self.config.sim_workers {
-                0 => crate::sched::default_workers(),
+                0 => crate::job::default_workers(),
                 n => n,
             },
-            executors: self.config.executors,
             queue: QueueStats { depth: self.queue.len(), capacity: self.queue.capacity() },
             campaigns: CampaignStats {
                 submitted: campaigns.len(),
@@ -609,7 +594,6 @@ pub struct ServerStats {
     pub accepting: bool,
     pub shard: Option<String>,
     pub sim_workers: usize,
-    pub executors: usize,
     pub queue: QueueStats,
     pub campaigns: CampaignStats,
     /// Batch counters across every campaign run by this daemon.

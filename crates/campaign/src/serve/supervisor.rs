@@ -154,7 +154,7 @@ struct Worker {
     /// Ledger id → last snapshot polled from the child (survives the
     /// incarnation that produced it, so aggregation never goes blind
     /// during a restart).
-    snapshots: HashMap<String, ChildSnapshot>,
+    snapshots: HashMap<String, CampaignSnapshot>,
 }
 
 /// What owning a worker's process means: the supervisor launches it,
@@ -189,8 +189,6 @@ impl OwnedChild {
             .arg(shard)
             .arg("--workers")
             .arg(server.sim_workers.to_string())
-            .arg("--executors")
-            .arg("1")
             .arg("--cell-retries")
             .arg(server.cell_retries.to_string())
             // The fleet's pending directory is the source of truth for
@@ -241,15 +239,6 @@ impl OwnedChild {
     }
 }
 
-/// The slice of a child's `GET /campaigns/:id` the supervisor keeps.
-#[derive(Clone, Debug)]
-struct ChildSnapshot {
-    status: String,
-    cells: CellCounts,
-    search: SearchCounts,
-    error: Option<String>,
-}
-
 /// One campaign as the supervisor tracks it: the spec text (for worker
 /// backfill and the local results replay) plus the replayed result.
 struct LedgerEntry {
@@ -298,7 +287,7 @@ pub struct Supervisor {
     reowned: AtomicU64,
 }
 
-type ReownOutcome = (String, u32, Option<ChildSnapshot>);
+type ReownOutcome = (String, u32, Option<CampaignSnapshot>);
 
 /// JSON shape of one row of `GET /workers`.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -590,7 +579,7 @@ impl Supervisor {
         let done = self.reown_done.clone();
         let key = (id.clone(), widx);
         let spawned = std::thread::Builder::new().name(format!("reown-{widx}")).spawn(move || {
-            let outcome = reown_shard(&spec_text, &server, cache, widx, total);
+            let outcome = reown_shard(&id, &spec_text, &server, cache, widx, total);
             done.lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .push((id, widx, outcome));
@@ -839,15 +828,19 @@ fn spawned_children(server: &ServerConfig) -> u32 {
 /// hits, not re-simulations. `None` = the run failed; a later tick may
 /// retry.
 fn reown_shard(
+    id: &str,
     spec_text: &str,
     server: &ServerConfig,
     cache: ResultCache,
     widx: u32,
     total: u32,
-) -> Option<ChildSnapshot> {
+) -> Option<CampaignSnapshot> {
     let shard = ShardSpec::parse(&format!("{widx}/{total}")).ok()?;
-    let n = run_locally(spec_text, server, cache, Some(shard)).ok()?.cells.len();
-    Some(ChildSnapshot {
+    let result = run_locally(spec_text, server, cache, Some(shard)).ok()?;
+    let n = result.cells.len();
+    Some(CampaignSnapshot {
+        id: id.to_string(),
+        name: result.name,
         status: "done".to_string(),
         cells: CellCounts { total: n, done: n, ..CellCounts::default() },
         search: SearchCounts::default(),
@@ -945,7 +938,7 @@ fn submit_to_worker(w: &mut Worker, entry: &LedgerEntry) {
 fn poll_snapshots(w: &mut Worker) {
     let pairs: Vec<(String, String)> =
         w.submitted.iter().map(|(a, b)| (a.clone(), b.clone())).collect();
-    let mut fresh: Vec<(String, ChildSnapshot)> = Vec::new();
+    let mut fresh: Vec<(String, CampaignSnapshot)> = Vec::new();
     let mut lost: Vec<String> = Vec::new();
     if let Some(client) = w.client.as_mut() {
         for (ledger_id, child_id) in pairs {
@@ -953,7 +946,7 @@ fn poll_snapshots(w: &mut Worker) {
                 continue;
             };
             if resp.status == 200 {
-                if let Some(snap) = parse_child_snapshot(&resp.body) {
+                if let Ok(snap) = serde_json::from_str::<CampaignSnapshot>(&resp.body) {
                     fresh.push((ledger_id, snap));
                 }
             } else if resp.status == 404 {
@@ -978,32 +971,6 @@ fn poll_snapshots(w: &mut Worker) {
         );
         w.submitted.remove(&ledger_id);
     }
-}
-
-fn parse_child_snapshot(body: &str) -> Option<ChildSnapshot> {
-    let v = serde_json::from_str_value(body).ok()?;
-    let counts = |key: &str| {
-        let c = v.get(key)?;
-        let n = |k: &str| c.get(k).and_then(|x| x.as_u64()).unwrap_or(0) as usize;
-        Some((
-            n("total"),
-            n("queued"),
-            n("running"),
-            n("done"),
-            n("cached"),
-            n("failed"),
-            n("cancelled"),
-            n("finished"),
-        ))
-    };
-    let (total, queued, running, done, cached, failed, cancelled, _) = counts("cells")?;
-    let (s_total, .., s_finished) = counts("search").unwrap_or((0, 0, 0, 0, 0, 0, 0, 0));
-    Some(ChildSnapshot {
-        status: v.get("status")?.as_str()?.to_string(),
-        cells: CellCounts { total, queued, running, done, cached, failed, cancelled },
-        search: SearchCounts { total: s_total, finished: s_finished },
-        error: v.get("error").and_then(|e| e.as_str()).map(str::to_string),
-    })
 }
 
 /// Sum one campaign's per-worker snapshots into the fleet-level view.

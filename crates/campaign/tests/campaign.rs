@@ -5,10 +5,12 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use hdsmt_campaign::{
-    engine, expand, Budget, CampaignSpec, Catalog, JobRunner, JobSpec, JobThread, Policy,
-    ResultCache,
+    engine, expand, Budget, CampaignSpec, Catalog, JobEvent, JobRunner, JobSpec, JobThread,
+    MicroArch, Policy, ResultCache,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -199,6 +201,89 @@ fn one_panicking_job_fails_cleanly_without_aborting_the_batch() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `n` small jobs that differ only in one thread's stream seed.
+fn distinct_jobs(n: u64) -> Vec<JobSpec> {
+    (0..n)
+        .map(|i| {
+            let mut j = job();
+            j.threads[0].seed = 100 + i;
+            j.max_insts = 600;
+            j.warmup_insts = 0;
+            j
+        })
+        .collect()
+}
+
+/// `n` distinct jobs and their results, run one at a time outside any
+/// runner; every result differs, so a misplaced one shows.
+fn distinct_jobs_and_results(n: u64) -> (Vec<JobSpec>, Vec<String>) {
+    let jobs = distinct_jobs(n);
+    let expected: Vec<String> =
+        jobs.iter().map(|j| fingerprint(&j.run_uncached().unwrap())).collect();
+    let mut unique = expected.clone();
+    unique.sort();
+    unique.dedup();
+    assert_eq!(unique.len(), jobs.len(), "every job has a distinct result, so order shows");
+    (jobs, expected)
+}
+
+#[test]
+fn runner_returns_results_in_input_order() {
+    // More jobs than workers: a lone worker (the calling thread), a pair,
+    // and an odd count that does not divide the batch.
+    let (jobs, expected) = distinct_jobs_and_results(17);
+    for workers in [1, 2, 7] {
+        let out = JobRunner::new(workers, None).run_all(&jobs).unwrap();
+        let got: Vec<String> = out.iter().map(fingerprint).collect();
+        assert_eq!(got, expected, "{workers} worker(s): each result at its input index");
+    }
+}
+
+#[test]
+fn runner_runs_every_job_exactly_once() {
+    let jobs = distinct_jobs(17);
+    for workers in [1, 2, 7] {
+        let starts: Vec<AtomicUsize> = jobs.iter().map(|_| AtomicUsize::new(0)).collect();
+        let runner = JobRunner::new(workers, None);
+        let out = runner
+            .try_run_all(&jobs, &|i, event| {
+                if event == JobEvent::Started {
+                    starts[i].fetch_add(1, Ordering::Relaxed);
+                }
+            })
+            .unwrap();
+        assert!(out.iter().all(|r| r.is_ok()), "{workers} worker(s): every job succeeds");
+        let starts: Vec<usize> = starts.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+        assert_eq!(starts, vec![1; jobs.len()], "{workers} worker(s): every job starts once");
+        assert_eq!(runner.report().simulated, jobs.len());
+    }
+}
+
+#[test]
+fn runner_handles_one_worker_an_empty_batch_and_more_workers_than_jobs() {
+    let (jobs, expected) = distinct_jobs_and_results(3);
+    let out = JobRunner::new(1, None).run_all(&jobs).unwrap();
+    assert_eq!(out.iter().map(fingerprint).collect::<Vec<_>>(), expected);
+    let out = JobRunner::new(16, None).run_all(&jobs[..1]).unwrap();
+    assert_eq!(out.iter().map(fingerprint).collect::<Vec<_>>(), expected[..1]);
+    assert!(JobRunner::new(4, None).try_run_all(&[], &|_, _| {}).unwrap().is_empty());
+}
+
+#[test]
+fn a_cancelled_batch_simulates_nothing() {
+    let runner = JobRunner::new(2, None).with_cancel_token(Arc::new(AtomicBool::new(true)));
+    let out = runner.try_run_all(&distinct_jobs(3), &|_, _| {}).unwrap();
+    for r in &out {
+        let err = r.as_ref().expect_err("a cancelled job yields no result");
+        assert!(err.0.contains("cancelled"), "{err}");
+    }
+    let report = runner.report();
+    assert_eq!(report.total, 3);
+    assert_eq!(report.simulated, 0, "skipped jobs are not simulations");
+    assert_eq!(report.cache_hits, 0);
+    assert_eq!(report.failed, 0);
+}
+
 #[test]
 fn status_reports_cache_coverage() {
     let dir = tmpdir("status");
@@ -213,6 +298,32 @@ fn status_reports_cache_coverage() {
     engine::run_campaign(&spec, &catalog).unwrap();
     let st = engine::status(&spec, &catalog, &cache).unwrap();
     assert_eq!(st.measure_cached, 2, "after a run, status must see the cache");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn status_counts_each_oracle_sweep_once() {
+    let dir = tmpdir("status-oracle");
+    let catalog = Catalog::paper();
+    let archs = ["M8", "2M4+2M2"];
+    let spec = tiny_spec(&archs, &["2W1"], &["best", "worst"], &dir);
+    let cache = engine::open_cache(&spec).unwrap();
+    let cold = engine::status(&spec, &catalog, &cache).unwrap();
+    assert_eq!(cold.search_cached, 0);
+    engine::run_campaign(&spec, &catalog).unwrap();
+
+    let st = engine::status(&spec, &catalog, &cache).unwrap();
+    assert_eq!(st.search_jobs, cold.search_jobs);
+    // `best` and `worst` of one (arch, workload) pair share one sweep.
+    let sweeps: usize = archs
+        .iter()
+        .map(|a| hdsmt_core::enumerate_mappings(&MicroArch::parse(a).unwrap(), 2).len())
+        .sum();
+    assert_eq!(st.cells, 4);
+    assert_eq!(st.search_jobs, sweeps);
+    assert_eq!(st.search_cached, st.search_jobs, "after a run every search job is cached");
+    assert_eq!(st.measure_pending_search, 4, "every oracle cell waits on its sweep");
+    assert_eq!(st.measure_known, 0);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -266,7 +266,7 @@ fn spawn_daemon(
         .arg(&addr_file)
         .arg("--cache")
         .arg(cache)
-        .args(["--workers", "1", "--executors", "1"])
+        .args(["--workers", "1"])
         .args(extra)
         .stdin(Stdio::null());
     for (k, v) in env {

@@ -23,7 +23,6 @@ fn server_on(cache: &Path, shard: Option<ShardSpec>) -> Server {
         addr: "127.0.0.1:0".into(),
         cache_dir: cache.to_string_lossy().into_owned(),
         sim_workers: 2,
-        executors: 1,
         shard,
         ..ServerConfig::default()
     })

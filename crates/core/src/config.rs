@@ -163,8 +163,6 @@ pub struct SimConfig {
     /// event instead of idling through the dead range. Statistics are
     /// bit-identical either way (enforced by the golden-stats matrix and
     /// the warp differential proptest); disabling it only costs time.
-    /// The `HDSMT_NO_WARP=1` environment variable force-disables it at
-    /// `Processor` construction regardless of this flag.
     pub warp: bool,
 }
 

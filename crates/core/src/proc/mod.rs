@@ -84,7 +84,7 @@
 //!   `invariant-checks` — by *shadow-stepping*, which single-steps every
 //!   warped range, asserts each skipped cycle was inert, and checks the
 //!   fast path's counter math against the stepped result.
-//!   `SimConfig::warp` (or `HDSMT_NO_WARP=1`) force-disables the engine;
+//!   `SimConfig::warp = false` disables the engine;
 //!   external `step()` callers are never warped.
 //!
 //! # Hot/cold pool traffic per stage
@@ -328,8 +328,7 @@ pub struct Processor {
     /// hot path and names the offender when the shadow-stepping
     /// differential (under `invariant-checks`) catches a bad warp.
     pub(crate) activity: u32,
-    /// Cycle warping enabled (config flag, minus the `HDSMT_NO_WARP`
-    /// environment override).
+    /// Cycle warping enabled (`SimConfig::warp`).
     warp_enabled: bool,
     /// Cycles skipped by warping (diagnostics; not part of `SimStats`).
     warped_cycles: u64,
@@ -459,7 +458,7 @@ impl Processor {
             measure_start_cycle: 0,
             committed_total: 0,
             activity: 0,
-            warp_enabled: cfg.warp && std::env::var_os("HDSMT_NO_WARP").is_none(),
+            warp_enabled: cfg.warp,
             warped_cycles: 0,
             warps: 0,
             quiescent_steps: 0,
@@ -825,17 +824,10 @@ impl Processor {
         self.threads[t].pipe
     }
 
-    /// Migrate thread `t` to `new_pipe` (dynamic re-mapping, §7 future
-    /// work). Panics if the target pipeline has no free context — for
-    /// swaps between full pipelines, use [`Self::remap_threads`].
-    pub fn remap_thread(&mut self, t: usize, new_pipe: u8) {
-        self.remap_threads(&[(t, new_pipe)]);
-    }
-
-    /// Migrate a batch of threads atomically: every mover is drained and
-    /// removed from its old pipeline before any is re-homed, so swaps
-    /// between full pipelines are legal as long as the *final* assignment
-    /// respects capacities.
+    /// Migrate a batch of threads atomically (dynamic re-mapping, §7
+    /// future work): every mover is drained and removed from its old
+    /// pipeline before any is re-homed, so swaps between full pipelines
+    /// are legal as long as the *final* assignment respects capacities.
     ///
     /// Each thread's uncommitted work is squashed — architectural
     /// instructions re-enter through the replay queue, exactly like FLUSH

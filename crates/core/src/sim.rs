@@ -260,9 +260,8 @@ mod tests {
 
     #[test]
     fn no_warp_env_override_disables_warping() {
-        // HDSMT_NO_WARP is read at Processor construction. Avoid mutating
-        // the process environment (other tests run in parallel): build
-        // with the config flag both ways and check the counters instead.
+        // `SimConfig::warp` is the one switch: build with it both ways
+        // and check the counters.
         let cfg = SimConfig::paper_defaults(MicroArch::baseline(), 2_000);
         let workload = vec![spec("mcf", 3)];
         let mut off_cfg = cfg.clone();

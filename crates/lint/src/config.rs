@@ -66,9 +66,7 @@ impl Default for LintConfig {
             ]
             .map(String::from)
             .to_vec(),
-            lock_order_paths: ["crates/campaign/src/serve", "crates/campaign/src/sched.rs"]
-                .map(String::from)
-                .to_vec(),
+            lock_order_paths: vec!["crates/campaign/src/serve".to_string()],
             timeline_paths: ["crates/core/src"].map(String::from).to_vec(),
             allows: Vec::new(),
         }

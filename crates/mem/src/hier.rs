@@ -205,12 +205,6 @@ impl MemHier {
         AccessResult { latency: total, level, tlb_miss, mshr_stall: false }
     }
 
-    /// Which L1D bank `addr` maps to (for bank-conflict modelling).
-    #[inline]
-    pub fn dbank_of(&self, addr: u64) -> usize {
-        self.l1d.bank_of(addr)
-    }
-
     /// Functionally pre-load a data byte range into the L2 (and optionally
     /// the L1D), without touching statistics or timing. Scaled runs use
     /// this to start from the steady-state residency a 300 M-instruction

@@ -2,7 +2,7 @@
 //! the paper (Fig 3 set), reporting raw IPC and complexity-effectiveness.
 //!
 //! Driven entirely by the campaign engine: the sweep is a declarative
-//! [`CampaignSpec`] built in code, executed on the work-stealing runner
+//! [`CampaignSpec`] built in code, executed on the parallel job runner
 //! with the on-disk result cache — re-running the example is ~instant.
 //!
 //! ```sh
