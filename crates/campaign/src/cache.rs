@@ -820,7 +820,9 @@ mod tests {
         let served = std::thread::spawn(move || {
             let mut paths = Vec::new();
             for mut conn in listener.incoming().flatten() {
-                let Ok(req) = read_request(&mut conn) else { continue };
+                let Ok(req) = read_request(&mut std::io::BufReader::new(&mut conn)) else {
+                    continue;
+                };
                 if req.path == "/quit" {
                     break;
                 }

@@ -14,12 +14,18 @@
 //! | `/campaigns`                 | POST   | 202 snapshot of the queued campaign|
 //! | `/campaigns`                 | GET    | 200 list of snapshots              |
 //! | `/campaigns/:id`             | GET    | 200 snapshot                       |
-//! | `/campaigns/:id/results`     | GET    | 200 export (`?format=json\|csv\|summary`) |
+//! | `/campaigns/:id/results`     | GET    | 200 export (`?format=json\|csv\|summary`)¹ |
 //! | `/cells/:hash`               | GET    | 200 verbatim cache entry           |
 //! | `/cells/:hash?sha256=hex`    | PUT    | 200 replication landed             |
 //! | `/cells?since=secs`          | GET    | 200 cache manifest (key + mtime)   |
 //! | `/workers`                   | GET    | 200 supervised fleet health        |
 //! | `/shutdown`                  | POST   | 202 drain begins                   |
+//!
+//! ¹ Only the most recently finished or read
+//! [`RESULTS_RETAINED`](crate::serve::state::RESULTS_RETAINED) results
+//! stay in memory. The export of an older done campaign replays it
+//! through the engine on the daemon's cache: pure cache reads, and
+//! byte-identical to the export it had when it finished.
 //!
 //! On a supervising daemon (`--supervise n`) the campaign verbs route to
 //! the fleet [`crate::serve::supervisor::Supervisor`] — same paths, same
@@ -31,7 +37,7 @@
 use crate::cache::{valid_cell_key, EntryLookup, Replicate, ReplicateError};
 use crate::export;
 use crate::serve::http::{HttpError, Request, Response};
-use crate::serve::state::{CampaignPhase, ServerState, SubmitError};
+use crate::serve::state::{ServerState, SubmitError};
 
 #[derive(serde::Serialize)]
 struct ErrorDetail {
@@ -212,33 +218,13 @@ fn workers(state: &ServerState) -> Response {
 }
 
 fn results(state: &ServerState, req: &Request, id: &str) -> Response {
-    let result = if let Some(sup) = state.supervisor() {
-        match sup.results(id) {
-            Ok(result) => result,
-            Err((status, message)) => return error_response(status, message),
-        }
-    } else {
-        let Some(entry) = state.get(id) else {
-            return error_response(404, format!("no campaign `{id}`"));
-        };
-        let phase = entry.phase();
-        if phase != CampaignPhase::Done {
-            return error_response(
-                409,
-                format!(
-                    "campaign `{id}` is {}; results exist only once it is done",
-                    phase.as_str()
-                ),
-            );
-        }
-        match entry.result() {
-            Some(result) => result,
-            // A done campaign always carries a result; if the invariant
-            // ever slips, a 500 beats killing the handler thread.
-            None => {
-                return error_response(500, format!("campaign `{id}` is done but has no result"))
-            }
-        }
+    let result = match state.supervisor() {
+        Some(sup) => sup.results(id),
+        None => state.results(id),
+    };
+    let result = match result {
+        Ok(result) => result,
+        Err((status, message)) => return error_response(status, message),
     };
     match req.query_param("format").unwrap_or("json") {
         "json" => Response::json(200, export::to_json(&result)),

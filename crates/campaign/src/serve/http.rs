@@ -12,6 +12,21 @@
 //! connection per peer so fleet traffic — heartbeats, replication,
 //! backfill — stops paying a TCP connect per request.
 //!
+//! The daemon keeps one buffered reader per connection, so a peer may
+//! pipeline requests: bytes that arrive behind the current request stay
+//! buffered for the next one. Each response leaves in a single write
+//! (head and body in one buffer) on a `TCP_NODELAY` socket. Two writes
+//! would let Nagle's algorithm hold the body until the peer's delayed
+//! ACK, about 40 ms per keep-alive exchange.
+//!
+//! [`HttpClient`] still sends a request's head and body in two writes,
+//! so a request with a body (`POST`, `PUT`) waits out that timer once; a
+//! `GET` has an empty body and leaves in one write. Making the client
+//! fast too lifts the repository benchmark's request rate far enough
+//! that its per-request latency samples outgrow the memory bound, so it
+//! waits until the benchmark harness bounds that storage (ROADMAP,
+//! "Service latency").
+//!
 //! Every outbound request passes through [`crate::fault::on_net_op`],
 //! the seam where the `fault-inject` build drops, delays, or partitions
 //! network traffic on a seeded schedule.
@@ -143,11 +158,11 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Read and parse one request from `stream` (a `TcpStream` in the
-/// daemon; any byte source in the parser's robustness tests).
-pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
+/// Read and parse one request from `reader`: the connection's buffered
+/// reader in the daemon, any byte source in the parser's robustness
+/// tests. Bytes past the request stay in `reader` for the next call.
+pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
     let io = |e: std::io::Error| HttpError::Io(e.to_string());
-    let mut reader = BufReader::new(stream);
 
     let mut head = String::new();
     let mut line = String::new();
@@ -205,11 +220,11 @@ pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
     Ok(Request { method, path, query, body, keep_alive })
 }
 
-/// Write `response` to `stream`. `keep_alive` picks the `Connection`
-/// header — the server loop passes what it will actually do, so clients
-/// never wait on a connection the server is about to drop.
+/// Write `response` to `stream` in one write. `keep_alive` picks the
+/// `Connection` header — the server loop passes what it will actually
+/// do, so clients never wait on a connection the server is about to drop.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     response: &Response,
     keep_alive: bool,
 ) -> std::io::Result<()> {
@@ -227,8 +242,10 @@ pub fn write_response(
         retry_after,
         connection,
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    let mut message = Vec::with_capacity(head.len() + response.body.len());
+    message.extend_from_slice(head.as_bytes());
+    message.extend_from_slice(&response.body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -344,6 +361,8 @@ impl HttpClient {
             self.addr,
             body.len(),
         );
+        // Two writes on purpose: see the module doc for what the
+        // one-write client waits on.
         let exchange = (|| {
             stream.write_all(head.as_bytes())?;
             stream.write_all(body.as_bytes())?;
@@ -509,7 +528,7 @@ mod tests {
         std::thread::spawn(move || {
             for _ in 0..n {
                 let (mut stream, _) = listener.accept().unwrap();
-                let req = read_request(&mut stream);
+                let req = read_request(&mut BufReader::new(&mut stream));
                 let resp = handler(req);
                 write_response(&mut stream, &resp, false).unwrap();
             }
@@ -642,7 +661,7 @@ mod tests {
         std::thread::spawn(move || {
             for raw in responses {
                 let (mut stream, _) = listener.accept().unwrap();
-                let _ = read_request(&mut stream);
+                let _ = read_request(&mut BufReader::new(&mut stream));
                 stream.write_all(raw.as_bytes()).unwrap();
             }
         });
@@ -661,13 +680,14 @@ mod tests {
         std::thread::spawn(move || {
             // Serve every request on each accepted connection until the
             // peer closes, like the real server loop does.
-            while let Ok((mut stream, _)) = listener.accept() {
+            while let Ok((stream, _)) = listener.accept() {
                 conns_in.fetch_add(1, Ordering::SeqCst);
                 let mut served = 0u32;
-                while let Ok(req) = read_request(&mut stream) {
+                let mut reader = BufReader::new(stream);
+                while let Ok(req) = read_request(&mut reader) {
                     served += 1;
                     let resp = Response::text(200, format!("req {served}"));
-                    if write_response(&mut stream, &resp, req.keep_alive).is_err() {
+                    if write_response(reader.get_mut(), &resp, req.keep_alive).is_err() {
                         break;
                     }
                     if !req.keep_alive {
@@ -699,10 +719,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
-            while let Ok((mut stream, _)) = listener.accept() {
-                while read_request(&mut stream).is_ok() {
+            while let Ok((stream, _)) = listener.accept() {
+                let mut reader = BufReader::new(stream);
+                while read_request(&mut reader).is_ok() {
                     let n = served_in.fetch_add(1, Ordering::SeqCst) + 1;
-                    if !respond(n, &mut stream) {
+                    if !respond(n, reader.get_mut()) {
                         break;
                     }
                 }

@@ -182,6 +182,7 @@ pub mod queue;
 pub mod state;
 pub mod supervisor;
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -302,13 +303,13 @@ impl Server {
                 let conn_rx = conn_rx.clone();
                 let poked = poked.clone();
                 std::thread::Builder::new().name(format!("serve-http-{i}")).spawn(move || loop {
-                    let Ok(mut stream) = ({
+                    let Ok(stream) = ({
                         let guard = conn_rx.lock().unwrap_or_else(|e| e.into_inner());
                         guard.recv()
                     }) else {
                         return;
                     };
-                    handle_connection(&state, &mut stream);
+                    handle_connection(&state, stream);
                     // A request may have initiated shutdown
                     // (`POST /shutdown`): wake the blocked acceptor.
                     if state.is_shutting_down() {
@@ -328,6 +329,9 @@ impl Server {
                     let Ok(stream) = conn else { continue };
                     let _ = stream.set_read_timeout(Some(CONN_TIMEOUT));
                     let _ = stream.set_write_timeout(Some(CONN_TIMEOUT));
+                    // Responses leave in one write; no-delay also sends
+                    // the tail segment of a multi-segment body at once.
+                    let _ = stream.set_nodelay(true);
                     if conn_tx.send(stream).is_err() {
                         break;
                     }
@@ -399,21 +403,24 @@ fn poke(addr: &SocketAddr, poked: &AtomicBool) {
 const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(5);
 
 /// Serve one connection: parse, route, respond — repeatedly, while the
-/// peer asks for keep-alive. Transport errors that yield no parseable
-/// request are answered with a structured JSON error when possible and
-/// otherwise dropped.
-fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
+/// peer asks for keep-alive. One buffered reader lives as long as the
+/// connection, so pipelined requests that arrive in one segment are all
+/// served. Transport errors that yield no parseable request are answered
+/// with a structured JSON error when possible and otherwise dropped.
+fn handle_connection(state: &ServerState, stream: TcpStream) {
+    let mut reader = BufReader::new(stream);
     let mut first = true;
     loop {
-        if !first && !wait_for_next_request(state, stream) {
+        if !first && !wait_for_next_request(state, &reader) {
             return;
         }
         first = false;
-        let request = match http::read_request(stream) {
+        let request = match http::read_request(&mut reader) {
             Ok(request) => request,
             Err(http::HttpError::Io(_)) => return, // peer went away mid-request
             Err(err) => {
-                let _ = http::write_response(stream, &api::transport_error_response(&err), false);
+                let response = api::transport_error_response(&err);
+                let _ = http::write_response(reader.get_mut(), &response, false);
                 return;
             }
         };
@@ -421,17 +428,23 @@ fn handle_connection(state: &ServerState, stream: &mut TcpStream) {
         // handler thread stays pinned to an idle connection.
         let keep = request.keep_alive && !state.is_shutting_down();
         let response = api::handle(state, &request);
-        if http::write_response(stream, &response, keep).is_err() || !keep {
+        if http::write_response(reader.get_mut(), &response, keep).is_err() || !keep {
             return;
         }
     }
 }
 
-/// Park between keep-alive requests. Peeks (never reads) in short slices
-/// so shutdown is noticed promptly and a partially arrived request is
-/// never consumed and dropped; `false` means close the connection (peer
-/// gone, idle past [`KEEP_ALIVE_IDLE`], or the daemon is draining).
-fn wait_for_next_request(state: &ServerState, stream: &mut TcpStream) -> bool {
+/// Park between keep-alive requests. A request already buffered by the
+/// reader is here at once; otherwise peek (never read) the socket in
+/// short slices so shutdown is noticed promptly and a partially arrived
+/// request is never consumed and dropped. `false` means close the
+/// connection (peer gone, idle past [`KEEP_ALIVE_IDLE`], or the daemon
+/// is draining).
+fn wait_for_next_request(state: &ServerState, reader: &BufReader<TcpStream>) -> bool {
+    if !reader.buffer().is_empty() {
+        return !state.is_shutting_down();
+    }
+    let stream = reader.get_ref();
     let deadline = std::time::Instant::now() + KEEP_ALIVE_IDLE;
     let mut byte = [0u8; 1];
     loop {

@@ -1,13 +1,15 @@
 //! Shared daemon state: the campaign registry, per-campaign progress
-//! counters, and the global service counters behind `GET /stats`.
+//! counters, the bounded memo of finished results, and the global
+//! service counters behind `GET /stats`.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::cache::ResultCache;
 use crate::engine::{self, CampaignProgress, CampaignResult};
-use crate::job::{JobOutcome, JobRunner, RunReport};
+use crate::job::{CampaignError, JobOutcome, JobRunner, RunReport, Watchdog};
 use crate::matrix::{Cell, ShardSpec};
 use crate::pending::{self, Pending};
 use crate::serve::queue::{BoundedQueue, PushError};
@@ -62,6 +64,90 @@ pub struct ServerConfig {
     /// Remote workers (`--worker host:port`) the supervisor adopts
     /// alongside (or instead of) spawned children.
     pub remote_workers: Vec<String>,
+}
+
+impl ServerConfig {
+    /// The daemon owns the cache and worker budget: any `cache_dir` or
+    /// `workers` fields in a submitted spec are overridden.
+    pub(crate) fn own(&self, mut spec: CampaignSpec) -> CampaignSpec {
+        spec.cache_dir = Some(self.cache_dir.clone());
+        spec.workers = Some(self.sim_workers as u64);
+        spec
+    }
+
+    /// A job runner on `cache` with the daemon's simulation threads and
+    /// per-cell watchdog.
+    fn runner(&self, cache: ResultCache) -> JobRunner {
+        let watchdog =
+            self.cell_deadline.map(|deadline| Watchdog { deadline, retries: self.cell_retries });
+        JobRunner::new(self.sim_workers, Some(cache)).with_watchdog(watchdog)
+    }
+}
+
+/// Run `spec` (daemon-owned, see [`ServerConfig::own`]), or one shard of
+/// it, through the engine on `cache` with the daemon's runner and no
+/// progress observer. Once the campaign has finished, every cell is a
+/// cache hit, so this is pure reads: it recomputes a done campaign's
+/// result when the memo has dropped it (the local registry, the fleet
+/// ledger) and re-owns a broken worker's shard. A failed cell was never
+/// cached, so a replay attempts it again under the same watchdog.
+pub(crate) fn replay(
+    spec: &CampaignSpec,
+    config: &ServerConfig,
+    cache: ResultCache,
+    shard: Option<ShardSpec>,
+) -> Result<CampaignResult, CampaignError> {
+    let catalog = engine::catalog_for(spec);
+    engine::run_campaign_observed(spec, &catalog, &config.runner(cache), shard, &())
+}
+
+/// How many done campaigns keep their full [`CampaignResult`] (~6 KB
+/// each) in memory. Older ones still answer `/campaigns/:id/results`:
+/// [`replay`] recomputes the result from the cache.
+pub const RESULTS_RETAINED: usize = 16;
+
+/// The finished results held in memory, at most [`RESULTS_RETAINED`];
+/// the one least recently finished or read is dropped first. The local
+/// registry and the fleet ledger each keep one. Its lock is a leaf:
+/// callers take it before a campaign entry's lock, never inside it.
+#[derive(Debug, Default)]
+pub(crate) struct ResultMemo {
+    /// `(campaign id, result)`, most recently finished or read last.
+    retained: Mutex<VecDeque<(String, Arc<CampaignResult>)>>,
+}
+
+impl ResultMemo {
+    fn held(&self) -> MutexGuard<'_, VecDeque<(String, Arc<CampaignResult>)>> {
+        // Every mutation is a single push or remove: valid after a panic.
+        self.retained.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The retained result of `id`, now the most recently read.
+    pub(crate) fn get(&self, id: &str) -> Option<Arc<CampaignResult>> {
+        let mut held = self.held();
+        let at = held.iter().position(|(held_id, _)| held_id == id)?;
+        let hit = held.remove(at)?;
+        let result = hit.1.clone();
+        held.push_back(hit);
+        Some(result)
+    }
+
+    /// Retain `result` as the most recent, dropping the oldest past the
+    /// bound; returns the retained copy.
+    pub(crate) fn put(&self, id: &str, result: CampaignResult) -> Arc<CampaignResult> {
+        let result = Arc::new(result);
+        let mut held = self.held();
+        held.retain(|(held_id, _)| held_id != id);
+        held.push_back((id.to_string(), result.clone()));
+        while held.len() > RESULTS_RETAINED {
+            held.pop_front();
+        }
+        result
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.held().len()
+    }
 }
 
 impl Default for ServerConfig {
@@ -140,7 +226,9 @@ struct CampaignInner {
     cells: CellCounts,
     search: SearchCounts,
     error: Option<String>,
-    result: Option<CampaignResult>,
+    /// Job counts of the run that finished the campaign: a replayed
+    /// result reports these, not its own all-hit counts.
+    report: RunReport,
 }
 
 /// One submitted campaign: immutable identity + mutable progress.
@@ -197,21 +285,16 @@ impl CampaignEntry {
         }
     }
 
-    /// The finished result, if the campaign is `done`.
-    pub fn result(&self) -> Option<CampaignResult> {
-        self.lock().result.clone()
-    }
-
     pub(crate) fn set_running(&self) {
         self.lock().phase = CampaignPhase::Running;
     }
 
-    pub(crate) fn finish(&self, outcome: Result<CampaignResult, (CampaignPhase, String)>) {
+    pub(crate) fn finish(&self, outcome: Result<RunReport, (CampaignPhase, String)>) {
         let mut inner = self.lock();
         match outcome {
-            Ok(result) => {
+            Ok(report) => {
                 inner.phase = CampaignPhase::Done;
-                inner.result = Some(result);
+                inner.report = report;
             }
             Err((phase, error)) => {
                 inner.phase = phase;
@@ -294,6 +377,8 @@ pub struct ServerState {
     pub cache: ResultCache,
     pub queue: BoundedQueue<Arc<CampaignEntry>>,
     campaigns: Mutex<Vec<Arc<CampaignEntry>>>,
+    /// Results of the most recently finished or read done campaigns.
+    results: ResultMemo,
     /// Once true: no new submissions, queued campaigns drain, and every
     /// campaign runner's cancel token fires (it IS this flag).
     shutdown: Arc<AtomicBool>,
@@ -338,6 +423,7 @@ impl ServerState {
             config,
             cache,
             campaigns: Mutex::new(Vec::new()),
+            results: ResultMemo::default(),
             shutdown: Arc::new(AtomicBool::new(false)),
             started: Instant::now(),
             seq: AtomicU64::new(0),
@@ -365,7 +451,7 @@ impl ServerState {
             // Seed the id counter past every revived campaign so fresh
             // submissions never collide with it.
             self.seq.fetch_max(pending::id_seq(&rec.id).unwrap_or(0), Ordering::Relaxed);
-            let entry = Arc::new(CampaignEntry::new(rec.id, self.daemon_owned(rec.spec)));
+            let entry = Arc::new(CampaignEntry::new(rec.id, self.config.own(rec.spec)));
             self.campaigns_lock().push(entry.clone());
             if self.queue.push_recovered(entry.clone()).is_err() {
                 // Only possible if the queue is already closed — the file
@@ -373,14 +459,6 @@ impl ServerState {
                 self.campaigns_lock().retain(|e| e.id != entry.id);
             }
         }
-    }
-
-    /// The daemon owns the cache and worker budget: any `cache_dir` or
-    /// `workers` fields in a submitted spec are overridden.
-    fn daemon_owned(&self, mut spec: CampaignSpec) -> CampaignSpec {
-        spec.cache_dir = Some(self.config.cache_dir.clone());
-        spec.workers = Some(self.config.sim_workers as u64);
-        spec
     }
 
     /// Delete a settled campaign's pending file.
@@ -427,7 +505,7 @@ impl ServerState {
             return Err(SubmitError::ShuttingDown);
         }
         let spec = engine::admit(spec_text).map_err(|e| SubmitError::Invalid(e.0))?;
-        let spec = self.daemon_owned(spec);
+        let spec = self.config.own(spec);
 
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = Arc::new(CampaignEntry::new(pending::campaign_id('c', seq, spec_text), spec));
@@ -465,19 +543,38 @@ impl ServerState {
         self.campaigns_lock().clone()
     }
 
+    /// The result of done campaign `id`: from the memo while retained,
+    /// otherwise replayed from the cache and retained again. `Err`
+    /// carries the HTTP status and message for the API layer.
+    pub fn results(&self, id: &str) -> Result<Arc<CampaignResult>, (u16, String)> {
+        if let Some(result) = self.results.get(id) {
+            return Ok(result);
+        }
+        let entry = self.get(id).ok_or_else(|| (404, format!("no campaign `{id}`")))?;
+        let phase = entry.phase();
+        if phase != CampaignPhase::Done {
+            return Err((
+                409,
+                format!(
+                    "campaign `{id}` is {}; results exist only once it is done",
+                    phase.as_str()
+                ),
+            ));
+        }
+        let mut result = replay(&entry.spec, &self.config, self.cache.clone(), self.config.shard)
+            .map_err(|e| (500, format!("results replay failed: {}", e.0)))?;
+        result.report = entry.lock().report;
+        Ok(self.results.put(id, result))
+    }
+
     /// Execute one dequeued campaign (executor-thread body): a fresh
     /// [`JobRunner`] on the shared cache, cancel token linked to the
     /// shutdown flag, progress streamed into the entry.
     pub fn execute(&self, entry: &Arc<CampaignEntry>) {
         entry.set_running();
         let catalog = engine::catalog_for(&entry.spec);
-        let watchdog = self
-            .config
-            .cell_deadline
-            .map(|deadline| crate::job::Watchdog { deadline, retries: self.config.cell_retries });
-        let runner = JobRunner::new(self.config.sim_workers, Some(self.cache.clone()))
-            .with_cancel_token(self.shutdown.clone())
-            .with_watchdog(watchdog);
+        let runner =
+            self.config.runner(self.cache.clone()).with_cancel_token(self.shutdown.clone());
         let progress = EntryProgress(entry);
         let outcome = engine::run_campaign_observed(
             &entry.spec,
@@ -490,7 +587,11 @@ impl ServerState {
         match outcome {
             Ok(result) => {
                 self.campaigns_done.fetch_add(1, Ordering::Relaxed);
-                entry.finish(Ok(result));
+                // Retained before the entry reads `done`, so a reader that
+                // sees `done` finds the result here or replays it.
+                let report = result.report;
+                self.results.put(&entry.id, result);
+                entry.finish(Ok(report));
                 self.resolve(&entry.id);
             }
             Err(e) if self.is_shutting_down() => {
@@ -521,7 +622,7 @@ impl ServerState {
 
     /// The `GET /stats` payload.
     pub fn stats(&self) -> ServerStats {
-        let campaigns = self.campaigns_lock();
+        let submitted = self.campaigns_lock().len();
         let cache_counters = self.cache.counters();
         ServerStats {
             uptime_secs: self.uptime_secs(),
@@ -533,9 +634,12 @@ impl ServerState {
             },
             queue: QueueStats { depth: self.queue.len(), capacity: self.queue.capacity() },
             campaigns: CampaignStats {
-                submitted: campaigns.len(),
+                submitted,
                 done: self.campaigns_done.load(Ordering::Relaxed),
                 failed: self.campaigns_failed.load(Ordering::Relaxed),
+                results_retained: self
+                    .supervisor()
+                    .map_or_else(|| self.results.len(), |s| s.results_retained()),
             },
             jobs: RunReport {
                 total: self.jobs.total.load(Ordering::Relaxed) as usize,
@@ -585,6 +689,9 @@ pub struct CampaignStats {
     pub submitted: usize,
     pub done: u64,
     pub failed: u64,
+    /// Done campaigns whose result is held in memory (at most
+    /// [`RESULTS_RETAINED`]); the others replay from the cache.
+    pub results_retained: usize,
 }
 
 /// JSON shape of `GET /stats`.
@@ -626,4 +733,32 @@ pub struct ServerStats {
     pub journal_replayed: u64,
     /// Orphaned `*.tmp` files reaped at startup.
     pub tmp_reaped: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn result(name: &str) -> CampaignResult {
+        CampaignResult { name: name.to_string(), cells: Vec::new(), report: RunReport::default() }
+    }
+
+    #[test]
+    fn result_memo_drops_the_least_recently_finished_or_read() {
+        let memo = ResultMemo::default();
+        for i in 0..RESULTS_RETAINED {
+            memo.put(&format!("c{i}"), result(&format!("c{i}")));
+        }
+        assert_eq!(memo.len(), RESULTS_RETAINED);
+        // Reading c0 makes it the most recent, so the next finish drops c1.
+        assert_eq!(memo.get("c0").map(|r| r.name.clone()).as_deref(), Some("c0"));
+        memo.put("new", result("new"));
+        assert_eq!(memo.len(), RESULTS_RETAINED);
+        assert!(memo.get("c1").is_none(), "the least recent result is dropped");
+        assert!(memo.get("c0").is_some() && memo.get("c2").is_some());
+        // Retaining an id again replaces its result instead of holding two.
+        memo.put("new", result("newer"));
+        assert_eq!(memo.len(), RESULTS_RETAINED);
+        assert_eq!(memo.get("new").map(|r| r.name.clone()).as_deref(), Some("newer"));
+    }
 }

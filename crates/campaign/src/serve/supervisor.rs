@@ -36,7 +36,9 @@
 //! The supervisor also **aggregates** per-worker snapshots into one
 //! fleet-level view (`GET /campaigns/:id` sums per-cell counters across
 //! shards) and **serves results** by replaying the campaign through the
-//! local engine once every shard reports done. Adoptees may keep their
+//! local engine once every shard reports done; like the local registry,
+//! it keeps only the most recently finished or read results in memory
+//! and replays the others on demand. Adoptees may keep their
 //! own cache directories, so the supervisor's cache reads through its
 //! configured peers and runs an anti-entropy manifest pull before the
 //! replay; by then every cell is a hit, so the replay is a read, not a
@@ -62,11 +64,13 @@ use std::time::{Duration, Instant};
 
 use crate::cache::ResultCache;
 use crate::engine::{self, CampaignResult};
-use crate::job::{CampaignError, JobRunner};
+use crate::job::CampaignError;
 use crate::matrix::ShardSpec;
 use crate::pending::{self, Pending, Replayed};
 use crate::serve::http::{HttpClient, RetryPolicy};
-use crate::serve::state::{CampaignSnapshot, CellCounts, SearchCounts, ServerConfig, SubmitError};
+use crate::serve::state::{
+    replay, CampaignSnapshot, CellCounts, ResultMemo, SearchCounts, ServerConfig, SubmitError,
+};
 use crate::spec::CampaignSpec;
 
 /// Fleet timing. Everything else (fleet size, cache, simulation threads,
@@ -239,13 +243,12 @@ impl OwnedChild {
     }
 }
 
-/// One campaign as the supervisor tracks it: the spec text (for worker
-/// backfill and the local results replay) plus the replayed result.
+/// One campaign as the supervisor tracks it: the spec text, for worker
+/// backfill and the local results replay.
 struct LedgerEntry {
     id: String,
     name: String,
     spec_text: String,
-    result: Option<CampaignResult>,
     /// Whether the campaign's fleet pending file has been resolved —
     /// once, by the monitor, when the aggregate status settles on `done`
     /// or `failed`.
@@ -270,6 +273,8 @@ pub struct Supervisor {
     shards: u32,
     cache: ResultCache,
     inner: Mutex<Inner>,
+    /// Replayed results of the most recently finished or read campaigns.
+    results: ResultMemo,
     stop: Arc<AtomicBool>,
     monitor: Mutex<Option<JoinHandle<()>>>,
     /// The fleet's pending accepts (`pending/fleet/`), shared with the
@@ -372,7 +377,6 @@ impl Supervisor {
                 name: rec.spec.display_name().to_string(),
                 id: rec.id,
                 spec_text: rec.spec_text,
-                result: None,
                 resolved: false,
             })
             .collect();
@@ -382,6 +386,7 @@ impl Supervisor {
             shards: workers.len() as u32,
             cache,
             inner: Mutex::new(Inner { workers, ledger, seq }),
+            results: ResultMemo::default(),
             stop: Arc::new(AtomicBool::new(false)),
             monitor: Mutex::new(None),
             pending,
@@ -655,7 +660,6 @@ impl Supervisor {
             id: id.clone(),
             name: spec.display_name().to_string(),
             spec_text: spec_text.to_string(),
-            result: None,
             resolved: false,
         };
         for w in &mut guard.workers {
@@ -684,9 +688,13 @@ impl Supervisor {
 
     /// The finished result: once every shard reports done, replay the
     /// campaign through the local engine on the shared cache (a pure
-    /// read — every cell is a hit) and memoize it. `Err` carries the
-    /// HTTP status + message for the API layer.
-    pub fn results(&self, id: &str) -> Result<CampaignResult, (u16, String)> {
+    /// read — every cell is a hit) and retain it in the bounded memo.
+    /// `Err` carries the HTTP status + message for the API layer.
+    pub fn results(&self, id: &str) -> Result<Arc<CampaignResult>, (u16, String)> {
+        // The memo's lock is taken before `inner`, never inside it.
+        if let Some(result) = self.results.get(id) {
+            return Ok(result);
+        }
         let (spec_text, worker_addrs) = {
             let guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             let entry = guard
@@ -694,9 +702,6 @@ impl Supervisor {
                 .iter()
                 .find(|e| e.id == id)
                 .ok_or_else(|| (404, format!("no campaign `{id}`")))?;
-            if let Some(result) = &entry.result {
-                return Ok(result.clone());
-            }
             let snap = aggregate(entry, &guard.workers);
             if snap.status != "done" {
                 return Err((
@@ -729,11 +734,13 @@ impl Supervisor {
         // there is no reason to stall heartbeats on it.
         let result = run_locally(&spec_text, &self.server, self.cache.clone(), None)
             .map_err(|e| (500, format!("results replay failed: {}", e.0)))?;
-        let mut guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(entry) = guard.ledger.iter_mut().find(|e| e.id == id) {
-            entry.result = Some(result.clone());
-        }
-        Ok(result)
+        Ok(self.results.put(id, result))
+    }
+
+    /// Replayed results held in memory (at most
+    /// [`crate::serve::state::RESULTS_RETAINED`]).
+    pub fn results_retained(&self) -> usize {
+        self.results.len()
     }
 
     /// `GET /workers`.
@@ -849,20 +856,14 @@ fn reown_shard(
 }
 
 /// Run a ledgered campaign, or one shard of it, through the local engine
-/// on the supervisor's (peer-reading) cache, with the daemon's cache
-/// directory and simulation threads.
+/// on the supervisor's (peer-reading) cache: [`replay`] of the spec text.
 fn run_locally(
     spec_text: &str,
     server: &ServerConfig,
     cache: ResultCache,
     shard: Option<ShardSpec>,
 ) -> Result<CampaignResult, CampaignError> {
-    let mut spec = CampaignSpec::parse(spec_text)?;
-    spec.cache_dir = Some(server.cache_dir.clone());
-    spec.workers = Some(server.sim_workers as u64);
-    let catalog = engine::catalog_for(&spec);
-    let runner = JobRunner::new(server.sim_workers, Some(cache));
-    engine::run_campaign_observed(&spec, &catalog, &runner, shard, &())
+    replay(&server.own(CampaignSpec::parse(spec_text)?), server, cache, shard)
 }
 
 /// Remove every `*.addr` (and stranded `*.tmp`) file under

@@ -1,7 +1,8 @@
 //! End-to-end tests of the sweep-service daemon: submit → poll → results
 //! over a real socket, cache-resumable shutdown, shard-partitioned
-//! completion, structured API errors, and the `--remote` thin-client CLI
-//! against a `serve` subprocess.
+//! completion, structured API errors, keep-alive latency and pipelining,
+//! results replayed once the memo drops them, and the `--remote`
+//! thin-client CLI against a `serve` subprocess.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -320,6 +321,143 @@ search_insts = 500
     let r = engine::run_campaign(&full, &catalog).unwrap();
     assert_eq!(r.cells.len(), 8);
     assert_eq!(r.report.simulated, 0, "shards must have covered every cell: {:?}", r.report);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ------------------------------------------------- transport and memo
+
+#[test]
+fn pipelined_requests_in_one_write_get_two_responses_in_order() {
+    use std::io::{Read, Write};
+    let dir = tmpdir("pipeline");
+    let server = server_on(&dir.join("cache"), None);
+    let mut s = std::net::TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s.write_all(
+        b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n\
+          GET /campaigns/c0-nope HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
+    )
+    .unwrap();
+    // The second request asks to close, so the daemon closes after
+    // answering it and the read ends.
+    let mut out = String::new();
+    s.read_to_string(&mut out).unwrap();
+    let statuses: Vec<&str> =
+        out.match_indices("HTTP/1.1 ").map(|(at, _)| &out[at + 9..at + 12]).collect();
+    assert_eq!(statuses, ["200", "404"], "{out}");
+    server.shutdown_and_join();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn keep_alive_gets_do_not_wait_on_delayed_acks() {
+    let dir = tmpdir("latency");
+    let server = server_on(&dir.join("cache"), None);
+    let addr = server.addr().to_string();
+    let id = submit(&addr, SPEC);
+    wait_terminal(&addr, &id);
+    // A response sent in two writes waits ~40 ms for the client's delayed
+    // ACK; 50 of them would take ~2 s.
+    let mut http = HttpClient::new(&addr);
+    let started = Instant::now();
+    for _ in 0..50 {
+        let HttpResponse { status, body, .. } =
+            http.request("GET", &format!("/campaigns/{id}"), None).unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "50 keep-alive GETs took {elapsed:?}");
+    server.shutdown_and_join();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `GET /campaigns/:id/results` in every export format.
+fn exports(http: &mut HttpClient, id: &str) -> Vec<String> {
+    ["json", "csv", "summary"]
+        .iter()
+        .map(|format| {
+            let path = format!("/campaigns/{id}/results?format={format}");
+            let HttpResponse { status, body, .. } = http.request("GET", &path, None).unwrap();
+            assert_eq!(status, 200, "{path}: {body}");
+            body
+        })
+        .collect()
+}
+
+fn results_retained(http: &mut HttpClient) -> u64 {
+    let HttpResponse { body, .. } = http.request("GET", "/stats", None).unwrap();
+    let stats = json(&body);
+    stats.get("campaigns").and_then(|c| c.get("results_retained")).and_then(|v| v.as_u64()).unwrap()
+}
+
+#[test]
+fn results_past_the_memo_bound_replay_byte_identically() {
+    use hdsmt_campaign::serve::state::RESULTS_RETAINED;
+    let dir = tmpdir("memo");
+    let server = server_on(&dir.join("cache"), None);
+    let addr = server.addr().to_string();
+    let mut http = HttpClient::new(&addr);
+
+    // The first campaign simulates every cell, so its export reports
+    // simulated jobs; the replay must report the same counts.
+    let first = submit(&addr, SPEC);
+    wait_terminal(&addr, &first);
+    let held = exports(&mut http, &first);
+    assert!(held[2].contains("4 simulated"), "{}", held[2]);
+    assert_eq!(results_retained(&mut http), 1);
+
+    // The bound plus four campaigns in all, every later one fully cached:
+    // the first is the least recently finished or read, so it is dropped.
+    for _ in 0..RESULTS_RETAINED + 3 {
+        let id = submit(&addr, SPEC);
+        let snap = wait_terminal(&addr, &id);
+        assert_eq!(cell_count(&snap, "cached"), 4, "{snap:?}");
+    }
+    assert_eq!(results_retained(&mut http), RESULTS_RETAINED as u64);
+
+    assert_eq!(exports(&mut http, &first), held, "a replayed export must be byte-identical");
+    assert_eq!(results_retained(&mut http), RESULTS_RETAINED as u64);
+    let HttpResponse { status, .. } =
+        http.request("GET", "/campaigns/c0-nope/results", None).unwrap();
+    assert_eq!(status, 404);
+    server.shutdown_and_join();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fleet_results_past_the_memo_bound_are_still_served() {
+    use hdsmt_campaign::serve::state::RESULTS_RETAINED;
+    let dir = tmpdir("fleet-memo");
+    let cache = dir.join("cache");
+    // One in-process worker, adopted by address by an in-process
+    // supervisor on the same cache.
+    let worker = server_on(&cache, None);
+    let fleet = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        cache_dir: cache.to_string_lossy().into_owned(),
+        supervise: Some(0),
+        remote_workers: vec![worker.addr().to_string()],
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = fleet.addr().to_string();
+    let mut http = HttpClient::new(&addr);
+
+    let ids: Vec<String> = (0..RESULTS_RETAINED + 2).map(|_| submit(&addr, SPEC)).collect();
+    for id in &ids {
+        let snap = wait_terminal(&addr, id);
+        assert_eq!(snap.get("status").and_then(|s| s.as_str()), Some("done"), "{snap:?}");
+    }
+    // Reading every later campaign's results pushes the first one out.
+    let held = exports(&mut http, &ids[0]);
+    for id in &ids[1..] {
+        exports(&mut http, id);
+    }
+    assert_eq!(results_retained(&mut http), RESULTS_RETAINED as u64);
+    assert_eq!(exports(&mut http, &ids[0]), held, "a replayed export must be byte-identical");
+
+    fleet.shutdown_and_join();
+    worker.shutdown_and_join();
     let _ = fs::remove_dir_all(&dir);
 }
 
