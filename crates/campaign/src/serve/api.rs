@@ -27,17 +27,20 @@
 //! through the engine on the daemon's cache: pure cache reads, and
 //! byte-identical to the export it had when it finished.
 //!
-//! On a supervising daemon (`--supervise n`) the campaign verbs route to
-//! the fleet [`crate::serve::supervisor::Supervisor`] — same paths, same
-//! shapes, with per-cell counters summed across shards and the extra
-//! campaign status `degraded` (a broken shard can no longer finish its
-//! slice). Queue-full 503s carry a `Retry-After` header scaled to the
-//! backlog.
+//! Every daemon answers the campaign routes from its one registry,
+//! [`ServerState`]. On a supervising daemon (`--supervise n`) the fleet
+//! [`crate::serve::supervisor::Supervisor`] only executes: the registry
+//! hands it each accepted campaign, and its monitor writes the per-cell
+//! counters summed across shards back into the campaign's entry. Same
+//! paths, same shapes, plus the campaign status `degraded` (a broken
+//! shard can no longer finish its slice). Queue-full 503s carry a
+//! `Retry-After` header scaled to the backlog.
 
 use crate::cache::{valid_cell_key, EntryLookup, Replicate, ReplicateError};
 use crate::export;
 use crate::serve::http::{HttpError, Request, Response};
 use crate::serve::state::{ServerState, SubmitError};
+use crate::serve::supervisor::FleetReport;
 
 #[derive(serde::Serialize)]
 struct ErrorDetail {
@@ -89,23 +92,14 @@ pub fn handle(state: &ServerState, req: &Request) -> Response {
         ("GET", ["healthz"]) => Response::json(200, r#"{"status":"ok"}"#.to_string()),
         ("GET", ["stats"]) => json_ok(200, &state.stats()),
         ("POST", ["campaigns"]) => submit(state, req),
-        ("GET", ["campaigns"]) => match state.supervisor() {
-            Some(sup) => json_ok(200, &sup.list()),
-            None => {
-                let list: Vec<_> = state.list().iter().map(|e| e.snapshot()).collect();
-                json_ok(200, &list)
-            }
-        },
-        ("GET", ["campaigns", id]) => {
-            let snapshot = match state.supervisor() {
-                Some(sup) => sup.snapshot(id),
-                None => state.get(id).map(|e| e.snapshot()),
-            };
-            match snapshot {
-                Some(snap) => json_ok(200, &snap),
-                None => error_response(404, format!("no campaign `{id}`")),
-            }
+        ("GET", ["campaigns"]) => {
+            let list: Vec<_> = state.list().iter().map(|e| e.snapshot()).collect();
+            json_ok(200, &list)
         }
+        ("GET", ["campaigns", id]) => match state.get(id) {
+            Some(entry) => json_ok(200, &entry.snapshot()),
+            None => error_response(404, format!("no campaign `{id}`")),
+        },
         ("GET", ["campaigns", id, "results"]) => results(state, req, id),
         ("GET", ["cells"]) => manifest(state, req),
         ("GET", ["cells", hash]) => cell(state, hash),
@@ -168,18 +162,6 @@ fn submit(state: &ServerState, req: &Request) -> Response {
     if state.is_shutting_down() {
         return error_response(503, "daemon is shutting down; not accepting campaigns");
     }
-    if let Some(sup) = state.supervisor() {
-        return match sup.submit(spec_text) {
-            Ok(snapshot) => json_ok(202, &snapshot),
-            Err(SubmitError::Invalid(msg)) => error_response(400, msg),
-            // The supervisor has no local queue; these cannot happen, but
-            // map them anyway rather than panic.
-            Err(SubmitError::QueueFull | SubmitError::ShuttingDown) => {
-                error_response(503, "fleet is not accepting campaigns")
-            }
-            Err(SubmitError::Journal(msg)) => journal_unavailable(&msg),
-        };
-    }
     match state.submit(spec_text) {
         Ok(entry) => json_ok(202, &entry.snapshot()),
         Err(SubmitError::Invalid(msg)) => error_response(400, msg),
@@ -208,21 +190,11 @@ fn journal_unavailable(msg: &str) -> Response {
 /// `GET /workers` — fleet health. A non-supervising daemon answers with
 /// an empty fleet rather than a 404, so probes need no mode detection.
 fn workers(state: &ServerState) -> Response {
-    match state.supervisor() {
-        Some(sup) => json_ok(200, &sup.fleet()),
-        None => Response::json(
-            200,
-            r#"{"supervising":0,"restarts_total":0,"broken":0,"partitions_total":0,"reowned":0,"workers":[]}"#.to_string(),
-        ),
-    }
+    json_ok(200, &state.supervisor().map_or_else(FleetReport::default, |sup| sup.fleet()))
 }
 
 fn results(state: &ServerState, req: &Request, id: &str) -> Response {
-    let result = match state.supervisor() {
-        Some(sup) => sup.results(id),
-        None => state.results(id),
-    };
-    let result = match result {
+    let result = match state.results(id) {
         Ok(result) => result,
         Err((status, message)) => return error_response(status, message),
     };

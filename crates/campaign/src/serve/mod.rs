@@ -34,19 +34,25 @@
 //!
 //! `serve --supervise n` turns the daemon into a fleet parent: instead of
 //! executing campaigns in-process it spawns `n` child daemons (`--shard
-//! i/n`, ephemeral ports, shared cache) and routes every campaign verb
-//! through a ledger that keeps all shards fed. Each child reports its
-//! address through a file, and the supervisor then adopts that address
-//! exactly like a `--worker` one (below): one worker lifecycle, whose
-//! only ownership-specific steps are reaping, killing and relaunching
-//! the child. See [`supervisor`] for the moving parts. The failure
-//! model, in decreasing order of blast radius:
+//! i/n`, ephemeral ports, shared cache) and keeps all shards fed. There
+//! is one campaign registry, [`ServerState`]: it assigns ids,
+//! records pending accepts, counts campaigns and serves results on every
+//! daemon. Only the executor differs. A local daemon queues each
+//! accepted campaign for its executor thread; a supervising one hands it
+//! to the fleet [`supervisor::Supervisor`], whose monitor writes the
+//! shard-summed progress back into the registry entry every heartbeat.
+//! Each child reports its address through a file, and the supervisor
+//! then adopts that address exactly like a `--worker` one (below): one
+//! worker lifecycle, whose only ownership-specific steps are reaping,
+//! killing and relaunching the child. See [`supervisor`] for the moving
+//! parts. The failure model, in decreasing order of blast radius:
 //!
 //! - **Worker crash** (SIGKILL, `abort()`, OOM): detected by process
 //!   reaping or three consecutive missed `/healthz` probes. The worker is
 //!   restarted under exponential backoff (250 ms base, 5 s cap,
-//!   deterministic jitter) and re-seeded with every ledgered spec —
-//!   idempotent, because finished cells are cache hits.
+//!   deterministic jitter) and re-seeded with every campaign not yet
+//!   `done` or `failed` — idempotent, because finished cells are cache
+//!   hits.
 //! - **Crash loop**: more than `max_restarts` (default 5) restarts trips
 //!   a circuit breaker; the worker is marked *broken*, `GET /workers`
 //!   says so, and campaigns whose other shards finish report `degraded`
@@ -101,7 +107,7 @@
 //! - **Remote workers** (`serve --supervise 0 --worker HOST:PORT ...`):
 //!   each `--worker` entry is adopted at its address through the same
 //!   lifecycle as a spawned child — health probes over `/healthz`,
-//!   max-missed / backoff / circuit breaker, backfill of every ledgered
+//!   max-missed / backoff / circuit breaker, backfill of every unsettled
 //!   campaign over the retrying client — except that the supervisor
 //!   never forks or kills it. The operator starts each remote
 //!   daemon with the matching `--shard i/n` (`n` = spawned + adopted)
@@ -110,8 +116,8 @@
 //! - **Cache peers** (`--peer HOST:PORT`, repeatable): a cache miss
 //!   consults each peer's `GET /cells/:hash` and lands a verified copy
 //!   locally (atomic tmp + rename) before falling back to simulation.
-//!   The supervisor's `/campaigns/:id/results` replay first runs an
-//!   anti-entropy pass — `GET /cells?since=` manifest diff against every
+//!   A supervising daemon's `/campaigns/:id/results` replay first runs
+//!   an anti-entropy pass — `GET /cells?since=` manifest diff against every
 //!   live worker, pulling entries it is missing — so results are served
 //!   entirely through HTTP when workers are remote.
 //! - **Replication rule: byte-equality or quarantine.** Cache entries
@@ -264,16 +270,7 @@ impl Server {
         let poked = Arc::new(AtomicBool::new(false));
 
         if state.config.supervise.is_some() {
-            let pending = state.pending.clone();
-            let recovered = pending.as_ref().map(|p| p.take_recovered()).unwrap_or_default();
-            let sup = supervisor::Supervisor::start(
-                &state.config,
-                supervisor::SupervisorConfig::default(),
-                state.cache.clone(),
-                pending,
-                recovered,
-            )?;
-            state.set_supervisor(sup);
+            supervisor::Supervisor::start(&state, supervisor::SupervisorConfig::default())?;
         }
 
         // The campaign executor drains the bounded queue until it

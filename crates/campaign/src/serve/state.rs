@@ -1,6 +1,9 @@
 //! Shared daemon state: the campaign registry, per-campaign progress
 //! counters, the bounded memo of finished results, and the global
-//! service counters behind `GET /stats`.
+//! service counters behind `GET /stats`. It is the only registry on
+//! every daemon: a supervising one hands its campaigns to the fleet
+//! [`Supervisor`] instead of the local queue, and the supervisor's
+//! monitor writes the fleet-level view back into each entry.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -13,6 +16,7 @@ use crate::job::{CampaignError, JobOutcome, JobRunner, RunReport, Watchdog};
 use crate::matrix::{Cell, ShardSpec};
 use crate::pending::{self, Pending};
 use crate::serve::queue::{BoundedQueue, PushError};
+use crate::serve::supervisor::Supervisor;
 use crate::spec::CampaignSpec;
 
 /// Daemon configuration (CLI flags; every field has a usable default).
@@ -87,10 +91,10 @@ impl ServerConfig {
 /// Run `spec` (daemon-owned, see [`ServerConfig::own`]), or one shard of
 /// it, through the engine on `cache` with the daemon's runner and no
 /// progress observer. Once the campaign has finished, every cell is a
-/// cache hit, so this is pure reads: it recomputes a done campaign's
-/// result when the memo has dropped it (the local registry, the fleet
-/// ledger) and re-owns a broken worker's shard. A failed cell was never
-/// cached, so a replay attempts it again under the same watchdog.
+/// cache hit, so this is pure reads: it computes a done campaign's
+/// result when the memo does not hold it and re-owns a broken fleet
+/// worker's shard. A failed cell was never cached, so a replay attempts
+/// it again under the same watchdog.
 pub(crate) fn replay(
     spec: &CampaignSpec,
     config: &ServerConfig,
@@ -107,9 +111,9 @@ pub(crate) fn replay(
 pub const RESULTS_RETAINED: usize = 16;
 
 /// The finished results held in memory, at most [`RESULTS_RETAINED`];
-/// the one least recently finished or read is dropped first. The local
-/// registry and the fleet ledger each keep one. Its lock is a leaf:
-/// callers take it before a campaign entry's lock, never inside it.
+/// the one least recently finished or read is dropped first. Each
+/// daemon's registry keeps one. Its lock is a leaf: callers take it
+/// before a campaign entry's lock, never inside it.
 #[derive(Debug, Default)]
 pub(crate) struct ResultMemo {
     /// `(campaign id, result)`, most recently finished or read last.
@@ -183,6 +187,8 @@ pub enum CampaignPhase {
     /// Interrupted by shutdown before completing — resubmit after restart
     /// to resume from the cache.
     Cancelled,
+    /// Fleet only: a broken shard can no longer finish its slice.
+    Degraded,
 }
 
 impl CampaignPhase {
@@ -193,7 +199,14 @@ impl CampaignPhase {
             CampaignPhase::Done => "done",
             CampaignPhase::Failed => "failed",
             CampaignPhase::Cancelled => "cancelled",
+            CampaignPhase::Degraded => "degraded",
         }
+    }
+
+    /// `done` and `failed` are terminal: counted once, pending file
+    /// resolved, never run or backfilled again.
+    pub(crate) fn is_settled(self) -> bool {
+        matches!(self, CampaignPhase::Done | CampaignPhase::Failed)
     }
 }
 
@@ -220,15 +233,18 @@ pub struct SearchCounts {
     pub finished: usize,
 }
 
+/// A campaign's mutable progress. A fleet monitor tick replaces it
+/// whole with the view aggregated across shards.
 #[derive(Debug, Default)]
-struct CampaignInner {
-    phase: CampaignPhase, // Default = Queued, so the entry is valid from birth
-    cells: CellCounts,
-    search: SearchCounts,
-    error: Option<String>,
-    /// Job counts of the run that finished the campaign: a replayed
-    /// result reports these, not its own all-hit counts.
-    report: RunReport,
+pub(crate) struct CampaignInner {
+    pub(crate) phase: CampaignPhase, // Default = Queued, so the entry is valid from birth
+    pub(crate) cells: CellCounts,
+    pub(crate) search: SearchCounts,
+    pub(crate) error: Option<String>,
+    /// Job counts of the local run that finished the campaign: a
+    /// replayed result reports these, not its own all-hit counts. A fleet
+    /// campaign has none, so its result keeps the replay's counts.
+    pub(crate) report: Option<RunReport>,
 }
 
 /// One submitted campaign: immutable identity + mutable progress.
@@ -236,6 +252,10 @@ struct CampaignInner {
 pub struct CampaignEntry {
     pub id: String,
     pub name: String,
+    /// The verbatim spec text the client submitted (what a fleet sends
+    /// its workers).
+    pub(crate) spec_text: String,
+    /// The parsed spec, with the daemon's cache and worker budget.
     pub spec: CampaignSpec,
     inner: Mutex<CampaignInner>,
 }
@@ -253,10 +273,11 @@ pub struct CampaignSnapshot {
 }
 
 impl CampaignEntry {
-    fn new(id: String, spec: CampaignSpec) -> Self {
+    fn new(id: String, spec_text: String, spec: CampaignSpec) -> Self {
         CampaignEntry {
             id,
             name: spec.display_name().to_string(),
+            spec_text,
             spec,
             inner: Mutex::new(CampaignInner::default()),
         }
@@ -294,7 +315,7 @@ impl CampaignEntry {
         match outcome {
             Ok(report) => {
                 inner.phase = CampaignPhase::Done;
-                inner.report = report;
+                inner.report = Some(report);
             }
             Err((phase, error)) => {
                 inner.phase = phase;
@@ -387,12 +408,12 @@ pub struct ServerState {
     jobs: JobTotals,
     campaigns_done: AtomicU64,
     campaigns_failed: AtomicU64,
-    /// Set once by `Server::start` when `config.supervise` is on; the API
-    /// layer routes campaign verbs here instead of the local queue.
-    supervisor: std::sync::OnceLock<Arc<crate::serve::supervisor::Supervisor>>,
-    /// Durable pending accepts (absent with `--no-journal`), shared with
-    /// the supervisor in `--supervise` mode.
-    pub(crate) pending: Option<Arc<Pending>>,
+    /// Set once by [`Supervisor::start`] when `config.supervise` is on:
+    /// the executor accepted campaigns are handed to instead of the
+    /// local queue.
+    supervisor: std::sync::OnceLock<Arc<Supervisor>>,
+    /// Durable pending accepts (absent with `--no-journal`).
+    pending: Option<Pending>,
     /// Orphaned tmp files reaped at startup.
     tmp_reaped: u64,
 }
@@ -414,7 +435,7 @@ impl ServerState {
         let tmp_reaped = cache.reap_tmp(config.tmp_reap_age) as u64;
         let pending = if config.journal {
             let dir = std::path::Path::new(&config.cache_dir);
-            Some(Arc::new(Pending::open(dir, &pending_role(&config))?))
+            Some(Pending::open(dir, &pending_role(&config))?)
         } else {
             None
         };
@@ -434,14 +455,11 @@ impl ServerState {
             pending,
             tmp_reaped,
         };
-        // A supervisor re-ledgers the fleet's recovered accepts itself.
-        if state.config.supervise.is_none() {
-            state.recover_local();
-        }
+        state.recover_local();
         Ok(state)
     }
 
-    /// Resubmit replayed campaigns through the ordinary executor path,
+    /// Resubmit replayed campaigns through the ordinary hand-off,
     /// preserving their ids. Idempotent by construction: every
     /// already-finished cell is a cache hit, so a campaign that was 90%
     /// done re-runs as 10% simulation.
@@ -451,29 +469,70 @@ impl ServerState {
             // Seed the id counter past every revived campaign so fresh
             // submissions never collide with it.
             self.seq.fetch_max(pending::id_seq(&rec.id).unwrap_or(0), Ordering::Relaxed);
-            let entry = Arc::new(CampaignEntry::new(rec.id, self.config.own(rec.spec)));
-            self.campaigns_lock().push(entry.clone());
-            if self.queue.push_recovered(entry.clone()).is_err() {
-                // Only possible if the queue is already closed — the file
-                // stays pending for the next restart.
-                self.campaigns_lock().retain(|e| e.id != entry.id);
-            }
+            let entry = CampaignEntry::new(rec.id, rec.spec_text, self.config.own(rec.spec));
+            // Only refused once the queue is closed: the file stays
+            // pending for the next restart.
+            let _ = self.hand_off(Arc::new(entry), true);
         }
     }
 
-    /// Delete a settled campaign's pending file.
+    /// The one hand-off point for an accepted campaign, new or recovered:
+    /// register it, then give it to whatever runs campaigns here. A local
+    /// daemon queues it for its executor (a recovered campaign past the
+    /// queue bound too). A fleet daemon fans it out to the workers that
+    /// are up; the monitor backfills the rest, including every campaign
+    /// recovered before the supervisor started.
+    fn hand_off(&self, entry: Arc<CampaignEntry>, recovered: bool) -> Result<(), PushError> {
+        self.campaigns_lock().push(entry.clone());
+        if self.config.supervise.is_some() {
+            if let Some(sup) = self.supervisor() {
+                sup.dispatch(&entry);
+            }
+            return Ok(());
+        }
+        let queued = if recovered {
+            self.queue.push_recovered(entry.clone())
+        } else {
+            self.queue.push(entry.clone())
+        };
+        if queued.is_err() {
+            self.campaigns_lock().retain(|e| !Arc::ptr_eq(e, &entry));
+        }
+        queued
+    }
+
+    /// Count a campaign that reached `done` or `failed` and delete its
+    /// pending file; other phases are not settled and do nothing. Called
+    /// before the entry shows the phase, so a reader that sees it also
+    /// sees the count.
+    fn settle(&self, id: &str, phase: CampaignPhase) {
+        match phase {
+            CampaignPhase::Done => self.campaigns_done.fetch_add(1, Ordering::Relaxed),
+            CampaignPhase::Failed => self.campaigns_failed.fetch_add(1, Ordering::Relaxed),
+            _ => return,
+        };
+        self.resolve(id);
+    }
+
+    /// Delete a settled (or refused) campaign's pending file.
     fn resolve(&self, id: &str) {
         if let Some(pending) = &self.pending {
             pending.resolve(id);
         }
     }
 
+    /// Replace `entry`'s progress with a fleet monitor tick's view.
+    pub(crate) fn observe(&self, entry: &CampaignEntry, view: CampaignInner) {
+        self.settle(&entry.id, view.phase);
+        *entry.lock() = view;
+    }
+
     /// The fleet supervisor, when this daemon runs in `--supervise` mode.
-    pub fn supervisor(&self) -> Option<&Arc<crate::serve::supervisor::Supervisor>> {
+    pub fn supervisor(&self) -> Option<&Arc<Supervisor>> {
         self.supervisor.get()
     }
 
-    pub(crate) fn set_supervisor(&self, sup: Arc<crate::serve::supervisor::Supervisor>) {
+    pub(crate) fn set_supervisor(&self, sup: Arc<Supervisor>) {
         let _ = self.supervisor.set(sup);
     }
 
@@ -498,8 +557,8 @@ impl ServerState {
         self.started.elapsed().as_secs()
     }
 
-    /// Parse, validate, register, and enqueue a campaign spec (TOML or
-    /// JSON text).
+    /// Parse, validate, record, and hand off a campaign spec (TOML or
+    /// JSON text). Ids are `c…` on a local daemon and `f…` on a fleet.
     pub fn submit(&self, spec_text: &str) -> Result<Arc<CampaignEntry>, SubmitError> {
         if self.is_shutting_down() {
             return Err(SubmitError::ShuttingDown);
@@ -507,25 +566,23 @@ impl ServerState {
         let spec = engine::admit(spec_text).map_err(|e| SubmitError::Invalid(e.0))?;
         let spec = self.config.own(spec);
 
+        let prefix = if self.config.supervise.is_some() { 'f' } else { 'c' };
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = Arc::new(CampaignEntry::new(pending::campaign_id('c', seq, spec_text), spec));
+        let id = pending::campaign_id(prefix, seq, spec_text);
         // Record the accept — durably, *before* the 202 leaves the
         // daemon. If the write cannot promise the campaign will survive a
         // crash, the daemon refuses the work instead of lying.
         if let Some(pending) = &self.pending {
-            pending
-                .accept(&entry.id, spec_text)
-                .map_err(|e| SubmitError::Journal(e.to_string()))?;
+            pending.accept(&id, spec_text).map_err(|e| SubmitError::Journal(e.to_string()))?;
         }
         crate::fault::on_accept();
-        self.campaigns_lock().push(entry.clone());
-        match self.queue.push(entry.clone()) {
+        let entry = Arc::new(CampaignEntry::new(id, spec_text.to_string(), spec));
+        match self.hand_off(entry.clone(), false) {
             Ok(()) => Ok(entry),
             Err(push_err) => {
-                // Un-register so a rejected submission leaves no ghost —
-                // including its pending file, or the rejected accept
-                // would be resurrected on every restart.
-                self.campaigns_lock().retain(|e| e.id != entry.id);
+                // A rejected submission leaves no ghost: its pending file
+                // goes too, or the rejected accept would be resurrected
+                // on every restart.
                 self.resolve(&entry.id);
                 Err(match push_err {
                     PushError::Full => SubmitError::QueueFull,
@@ -544,8 +601,9 @@ impl ServerState {
     }
 
     /// The result of done campaign `id`: from the memo while retained,
-    /// otherwise replayed from the cache and retained again. `Err`
-    /// carries the HTTP status and message for the API layer.
+    /// otherwise replayed from the cache and retained again. A fleet
+    /// first pulls what its live workers cached, so the replay stays a
+    /// read. `Err` carries the HTTP status and message for the API layer.
     pub fn results(&self, id: &str) -> Result<Arc<CampaignResult>, (u16, String)> {
         if let Some(result) = self.results.get(id) {
             return Ok(result);
@@ -561,9 +619,14 @@ impl ServerState {
                 ),
             ));
         }
+        if let Some(sup) = self.supervisor() {
+            sup.pull_worker_caches();
+        }
         let mut result = replay(&entry.spec, &self.config, self.cache.clone(), self.config.shard)
             .map_err(|e| (500, format!("results replay failed: {}", e.0)))?;
-        result.report = entry.lock().report;
+        if let Some(report) = entry.lock().report {
+            result.report = report;
+        }
         Ok(self.results.put(id, result))
     }
 
@@ -586,13 +649,12 @@ impl ServerState {
         self.merge_jobs(runner.report());
         match outcome {
             Ok(result) => {
-                self.campaigns_done.fetch_add(1, Ordering::Relaxed);
                 // Retained before the entry reads `done`, so a reader that
                 // sees `done` finds the result here or replays it.
                 let report = result.report;
                 self.results.put(&entry.id, result);
+                self.settle(&entry.id, CampaignPhase::Done);
                 entry.finish(Ok(report));
-                self.resolve(&entry.id);
             }
             Err(e) if self.is_shutting_down() => {
                 entry.finish(Err((
@@ -604,9 +666,8 @@ impl ServerState {
                 // it automatically from the cache.
             }
             Err(e) => {
-                self.campaigns_failed.fetch_add(1, Ordering::Relaxed);
+                self.settle(&entry.id, CampaignPhase::Failed);
                 entry.finish(Err((CampaignPhase::Failed, e.0)));
-                self.resolve(&entry.id);
             }
         }
     }
@@ -637,9 +698,7 @@ impl ServerState {
                 submitted,
                 done: self.campaigns_done.load(Ordering::Relaxed),
                 failed: self.campaigns_failed.load(Ordering::Relaxed),
-                results_retained: self
-                    .supervisor()
-                    .map_or_else(|| self.results.len(), |s| s.results_retained()),
+                results_retained: self.results.len(),
             },
             jobs: RunReport {
                 total: self.jobs.total.load(Ordering::Relaxed) as usize,
@@ -665,8 +724,8 @@ impl ServerState {
 }
 
 /// Which `pending/<role>/` directory this daemon owns. Shard workers
-/// sharing a cache directory each get their own; the supervisor's fleet
-/// ledger gets another, so concurrent daemons never replay each other's
+/// sharing a cache directory each get their own; a supervising daemon
+/// gets another, so concurrent daemons never replay each other's
 /// accepts.
 fn pending_role(config: &ServerConfig) -> String {
     if config.supervise.is_some() {

@@ -2,6 +2,13 @@
 //! daemon as a parent over shard workers instead of executing campaigns
 //! in-process.
 //!
+//! The supervisor is the fleet's *executor*, not a second registry. The
+//! daemon's [`ServerState`] owns every accepted campaign: ids, pending
+//! accepts, counters and results. A supervising daemon hands each accepted
+//! campaign here instead of to its local queue, and the supervisor holds
+//! only per-worker state: what each worker accepted and the snapshots it
+//! last reported.
+//!
 //! # One worker lifecycle
 //!
 //! Every worker is a `hdsmt-campaign serve --shard i/n` daemon that the
@@ -15,7 +22,7 @@
 //!   address alone is not proof of life: a stale address file points at
 //!   a dead port, and a configured address is just configuration.
 //! - **Up**: every heartbeat probes `/healthz`, **backfills** each
-//!   ledgered campaign the worker has not accepted (the cache makes
+//!   unsettled campaign the worker has not accepted (the cache makes
 //!   resubmission idempotent: completed cells are hits), and polls the
 //!   worker's campaign snapshots. [`MAX_MISSED`] consecutive failed
 //!   probes count as a loss.
@@ -33,14 +40,16 @@
 //! count as *partitions* — the worker may be fine, the network between
 //! us is not — and surface per worker in `GET /workers`.
 //!
-//! The supervisor also **aggregates** per-worker snapshots into one
-//! fleet-level view (`GET /campaigns/:id` sums per-cell counters across
-//! shards) and **serves results** by replaying the campaign through the
-//! local engine once every shard reports done; like the local registry,
-//! it keeps only the most recently finished or read results in memory
-//! and replays the others on demand. Adoptees may keep their
-//! own cache directories, so the supervisor's cache reads through its
-//! configured peers and runs an anti-entropy manifest pull before the
+//! Every heartbeat also **aggregates** per-worker snapshots into one
+//! fleet-level view per unsettled campaign (per-cell counters summed
+//! across shards) and writes it into the campaign's registry entry.
+//! `done` and `failed` are terminal: the registry counts the campaign
+//! and resolves its pending file, and the supervisor forgets its
+//! per-worker state, so a restarted worker is never backfilled with it.
+//! Results are the registry's: it replays a done campaign through the
+//! local engine. Adoptees may keep their own cache directories, so the
+//! daemon's cache reads through its configured peers, and the supervisor
+//! runs an anti-entropy manifest pull from its live workers before the
 //! replay; by then every cell is a hit, so the replay is a read, not a
 //! re-simulation.
 //!
@@ -63,15 +72,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::cache::ResultCache;
-use crate::engine::{self, CampaignResult};
-use crate::job::CampaignError;
 use crate::matrix::ShardSpec;
-use crate::pending::{self, Pending, Replayed};
 use crate::serve::http::{HttpClient, RetryPolicy};
 use crate::serve::state::{
-    replay, CampaignSnapshot, CellCounts, ResultMemo, SearchCounts, ServerConfig, SubmitError,
+    replay, CampaignEntry, CampaignInner, CampaignPhase, CampaignSnapshot, CellCounts,
+    SearchCounts, ServerConfig, ServerState,
 };
-use crate::spec::CampaignSpec;
 
 /// Fleet timing. Everything else (fleet size, cache, simulation threads,
 /// the worker binary and its flags) comes from the daemon's
@@ -153,11 +159,11 @@ struct Worker {
     /// Losses of an adoptee. We cannot tell a dead remote from an
     /// unreachable one, so every adoptee loss counts as a partition.
     partitions: u64,
-    /// Ledger id → this incarnation's child-side campaign id.
+    /// Campaign id → this incarnation's child-side campaign id.
     submitted: HashMap<String, String>,
-    /// Ledger id → last snapshot polled from the child (survives the
+    /// Campaign id → last snapshot polled from the child (survives the
     /// incarnation that produced it, so aggregation never goes blind
-    /// during a restart).
+    /// during a restart). Both maps hold unsettled campaigns only.
     snapshots: HashMap<String, CampaignSnapshot>,
 }
 
@@ -243,27 +249,9 @@ impl OwnedChild {
     }
 }
 
-/// One campaign as the supervisor tracks it: the spec text, for worker
-/// backfill and the local results replay.
-struct LedgerEntry {
-    id: String,
-    name: String,
-    spec_text: String,
-    /// Whether the campaign's fleet pending file has been resolved —
-    /// once, by the monitor, when the aggregate status settles on `done`
-    /// or `failed`.
-    resolved: bool,
-}
-
-struct Inner {
-    workers: Vec<Worker>,
-    ledger: Vec<LedgerEntry>,
-    seq: u64,
-}
-
 /// A running fleet. Created by `Server::start` when
-/// `ServerConfig::supervise` is set; the HTTP API routes campaign verbs
-/// here instead of the local queue.
+/// `ServerConfig::supervise` is set; the daemon's registry hands its
+/// campaigns here instead of to the local queue.
 pub struct Supervisor {
     config: SupervisorConfig,
     /// The daemon's configuration: fleet size, cache, simulation flags.
@@ -271,21 +259,17 @@ pub struct Supervisor {
     /// Shard count: spawned children plus adoptees. Every `--shard i/n`
     /// denominator and fleet report uses it.
     shards: u32,
+    /// The daemon's (peer-reading) cache: re-own runs and anti-entropy
+    /// pulls land here.
     cache: ResultCache,
-    inner: Mutex<Inner>,
-    /// Replayed results of the most recently finished or read campaigns.
-    results: ResultMemo,
+    workers: Mutex<Vec<Worker>>,
     stop: Arc<AtomicBool>,
     monitor: Mutex<Option<JoinHandle<()>>>,
-    /// The fleet's pending accepts (`pending/fleet/`), shared with the
-    /// owning [`crate::serve::ServerState`]. Workers run `--no-journal`;
-    /// this is the single source of truth for accepted fleet campaigns.
-    pending: Option<Arc<Pending>>,
     /// Finished re-own runs, pushed by their worker threads and drained
-    /// by the next monitor tick (`(ledger id, worker index, outcome)` —
+    /// by the next monitor tick (`(campaign id, worker index, outcome)` —
     /// `None` means the run failed and may be retried).
     reown_done: Arc<Mutex<Vec<ReownOutcome>>>,
-    /// `(ledger id, worker index)` pairs with a re-own run in flight.
+    /// `(campaign id, worker index)` pairs with a re-own run in flight.
     reown_inflight: Mutex<HashSet<(String, u32)>>,
     /// Completed re-own runs (broken shards whose cells a local run
     /// covered).
@@ -307,8 +291,9 @@ pub struct WorkerReport {
     pub partitions: u64,
 }
 
-/// JSON shape of `GET /workers`.
-#[derive(Clone, Debug, serde::Serialize)]
+/// JSON shape of `GET /workers`; a daemon that supervises nothing
+/// reports the empty default.
+#[derive(Clone, Debug, Default, serde::Serialize)]
 pub struct FleetReport {
     pub supervising: u32,
     pub restarts_total: u64,
@@ -319,19 +304,17 @@ pub struct FleetReport {
 }
 
 impl Supervisor {
-    /// Start the fleet described by `server` (`supervise`,
-    /// `remote_workers`) and its monitor thread. `recovered` is the
-    /// pending accepts replayed from a previous incarnation's fleet
-    /// directory — they are re-ledgered with their original ids, and the
-    /// monitor backfills them into workers exactly like any other
-    /// ledgered campaign (idempotent: finished cells are cache hits).
+    /// Start the fleet that `state`'s configuration describes
+    /// (`supervise`, `remote_workers`) and its monitor thread, and hand
+    /// it to `state` as its executor. The monitor backfills every
+    /// unsettled campaign the registry holds, including those recovered
+    /// from a previous incarnation's pending accepts (idempotent:
+    /// finished cells are cache hits).
     pub fn start(
-        server: &ServerConfig,
+        state: &Arc<ServerState>,
         config: SupervisorConfig,
-        cache: ResultCache,
-        pending: Option<Arc<Pending>>,
-        recovered: Vec<Replayed>,
     ) -> std::io::Result<Arc<Supervisor>> {
+        let server = &state.config;
         let handshake_dir = Path::new(&server.cache_dir).join(".supervise");
         std::fs::create_dir_all(&handshake_dir)?;
         // A SIGKILLed previous incarnation leaves its workers' address
@@ -370,39 +353,34 @@ impl Supervisor {
                 }
             })
             .collect();
-        let seq = recovered.iter().filter_map(|r| pending::id_seq(&r.id)).max().unwrap_or(0);
-        let ledger: Vec<LedgerEntry> = recovered
-            .into_iter()
-            .map(|rec| LedgerEntry {
-                name: rec.spec.display_name().to_string(),
-                id: rec.id,
-                spec_text: rec.spec_text,
-                resolved: false,
-            })
-            .collect();
         let supervisor = Arc::new(Supervisor {
             config,
             server: server.clone(),
             shards: workers.len() as u32,
-            cache,
-            inner: Mutex::new(Inner { workers, ledger, seq }),
-            results: ResultMemo::default(),
+            cache: state.cache.clone(),
+            workers: Mutex::new(workers),
             stop: Arc::new(AtomicBool::new(false)),
             monitor: Mutex::new(None),
-            pending,
             reown_done: Arc::new(Mutex::new(Vec::new())),
             reown_inflight: Mutex::new(HashSet::new()),
             reowned: AtomicU64::new(0),
         });
+        state.set_supervisor(supervisor.clone());
+        // The monitor thread holds the state; the supervisor never does.
         let monitor = {
             let supervisor = supervisor.clone();
+            let state = state.clone();
             std::thread::Builder::new()
                 .name("serve-supervisor".into())
-                .spawn(move || supervisor.monitor_loop())?
+                .spawn(move || supervisor.monitor_loop(&state))?
         };
         *supervisor.monitor.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
             Some(monitor);
         Ok(supervisor)
+    }
+
+    fn workers(&self) -> std::sync::MutexGuard<'_, Vec<Worker>> {
+        self.workers.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn backoff_policy(&self) -> RetryPolicy {
@@ -415,20 +393,27 @@ impl Supervisor {
 
     // ------------------------------------------------------------ monitor
 
-    fn monitor_loop(&self) {
+    fn monitor_loop(&self, state: &ServerState) {
         while !self.stop.load(Ordering::Relaxed) {
-            self.tick();
+            let unsettled: Vec<_> =
+                state.list().into_iter().filter(|e| !e.phase().is_settled()).collect();
+            for (entry, view) in unsettled.iter().zip(self.tick(&unsettled)) {
+                state.observe(entry, view);
+            }
             std::thread::sleep(self.config.heartbeat_interval);
         }
     }
 
     /// One heartbeat over every worker: reap exited children, advance
     /// every worker one lifecycle step, and re-own broken shards' cells.
+    /// Returns the fleet-level view of each of `campaigns` (the
+    /// registry's unsettled ones), in order; a settled view's per-worker
+    /// state is dropped here.
     ///
     /// Locks are taken strictly sequentially (re-own queues first, then
-    /// `inner`, then the queues again after `inner` is released) — never
-    /// nested.
-    fn tick(&self) {
+    /// `workers`, then the queues again after `workers` is released) —
+    /// never nested.
+    fn tick(&self, campaigns: &[Arc<CampaignEntry>]) -> Vec<CampaignInner> {
         let drained: Vec<ReownOutcome> = {
             let mut q = self.reown_done.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             std::mem::take(&mut *q)
@@ -441,8 +426,7 @@ impl Supervisor {
             }
         }
         let now = Instant::now();
-        let mut guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let Inner { workers, ledger, .. } = &mut *guard;
+        let mut workers = self.workers();
         for (id, widx, outcome) in drained {
             let Some(snap) = outcome else { continue };
             self.reowned.fetch_add(1, Ordering::Relaxed);
@@ -450,6 +434,10 @@ impl Supervisor {
                 "supervisor: re-owned {} cell(s) of {id} from broken worker {widx}",
                 snap.cells.total
             );
+            // A campaign that settled meanwhile keeps no per-worker state.
+            if !campaigns.iter().any(|e| e.id == id) {
+                continue;
+            }
             if let Some(w) = workers.iter_mut().find(|w| w.index == widx) {
                 w.snapshots.insert(id, snap);
             }
@@ -466,33 +454,35 @@ impl Supervisor {
             match w.phase {
                 Phase::Backoff { until } if now >= until => self.restart(w, now),
                 Phase::Starting { since } => self.handshake(w, now, since),
-                Phase::Up { .. } => self.probe(w, now, ledger),
+                Phase::Up { .. } => self.probe(w, now, campaigns),
                 _ => {}
             }
         }
-        let reown = self.reown_candidates(workers, ledger);
-        // Resolve pending files once per campaign, from the aggregate
-        // view: `done` and `failed` are settled; `degraded`/`cancelled`
-        // stay pending so the next incarnation resumes them.
-        if let Some(p) = &self.pending {
-            for entry in ledger.iter_mut().filter(|e| !e.resolved) {
-                if matches!(aggregate(entry, workers).status.as_str(), "done" | "failed") {
-                    p.resolve(&entry.id);
-                    entry.resolved = true;
+        let reown = reown_candidates(&workers, campaigns);
+        let views: Vec<CampaignInner> = campaigns.iter().map(|e| aggregate(e, &workers)).collect();
+        // A settled campaign is never polled, backfilled or re-owned
+        // again; `degraded`/`cancelled` stay unsettled so the fleet (or
+        // the next incarnation) can still finish them.
+        for (entry, view) in campaigns.iter().zip(&views) {
+            if view.phase.is_settled() {
+                for w in workers.iter_mut() {
+                    w.submitted.remove(&entry.id);
+                    w.snapshots.remove(&entry.id);
                 }
             }
         }
-        drop(guard);
-        for (id, spec_text, widx) in reown {
+        drop(workers);
+        for (entry, widx) in reown {
             let claimed = self
                 .reown_inflight
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert((id.clone(), widx));
+                .insert((entry.id.clone(), widx));
             if claimed {
-                self.spawn_reown(id, spec_text, widx);
+                self.spawn_reown(entry, widx);
             }
         }
+        views
     }
 
     /// Backoff → Starting: relaunch an owned child, then wait for its
@@ -530,7 +520,7 @@ impl Supervisor {
 
     /// Up: probe `/healthz`; a healthy worker is backfilled and polled,
     /// and [`MAX_MISSED`] failed probes in a row lose it.
-    fn probe(&self, w: &mut Worker, now: Instant, ledger: &[LedgerEntry]) {
+    fn probe(&self, w: &mut Worker, now: Instant, campaigns: &[Arc<CampaignEntry>]) {
         let healthy = w
             .client
             .as_mut()
@@ -539,7 +529,7 @@ impl Supervisor {
         let Phase::Up { missed } = &mut w.phase else { return };
         if healthy {
             *missed = 0;
-            backfill(w, ledger);
+            backfill(w, campaigns);
             poll_snapshots(w);
         } else {
             *missed += 1;
@@ -549,42 +539,22 @@ impl Supervisor {
         }
     }
 
-    /// Broken-shard slices whose cells no one is finishing: each becomes
-    /// a local re-own run. Pure inspection — the in-flight claim happens
-    /// after `inner` is released.
-    fn reown_candidates(
-        &self,
-        workers: &[Worker],
-        ledger: &[LedgerEntry],
-    ) -> Vec<(String, String, u32)> {
-        let mut out = Vec::new();
-        for w in workers.iter().filter(|w| matches!(w.phase, Phase::Broken)) {
-            for entry in ledger {
-                if w.snapshots.get(&entry.id).is_some_and(|s| s.status == "done") {
-                    continue;
-                }
-                let status = aggregate(entry, workers).status;
-                if status == "failed" || status == "cancelled" {
-                    continue;
-                }
-                out.push((entry.id.clone(), entry.spec_text.clone(), w.index));
-            }
-        }
-        out
-    }
-
     /// Run one broken shard's slice of a campaign on a thread, against
-    /// the supervisor's own (peer-reading) cache, and queue the outcome
-    /// for the next tick.
-    fn spawn_reown(&self, id: String, spec_text: String, widx: u32) {
-        eprintln!("supervisor: worker {widx} is broken; re-owning its shard of {id} locally");
+    /// the daemon's (peer-reading) cache, and queue the outcome for the
+    /// next tick.
+    fn spawn_reown(&self, entry: Arc<CampaignEntry>, widx: u32) {
+        eprintln!(
+            "supervisor: worker {widx} is broken; re-owning its shard of {} locally",
+            entry.id
+        );
         let total = self.shards;
         let cache = self.cache.clone();
         let server = self.server.clone();
         let done = self.reown_done.clone();
-        let key = (id.clone(), widx);
+        let key = (entry.id.clone(), widx);
         let spawned = std::thread::Builder::new().name(format!("reown-{widx}")).spawn(move || {
-            let outcome = reown_shard(&id, &spec_text, &server, cache, widx, total);
+            let outcome = reown_shard(&entry, &server, cache, widx, total);
+            let id = entry.id.clone();
             done.lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .push((id, widx, outcome));
@@ -634,120 +604,39 @@ impl Supervisor {
 
     // ---------------------------------------------------------- campaigns
 
-    /// Accept a campaign: validate locally (clean 400s), ledger it, and
-    /// push it to every live worker. Restarted workers are backfilled by
-    /// the monitor.
-    pub fn submit(&self, spec_text: &str) -> Result<CampaignSnapshot, SubmitError> {
-        // Same pre-flight as the local path: a bad spec must fail the
-        // submission, not n workers later.
-        let spec = engine::admit(spec_text).map_err(|e| SubmitError::Invalid(e.0))?;
-
-        let mut guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let id = pending::campaign_id('f', guard.seq + 1, spec_text);
-        // Durably record the accept before the ledger (and thus the 202)
-        // sees it — an accept that cannot be promised to survive is
-        // refused, not acknowledged.
-        if let Some(p) = &self.pending {
-            p.accept(&id, spec_text).map_err(|e| SubmitError::Journal(e.to_string()))?;
-        }
-        crate::fault::on_accept();
-        guard.seq += 1;
-        // Build the entry first and ledger it after the worker fan-out:
-        // no `expect("just pushed")` back-reference needed, and the
-        // snapshot is computed from the same state either way (workers
-        // have not reported any cells for a campaign this young).
-        let entry = LedgerEntry {
-            id: id.clone(),
-            name: spec.display_name().to_string(),
-            spec_text: spec_text.to_string(),
-            resolved: false,
-        };
-        for w in &mut guard.workers {
+    /// Fan a newly accepted campaign out to every live worker that has
+    /// not accepted it; the monitor backfills the others.
+    pub(crate) fn dispatch(&self, entry: &Arc<CampaignEntry>) {
+        for w in self.workers().iter_mut() {
             if matches!(w.phase, Phase::Up { .. }) {
-                submit_to_worker(w, &entry);
+                backfill(w, std::slice::from_ref(entry));
             }
         }
-        let snap = aggregate(&entry, &guard.workers);
-        guard.ledger.push(entry);
-        drop(guard);
-        Ok(snap)
     }
 
-    /// Fleet-level snapshot of one campaign: per-cell counters summed
-    /// across shards.
-    pub fn snapshot(&self, id: &str) -> Option<CampaignSnapshot> {
-        let guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let entry = guard.ledger.iter().find(|e| e.id == id)?;
-        Some(aggregate(entry, &guard.workers))
-    }
-
-    pub fn list(&self) -> Vec<CampaignSnapshot> {
-        let guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.ledger.iter().map(|e| aggregate(e, &guard.workers)).collect()
-    }
-
-    /// The finished result: once every shard reports done, replay the
-    /// campaign through the local engine on the shared cache (a pure
-    /// read — every cell is a hit) and retain it in the bounded memo.
-    /// `Err` carries the HTTP status + message for the API layer.
-    pub fn results(&self, id: &str) -> Result<Arc<CampaignResult>, (u16, String)> {
-        // The memo's lock is taken before `inner`, never inside it.
-        if let Some(result) = self.results.get(id) {
-            return Ok(result);
-        }
-        let (spec_text, worker_addrs) = {
-            let guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let entry = guard
-                .ledger
-                .iter()
-                .find(|e| e.id == id)
-                .ok_or_else(|| (404, format!("no campaign `{id}`")))?;
-            let snap = aggregate(entry, &guard.workers);
-            if snap.status != "done" {
-                return Err((
-                    409,
-                    format!(
-                        "campaign `{id}` is {}; results exist only once every shard is done",
-                        snap.status
-                    ),
-                ));
-            }
-            let addrs: Vec<String> = guard
-                .workers
-                .iter()
-                .filter(|w| matches!(w.phase, Phase::Up { .. }))
-                .filter_map(|w| w.addr.clone())
-                .collect();
-            (entry.spec_text.clone(), addrs)
-        };
-        // Anti-entropy: remote workers land cells in *their* caches, not
-        // ours. Pull every live worker's manifest diff first so the
-        // replay below stays a pure local read (misses the pull raced
-        // still resolve through the read-through peer tier).
-        for addr in &worker_addrs {
+    /// Anti-entropy before a results replay: remote workers land cells in
+    /// *their* caches, not ours. Pull every live worker's manifest diff
+    /// so the replay stays a pure local read (misses the pull raced still
+    /// resolve through the read-through peer tier).
+    pub(crate) fn pull_worker_caches(&self) {
+        let addrs: Vec<String> = self
+            .workers()
+            .iter()
+            .filter(|w| matches!(w.phase, Phase::Up { .. }))
+            .filter_map(|w| w.addr.clone())
+            .collect();
+        for addr in &addrs {
             let pulled = self.cache.sync_from_peer(addr, None);
             if pulled > 0 {
                 eprintln!("supervisor: anti-entropy pulled {pulled} cell(s) from {addr}");
             }
         }
-        // Replay outside the lock: the engine run is all cache hits, but
-        // there is no reason to stall heartbeats on it.
-        let result = run_locally(&spec_text, &self.server, self.cache.clone(), None)
-            .map_err(|e| (500, format!("results replay failed: {}", e.0)))?;
-        Ok(self.results.put(id, result))
-    }
-
-    /// Replayed results held in memory (at most
-    /// [`crate::serve::state::RESULTS_RETAINED`]).
-    pub fn results_retained(&self) -> usize {
-        self.results.len()
     }
 
     /// `GET /workers`.
     pub fn fleet(&self) -> FleetReport {
-        let guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let guard = self.workers();
         let workers: Vec<WorkerReport> = guard
-            .workers
             .iter()
             .map(|w| WorkerReport {
                 index: w.index,
@@ -764,9 +653,9 @@ impl Supervisor {
             .collect();
         FleetReport {
             supervising: self.shards,
-            restarts_total: guard.workers.iter().map(|w| w.restarts as u64).sum(),
-            broken: guard.workers.iter().filter(|w| matches!(w.phase, Phase::Broken)).count(),
-            partitions_total: guard.workers.iter().map(|w| w.partitions).sum(),
+            restarts_total: guard.iter().map(|w| w.restarts as u64).sum(),
+            broken: guard.iter().filter(|w| matches!(w.phase, Phase::Broken)).count(),
+            partitions_total: guard.iter().map(|w| w.partitions).sum(),
             reowned: self.reowned.load(Ordering::Relaxed),
             workers,
         }
@@ -781,8 +670,7 @@ impl Supervisor {
         {
             let _ = handle.join();
         }
-        let mut guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for w in &mut guard.workers {
+        for w in self.workers().iter_mut() {
             // An adoptee belongs to its own operator: stop probing it,
             // but never drain or kill it.
             if let Some(child) = &mut w.owned {
@@ -799,13 +687,7 @@ impl Supervisor {
 
     /// Health losses attributed to the network, summed over the fleet.
     pub fn partitions_total(&self) -> u64 {
-        let guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.workers.iter().map(|w| w.partitions).sum()
-    }
-
-    /// Broken-shard slices completed locally on the workers' behalf.
-    pub fn reowned_total(&self) -> u64 {
-        self.reowned.load(Ordering::Relaxed)
+        self.workers().iter().map(|w| w.partitions).sum()
     }
 }
 
@@ -813,8 +695,7 @@ impl Drop for Supervisor {
     fn drop(&mut self) {
         // Never leak child processes, even on a panicking exit path.
         self.stop.store(true, Ordering::Relaxed);
-        let mut guard = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for child in guard.workers.iter_mut().filter_map(|w| w.owned.as_mut()) {
+        for child in self.workers().iter_mut().filter_map(|w| w.owned.as_mut()) {
             child.kill();
         }
     }
@@ -835,35 +716,23 @@ fn spawned_children(server: &ServerConfig) -> u32 {
 /// hits, not re-simulations. `None` = the run failed; a later tick may
 /// retry.
 fn reown_shard(
-    id: &str,
-    spec_text: &str,
+    entry: &CampaignEntry,
     server: &ServerConfig,
     cache: ResultCache,
     widx: u32,
     total: u32,
 ) -> Option<CampaignSnapshot> {
     let shard = ShardSpec::parse(&format!("{widx}/{total}")).ok()?;
-    let result = run_locally(spec_text, server, cache, Some(shard)).ok()?;
+    let result = replay(&entry.spec, server, cache, Some(shard)).ok()?;
     let n = result.cells.len();
     Some(CampaignSnapshot {
-        id: id.to_string(),
+        id: entry.id.clone(),
         name: result.name,
         status: "done".to_string(),
         cells: CellCounts { total: n, done: n, ..CellCounts::default() },
         search: SearchCounts::default(),
         error: None,
     })
-}
-
-/// Run a ledgered campaign, or one shard of it, through the local engine
-/// on the supervisor's (peer-reading) cache: [`replay`] of the spec text.
-fn run_locally(
-    spec_text: &str,
-    server: &ServerConfig,
-    cache: ResultCache,
-    shard: Option<ShardSpec>,
-) -> Result<CampaignResult, CampaignError> {
-    replay(&server.own(CampaignSpec::parse(spec_text)?), server, cache, shard)
 }
 
 /// Remove every `*.addr` (and stranded `*.tmp`) file under
@@ -904,18 +773,18 @@ fn read_addr_file(path: &std::path::Path) -> Option<String> {
 const SUBMIT_RETRY: RetryPolicy =
     RetryPolicy { attempts: 3, base: Duration::from_millis(25), cap: Duration::from_millis(100) };
 
-/// Push every not-yet-submitted ledger entry to a live worker (no-op for
-/// a worker that already has them — this is what re-seeds a restarted
-/// incarnation).
-fn backfill(w: &mut Worker, ledger: &[LedgerEntry]) {
-    for entry in ledger {
+/// Push every campaign of `campaigns` the worker has not accepted to it
+/// (no-op for a worker that already has them — this is what re-seeds a
+/// restarted incarnation).
+fn backfill(w: &mut Worker, campaigns: &[Arc<CampaignEntry>]) {
+    for entry in campaigns {
         if !w.submitted.contains_key(&entry.id) {
             submit_to_worker(w, entry);
         }
     }
 }
 
-fn submit_to_worker(w: &mut Worker, entry: &LedgerEntry) {
+fn submit_to_worker(w: &mut Worker, entry: &CampaignEntry) {
     let Some(client) = w.client.as_mut() else { return };
     // Transient errors and 503 backpressure get a short retry budget
     // here; anything else waits for the next backfill pass.
@@ -942,36 +811,56 @@ fn poll_snapshots(w: &mut Worker) {
     let mut fresh: Vec<(String, CampaignSnapshot)> = Vec::new();
     let mut lost: Vec<String> = Vec::new();
     if let Some(client) = w.client.as_mut() {
-        for (ledger_id, child_id) in pairs {
+        for (id, child_id) in pairs {
             let Ok(resp) = client.request("GET", &format!("/campaigns/{child_id}"), None) else {
                 continue;
             };
             if resp.status == 200 {
                 if let Ok(snap) = serde_json::from_str::<CampaignSnapshot>(&resp.body) {
-                    fresh.push((ledger_id, snap));
+                    fresh.push((id, snap));
                 }
             } else if resp.status == 404 {
                 // The worker answers but does not know the campaign: it
-                // restarted (same address, fresh ledger) between two
+                // restarted (same address, fresh registry) between two
                 // probes, fast enough that no probe ever failed. An
                 // adopted remote can do this at any time — forget the
                 // submission so the next tick backfills it. Finished
                 // cells are cache hits on the worker, so the resubmit is
                 // idempotent.
-                lost.push(ledger_id);
+                lost.push(id);
             }
         }
     }
-    for (ledger_id, snap) in fresh {
-        w.snapshots.insert(ledger_id, snap);
+    for (id, snap) in fresh {
+        w.snapshots.insert(id, snap);
     }
-    for ledger_id in lost {
-        eprintln!(
-            "supervisor: worker {} forgot campaign {ledger_id} (restarted?); resubmitting",
-            w.index
-        );
-        w.submitted.remove(&ledger_id);
+    for id in lost {
+        eprintln!("supervisor: worker {} forgot campaign {id} (restarted?); resubmitting", w.index);
+        w.submitted.remove(&id);
     }
+}
+
+/// Broken-shard slices whose cells no one is finishing: each becomes a
+/// local re-own run. Pure inspection — the in-flight claim happens after
+/// the worker lock is released.
+fn reown_candidates(
+    workers: &[Worker],
+    campaigns: &[Arc<CampaignEntry>],
+) -> Vec<(Arc<CampaignEntry>, u32)> {
+    let mut out = Vec::new();
+    for w in workers.iter().filter(|w| matches!(w.phase, Phase::Broken)) {
+        for entry in campaigns {
+            if w.snapshots.get(&entry.id).is_some_and(|s| s.status == "done") {
+                continue;
+            }
+            let phase = aggregate(entry, workers).phase;
+            if matches!(phase, CampaignPhase::Failed | CampaignPhase::Cancelled) {
+                continue;
+            }
+            out.push((entry.clone(), w.index));
+        }
+    }
+    out
 }
 
 /// Sum one campaign's per-worker snapshots into the fleet-level view.
@@ -984,7 +873,7 @@ fn poll_snapshots(w: &mut Worker) {
 /// A broken worker whose snapshot is `done` (its slice finished before
 /// the breaker tripped, or a re-own run completed it on its behalf)
 /// still *covers* its shard, so it counts toward done, not degraded.
-fn aggregate(entry: &LedgerEntry, workers: &[Worker]) -> CampaignSnapshot {
+fn aggregate(entry: &CampaignEntry, workers: &[Worker]) -> CampaignInner {
     let mut cells = CellCounts::default();
     let mut search = SearchCounts::default();
     let mut error: Option<String> = None;
@@ -1025,32 +914,25 @@ fn aggregate(entry: &LedgerEntry, workers: &[Worker]) -> CampaignSnapshot {
             error = snap.error.clone();
         }
     }
-    let status = if any_failed {
-        "failed"
+    let phase = if any_failed {
+        CampaignPhase::Failed
     } else if any_cancelled {
-        "cancelled"
+        CampaignPhase::Cancelled
     } else if live > 0 && live_done == live {
         if broken > 0 {
-            "degraded"
+            CampaignPhase::Degraded
         } else {
-            "done"
+            CampaignPhase::Done
         }
     } else if live == 0 {
         // Every shard tripped the breaker: nothing can make progress.
-        "degraded"
+        CampaignPhase::Degraded
     } else if reported == 0 {
-        "queued"
+        CampaignPhase::Queued
     } else {
-        "running"
+        CampaignPhase::Running
     };
-    CampaignSnapshot {
-        id: entry.id.clone(),
-        name: entry.name.clone(),
-        status: status.to_string(),
-        cells,
-        search,
-        error,
-    }
+    CampaignInner { phase, cells, search, error, report: None }
 }
 
 #[cfg(test)]

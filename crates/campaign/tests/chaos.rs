@@ -161,6 +161,61 @@ fn supervised_fleet_completes_a_campaign_and_reports_its_workers() {
     assert_eq!(snap2.get("status").and_then(|s| s.as_str()), Some("done"), "{snap2:?}");
     assert_eq!(cell_count(&snap2, "cached"), 4, "resubmit must be fully cached: {snap2:?}");
 
+    // The fleet's campaigns are the daemon's: `/stats` counts them.
+    let campaigns = stats(&addr).get("campaigns").cloned().unwrap();
+    let count = |k: &str| campaigns.get(k).and_then(|v| v.as_u64()).unwrap();
+    assert_eq!(count("submitted"), 2, "{campaigns:?}");
+    assert_eq!(count("done"), 2, "{campaigns:?}");
+    assert!(count("results_retained") >= 1, "{campaigns:?}");
+
+    server.shutdown_and_join();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+fn first_worker(report: &serde_json::Value) -> serde_json::Value {
+    report.get("workers").and_then(|w| w.as_array()).and_then(|w| w.first()).cloned().unwrap()
+}
+
+#[test]
+fn a_done_fleet_campaign_stays_done_when_its_worker_restarts() {
+    let dir = tmpdir("done-restart");
+    let server = supervised_server(&dir.join("cache"), 1, Vec::new());
+    let addr = server.addr().to_string();
+    let id = submit(&addr, SPEC);
+    let snap = wait_terminal(&addr, &id);
+    assert_eq!(snap.get("status").and_then(|s| s.as_str()), Some("done"), "{snap:?}");
+
+    let pid = first_worker(&fleet(&addr)).get("pid").and_then(|p| p.as_u64()).unwrap();
+    assert!(Command::new("kill").args(["-9", &pid.to_string()]).status().unwrap().success());
+
+    // Wait for the new incarnation to come up.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let worker_addr = loop {
+        let report = fleet(&addr);
+        let worker = first_worker(&report);
+        if restarts_total(&report) == 1
+            && worker.get("state").and_then(|s| s.as_str()) == Some("up")
+        {
+            break worker.get("addr").and_then(|a| a.as_str()).unwrap().to_string();
+        }
+        assert!(Instant::now() < deadline, "the worker never came back: {report:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+
+    // Over several 200 ms heartbeats the settled campaign stays done...
+    for _ in 0..50 {
+        let HttpResponse { body, .. } =
+            HttpClient::new(&addr).request("GET", &format!("/campaigns/{id}"), None).unwrap();
+        let snap = json(&body);
+        assert_eq!(snap.get("status").and_then(|s| s.as_str()), Some("done"), "{snap:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // ... because the new incarnation was never backfilled with it.
+    let HttpResponse { status, body, .. } =
+        HttpClient::new(&worker_addr).request("GET", "/campaigns", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json(&body).as_array().map(|a| a.len()), Some(0), "{body}");
+
     server.shutdown_and_join();
     let _ = fs::remove_dir_all(&dir);
 }
@@ -763,6 +818,8 @@ fn mixed_fleet_runs_a_spawned_child_beside_an_adoptee() {
 #[test]
 fn broken_remote_workers_shard_is_reowned_and_the_campaign_completes() {
     use hdsmt_campaign::serve::supervisor::{Supervisor, SupervisorConfig};
+    use hdsmt_campaign::serve::ServerState;
+    use std::sync::Arc;
 
     let dir = tmpdir("reown");
     let cache_live = dir.join("cache-live");
@@ -775,12 +832,13 @@ fn broken_remote_workers_shard_is_reowned_and_the_campaign_completes() {
         listener.local_addr().unwrap().to_string()
     };
 
-    let cache = ResultCache::open(&cache_sup).unwrap().with_peers(vec![addr_live.clone()]);
     let server = ServerConfig {
         cache_dir: cache_sup.to_string_lossy().into_owned(),
         sim_workers: 1,
         supervise: Some(0),
         remote_workers: vec![addr_live.clone(), dead],
+        peers: vec![addr_live.clone()],
+        journal: false,
         ..ServerConfig::default()
     };
     let config = SupervisorConfig {
@@ -790,14 +848,15 @@ fn broken_remote_workers_shard_is_reowned_and_the_campaign_completes() {
         backoff_cap: Duration::from_millis(100),
         max_restarts: 0,
     };
-    let sup = Supervisor::start(&server, config, cache, None, Vec::new()).unwrap();
+    let state = Arc::new(ServerState::new(server).unwrap());
+    let sup = Supervisor::start(&state, config).unwrap();
 
-    let id = sup.submit(SPEC).unwrap().id;
+    let id = state.submit(SPEC).unwrap().id.clone();
     // "degraded" is transient here — the breaker trips, then the re-own
     // recomputes the orphaned shard — so poll for full completion.
     let deadline = Instant::now() + Duration::from_secs(120);
     let snap = loop {
-        let snap = sup.snapshot(&id).expect("a submitted campaign is ledgered");
+        let snap = state.get(&id).expect("a submitted campaign is registered").snapshot();
         assert_ne!(snap.status, "failed", "{snap:?}");
         assert_ne!(snap.status, "cancelled", "{snap:?}");
         if snap.status == "done" {
@@ -812,11 +871,10 @@ fn broken_remote_workers_shard_is_reowned_and_the_campaign_completes() {
     assert_eq!(report.broken, 1, "the dead adoptee must trip the breaker: {report:?}");
     assert!(report.partitions_total >= 1, "unreachable-remote crashes are partitions: {report:?}");
     assert!(report.reowned >= 1, "the orphaned shard must be re-owned: {report:?}");
-    assert!(sup.reowned_total() >= 1);
 
     // The stitched result — the live worker's shard read over HTTP plus
     // the re-owned shard computed locally — matches an undisturbed run.
-    let result = sup.results(&id).unwrap_or_else(|(code, body)| panic!("{code}: {body}"));
+    let result = state.results(&id).unwrap_or_else(|(code, body)| panic!("{code}: {body}"));
     let cells = json(&hdsmt_campaign::export::to_json(&result)).get("cells").unwrap().clone();
     assert_eq!(
         cells,
