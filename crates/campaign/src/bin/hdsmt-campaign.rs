@@ -5,9 +5,7 @@
 //! hdsmt-campaign status [<spec>]           [--cache DIR] [--remote ADDR]
 //! hdsmt-campaign export <spec> [--out DIR] [--cache DIR] [--remote ADDR]
 //! hdsmt-campaign serve  [--addr A] [--cache DIR] [--workers N]
-//!                       [--queue-cap N] [--shard I/N]
-//!                       [--supervise N] [--worker ADDR]... [--peer ADDR]...
-//!                       [--addr-file PATH]
+//!                       [--queue-cap N] [--shard I/N] [--addr-file PATH]
 //!                       [--cell-deadline-ms N] [--cell-retries N]
 //!                       [--durable] [--no-journal]
 //! hdsmt-campaign fsck   [--cache DIR] [--tmp-age-secs N] [--gc]
@@ -29,19 +27,15 @@
 //! `--durable` additionally fsyncs every cache entry before publishing
 //! it, extending the crash model from process death to host power loss.
 //!
-//! `serve --supervise n` runs the daemon as a fleet parent over `n`
-//! restart-supervised shard workers; `--addr-file` makes a worker report
-//! its bound address through an atomically written file (the supervisor's
-//! handshake); `--cell-deadline-ms`/`--cell-retries` arm the per-cell
-//! watchdog so a hung simulation is cancelled, retried, and at worst
-//! marked failed-with-timeout while the campaign completes around it.
-//!
-//! For fleets that span hosts, repeatable `--worker HOST:PORT` entries
-//! adopt already-running daemons as shard workers (with `--supervise 0`
-//! the fleet is purely remote), and repeatable `--peer HOST:PORT` entries
-//! make the cache read through to peer daemons on a miss — see
-//! `hdsmt_campaign::serve` ("Distributed deployment") for the full
-//! failure model.
+//! Every `serve` daemon runs the campaigns it accepts on its own
+//! executor; `--shard i/n` gives it one slice of every campaign, so
+//! several daemons on one cache directory can split a campaign.
+//! `--addr-file` makes the daemon report its bound address through an
+//! atomically written file (useful with an ephemeral `--addr` port);
+//! `--cell-deadline-ms`/`--cell-retries` arm the per-cell watchdog so a
+//! hung simulation is cancelled, retried, and at worst marked
+//! failed-with-timeout while the campaign completes around it. See
+//! `hdsmt_campaign::serve` for the failure model.
 //!
 //! With `--remote ADDR`, `run`/`status`/`export` become thin HTTP clients
 //! of a `serve` daemon instead of simulating locally: `run` submits the
@@ -83,12 +77,6 @@ struct Options {
     remote: Option<String>,
     queue_cap: usize,
     shard: Option<ShardSpec>,
-    /// Run `serve` as a fleet supervisor over N shard workers.
-    supervise: Option<u32>,
-    /// Remote daemons to adopt as shard workers (`--worker`, repeatable).
-    worker_addrs: Vec<String>,
-    /// Peer daemons whose caches back this one (`--peer`, repeatable).
-    peers: Vec<String>,
     /// Report the bound listen address through this file (tmp+rename).
     addr_file: Option<PathBuf>,
     /// Per-cell watchdog soft deadline, in milliseconds.
@@ -113,8 +101,7 @@ fn usage() -> String {
      [--workers N] [--cache DIR] [--out DIR] [--remote ADDR] \
      [--poll-timeout-secs N]\n       \
      hdsmt-campaign serve [--addr A] [--cache DIR] [--workers N] \
-     [--queue-cap N] [--shard I/N] [--supervise N] \
-     [--worker ADDR]... [--peer ADDR]... \
+     [--queue-cap N] [--shard I/N] \
      [--addr-file PATH] [--cell-deadline-ms N] [--cell-retries N] \
      [--durable] [--no-journal]\n       \
      hdsmt-campaign fsck [--cache DIR] [--tmp-age-secs N] [--gc] \
@@ -132,9 +119,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         remote: None,
         queue_cap: 64,
         shard: None,
-        supervise: None,
-        worker_addrs: Vec::new(),
-        peers: Vec::new(),
         addr_file: None,
         cell_deadline_ms: None,
         cell_retries: 2,
@@ -171,17 +155,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--shard" => {
                 let v = it.next().ok_or("--shard needs a value (I/N)")?;
                 opts.shard = Some(ShardSpec::parse(v).map_err(|e| e.to_string())?);
-            }
-            "--supervise" => {
-                let v = it.next().ok_or("--supervise needs a value")?;
-                // 0 is legal with --worker entries: a purely remote fleet.
-                opts.supervise = Some(v.parse::<u32>().map_err(|_| "--supervise: not a number")?);
-            }
-            "--worker" => {
-                opts.worker_addrs.push(it.next().ok_or("--worker needs a host:port")?.clone());
-            }
-            "--peer" => {
-                opts.peers.push(it.next().ok_or("--peer needs a host:port")?.clone());
             }
             "--addr-file" => {
                 opts.addr_file = Some(PathBuf::from(it.next().ok_or("--addr-file needs a value")?));
@@ -241,10 +214,7 @@ fn load(opts: &Options) -> Result<(CampaignSpec, ResultCache), String> {
     if let Some(dir) = &opts.cache_dir {
         spec.cache_dir = Some(dir.clone());
     }
-    let cache = engine::open_cache(&spec)
-        .map_err(|e| e.to_string())?
-        .with_durable(opts.durable)
-        .with_peers(opts.peers.clone());
+    let cache = engine::open_cache(&spec).map_err(|e| e.to_string())?.with_durable(opts.durable);
     Ok((spec, cache))
 }
 
@@ -304,12 +274,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 );
             }
             println!("cache entries on disk: {}", cache.len());
-            let counters = cache.counters();
-            if !cache.peers().is_empty() {
-                println!("cache peers: {}", cache.peers().join(", "));
-                println!("cache remote hits: {}", counters.remote_hits);
-                println!("cells replicated: {}", counters.replicated);
-            }
             // Rotten entries re-simulate silently on the next run; the
             // count makes that visible here instead of just slow.
             println!("cache corrupt entries: {}", cache.corrupt_entries());
@@ -359,54 +323,31 @@ fn run(args: Vec<String>) -> Result<(), String> {
             Ok(())
         }
         ("serve", _) => {
-            if opts.supervise.is_some() && opts.shard.is_some() {
-                return Err("--supervise spawns its own shards; drop --shard".into());
-            }
-            if opts.supervise == Some(0) && opts.worker_addrs.is_empty() {
-                return Err("--supervise 0 needs at least one --worker ADDR to adopt".into());
-            }
-            if opts.supervise.is_none() && !opts.worker_addrs.is_empty() {
-                return Err(
-                    "--worker entries need --supervise N (0 for a purely remote fleet)".into()
-                );
-            }
             let config = ServerConfig {
                 addr: opts.addr.clone(),
                 cache_dir: opts.cache_dir.clone().unwrap_or_else(|| ".hdsmt-cache".into()),
                 sim_workers: opts.workers.unwrap_or(0),
                 queue_cap: opts.queue_cap,
                 shard: opts.shard,
-                supervise: opts.supervise,
                 cell_deadline: opts.cell_deadline_ms.map(Duration::from_millis),
                 cell_retries: opts.cell_retries,
                 journal: !opts.no_journal,
                 durable: opts.durable,
-                peers: opts.peers.clone(),
-                remote_workers: opts.worker_addrs.clone(),
                 ..ServerConfig::default()
             };
             let cache_dir = config.cache_dir.clone();
             let server =
                 Server::start(config).map_err(|e| format!("cannot start on {}: {e}", opts.addr))?;
-            // The supervisor handshake: report the bound (possibly
-            // ephemeral) address atomically, so a reader never sees a
-            // torn write.
+            // Report the bound (possibly ephemeral) address atomically,
+            // so a reader never sees a torn write.
             if let Some(addr_file) = &opts.addr_file {
                 write_atomic(addr_file, format!("{}\n", server.addr()).as_bytes(), false)
                     .map_err(|e| format!("cannot write {}: {e}", addr_file.display()))?;
             }
             eprintln!(
-                "hdsmt-campaign serve: listening on {} (cache {}, {}{})",
+                "hdsmt-campaign serve: listening on {} (cache {}, 1 executor{})",
                 server.addr(),
                 cache_dir,
-                match opts.supervise {
-                    Some(n) if opts.worker_addrs.is_empty() => format!("supervising {n} worker(s)"),
-                    Some(n) => format!(
-                        "supervising {n} spawned + {} remote worker(s)",
-                        opts.worker_addrs.len()
-                    ),
-                    None => "1 executor".to_string(),
-                },
                 match opts.shard {
                     Some(s) => format!(", shard {s}"),
                     None => String::new(),
@@ -423,7 +364,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
 // ------------------------------------------------------- remote clients
 
 /// One shared retry policy for every thin-client request: 503s and
-/// connection refusals (a daemon restarting under its supervisor) are
+/// connection refusals (a daemon restarting) are
 /// retried with capped exponential backoff, honoring `Retry-After`.
 fn client_policy() -> RetryPolicy {
     RetryPolicy::default()

@@ -8,21 +8,14 @@
 //! simply re-simulates. Re-running a campaign therefore only simulates
 //! the missing cells: resumability and incrementality by construction.
 //!
-//! # The remote tier
+//! # Replication
 //!
-//! A cache may be given HTTP **peers** ([`ResultCache::with_peers`]):
-//! other sweep daemons with their *own* cache directories. A local miss
-//! then consults each peer's content-addressed `GET /cells/:hash`,
-//! validates the returned entry, lands a copy locally (same atomic
-//! tmp + rename as a simulated result), and serves it — so fleets
-//! spanning machines share finished cells without a shared filesystem.
-//! Replication is governed by one rule, *byte-equality or quarantine*:
-//! entries are deterministic, so two copies of one key must be
-//! byte-identical, and any divergence is treated as corruption — the
+//! [`ResultCache::put_entry_text`] lands an entry copied from another
+//! cache (`PUT /cells/:hash`) under one rule, *byte-equality or
+//! quarantine*: entries are deterministic, so two copies of one key must
+//! be byte-identical, and any divergence is treated as corruption — the
 //! suspect copy is quarantined as evidence, never merged
-//! last-write-wins, never served. [`ResultCache::sync_from_peer`] runs
-//! the anti-entropy direction: diff a peer's `GET /cells?since=`
-//! manifest against the local tree and pull what's missing.
+//! last-write-wins, never served.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -33,7 +26,6 @@ use std::time::Duration;
 use hdsmt_core::SimResult;
 
 use crate::hash::sha256_hex;
-use crate::serve::http::HttpClient;
 
 /// Bump when the meaning of a cached result changes (simulator semantics,
 /// result schema, key schema). Old entries are then simply never hit.
@@ -52,7 +44,6 @@ pub struct CacheTelemetry {
     misses: AtomicU64,
     corrupt: AtomicU64,
     quarantined: AtomicU64,
-    remote_hits: AtomicU64,
     replicated: AtomicU64,
     conflicts: AtomicU64,
 }
@@ -66,9 +57,7 @@ pub struct CacheCounters {
     pub corrupt: u64,
     /// Corrupt entries this process moved into `quarantine/`.
     pub quarantined: u64,
-    /// Local misses served by a peer's `GET /cells/:hash`.
-    pub remote_hits: u64,
-    /// Entries landed from peers (read-through, `PUT /cells`, sync).
+    /// Entries landed by `PUT /cells/:hash`.
     pub replicated: u64,
     /// Replication attempts rejected because a byte-different copy of
     /// the same key already existed (incoming copy quarantined).
@@ -118,9 +107,6 @@ pub struct ResultCache {
     /// fsyncs the shard directory after it, extending the crash model
     /// from process death to host power loss (`--durable`).
     durable: bool,
-    /// Remote tier: `host:port` of peer daemons whose `GET /cells/:hash`
-    /// is consulted on a local miss (`--peer`, or supervisor-plumbed).
-    peers: Arc<Vec<String>>,
 }
 
 impl ResultCache {
@@ -128,28 +114,13 @@ impl ResultCache {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(ResultCache {
-            dir,
-            telemetry: Arc::new(CacheTelemetry::default()),
-            durable: false,
-            peers: Arc::new(Vec::new()),
-        })
+        Ok(ResultCache { dir, telemetry: Arc::new(CacheTelemetry::default()), durable: false })
     }
 
     /// Toggle fsync-before-rename writes (see the `durable` field).
     pub fn with_durable(mut self, durable: bool) -> Self {
         self.durable = durable;
         self
-    }
-
-    /// Attach the remote tier: peers consulted (in order) on local miss.
-    pub fn with_peers(mut self, peers: Vec<String>) -> Self {
-        self.peers = Arc::new(peers);
-        self
-    }
-
-    pub fn peers(&self) -> &[String] {
-        &self.peers
     }
 
     pub fn dir(&self) -> &Path {
@@ -192,27 +163,13 @@ impl ResultCache {
         }
     }
 
-    /// Entry lookup with the remote tier: a local miss consults each
-    /// peer's `GET /cells/:hash` in order, lands a verified copy locally,
-    /// and serves it. This is what [`Self::get`] (and therefore the whole
-    /// job path) uses, so a fleet-wide cache hit never re-simulates.
+    /// Raw entry lookup: the verbatim on-disk JSON, validated. This is
+    /// the `GET /cells/:hash` backend — the entry text is already the
+    /// response body — and what [`Self::get`] decodes. Updates the
+    /// telemetry counters. A corrupt entry is quarantined on detection
+    /// (see [`Self::quarantined_entries`]), so the *next* lookup of the
+    /// same key is a clean miss that re-simulates.
     pub fn entry_text(&self, key: &str) -> EntryLookup {
-        match self.entry_text_local(key) {
-            EntryLookup::Miss if !self.peers.is_empty() => self.read_through(key),
-            other => other,
-        }
-    }
-
-    /// Raw **local-only** entry lookup: the verbatim on-disk JSON,
-    /// validated. This is the `GET /cells/:hash` backend — the entry text
-    /// is already the response body, and serving it must never recurse
-    /// into the remote tier (two daemons peering at each other would
-    /// bounce a missing key back and forth forever). Updates the
-    /// telemetry counters like [`Self::get`]. A corrupt entry is
-    /// quarantined on detection (see [`Self::quarantined_entries`]), so
-    /// the *next* lookup of the same key is a clean miss that
-    /// re-simulates.
-    pub fn entry_text_local(&self, key: &str) -> EntryLookup {
         if crate::fault::on_cache_get(key) {
             self.telemetry.misses.fetch_add(1, Ordering::Relaxed);
             return EntryLookup::Miss;
@@ -228,33 +185,6 @@ impl ResultCache {
         }
         self.telemetry.hits.fetch_add(1, Ordering::Relaxed);
         EntryLookup::Hit(text)
-    }
-
-    /// The remote half of [`Self::entry_text`]: first peer with a valid
-    /// copy wins. Landing the copy locally is best-effort — the fetched
-    /// text is served either way; a failed write just means the next
-    /// lookup asks the peer again.
-    fn read_through(&self, key: &str) -> EntryLookup {
-        for peer in self.peers.iter() {
-            let Some(text) = self.fetch_from_peer(peer, key) else { continue };
-            if self.land_text(key, text.as_bytes()).is_ok() {
-                self.telemetry.replicated.fetch_add(1, Ordering::Relaxed);
-            }
-            self.telemetry.remote_hits.fetch_add(1, Ordering::Relaxed);
-            return EntryLookup::Hit(text);
-        }
-        EntryLookup::Miss
-    }
-
-    /// `GET /cells/:hash` against one peer; `None` unless the peer
-    /// returns 200 with a body that deserializes as a cache entry (a
-    /// truncated or tampered response must not poison this cache).
-    fn fetch_from_peer(&self, peer: &str, key: &str) -> Option<String> {
-        let resp = HttpClient::new(peer).request("GET", &format!("/cells/{key}"), None).ok()?;
-        if resp.status != 200 || serde_json::from_str::<CacheEntry>(&resp.body).is_err() {
-            return None;
-        }
-        Some(resp.body)
     }
 
     /// Move a rotten entry into `<dir>/quarantine/` (atomic rename) with a
@@ -293,7 +223,6 @@ impl ResultCache {
             misses: self.telemetry.misses.load(Ordering::Relaxed),
             corrupt: self.telemetry.corrupt.load(Ordering::Relaxed),
             quarantined: self.telemetry.quarantined.load(Ordering::Relaxed),
-            remote_hits: self.telemetry.remote_hits.load(Ordering::Relaxed),
             replicated: self.telemetry.replicated.load(Ordering::Relaxed),
             conflicts: self.telemetry.conflicts.load(Ordering::Relaxed),
         }
@@ -325,14 +254,14 @@ impl ResultCache {
     }
 
     /// Publish verbatim entry bytes under `key` through [`write_atomic`]
-    /// (honoring `--durable`). Shared by [`Self::put`] and the remote
-    /// tier, whose payload is an already-serialized entry; callers
-    /// validate the bytes first.
+    /// (honoring `--durable`). Shared by [`Self::put`] and
+    /// [`Self::put_entry_text`], whose payload is an already-serialized
+    /// entry; callers validate the bytes first.
     fn land_text(&self, key: &str, payload: &[u8]) -> std::io::Result<()> {
         write_atomic(&self.path(key), payload, self.durable)
     }
 
-    /// Land a replicated entry pushed by a peer (`PUT /cells/:hash`).
+    /// Land an entry copied from another cache (`PUT /cells/:hash`).
     /// Enforces the byte-equality-or-quarantine rule: an identical copy
     /// is idempotent, a divergent copy under a valid local entry is
     /// quarantined evidence (the local copy stays authoritative), and a
@@ -383,9 +312,8 @@ impl ResultCache {
         }
     }
 
-    /// `(key, mtime unix-seconds)` for every live entry, sorted by key —
-    /// the anti-entropy manifest behind `GET /cells?since=`. With
-    /// `since`, entries modified before `since - 1` are filtered out
+    /// `(key, mtime unix-seconds)` for every live entry, sorted by key.
+    /// With `since`, entries modified before `since - 1` are filtered out
     /// (one second of slack absorbs filesystem timestamp granularity).
     pub fn manifest(&self, since: Option<u64>) -> Vec<(String, u64)> {
         let floor = since.map(|s| s.saturating_sub(1));
@@ -406,41 +334,6 @@ impl ResultCache {
             .collect();
         cells.sort();
         cells
-    }
-
-    /// Anti-entropy pull: diff `peer`'s manifest against the local tree
-    /// and fetch every entry this cache is missing. Returns how many
-    /// entries landed. Best-effort by design — an unreachable peer or a
-    /// failed fetch only lowers the count; the caller's replay falls
-    /// back to read-through (or re-simulation) for whatever is left.
-    pub fn sync_from_peer(&self, peer: &str, since: Option<u64>) -> usize {
-        let path = match since {
-            Some(s) => format!("/cells?since={s}"),
-            None => "/cells".to_string(),
-        };
-        let Ok(resp) = HttpClient::new(peer).request("GET", &path, None) else { return 0 };
-        if resp.status != 200 {
-            return 0;
-        }
-        let Ok(value) = serde_json::from_str_value(&resp.body) else { return 0 };
-        let mut pulled = 0usize;
-        for cell in value.get("cells").and_then(|c| c.as_array()).into_iter().flatten() {
-            // The key names a file: a peer's manifest is outside input,
-            // and `../..` must not walk out of the cache directory.
-            let Some(key) = cell.get("key").and_then(|k| k.as_str()).filter(|k| valid_cell_key(k))
-            else {
-                continue;
-            };
-            if self.contains(key) {
-                continue;
-            }
-            let Some(text) = self.fetch_from_peer(peer, key) else { continue };
-            if self.land_text(key, text.as_bytes()).is_ok() {
-                self.telemetry.replicated.fetch_add(1, Ordering::Relaxed);
-                pulled += 1;
-            }
-        }
-        pulled
     }
 
     /// Every live `*.json` entry path on disk, in directory order. Only
@@ -497,8 +390,7 @@ impl ResultCache {
     }
 
     /// Directories a killed writer can strand `*.tmp` files in: the
-    /// shard dirs (cache entries), `pending/*/` (accepted campaigns), and
-    /// `.supervise/` (address files).
+    /// shard dirs (cache entries) and `pending/*/` (accepted campaigns).
     fn tmp_dirs(&self) -> Vec<PathBuf> {
         let subdirs = |dir: &Path| {
             fs::read_dir(dir)
@@ -508,12 +400,12 @@ impl ResultCache {
                 .map(|d| d.path())
                 .filter(|p| p.is_dir())
         };
-        let shard_or_handshake = |d: &PathBuf| {
+        let shard = |d: &PathBuf| {
             let name = d.file_name().unwrap_or_default().to_string_lossy();
-            (name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit())) || name == ".supervise"
+            name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit())
         };
         subdirs(&self.dir)
-            .filter(shard_or_handshake)
+            .filter(shard)
             .chain(subdirs(&self.dir.join(crate::pending::PENDING_DIR)))
             .chain([self.dir.clone()])
             .collect()
@@ -604,8 +496,8 @@ fn io_err(e: serde_json::Error) -> std::io::Error {
 }
 
 /// Is `key` a well-formed cache key (64 lowercase hex chars, a SHA-256)?
-/// Keys that arrive from outside — a request path, a peer's manifest —
-/// must pass this before they name a file.
+/// Keys that arrive from outside — a request path — must pass this
+/// before they name a file.
 pub(crate) fn valid_cell_key(key: &str) -> bool {
     key.len() == 64 && key.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
 }
@@ -797,48 +689,6 @@ mod tests {
         assert!(cache.get(&key).is_some());
         assert_eq!(cache.tmp_files(), 0, "no tmp file survives a durable put");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sync_skips_manifest_keys_that_would_escape_the_cache_dir() {
-        use crate::serve::http::{read_request, write_response, Response};
-        let base = tmpdir("sync-escape");
-        let cache = ResultCache::open(base.join("a/b/cache")).unwrap();
-        let entry = CacheEntry {
-            version: CODE_VERSION.into(),
-            descriptor: serde_json::Value::Null,
-            result: fake_result(),
-        };
-        let body = serde_json::to_string(&entry).unwrap();
-        let manifest = r#"{"cells":[{"key":"../../x","mtime":0},{"key":"..","mtime":0}]}"#;
-
-        // A hostile raw-socket peer: its manifest names files outside the
-        // cache, and it serves a valid entry body for any key asked. It
-        // records every path requested until told to `/quit`.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let peer = listener.local_addr().unwrap().to_string();
-        let served = std::thread::spawn(move || {
-            let mut paths = Vec::new();
-            for mut conn in listener.incoming().flatten() {
-                let Ok(req) = read_request(&mut std::io::BufReader::new(&mut conn)) else {
-                    continue;
-                };
-                if req.path == "/quit" {
-                    break;
-                }
-                let reply = if req.path == "/cells" { manifest.to_string() } else { body.clone() };
-                let _ = write_response(&mut conn, &Response::json(200, reply), false);
-                paths.push(req.path);
-            }
-            paths
-        });
-
-        assert_eq!(cache.sync_from_peer(&peer, None), 0);
-        let _ = HttpClient::new(&peer).request("GET", "/quit", None);
-        assert_eq!(served.join().unwrap(), ["/cells"], "no hostile key is ever fetched");
-        // Where `../../x` and `..` would have landed, outside the cache.
-        assert!(!base.join("x.json").exists() && !base.join("a/b/...json").exists());
-        let _ = fs::remove_dir_all(&base);
     }
 
     #[test]

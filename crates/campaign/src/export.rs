@@ -11,7 +11,8 @@ pub fn to_json(result: &CampaignResult) -> String {
 
 /// Cell table as CSV (mappings joined with `|` to stay comma-free).
 /// Failed cells keep their row — zeroed numerics, the error in the last
-/// column — so a degraded campaign's export still covers the matrix.
+/// column — so the export of a campaign with failed cells still covers
+/// the matrix.
 pub fn to_csv(result: &CampaignResult) -> String {
     let mut out = String::from(
         "arch,workload,class,threads,policy,mapping,ipc,ipc_per_mm2,area_mm2,cycles,retired,n_mappings,error\n",

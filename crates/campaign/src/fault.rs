@@ -1,6 +1,6 @@
 //! Deterministic fault injection for chaos testing.
 //!
-//! Every failure mode the fault-tolerance layer handles — worker
+//! Every failure mode the fault-tolerance layer handles — process
 //! crashes, torn cache writes, cache I/O errors, hung simulations — can
 //! be injected on a fixed schedule, so chaos scenarios are reproducible
 //! tests instead of flakes. Injection is doubly gated: the crate must be
@@ -22,19 +22,13 @@
 //! | `kill@accept=n`  | abort right after the n-th durably recorded campaign accept |
 //! | `err@journal=n`  | the n-th pending-accept write fails with an injected I/O error |
 //! | `torn@journal=n` | the n-th pending-accept write fsyncs half its bytes to the tmp file, then the process aborts before the rename |
-//! | `drop@net=n`     | the n-th outbound HTTP request fails with a connection reset |
-//! | `delay@net=n:ms` | the n-th outbound HTTP request stalls `ms` milliseconds first |
-//! | `partition@net=n:ms` | a network partition opens at the n-th outbound request: it and every request in the next `ms` milliseconds fail |
 //!
-//! The two timed `net` directives take `count:millis` pairs
-//! (comma-separated like plain counts: `partition@net=4:500,20:250`).
+//! Counters are per-process and count from 1, so a restarted daemon
+//! replays the same schedule — which is exactly what makes chaos runs
+//! deterministic: with one simulation worker, the k-th simulation of
+//! each incarnation is always the same cell.
 //!
-//! Counters are per-process and count from 1, so a restarted worker
-//! replays the same schedule — which is exactly what makes supervised
-//! chaos runs deterministic: with one simulation worker, the k-th
-//! simulation of each incarnation is always the same cell.
-//!
-//! Example: `HDSMT_FAULT='hang@sim=1;corrupt@put=3;kill@sim=5'`.
+//! Example: `HDSMT_FAULT='hang@sim=1;corrupt@put=3'`.
 
 use std::time::Instant;
 
@@ -49,12 +43,6 @@ pub struct FaultPlan {
     pub kill_accept: Vec<u64>,
     pub err_journal: Vec<u64>,
     pub torn_journal: Vec<u64>,
-    pub drop_net: Vec<u64>,
-    /// `(count, millis)` pairs: stall the count-th request this long.
-    pub delay_net: Vec<(u64, u64)>,
-    /// `(count, millis)` pairs: open a partition this long at the
-    /// count-th request.
-    pub partition_net: Vec<(u64, u64)>,
 }
 
 impl FaultPlan {
@@ -67,9 +55,6 @@ impl FaultPlan {
             && self.kill_accept.is_empty()
             && self.err_journal.is_empty()
             && self.torn_journal.is_empty()
-            && self.drop_net.is_empty()
-            && self.delay_net.is_empty()
-            && self.partition_net.is_empty()
     }
 }
 
@@ -84,30 +69,11 @@ pub fn parse_plan(text: &str) -> Result<FaultPlan, String> {
         }
         Ok(n)
     }
-    fn timed(directive: &str, pair: &str) -> Result<(u64, u64), String> {
-        let (n, ms) = pair.split_once(':').ok_or_else(|| {
-            format!("fault directive `{directive}`: `{pair}` needs a `count:millis` pair")
-        })?;
-        let millis: u64 = ms.trim().parse().map_err(|_| {
-            format!("fault directive `{directive}`: `{ms}` is not a duration in millis")
-        })?;
-        Ok((count(directive, n.trim())?, millis))
-    }
     let mut plan = FaultPlan::default();
     for directive in text.split(';').map(str::trim).filter(|d| !d.is_empty()) {
         let (head, counts) = directive
             .split_once('=')
             .ok_or_else(|| format!("fault directive `{directive}` has no `=n` part"))?;
-        if let Some(timed_list) = match head.trim() {
-            "delay@net" => Some(&mut plan.delay_net),
-            "partition@net" => Some(&mut plan.partition_net),
-            _ => None,
-        } {
-            for pair in counts.split(',').map(str::trim) {
-                timed_list.push(timed(directive, pair)?);
-            }
-            continue;
-        }
         let list: &mut Vec<u64> = match head.trim() {
             "kill@sim" => &mut plan.kill_sim,
             "hang@sim" => &mut plan.hang_sim,
@@ -117,7 +83,6 @@ pub fn parse_plan(text: &str) -> Result<FaultPlan, String> {
             "kill@accept" => &mut plan.kill_accept,
             "err@journal" => &mut plan.err_journal,
             "torn@journal" => &mut plan.torn_journal,
-            "drop@net" => &mut plan.drop_net,
             other => return Err(format!("unknown fault directive `{other}`")),
         };
         for n in counts.split(',').map(str::trim) {
@@ -148,14 +113,6 @@ mod active {
     pub(super) static GETS: AtomicU64 = AtomicU64::new(0);
     pub(super) static ACCEPTS: AtomicU64 = AtomicU64::new(0);
     pub(super) static PENDING_WRITES: AtomicU64 = AtomicU64::new(0);
-    pub(super) static NETS: AtomicU64 = AtomicU64::new(0);
-    /// Network faults actually injected (dropped, delayed, or blocked by
-    /// an open partition) — surfaced through `/stats`.
-    pub(super) static NET_FAULTS: AtomicU64 = AtomicU64::new(0);
-    /// While `Some(t)`, a partition is open until `t`: every outbound
-    /// request fails with a connection reset.
-    pub(super) static PARTITION_UNTIL: std::sync::Mutex<Option<Instant>> =
-        std::sync::Mutex::new(None);
 
     /// The process-wide plan, read from `HDSMT_FAULT` exactly once. A
     /// malformed plan aborts loudly: silently running a chaos test with
@@ -254,69 +211,6 @@ pub enum PendingWrite {
     TornAbort,
 }
 
-/// Called once per outbound HTTP request, at the client seam in
-/// `serve::http`, before the connection is used. May fail the request
-/// with a connection reset (`drop@net`, or any request while a
-/// `partition@net` window is open) or stall it (`delay@net`). Injected
-/// resets look exactly like a peer vanishing, so they exercise the same
-/// retry/backoff/supervision paths real partitions do.
-pub fn on_net_op() -> std::io::Result<()> {
-    #[cfg(feature = "fault-inject")]
-    {
-        use std::sync::atomic::Ordering;
-        let Some(plan) = active::plan() else { return Ok(()) };
-        let reset = |what: String| {
-            active::NET_FAULTS.fetch_add(1, Ordering::Relaxed);
-            Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionReset,
-                format!("injected network fault ({what})"),
-            ))
-        };
-        let n = active::NETS.fetch_add(1, Ordering::Relaxed) + 1;
-        // An open partition blocks every request, whatever its ordinal.
-        {
-            let mut until =
-                active::PARTITION_UNTIL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            match *until {
-                Some(t) if Instant::now() < t => return reset("partition@net open".into()),
-                Some(_) => *until = None, // partition healed
-                None => {}
-            }
-        }
-        if let Some((_, ms)) = plan.partition_net.iter().find(|(k, _)| *k == n) {
-            eprintln!("fault-inject: partition@net={n}:{ms} — partition open");
-            let mut until =
-                active::PARTITION_UNTIL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            *until = Some(Instant::now() + std::time::Duration::from_millis(*ms));
-            return reset(format!("partition@net={n}"));
-        }
-        if plan.drop_net.contains(&n) {
-            eprintln!("fault-inject: drop@net={n}");
-            return reset(format!("drop@net={n}"));
-        }
-        if let Some((_, ms)) = plan.delay_net.iter().find(|(k, _)| *k == n) {
-            eprintln!("fault-inject: delay@net={n}:{ms}");
-            active::NET_FAULTS.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(std::time::Duration::from_millis(*ms));
-        }
-    }
-    Ok(())
-}
-
-/// How many network faults this process has injected so far (always 0
-/// without the `fault-inject` feature or a plan).
-pub fn net_faults_injected() -> u64 {
-    #[cfg(feature = "fault-inject")]
-    {
-        use std::sync::atomic::Ordering;
-        active::NET_FAULTS.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "fault-inject"))]
-    {
-        0
-    }
-}
-
 /// Called right after a campaign accept is durably recorded, before the
 /// 202 is sent. May abort the process (`kill@accept`) — the canonical
 /// "daemon died between the durable write and the reply" crash point.
@@ -369,8 +263,7 @@ mod tests {
     fn parses_every_directive_kind_and_multi_counts() {
         let plan = parse_plan(
             "kill@sim=3; hang@sim=1,2,7 ;corrupt@put=2;err@put=9;err@get=4;\
-             kill@accept=1;err@journal=2;torn@journal=5;drop@net=6,11;\
-             delay@net=2:250; partition@net=4:500,20:125",
+             kill@accept=1;err@journal=2;torn@journal=5",
         )
         .unwrap();
         assert_eq!(plan.kill_sim, vec![3]);
@@ -381,26 +274,13 @@ mod tests {
         assert_eq!(plan.kill_accept, vec![1]);
         assert_eq!(plan.err_journal, vec![2]);
         assert_eq!(plan.torn_journal, vec![5]);
-        assert_eq!(plan.drop_net, vec![6, 11]);
-        assert_eq!(plan.delay_net, vec![(2, 250)]);
-        assert_eq!(plan.partition_net, vec![(4, 500), (20, 125)]);
         assert!(parse_plan("").unwrap().is_empty());
         assert!(parse_plan(" ; ").unwrap().is_empty());
     }
 
     #[test]
     fn rejects_malformed_plans() {
-        for bad in [
-            "kill@sim",
-            "boom@sim=1",
-            "kill@sim=x",
-            "kill@sim=0",
-            "kill=1",
-            "delay@net=5",         // missing `:millis`
-            "partition@net=1:x",   // non-numeric duration
-            "partition@net=0:100", // counts start at 1
-            "drop@net=2:100",      // plain directive must not take a pair
-        ] {
+        for bad in ["kill@sim", "boom@sim=1", "kill@sim=x", "kill@sim=0", "kill=1"] {
             assert!(parse_plan(bad).is_err(), "{bad} must be rejected");
         }
     }
@@ -418,7 +298,5 @@ mod tests {
         let mut bytes = vec![1u8, 2, 3, 4];
         assert_eq!(on_pending_write(&mut bytes).unwrap(), PendingWrite::Write);
         assert_eq!(bytes, vec![1, 2, 3, 4]);
-        on_net_op().unwrap();
-        assert_eq!(net_faults_injected(), 0);
     }
 }

@@ -3,6 +3,7 @@
 //! identity — plus the cached [`JobRunner`] that executes batches of
 //! them.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,6 +16,21 @@ use crate::cache::ResultCache;
 /// Default worker count: leave a couple of cores for the OS.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get().saturating_sub(2).max(1)).unwrap_or(4)
+}
+
+/// Indices of `jobs` grouped by cache key, groups in order of each
+/// key's first appearance.
+fn group_by_key(jobs: &[JobSpec]) -> Vec<Vec<usize>> {
+    let mut group_of: HashMap<String, usize> = HashMap::with_capacity(jobs.len());
+    let mut groups: Vec<Vec<usize>> = Vec::with_capacity(jobs.len());
+    for (i, job) in jobs.iter().enumerate() {
+        let g = *group_of.entry(job.key()).or_insert(groups.len());
+        if g == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[g].push(i);
+    }
+    groups
 }
 
 /// Human-readable panic payload (the `&str`/`String` forms `panic!`
@@ -313,9 +329,15 @@ impl JobRunner {
     /// batch-level only (a job failed pre-flight validation — nothing
     /// was simulated).
     ///
-    /// Workers take the next job index from one shared cursor; the
-    /// calling thread is one of them, so a single worker spawns no
-    /// thread.
+    /// With a cache attached, jobs that share a cache key form one group
+    /// (campaigns list some keys more than once), and workers take the
+    /// next group from one shared cursor. The group's first job runs;
+    /// each repeat then reports what one worker reaching it later would:
+    /// a cache hit with the same result after a success, the same error
+    /// after a failure. Every repeat still gets its own `Started` and
+    /// `Finished` events, so a key simulates once for any worker count.
+    /// Without a cache each job is its own group. The calling thread is
+    /// one of the workers, so a single worker spawns no thread.
     pub fn try_run_all(
         &self,
         jobs: &[JobSpec],
@@ -327,38 +349,51 @@ impl JobRunner {
         for job in jobs {
             job.check()?;
         }
+        let groups = match self.cache {
+            Some(_) => group_by_key(jobs),
+            None => (0..jobs.len()).map(|i| vec![i]).collect(),
+        };
         let cursor = AtomicUsize::new(0);
         // Each worker tallies its own counters; they are summed once the
         // batch drains.
         let work = || {
-            let mut done = Vec::new();
+            let mut done: Vec<(usize, Result<SimResult, CampaignError>)> = Vec::new();
             let mut report = RunReport::default();
             loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { return (done, report) };
-                if self.is_cancelled() {
-                    observe(i, JobEvent::Finished(JobOutcome::Cancelled));
-                    let err = "cancelled by shutdown before this job started";
-                    done.push((i, Err(CampaignError(err.into()))));
-                    continue;
+                let g = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(group) = groups.get(g) else { return (done, report) };
+                // Where the group's first job to run left its outcome.
+                let mut first: Option<usize> = None;
+                for &i in group {
+                    if self.is_cancelled() {
+                        observe(i, JobEvent::Finished(JobOutcome::Cancelled));
+                        let err = "cancelled by shutdown before this job started";
+                        done.push((i, Err(CampaignError(err.into()))));
+                        continue;
+                    }
+                    observe(i, JobEvent::Started);
+                    let out = match first.map(|at| &done[at].1) {
+                        None => self.run_one(&jobs[i], &mut report),
+                        Some(Ok(result)) => Ok((JobOutcome::CacheHit, result.clone())),
+                        Some(Err(e)) => Err(e.clone()),
+                    };
+                    let outcome = out.as_ref().map_or(JobOutcome::Failed, |(o, _)| *o);
+                    match outcome {
+                        JobOutcome::CacheHit => report.cache_hits += 1,
+                        _ => report.simulated += 1,
+                    }
+                    if outcome == JobOutcome::Failed {
+                        report.failed += 1;
+                    }
+                    observe(i, JobEvent::Finished(outcome));
+                    first.get_or_insert(done.len());
+                    done.push((i, out.map(|(_, r)| r)));
                 }
-                observe(i, JobEvent::Started);
-                let out = self.run_one(job, &mut report);
-                let outcome = out.as_ref().map_or(JobOutcome::Failed, |(o, _)| *o);
-                match outcome {
-                    JobOutcome::CacheHit => report.cache_hits += 1,
-                    _ => report.simulated += 1,
-                }
-                if outcome == JobOutcome::Failed {
-                    report.failed += 1;
-                }
-                observe(i, JobEvent::Finished(outcome));
-                done.push((i, out.map(|(_, r)| r)));
             }
         };
         let (mut done, mut report) = std::thread::scope(|scope| {
             let helpers: Vec<_> =
-                (1..self.workers.min(jobs.len())).map(|_| scope.spawn(work)).collect();
+                (1..self.workers.min(groups.len())).map(|_| scope.spawn(work)).collect();
             let (mut done, mut report) = work();
             for helper in helpers {
                 // `run_one` contains simulation panics; anything else
@@ -385,8 +420,8 @@ impl JobRunner {
         let attempts = 1 + self.watchdog.map_or(0, |w| w.retries);
         for attempt in 1..=attempts {
             // Probed per attempt, not once: while this worker was timing
-            // out, a sibling worker — or a restarted shard process on the
-            // same cache — may have finished the job.
+            // out, another process on the same cache (a shard daemon, a
+            // concurrent `run`) may have finished the job.
             if let Some(cache) = &self.cache {
                 if let Some(hit) = cache.get(&key) {
                     return Ok((JobOutcome::CacheHit, hit));

@@ -110,7 +110,7 @@ impl Cell {
     }
 }
 
-/// One worker's slice of a sharded campaign: `index` of `count` peers.
+/// One daemon's slice of a sharded campaign: `index` of `count` shards.
 ///
 /// **Ownership rule:** a cell belongs to shard `i` iff the first eight
 /// bytes of `SHA-256("<arch>\x1f<workload id>\x1f<policy>")`, read as a

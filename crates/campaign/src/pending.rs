@@ -28,18 +28,16 @@ pub const PENDING_DIR: &str = "pending";
 #[derive(Clone, Debug)]
 pub struct Replayed {
     pub id: String,
-    /// The verbatim spec text the client submitted.
-    pub spec_text: String,
-    /// `spec_text`, parsed and checked to expand.
+    /// The spec text the client submitted, parsed and checked to expand.
     pub spec: CampaignSpec,
 }
 
-/// The pending-accept directory of one role (`serve`,
-/// `serve-shard-i-of-n`, or `fleet`), shared behind an `Arc`.
+/// The pending-accept directory of one role (`serve` or
+/// `serve-shard-i-of-n`).
 #[derive(Debug)]
 pub struct Pending {
     dir: PathBuf,
-    /// What `open` recovered, until the daemon or supervisor takes it.
+    /// What `open` recovered, until the daemon takes it.
     recovered: Mutex<Vec<Replayed>>,
     /// How many campaigns `open` recovered (surfaced in `GET /stats`).
     pub replayed: u64,
@@ -62,10 +60,10 @@ impl Pending {
                 (_, Err(e)) => Err(format!("unreadable: {e}")),
                 (Some(_), Ok(bytes)) => String::from_utf8(bytes)
                     .map_err(|_| "not UTF-8".to_string())
-                    .and_then(|text| Ok((crate::engine::admit(&text).map_err(|e| e.0)?, text))),
+                    .and_then(|text| crate::engine::admit(&text).map_err(|e| e.0)),
             };
             match revived {
-                Ok((spec, spec_text)) => recovered.push(Replayed { id, spec_text, spec }),
+                Ok(spec) => recovered.push(Replayed { id, spec }),
                 Err(why) => {
                     eprintln!("pending replay: dropping campaign {id}: {why}");
                     let _ = fs::remove_file(&path);
@@ -147,17 +145,15 @@ pub fn counts(cache_dir: &Path) -> Vec<(String, u64)> {
     roles
 }
 
-/// A campaign id: `<prefix><seq>-<first 8 hex of the spec's SHA-256>`
-/// (`c12-…` from a daemon, `f3-…` from a fleet supervisor).
-pub(crate) fn campaign_id(prefix: char, seq: u64, spec_text: &str) -> String {
+/// A campaign id: `c<seq>-<first 8 hex of the spec's SHA-256>`.
+pub(crate) fn campaign_id(seq: u64, spec_text: &str) -> String {
     let digest = sha256_hex(spec_text.as_bytes());
     // Always 64 hex chars, but this is a durability path: degrade to the
     // full digest rather than slicing.
-    format!("{prefix}{seq}-{}", digest.get(..8).unwrap_or(&digest))
+    format!("c{seq}-{}", digest.get(..8).unwrap_or(&digest))
 }
 
-/// The sequence number inside a campaign id (`c12-ab…` → 12, `f3-…` →
-/// 3). Recovery seeds the daemon's id counter past the replayed maximum
+/// The sequence number inside a campaign id (`c12-ab…` → 12). Recovery seeds the daemon's id counter past the replayed maximum
 /// so fresh submissions never collide with revived campaigns.
 pub(crate) fn id_seq(id: &str) -> Option<u64> {
     let digits: String = id
@@ -198,11 +194,11 @@ mod tests {
         let replayed = pending.take_recovered();
         assert_eq!(replayed.len(), 1, "resolved campaigns are not pending");
         assert_eq!(replayed[0].id, "c2-bb");
-        assert_eq!(replayed[0].spec_text, SPEC);
         assert_eq!(replayed[0].spec.display_name(), "t");
         assert_eq!((pending.held(), pending.replayed), (1, 1));
         assert!(pending.take_recovered().is_empty(), "handed out once");
-        assert_eq!(Pending::open(&dir, "fleet").unwrap().replayed, 0, "roles are separate");
+        let shard = Pending::open(&dir, "serve-shard-0-of-2").unwrap();
+        assert_eq!(shard.replayed, 0, "roles are separate");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -235,7 +231,7 @@ mod tests {
     #[test]
     fn id_seq_parses_the_sequence_prefix() {
         assert_eq!(id_seq("c12-deadbeef"), Some(12));
-        assert_eq!(id_seq("f3-00aa11"), Some(3));
+        assert_eq!(id_seq("c3-00aa11"), Some(3));
         assert_eq!(id_seq("garbage"), None);
         assert_eq!(id_seq(""), None);
     }

@@ -17,8 +17,6 @@
 //! | `/campaigns/:id/results`     | GET    | 200 export (`?format=json\|csv\|summary`)¹ |
 //! | `/cells/:hash`               | GET    | 200 verbatim cache entry           |
 //! | `/cells/:hash?sha256=hex`    | PUT    | 200 replication landed             |
-//! | `/cells?since=secs`          | GET    | 200 cache manifest (key + mtime)   |
-//! | `/workers`                   | GET    | 200 supervised fleet health        |
 //! | `/shutdown`                  | POST   | 202 drain begins                   |
 //!
 //! ¹ Only the most recently finished or read
@@ -27,20 +25,15 @@
 //! through the engine on the daemon's cache: pure cache reads, and
 //! byte-identical to the export it had when it finished.
 //!
-//! Every daemon answers the campaign routes from its one registry,
-//! [`ServerState`]. On a supervising daemon (`--supervise n`) the fleet
-//! [`crate::serve::supervisor::Supervisor`] only executes: the registry
-//! hands it each accepted campaign, and its monitor writes the per-cell
-//! counters summed across shards back into the campaign's entry. Same
-//! paths, same shapes, plus the campaign status `degraded` (a broken
-//! shard can no longer finish its slice). Queue-full 503s carry a
-//! `Retry-After` header scaled to the backlog.
+//! The daemon answers the campaign routes from its one registry,
+//! [`ServerState`], and runs every accepted campaign on its own
+//! executor. Queue-full 503s carry a `Retry-After` header scaled to the
+//! backlog.
 
 use crate::cache::{valid_cell_key, EntryLookup, Replicate, ReplicateError};
 use crate::export;
 use crate::serve::http::{HttpError, Request, Response};
 use crate::serve::state::{ServerState, SubmitError};
-use crate::serve::supervisor::FleetReport;
 
 #[derive(serde::Serialize)]
 struct ErrorDetail {
@@ -101,25 +94,16 @@ pub fn handle(state: &ServerState, req: &Request) -> Response {
             None => error_response(404, format!("no campaign `{id}`")),
         },
         ("GET", ["campaigns", id, "results"]) => results(state, req, id),
-        ("GET", ["cells"]) => manifest(state, req),
         ("GET", ["cells", hash]) => cell(state, hash),
         ("PUT", ["cells", hash]) => cell_put(state, req, hash),
-        ("GET", ["workers"]) => workers(state),
         ("POST", ["shutdown"]) => {
             state.begin_shutdown();
             Response::json(202, r#"{"status":"draining"}"#.to_string())
         }
         // Known paths with the wrong verb get a 405, not a 404.
-        (
-            _,
-            []
-            | ["healthz"]
-            | ["stats"]
-            | ["campaigns", ..]
-            | ["cells", ..]
-            | ["workers"]
-            | ["shutdown"],
-        ) => error_response(405, format!("method {} not allowed on {}", req.method, req.path)),
+        (_, [] | ["healthz"] | ["stats"] | ["campaigns", ..] | ["cells", _] | ["shutdown"]) => {
+            error_response(405, format!("method {} not allowed on {}", req.method, req.path))
+        }
         _ => error_response(404, format!("no route for {}", req.path)),
     }
 }
@@ -145,8 +129,6 @@ impl Default for ServiceIndex {
                 "GET /campaigns/:id/results?format=json|csv|summary",
                 "GET /cells/:hash",
                 "PUT /cells/:hash?sha256=hex",
-                "GET /cells?since=secs",
-                "GET /workers",
                 "POST /shutdown",
             ],
         }
@@ -187,12 +169,6 @@ fn journal_unavailable(msg: &str) -> Response {
         .with_retry_after(10)
 }
 
-/// `GET /workers` — fleet health. A non-supervising daemon answers with
-/// an empty fleet rather than a 404, so probes need no mode detection.
-fn workers(state: &ServerState) -> Response {
-    json_ok(200, &state.supervisor().map_or_else(FleetReport::default, |sup| sup.fleet()))
-}
-
 fn results(state: &ServerState, req: &Request, id: &str) -> Response {
     let result = match state.results(id) {
         Ok(result) => result,
@@ -210,10 +186,7 @@ fn cell(state: &ServerState, hash: &str) -> Response {
     if !valid_cell_key(hash) {
         return error_response(400, "cell key must be 64 lowercase hex chars (a SHA-256)");
     }
-    // Local-only lookup: a peered daemon answering this route must never
-    // consult its own peers, or two daemons missing a key would bounce
-    // the request between each other forever.
-    match state.cache.entry_text_local(hash) {
+    match state.cache.entry_text(hash) {
         // The on-disk entry is already the JSON response body.
         EntryLookup::Hit(text) => Response::json(200, text),
         EntryLookup::Miss => error_response(404, format!("no cached cell `{hash}`")),
@@ -255,37 +228,6 @@ fn cell_put(state: &ServerState, req: &Request, hash: &str) -> Response {
         ),
         Err(ReplicateError::Io(e)) => error_response(500, format!("failed to land cell: {e}")),
     }
-}
-
-/// `GET /cells?since=secs` — the anti-entropy manifest: every cached key
-/// with its mtime (unix seconds), optionally floored so peers can diff
-/// incrementally.
-fn manifest(state: &ServerState, req: &Request) -> Response {
-    let since = match req.query_param("since") {
-        None => None,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(secs) => Some(secs),
-            Err(_) => {
-                return error_response(400, format!("malformed since `{raw}` (want unix seconds)"))
-            }
-        },
-    };
-    #[derive(serde::Serialize)]
-    struct ManifestCell {
-        key: String,
-        mtime: u64,
-    }
-    #[derive(serde::Serialize)]
-    struct Manifest {
-        cells: Vec<ManifestCell>,
-    }
-    let cells = state
-        .cache
-        .manifest(since)
-        .into_iter()
-        .map(|(key, mtime)| ManifestCell { key, mtime })
-        .collect();
-    json_ok(200, &Manifest { cells })
 }
 
 #[cfg(test)]
@@ -451,17 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn workers_route_reports_an_empty_fleet_when_not_supervising() {
-        let state = tmp_state("workers");
-        let resp = handle(&state, &get("/workers"));
-        assert_eq!(resp.status, 200);
-        let v = body_json(&resp);
-        assert_eq!(v.get("supervising").and_then(|n| n.as_u64()), Some(0));
-        assert_eq!(v.get("workers").and_then(|w| w.as_array()).map(|a| a.len()), Some(0));
-        assert_eq!(handle(&state, &post("/workers", "")).status, 405);
-    }
-
-    #[test]
     fn queue_full_503_carries_a_retry_after_hint() {
         let dir =
             std::env::temp_dir().join(format!("hdsmt-serve-api-qfull-{}", std::process::id()));
@@ -515,8 +446,8 @@ mod tests {
     }
 
     /// Exercise the replication surface end to end at the handler level:
-    /// manifest listing, checksum enforcement, idempotent landing, and
-    /// the byte-equality conflict rule.
+    /// checksum enforcement, idempotent landing, and the byte-equality
+    /// conflict rule.
     #[test]
     fn cell_replication_put_manifest_and_conflicts() {
         // Source daemon: run a two-cell campaign so the cache holds two
@@ -527,19 +458,8 @@ mod tests {
         let entry = src.queue.pop().unwrap();
         src.execute(&entry);
 
-        let man = body_json(&handle(&src, &get("/cells")));
-        let keys: Vec<String> = man
-            .get("cells")
-            .and_then(|c| c.as_array())
-            .unwrap()
-            .iter()
-            .map(|c| c.get("key").and_then(|k| k.as_str()).unwrap().to_string())
-            .collect();
-        assert_eq!(keys.len(), 2, "{man:?}");
-        // An impossible floor filters everything; garbage is a 400.
-        let future = body_json(&handle(&src, &get("/cells?since=99999999999")));
-        assert_eq!(future.get("cells").and_then(|c| c.as_array()).map(|a| a.len()), Some(0));
-        assert_eq!(handle(&src, &get("/cells?since=soon")).status, 400);
+        let keys: Vec<String> = src.cache.manifest(None).into_iter().map(|(key, _)| key).collect();
+        assert_eq!(keys.len(), 2, "{keys:?}");
 
         let fetch = |key: &str| {
             let resp = handle(&src, &get(&format!("/cells/{key}")));
@@ -583,7 +503,6 @@ mod tests {
         let stats = body_json(&handle(&dst, &get("/stats")));
         let counter = |k: &str| stats.get(k).and_then(|v| v.as_u64());
         assert_eq!(counter("cells_replicated"), Some(1), "{stats:?}");
-        assert_eq!(counter("cache_remote_hits"), Some(0), "{stats:?}");
 
         let _ = std::fs::remove_dir_all(src.cache.dir());
         let _ = std::fs::remove_dir_all(dst.cache.dir());

@@ -9,8 +9,8 @@
 //! peer cannot balloon memory. Connections are persistent by default
 //! (HTTP/1.1 keep-alive): the server loop serves requests until the peer
 //! sends `Connection: close` or goes idle, and [`HttpClient`] pools one
-//! connection per peer so fleet traffic — heartbeats, replication,
-//! backfill — stops paying a TCP connect per request.
+//! connection per daemon so a client's repeated requests — progress
+//! polls, cell reads, replication puts — stop paying a TCP connect each.
 //!
 //! The daemon keeps one buffered reader per connection, so a peer may
 //! pipeline requests: bytes that arrive behind the current request stay
@@ -26,10 +26,6 @@
 //! that its per-request latency samples outgrow the memory bound, so it
 //! waits until the benchmark harness bounds that storage (ROADMAP,
 //! "Service latency").
-//!
-//! Every outbound request passes through [`crate::fault::on_net_op`],
-//! the seam where the `fault-inject` build drops, delays, or partitions
-//! network traffic on a seeded schedule.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -277,10 +273,6 @@ impl HttpClient {
         HttpClient { addr: addr.to_string(), stream: None }
     }
 
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// Send one request, reusing the pooled connection when possible.
     pub fn request(
         &mut self,
@@ -288,7 +280,6 @@ impl HttpClient {
         path: &str,
         body: Option<&str>,
     ) -> std::io::Result<HttpResponse> {
-        crate::fault::on_net_op()?;
         let reused = self.stream.is_some();
         match self.send(method, path, body) {
             // The server may have dropped the idle pooled connection
@@ -487,7 +478,7 @@ fn fraction(h: u64) -> f64 {
 }
 
 /// Is this I/O failure worth retrying? Connection-level refusals and
-/// resets are (the daemon may be restarting under its supervisor);
+/// resets are (the daemon may be restarting);
 /// timeouts and protocol errors are not — the request may have been
 /// acted on.
 fn transient(e: &std::io::Error) -> bool {

@@ -19,9 +19,7 @@
 //! | `/campaigns/:id`          | GET    | per-cell progress snapshot                 |
 //! | `/campaigns/:id/results`  | GET    | export (`?format=json\|csv\|summary`)      |
 //! | `/cells/:hash`            | GET    | verbatim cache entry by content key        |
-//! | `/cells?since=secs`       | GET    | cache manifest (`key` + `mtime`) for anti-entropy sync |
-//! | `/cells/:hash?sha256=hex` | PUT    | replicate one checksummed cache entry      |
-//! | `/workers`                | GET    | supervised fleet health (restarts, backoff, partitions)|
+//! | `/cells/:hash?sha256=hex` | PUT    | land one checksummed cache entry           |
 //! | `/shutdown`               | POST   | graceful drain (same as SIGINT)            |
 //!
 //! Errors are structured JSON (`{"error":{"status":…,"message":…}}`) —
@@ -30,34 +28,20 @@
 //! the bundled thin client honors it with capped exponential backoff
 //! (see [`http::RetryPolicy`]).
 //!
-//! # Supervision and the failure model
+//! # One daemon, one executor, and the failure model
 //!
-//! `serve --supervise n` turns the daemon into a fleet parent: instead of
-//! executing campaigns in-process it spawns `n` child daemons (`--shard
-//! i/n`, ephemeral ports, shared cache) and keeps all shards fed. There
-//! is one campaign registry, [`ServerState`]: it assigns ids,
-//! records pending accepts, counts campaigns and serves results on every
-//! daemon. Only the executor differs. A local daemon queues each
-//! accepted campaign for its executor thread; a supervising one hands it
-//! to the fleet [`supervisor::Supervisor`], whose monitor writes the
-//! shard-summed progress back into the registry entry every heartbeat.
-//! Each child reports its address through a file, and the supervisor
-//! then adopts that address exactly like a `--worker` one (below): one
-//! worker lifecycle, whose only ownership-specific steps are reaping,
-//! killing and relaunching the child. See [`supervisor`] for the moving
-//! parts. The failure model, in decreasing order of blast radius:
+//! Every daemon runs the campaigns it accepts. There is one campaign
+//! registry, [`ServerState`]: it assigns ids, records pending accepts,
+//! counts campaigns and serves results. Each accepted campaign is queued
+//! for the daemon's one executor thread, which runs it on a fresh
+//! [`crate::job::JobRunner`] and streams per-cell progress into the
+//! registry entry. The failure model, in decreasing order of blast
+//! radius:
 //!
-//! - **Worker crash** (SIGKILL, `abort()`, OOM): detected by process
-//!   reaping or three consecutive missed `/healthz` probes. The worker is
-//!   restarted under exponential backoff (250 ms base, 5 s cap,
-//!   deterministic jitter) and re-seeded with every campaign not yet
-//!   `done` or `failed` — idempotent, because finished cells are cache
-//!   hits.
-//! - **Crash loop**: more than `max_restarts` (default 5) restarts trips
-//!   a circuit breaker; the worker is marked *broken*, `GET /workers`
-//!   says so, and campaigns whose other shards finish report `degraded`
-//!   instead of blocking forever. The broken shard's cells stay
-//!   resumable in the cache.
+//! - **Daemon crash** (SIGKILL, `abort()`, OOM): every accepted campaign
+//!   is a pending file (below), so a restarted daemon on the same cache
+//!   replays it under its original id and resumes from the cells already
+//!   cached.
 //! - **Hung cell** (infinite loop in a simulation): the per-cell
 //!   watchdog (`--cell-deadline-ms`) cancels the attempt cooperatively,
 //!   retries it up to `--cell-retries` times, then marks the cell
@@ -78,19 +62,16 @@
 //! form `kind@counter=n[,n...]`, firing on the n-th event of a
 //! per-process counter (see [`crate::fault`] for the grammar — `kill@sim`,
 //! `hang@sim`, `corrupt@put`, `err@put`, `err@get`, `kill@accept`,
-//! `err@journal`, `torn@journal`, and the network directives `drop@net=k`,
-//! `delay@net=k:ms`, `partition@net=k:dur`, injected at the outbound
-//! client seam in [`http`]). The chaos e2e suite
-//! drives kill/corrupt/hang matrices through the supervisor with
-//! single-threaded workers, so every failure fires at the same cell on
-//! every run. Without the feature (the default), every hook compiles to
-//! a no-op.
+//! `err@journal`, `torn@journal`). The chaos e2e suite drives
+//! hang/corrupt matrices through a daemon with one simulation worker, so
+//! every failure fires at the same cell on every run. Without the
+//! feature (the default), every hook compiles to a no-op.
 //!
 //! # Sharding
 //!
-//! Several daemons can split one campaign across processes (or machines
-//! on a shared filesystem) with `serve --shard i/n`, all pointing at the
-//! same cache directory. **Ownership rule:** shard `i` of `n` owns a cell
+//! Several daemons can split one campaign across processes with
+//! `serve --shard i/n`, all pointing at the same cache directory.
+//! **Ownership rule:** shard `i` of `n` owns a cell
 //! iff the first 8 bytes of `SHA-256("<arch>\x1f<workload id>\x1f<policy>")`,
 //! read as a big-endian `u64`, are ≡ `i` (mod `n`). Ownership depends only
 //! on cell *identity* — not on mappings or budgets — so every shard
@@ -100,43 +81,17 @@
 //! *sweep*; the shared content-addressed cache coalesces those jobs, so
 //! the duplication costs at most one warm pass.)
 //!
-//! # Distributed deployment & the partition failure model
+//! # Cell replication
 //!
-//! Nothing above requires one filesystem. A fleet can span machines:
-//!
-//! - **Remote workers** (`serve --supervise 0 --worker HOST:PORT ...`):
-//!   each `--worker` entry is adopted at its address through the same
-//!   lifecycle as a spawned child — health probes over `/healthz`,
-//!   max-missed / backoff / circuit breaker, backfill of every unsettled
-//!   campaign over the retrying client — except that the supervisor
-//!   never forks or kills it. The operator starts each remote
-//!   daemon with the matching `--shard i/n` (`n` = spawned + adopted)
-//!   and its own cache directory. `--supervise k --worker ...` mixes
-//!   `k` local children with adopted remotes.
-//! - **Cache peers** (`--peer HOST:PORT`, repeatable): a cache miss
-//!   consults each peer's `GET /cells/:hash` and lands a verified copy
-//!   locally (atomic tmp + rename) before falling back to simulation.
-//!   A supervising daemon's `/campaigns/:id/results` replay first runs
-//!   an anti-entropy pass — `GET /cells?since=` manifest diff against every
-//!   live worker, pulling entries it is missing — so results are served
-//!   entirely through HTTP when workers are remote.
-//! - **Replication rule: byte-equality or quarantine.** Cache entries
-//!   are deterministic, so two copies of one content key must be
-//!   byte-identical. `PUT /cells/:hash` verifies a `?sha256=` checksum
-//!   of the body (transit corruption → 422, nothing lands), validates
-//!   the entry, and lands it atomically; if a *different* body already
-//!   exists under the same key, the incoming copy is quarantined and
-//!   the PUT answers 409 — never last-write-wins, and a quarantined
-//!   copy is never served.
-//! - **Partition semantics**: a worker that stops answering probes is
-//!   restarted (spawned) or re-probed (adopted) under backoff; past the
-//!   restart budget it is *broken* and its shard's unfinished cells are
-//!   **re-owned** — the supervisor runs the broken worker's exact shard
-//!   slice through its own cached engine, so campaigns complete with
-//!   zero lost or duplicated cells (finished cells are cache or peer
-//!   hits). `GET /workers` reports per-worker partition counts and
-//!   re-owned totals; `GET /stats` reports `cache_remote_hits`,
-//!   `cells_replicated`, and `net_faults_injected`.
+//! `PUT /cells/:hash` lands one entry copied from another cache, under
+//! one rule: **byte-equality or quarantine.** Cache entries are
+//! deterministic, so two copies of one content key must be
+//! byte-identical. The route verifies a `?sha256=` checksum of the body
+//! (transit corruption → 422, nothing lands), validates the entry, and
+//! lands it atomically; if a *different* body already exists under the
+//! same key, the incoming copy is quarantined and the PUT answers 409 —
+//! never last-write-wins, and a quarantined copy is never served.
+//! `GET /stats` counts landed copies as `cells_replicated`.
 //!
 //! # The cache is the database
 //!
@@ -155,10 +110,10 @@
 //! *campaigns* durable. Before any `POST /campaigns` returns its 202,
 //! the verbatim spec text is published as
 //! `<cache>/pending/<role>/<id>.spec` by [`crate::cache::write_atomic`]
-//! (role `serve`, `serve-shard-i-of-n`, or `fleet` for `--supervise`),
-//! and deleted when the campaign reaches `done` or `failed`. The rename
-//! is the commit point, so there is no torn record to detect or repair
-//! (see [`crate::pending`]).
+//! (role `serve`, or `serve-shard-i-of-n` for `--shard`), and deleted
+//! when the campaign reaches `done` or `failed`. The rename is the commit
+//! point, so there is no torn record to detect or repair (see
+//! [`crate::pending`]).
 //!
 //! On startup the daemon reaps orphaned `*.tmp` files older than a
 //! safety threshold, replays its role directory in id order, and
@@ -174,19 +129,16 @@
 //! An accept that cannot be made durable (full disk, injected
 //! `err@journal`) is refused with 503 + `Retry-After` — the daemon never
 //! acknowledges work it cannot promise to survive. `--no-journal`
-//! disables pending files entirely (supervised workers run this way:
-//! the fleet directory at the supervisor is their source of truth), and
-//! `--durable` extends the crash model from process death to host power
-//! loss by fsyncing every cache entry before its rename publishes it.
-//! `hdsmt-campaign fsck` (see [`crate::fsck`]) verifies and repairs a
-//! cache tree offline: scrub + quarantine, tmp reaping, a pending-accept
-//! count, quarantine GC.
+//! disables pending files entirely, and `--durable` extends the crash
+//! model from process death to host power loss by fsyncing every cache
+//! entry before its rename publishes it. `hdsmt-campaign fsck` (see
+//! [`crate::fsck`]) verifies and repairs a cache tree offline: scrub +
+//! quarantine, tmp reaping, a pending-accept count, quarantine GC.
 
 pub mod api;
 pub mod http;
 pub mod queue;
 pub mod state;
-pub mod supervisor;
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -253,8 +205,8 @@ pub struct Server {
     acceptor: JoinHandle<()>,
     handlers: Vec<JoinHandle<()>>,
     /// Runs queued campaigns one at a time, each on its own
-    /// [`crate::job::JobRunner`]; `None` for a supervisor.
-    executor: Option<JoinHandle<()>>,
+    /// [`crate::job::JobRunner`].
+    executor: JoinHandle<()>,
     /// Set once a shutdown poke has been sent, so idempotent shutdown
     /// paths (handler, SIGINT loop, explicit call) don't race.
     poked: Arc<AtomicBool>,
@@ -269,25 +221,16 @@ impl Server {
         let state = Arc::new(ServerState::new(config)?);
         let poked = Arc::new(AtomicBool::new(false));
 
-        if state.config.supervise.is_some() {
-            supervisor::Supervisor::start(&state, supervisor::SupervisorConfig::default())?;
-        }
-
         // The campaign executor drains the bounded queue until it
-        // closes. A supervising daemon runs no campaigns itself — the
-        // shard workers do — so it has none. Spawn failures (thread
-        // exhaustion) propagate as the start error they are, instead of
-        // panicking half-started.
-        let executor = match state.config.supervise {
-            Some(_) => None,
-            None => {
-                let state = state.clone();
-                Some(std::thread::Builder::new().name("serve-exec".into()).spawn(move || {
-                    while let Some(entry) = state.queue.pop() {
-                        state.execute(&entry);
-                    }
-                })?)
-            }
+        // closes. Spawn failures (thread exhaustion) propagate as the
+        // start error they are, instead of panicking half-started.
+        let executor = {
+            let state = state.clone();
+            std::thread::Builder::new().name("serve-exec".into()).spawn(move || {
+                while let Some(entry) = state.queue.pop() {
+                    state.execute(&entry);
+                }
+            })?
         };
 
         // HTTP handlers: one shared receiver of accepted connections.
@@ -372,18 +315,12 @@ impl Server {
     }
 
     fn join(self) {
-        // Fleet first: stop restarting workers, drain them gracefully.
-        if let Some(sup) = self.state.supervisor() {
-            sup.shutdown();
-        }
         poke(&self.addr, &self.poked);
         let _ = self.acceptor.join();
         for h in self.handlers {
             let _ = h.join();
         }
-        if let Some(e) = self.executor {
-            let _ = e.join();
-        }
+        let _ = self.executor.join();
     }
 }
 

@@ -1,9 +1,7 @@
 //! Shared daemon state: the campaign registry, per-campaign progress
 //! counters, the bounded memo of finished results, and the global
-//! service counters behind `GET /stats`. It is the only registry on
-//! every daemon: a supervising one hands its campaigns to the fleet
-//! [`Supervisor`] instead of the local queue, and the supervisor's
-//! monitor writes the fleet-level view back into each entry.
+//! service counters behind `GET /stats`. Every accepted campaign is
+//! registered here and queued for the daemon's one executor.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -12,11 +10,10 @@ use std::time::Instant;
 
 use crate::cache::ResultCache;
 use crate::engine::{self, CampaignProgress, CampaignResult};
-use crate::job::{CampaignError, JobOutcome, JobRunner, RunReport, Watchdog};
+use crate::job::{JobOutcome, JobRunner, RunReport, Watchdog};
 use crate::matrix::{Cell, ShardSpec};
 use crate::pending::{self, Pending};
 use crate::serve::queue::{BoundedQueue, PushError};
-use crate::serve::supervisor::Supervisor;
 use crate::spec::CampaignSpec;
 
 /// Daemon configuration (CLI flags; every field has a usable default).
@@ -24,7 +21,7 @@ use crate::spec::CampaignSpec;
 pub struct ServerConfig {
     /// Listen address (`127.0.0.1:8181` by default).
     pub addr: String,
-    /// Result-cache directory — shared between shard workers.
+    /// Result-cache directory — shared between shard daemons.
     pub cache_dir: String,
     /// Simulation worker threads per running campaign (0 = auto). The
     /// daemon overrides any `workers` field in submitted specs.
@@ -32,28 +29,16 @@ pub struct ServerConfig {
     /// Bounded campaign-queue capacity; beyond it, `POST /campaigns`
     /// returns 503.
     pub queue_cap: usize,
-    /// This worker's slice of every submitted campaign (`--shard i/n`).
+    /// This daemon's slice of every submitted campaign (`--shard i/n`).
     pub shard: Option<ShardSpec>,
-    /// Run as a fleet supervisor over N shard-worker child processes
-    /// instead of executing campaigns in-process (`--supervise n`).
-    pub supervise: Option<u32>,
-    /// Binary to spawn supervised workers from. `None` = the current
-    /// executable; tests point this at `CARGO_BIN_EXE_hdsmt-campaign`.
-    pub worker_binary: Option<std::path::PathBuf>,
     /// Per-cell watchdog soft deadline (`--cell-deadline-ms`). `None`
     /// disables the watchdog.
     pub cell_deadline: Option<std::time::Duration>,
     /// Retries per timed-out cell before it is marked failed
     /// (`--cell-retries`).
     pub cell_retries: u32,
-    /// Extra environment for supervised workers only (fault plans are
-    /// injected here so the supervisor itself stays fault-free).
-    pub child_env: Vec<(String, String)>,
     /// Record every accept durably under `<cache>/pending/` and replay
-    /// the unfinished ones at startup. On by default; supervised *worker*
-    /// children run with `--no-journal` because the fleet's pending
-    /// directory at the supervisor is their source of truth (a worker
-    /// restart is the supervisor's job, not replay's).
+    /// the unfinished ones at startup (on by default; `--no-journal`).
     pub journal: bool,
     /// Fsync cache entries before publishing them (`--durable`): extends
     /// the crash model from process death to host power loss, at the
@@ -61,13 +46,6 @@ pub struct ServerConfig {
     pub durable: bool,
     /// Reap orphaned `*.tmp` files older than this at startup.
     pub tmp_reap_age: std::time::Duration,
-    /// Peer daemons (`--peer host:port`) whose caches back this one: a
-    /// local miss is retried against each peer's `GET /cells/:hash` and
-    /// landed locally on success.
-    pub peers: Vec<String>,
-    /// Remote workers (`--worker host:port`) the supervisor adopts
-    /// alongside (or instead of) spawned children.
-    pub remote_workers: Vec<String>,
 }
 
 impl ServerConfig {
@@ -88,32 +66,15 @@ impl ServerConfig {
     }
 }
 
-/// Run `spec` (daemon-owned, see [`ServerConfig::own`]), or one shard of
-/// it, through the engine on `cache` with the daemon's runner and no
-/// progress observer. Once the campaign has finished, every cell is a
-/// cache hit, so this is pure reads: it computes a done campaign's
-/// result when the memo does not hold it and re-owns a broken fleet
-/// worker's shard. A failed cell was never cached, so a replay attempts
-/// it again under the same watchdog.
-pub(crate) fn replay(
-    spec: &CampaignSpec,
-    config: &ServerConfig,
-    cache: ResultCache,
-    shard: Option<ShardSpec>,
-) -> Result<CampaignResult, CampaignError> {
-    let catalog = engine::catalog_for(spec);
-    engine::run_campaign_observed(spec, &catalog, &config.runner(cache), shard, &())
-}
-
 /// How many done campaigns keep their full [`CampaignResult`] (~6 KB
 /// each) in memory. Older ones still answer `/campaigns/:id/results`:
-/// [`replay`] recomputes the result from the cache.
+/// [`ServerState::results`] recomputes the result from the cache.
 pub const RESULTS_RETAINED: usize = 16;
 
 /// The finished results held in memory, at most [`RESULTS_RETAINED`];
-/// the one least recently finished or read is dropped first. Each
-/// daemon's registry keeps one. Its lock is a leaf: callers take it
-/// before a campaign entry's lock, never inside it.
+/// the one least recently finished or read is dropped first. Its lock
+/// is a leaf: callers take it before a campaign entry's lock, never
+/// inside it.
 #[derive(Debug, Default)]
 pub(crate) struct ResultMemo {
     /// `(campaign id, result)`, most recently finished or read last.
@@ -162,16 +123,11 @@ impl Default for ServerConfig {
             sim_workers: 0,
             queue_cap: 64,
             shard: None,
-            supervise: None,
-            worker_binary: None,
             cell_deadline: None,
             cell_retries: 2,
-            child_env: Vec::new(),
             journal: true,
             durable: false,
             tmp_reap_age: std::time::Duration::from_secs(15 * 60),
-            peers: Vec::new(),
-            remote_workers: Vec::new(),
         }
     }
 }
@@ -187,8 +143,6 @@ pub enum CampaignPhase {
     /// Interrupted by shutdown before completing — resubmit after restart
     /// to resume from the cache.
     Cancelled,
-    /// Fleet only: a broken shard can no longer finish its slice.
-    Degraded,
 }
 
 impl CampaignPhase {
@@ -199,14 +153,7 @@ impl CampaignPhase {
             CampaignPhase::Done => "done",
             CampaignPhase::Failed => "failed",
             CampaignPhase::Cancelled => "cancelled",
-            CampaignPhase::Degraded => "degraded",
         }
-    }
-
-    /// `done` and `failed` are terminal: counted once, pending file
-    /// resolved, never run or backfilled again.
-    pub(crate) fn is_settled(self) -> bool {
-        matches!(self, CampaignPhase::Done | CampaignPhase::Failed)
     }
 }
 
@@ -233,18 +180,16 @@ pub struct SearchCounts {
     pub finished: usize,
 }
 
-/// A campaign's mutable progress. A fleet monitor tick replaces it
-/// whole with the view aggregated across shards.
+/// A campaign's mutable progress.
 #[derive(Debug, Default)]
-pub(crate) struct CampaignInner {
-    pub(crate) phase: CampaignPhase, // Default = Queued, so the entry is valid from birth
-    pub(crate) cells: CellCounts,
-    pub(crate) search: SearchCounts,
-    pub(crate) error: Option<String>,
-    /// Job counts of the local run that finished the campaign: a
-    /// replayed result reports these, not its own all-hit counts. A fleet
-    /// campaign has none, so its result keeps the replay's counts.
-    pub(crate) report: Option<RunReport>,
+struct CampaignInner {
+    phase: CampaignPhase, // Default = Queued, so the entry is valid from birth
+    cells: CellCounts,
+    search: SearchCounts,
+    error: Option<String>,
+    /// Job counts of the run that finished the campaign: a replayed
+    /// result reports these, not its own all-hit counts.
+    report: Option<RunReport>,
 }
 
 /// One submitted campaign: immutable identity + mutable progress.
@@ -252,9 +197,6 @@ pub(crate) struct CampaignInner {
 pub struct CampaignEntry {
     pub id: String,
     pub name: String,
-    /// The verbatim spec text the client submitted (what a fleet sends
-    /// its workers).
-    pub(crate) spec_text: String,
     /// The parsed spec, with the daemon's cache and worker budget.
     pub spec: CampaignSpec,
     inner: Mutex<CampaignInner>,
@@ -273,11 +215,10 @@ pub struct CampaignSnapshot {
 }
 
 impl CampaignEntry {
-    fn new(id: String, spec_text: String, spec: CampaignSpec) -> Self {
+    fn new(id: String, spec: CampaignSpec) -> Self {
         CampaignEntry {
             id,
             name: spec.display_name().to_string(),
-            spec_text,
             spec,
             inner: Mutex::new(CampaignInner::default()),
         }
@@ -408,10 +349,6 @@ pub struct ServerState {
     jobs: JobTotals,
     campaigns_done: AtomicU64,
     campaigns_failed: AtomicU64,
-    /// Set once by [`Supervisor::start`] when `config.supervise` is on:
-    /// the executor accepted campaigns are handed to instead of the
-    /// local queue.
-    supervisor: std::sync::OnceLock<Arc<Supervisor>>,
     /// Durable pending accepts (absent with `--no-journal`).
     pending: Option<Pending>,
     /// Orphaned tmp files reaped at startup.
@@ -427,9 +364,7 @@ impl ServerState {
     }
 
     pub fn new(config: ServerConfig) -> std::io::Result<Self> {
-        let cache = ResultCache::open(&config.cache_dir)?
-            .with_durable(config.durable)
-            .with_peers(config.peers.clone());
+        let cache = ResultCache::open(&config.cache_dir)?.with_durable(config.durable);
         // Reap what killed writers stranded before accepting new work;
         // the age threshold protects other live daemons on this cache.
         let tmp_reaped = cache.reap_tmp(config.tmp_reap_age) as u64;
@@ -451,7 +386,6 @@ impl ServerState {
             jobs: JobTotals::default(),
             campaigns_done: AtomicU64::new(0),
             campaigns_failed: AtomicU64::new(0),
-            supervisor: std::sync::OnceLock::new(),
             pending,
             tmp_reaped,
         };
@@ -469,7 +403,7 @@ impl ServerState {
             // Seed the id counter past every revived campaign so fresh
             // submissions never collide with it.
             self.seq.fetch_max(pending::id_seq(&rec.id).unwrap_or(0), Ordering::Relaxed);
-            let entry = CampaignEntry::new(rec.id, rec.spec_text, self.config.own(rec.spec));
+            let entry = CampaignEntry::new(rec.id, self.config.own(rec.spec));
             // Only refused once the queue is closed: the file stays
             // pending for the next restart.
             let _ = self.hand_off(Arc::new(entry), true);
@@ -477,19 +411,10 @@ impl ServerState {
     }
 
     /// The one hand-off point for an accepted campaign, new or recovered:
-    /// register it, then give it to whatever runs campaigns here. A local
-    /// daemon queues it for its executor (a recovered campaign past the
-    /// queue bound too). A fleet daemon fans it out to the workers that
-    /// are up; the monitor backfills the rest, including every campaign
-    /// recovered before the supervisor started.
+    /// register it and queue it for the executor (a recovered campaign
+    /// past the queue bound too).
     fn hand_off(&self, entry: Arc<CampaignEntry>, recovered: bool) -> Result<(), PushError> {
         self.campaigns_lock().push(entry.clone());
-        if self.config.supervise.is_some() {
-            if let Some(sup) = self.supervisor() {
-                sup.dispatch(&entry);
-            }
-            return Ok(());
-        }
         let queued = if recovered {
             self.queue.push_recovered(entry.clone())
         } else {
@@ -521,21 +446,6 @@ impl ServerState {
         }
     }
 
-    /// Replace `entry`'s progress with a fleet monitor tick's view.
-    pub(crate) fn observe(&self, entry: &CampaignEntry, view: CampaignInner) {
-        self.settle(&entry.id, view.phase);
-        *entry.lock() = view;
-    }
-
-    /// The fleet supervisor, when this daemon runs in `--supervise` mode.
-    pub fn supervisor(&self) -> Option<&Arc<Supervisor>> {
-        self.supervisor.get()
-    }
-
-    pub(crate) fn set_supervisor(&self, sup: Arc<Supervisor>) {
-        let _ = self.supervisor.set(sup);
-    }
-
     pub fn is_shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
     }
@@ -558,7 +468,7 @@ impl ServerState {
     }
 
     /// Parse, validate, record, and hand off a campaign spec (TOML or
-    /// JSON text). Ids are `c…` on a local daemon and `f…` on a fleet.
+    /// JSON text) under a fresh `c…` id.
     pub fn submit(&self, spec_text: &str) -> Result<Arc<CampaignEntry>, SubmitError> {
         if self.is_shutting_down() {
             return Err(SubmitError::ShuttingDown);
@@ -566,9 +476,8 @@ impl ServerState {
         let spec = engine::admit(spec_text).map_err(|e| SubmitError::Invalid(e.0))?;
         let spec = self.config.own(spec);
 
-        let prefix = if self.config.supervise.is_some() { 'f' } else { 'c' };
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let id = pending::campaign_id(prefix, seq, spec_text);
+        let id = pending::campaign_id(seq, spec_text);
         // Record the accept — durably, *before* the 202 leaves the
         // daemon. If the write cannot promise the campaign will survive a
         // crash, the daemon refuses the work instead of lying.
@@ -576,7 +485,7 @@ impl ServerState {
             pending.accept(&id, spec_text).map_err(|e| SubmitError::Journal(e.to_string()))?;
         }
         crate::fault::on_accept();
-        let entry = Arc::new(CampaignEntry::new(id, spec_text.to_string(), spec));
+        let entry = Arc::new(CampaignEntry::new(id, spec));
         match self.hand_off(entry.clone(), false) {
             Ok(()) => Ok(entry),
             Err(push_err) => {
@@ -601,9 +510,11 @@ impl ServerState {
     }
 
     /// The result of done campaign `id`: from the memo while retained,
-    /// otherwise replayed from the cache and retained again. A fleet
-    /// first pulls what its live workers cached, so the replay stays a
-    /// read. `Err` carries the HTTP status and message for the API layer.
+    /// otherwise replayed from the cache and retained again. Every cell of
+    /// a done campaign is a cache hit, so the replay is pure reads; a
+    /// failed cell was never cached, so it is attempted again under the
+    /// same watchdog. `Err` carries the HTTP status and message for the
+    /// API layer.
     pub fn results(&self, id: &str) -> Result<Arc<CampaignResult>, (u16, String)> {
         if let Some(result) = self.results.get(id) {
             return Ok(result);
@@ -619,11 +530,11 @@ impl ServerState {
                 ),
             ));
         }
-        if let Some(sup) = self.supervisor() {
-            sup.pull_worker_caches();
-        }
-        let mut result = replay(&entry.spec, &self.config, self.cache.clone(), self.config.shard)
-            .map_err(|e| (500, format!("results replay failed: {}", e.0)))?;
+        let catalog = engine::catalog_for(&entry.spec);
+        let runner = self.config.runner(self.cache.clone());
+        let mut result =
+            engine::run_campaign_observed(&entry.spec, &catalog, &runner, self.config.shard, &())
+                .map_err(|e| (500, format!("results replay failed: {}", e.0)))?;
         if let Some(report) = entry.lock().report {
             result.report = report;
         }
@@ -708,14 +619,11 @@ impl ServerState {
                 timeouts: self.jobs.timeouts.load(Ordering::Relaxed) as usize,
                 retries: self.jobs.retries.load(Ordering::Relaxed) as usize,
             },
-            cache_remote_hits: cache_counters.remote_hits,
             cells_replicated: cache_counters.replicated,
             cache: cache_counters,
             cache_entries: self.cache.len(),
             cache_quarantined: self.cache.quarantined_entries(),
             quarantine_oldest_secs: self.cache.quarantine_oldest_age().map(|a| a.as_secs()),
-            net_faults_injected: crate::fault::net_faults_injected(),
-            partitions_total: self.supervisor().map_or(0, |s| s.partitions_total()),
             journal_records: self.pending.as_ref().map_or(0, |p| p.held()),
             journal_replayed: self.pending.as_ref().map_or(0, |p| p.replayed),
             tmp_reaped: self.tmp_reaped,
@@ -723,17 +631,13 @@ impl ServerState {
     }
 }
 
-/// Which `pending/<role>/` directory this daemon owns. Shard workers
-/// sharing a cache directory each get their own; a supervising daemon
-/// gets another, so concurrent daemons never replay each other's
-/// accepts.
+/// Which `pending/<role>/` directory this daemon owns. Shard daemons
+/// sharing a cache directory each get their own, so concurrent daemons
+/// never replay each other's accepts.
 fn pending_role(config: &ServerConfig) -> String {
-    if config.supervise.is_some() {
-        "fleet".to_string()
-    } else if let Some(shard) = config.shard {
-        format!("serve-shard-{}", shard.label().replace('/', "-of-"))
-    } else {
-        "serve".to_string()
+    match config.shard {
+        Some(shard) => format!("serve-shard-{}", shard.label().replace('/', "-of-")),
+        None => "serve".to_string(),
     }
 }
 
@@ -774,17 +678,9 @@ pub struct ServerStats {
     /// Age of the oldest quarantined entry, seconds — forgotten evidence
     /// shows up here instead of rotting silently.
     pub quarantine_oldest_secs: Option<u64>,
-    /// Cache misses satisfied by a peer over HTTP (mirrors
-    /// `cache.remote_hits`; surfaced top-level for scripts).
-    pub cache_remote_hits: u64,
-    /// Entries landed from peers (read-through, `PUT`, or anti-entropy;
-    /// mirrors `cache.replicated`).
+    /// Entries landed by `PUT /cells/:hash` (mirrors
+    /// `cache.replicated`; surfaced top-level for scripts).
     pub cells_replicated: u64,
-    /// Network perturbations the fault layer injected in this process
-    /// (always 0 without the `fault-inject` feature).
-    pub net_faults_injected: u64,
-    /// Fleet-wide network-attributed worker losses (supervise mode).
-    pub partitions_total: u64,
     /// Pending-accept files this daemon holds (accepted, not yet done
     /// or failed).
     pub journal_records: u64,

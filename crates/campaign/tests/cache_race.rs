@@ -1,7 +1,7 @@
 //! Cache-writer race stress tests: many threads and multiple processes
 //! hammering one cache directory — same keys and different keys — must
 //! leave only whole, parseable, bit-identical entries behind. This is the
-//! property the serve daemon's shard workers (and any two concurrent
+//! property the serve daemon's shards (and any two concurrent
 //! `hdsmt-campaign run`s) stand on.
 
 use std::fs;

@@ -270,6 +270,43 @@ fn runner_handles_one_worker_an_empty_batch_and_more_workers_than_jobs() {
 }
 
 #[test]
+fn a_repeated_cache_key_simulates_once_on_many_workers() {
+    let dir = tmpdir("repeated-key");
+    let jobs = vec![distinct_jobs(1).remove(0); 8];
+    let events: Vec<AtomicUsize> = jobs.iter().map(|_| AtomicUsize::new(0)).collect();
+    let runner = JobRunner::new(4, Some(ResultCache::open(&dir).unwrap()));
+    let out = runner
+        .try_run_all(&jobs, &|i, _| {
+            events[i].fetch_add(1, Ordering::Relaxed);
+        })
+        .unwrap();
+    let report = runner.report();
+    assert_eq!((report.simulated, report.cache_hits), (1, 7), "{report:?}");
+    let events: Vec<usize> = events.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+    assert_eq!(events, vec![2; jobs.len()], "every repeat starts and finishes once");
+    let got: Vec<String> = out.iter().map(|r| fingerprint(r.as_ref().unwrap())).collect();
+    assert!(got.iter().all(|f| *f == got[0]), "every repeat gets the one result");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_repeat_of_a_failed_job_reports_the_same_error() {
+    let dir = tmpdir("repeated-failure");
+    // Passes pre-flight but panics in the simulator (see
+    // `one_panicking_job_fails_cleanly_without_aborting_the_batch`).
+    let mut bad = job();
+    bad.mapping = vec![2, 2];
+    let runner = JobRunner::new(2, Some(ResultCache::open(&dir).unwrap()));
+    let out = runner.try_run_all(&[bad.clone(), job(), bad], &|_, _| {}).unwrap();
+    let (first, repeat) = (out[0].as_ref().unwrap_err(), out[2].as_ref().unwrap_err());
+    assert_eq!(first, repeat);
+    assert!(out[1].is_ok());
+    let report = runner.report();
+    assert_eq!((report.simulated, report.failed, report.cache_hits), (3, 2, 0), "{report:?}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_cancelled_batch_simulates_nothing() {
     let runner = JobRunner::new(2, None).with_cancel_token(Arc::new(AtomicBool::new(true)));
     let out = runner.try_run_all(&distinct_jobs(3), &|_, _| {}).unwrap();
@@ -408,5 +445,24 @@ fn cli_rejects_bad_input() {
     assert!(!cli().arg("run").arg(dir.join("missing.toml")).output().unwrap().status.success());
     assert!(!cli().arg("frobnicate").arg(&bad_spec).output().unwrap().status.success());
     assert!(!cli().output().unwrap().status.success());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_rejects_the_retired_fleet_flags_with_usage() {
+    let dir = tmpdir("cli-fleet-flags");
+    let spec = dir.join("spec.toml");
+    fs::write(&spec, "archs = [\"M8\"]\nworkloads = [\"2W1\"]\n").unwrap();
+    let spec = spec.to_string_lossy().into_owned();
+    for args in [
+        vec!["serve", "--supervise", "1"],
+        vec!["serve", "--worker", "127.0.0.1:1"],
+        vec!["run", spec.as_str(), "--peer", "127.0.0.1:1"],
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown flag") && stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
     let _ = fs::remove_dir_all(&dir);
 }

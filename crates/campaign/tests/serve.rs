@@ -424,43 +424,6 @@ fn results_past_the_memo_bound_replay_byte_identically() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn fleet_results_past_the_memo_bound_are_still_served() {
-    use hdsmt_campaign::serve::state::RESULTS_RETAINED;
-    let dir = tmpdir("fleet-memo");
-    let cache = dir.join("cache");
-    // One in-process worker, adopted by address by an in-process
-    // supervisor on the same cache.
-    let worker = server_on(&cache, None);
-    let fleet = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        cache_dir: cache.to_string_lossy().into_owned(),
-        supervise: Some(0),
-        remote_workers: vec![worker.addr().to_string()],
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let addr = fleet.addr().to_string();
-    let mut http = HttpClient::new(&addr);
-
-    let ids: Vec<String> = (0..RESULTS_RETAINED + 2).map(|_| submit(&addr, SPEC)).collect();
-    for id in &ids {
-        let snap = wait_terminal(&addr, id);
-        assert_eq!(snap.get("status").and_then(|s| s.as_str()), Some("done"), "{snap:?}");
-    }
-    // Reading every later campaign's results pushes the first one out.
-    let held = exports(&mut http, &ids[0]);
-    for id in &ids[1..] {
-        exports(&mut http, id);
-    }
-    assert_eq!(results_retained(&mut http), RESULTS_RETAINED as u64);
-    assert_eq!(exports(&mut http, &ids[0]), held, "a replayed export must be byte-identical");
-
-    fleet.shutdown_and_join();
-    worker.shutdown_and_join();
-    let _ = fs::remove_dir_all(&dir);
-}
-
 // --------------------------------------------------- CLI thin client
 
 #[test]

@@ -11,7 +11,7 @@
 //!
 //! [[allow]]
 //! rule = "panic-safety"
-//! path = "crates/campaign/src/serve/supervisor.rs"
+//! path = "crates/campaign/src/serve/api.rs"
 //! contains = "sha256_hex"
 //! reason = "digest is always 64 hex chars"
 //! ```

@@ -104,14 +104,11 @@
 //! Campaigns can also run as a service: `hdsmt-campaign serve` exposes
 //! the engine over an HTTP/JSON API (submit specs, poll per-cell
 //! progress, fetch results, look cells up by content key), with
-//! `run`/`status`/`export --remote ADDR` as thin clients and
-//! `serve --shard i/n` workers splitting one campaign across processes
-//! on a shared cache — see [`campaign::serve`]. Fleets scale past one
-//! host: a supervisor adopts remote shard daemons (`--worker ADDR`)
-//! and reads their caches through an HTTP replication tier
-//! (`--peer ADDR`, `PUT`/`GET /cells/:hash` with
-//! byte-equality-or-quarantine conflict handling), riding out network
-//! partitions by re-owning a broken worker's shard locally.
+//! `run`/`status`/`export --remote ADDR` as thin clients. Every daemon
+//! runs the campaigns it accepts on its own executor; `serve --shard
+//! i/n` daemons split one campaign across processes on a shared cache,
+//! and `GET`/`PUT /cells/:hash` read and land single cache entries
+//! (byte-equality-or-quarantine on conflict) — see [`campaign::serve`].
 //!
 //! ## Project invariants & lint rules
 //!
