@@ -27,6 +27,10 @@
 //! `--durable` additionally fsyncs every cache entry before publishing
 //! it, extending the crash model from process death to host power loss.
 //!
+//! Without `--workers` (or a spec `workers` field), `run` and `export`
+//! simulate on every core, while `serve` keeps two cores for its clients
+//! and HTTP acceptor (at least one worker).
+//!
 //! Every `serve` daemon runs the campaigns it accepts on its own
 //! executor; `--shard i/n` gives it one slice of every campaign, so
 //! several daemons on one cache directory can split a campaign.

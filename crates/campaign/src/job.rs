@@ -13,9 +13,13 @@ use hdsmt_pipeline::MicroArch;
 
 use crate::cache::ResultCache;
 
-/// Default worker count: leave a couple of cores for the OS.
+/// Default worker count for batch campaigns (`run`, `export`,
+/// `reproduce`): every available core. A batch run owns its host for its
+/// lifetime, and its simulations are independent. Only the sweep daemon
+/// keeps a reserve (`serve::state::daemon_workers`), because it shares
+/// its host with its clients and its HTTP acceptor.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get().saturating_sub(2).max(1)).unwrap_or(4)
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Indices of `jobs` grouped by cache key, groups in order of each
@@ -270,7 +274,7 @@ pub struct JobRunner {
 }
 
 impl JobRunner {
-    /// `workers = 0` means auto (cores − 2).
+    /// `workers = 0` means auto: [`default_workers`], every core.
     pub fn new(workers: usize, cache: Option<ResultCache>) -> Self {
         let workers = if workers == 0 { default_workers() } else { workers };
         JobRunner {

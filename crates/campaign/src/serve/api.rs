@@ -298,6 +298,24 @@ mod tests {
     }
 
     #[test]
+    fn auto_workers_resolve_once_to_the_daemon_reserve() {
+        // `tmp_state` leaves `sim_workers` at 0 (auto). The daemon keeps
+        // two cores for its clients and acceptor, and `/stats`, the
+        // accepted spec and the state's own config all carry that count.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let want = cores.saturating_sub(2).max(1);
+        let state = tmp_state("auto-workers");
+        assert_eq!(state.config.sim_workers, want);
+        let stats = body_json(&handle(&state, &get("/stats")));
+        assert_eq!(stats.get("sim_workers").and_then(|w| w.as_u64()), Some(want as u64));
+
+        let accepted = handle(&state, &post("/campaigns", SPEC));
+        assert_eq!(accepted.status, 202, "{:?}", accepted.body);
+        let id = body_json(&accepted).get("id").and_then(|i| i.as_str()).unwrap().to_string();
+        assert_eq!(state.get(&id).unwrap().spec.workers, Some(want as u64));
+    }
+
+    #[test]
     fn submit_lifecycle_without_an_executor() {
         let state = tmp_state("lifecycle");
         // No executor is draining the queue, so the campaign stays queued

@@ -10,11 +10,19 @@ use std::time::Instant;
 
 use crate::cache::ResultCache;
 use crate::engine::{self, CampaignProgress, CampaignResult};
-use crate::job::{JobOutcome, JobRunner, RunReport, Watchdog};
+use crate::job::{default_workers, JobOutcome, JobRunner, RunReport, Watchdog};
 use crate::matrix::{Cell, ShardSpec};
 use crate::pending::{self, Pending};
 use crate::serve::queue::{BoundedQueue, PushError};
 use crate::spec::CampaignSpec;
+
+/// Default simulation workers of a daemon: every core but two, at least
+/// one. A batch run owns its host and takes every core
+/// ([`default_workers`]); a daemon shares its host with its clients and
+/// its HTTP acceptor and handlers, so it leaves them a reserve.
+pub(crate) fn daemon_workers() -> usize {
+    default_workers().saturating_sub(2).max(1)
+}
 
 /// Daemon configuration (CLI flags; every field has a usable default).
 #[derive(Clone, Debug)]
@@ -23,8 +31,10 @@ pub struct ServerConfig {
     pub addr: String,
     /// Result-cache directory — shared between shard daemons.
     pub cache_dir: String,
-    /// Simulation worker threads per running campaign (0 = auto). The
-    /// daemon overrides any `workers` field in submitted specs.
+    /// Simulation worker threads per running campaign. `0` means every
+    /// core but two, at least one (`daemon_workers`); [`ServerState::new`]
+    /// resolves it once, so `/stats`, the executor and every accepted spec
+    /// agree. The daemon overrides any `workers` field in submitted specs.
     pub sim_workers: usize,
     /// Bounded campaign-queue capacity; beyond it, `POST /campaigns`
     /// returns 503.
@@ -363,7 +373,10 @@ impl ServerState {
         self.campaigns.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    pub fn new(config: ServerConfig) -> std::io::Result<Self> {
+    pub fn new(mut config: ServerConfig) -> std::io::Result<Self> {
+        if config.sim_workers == 0 {
+            config.sim_workers = daemon_workers();
+        }
         let cache = ResultCache::open(&config.cache_dir)?.with_durable(config.durable);
         // Reap what killed writers stranded before accepting new work;
         // the age threshold protects other live daemons on this cache.
@@ -600,10 +613,7 @@ impl ServerState {
             uptime_secs: self.uptime_secs(),
             accepting: !self.is_shutting_down(),
             shard: self.config.shard.map(|s| s.label()),
-            sim_workers: match self.config.sim_workers {
-                0 => crate::job::default_workers(),
-                n => n,
-            },
+            sim_workers: self.config.sim_workers,
             queue: QueueStats { depth: self.queue.len(), capacity: self.queue.capacity() },
             campaigns: CampaignStats {
                 submitted,

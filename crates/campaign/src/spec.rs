@@ -64,7 +64,8 @@ pub struct CampaignSpec {
     pub budget: Option<Budget>,
     /// Base seed for deterministic per-thread stream seeds.
     pub seed: Option<u64>,
-    /// Worker threads (0 or absent = auto).
+    /// Worker threads (0 or absent = auto: every core in a batch run; a
+    /// daemon overrides it with its own count).
     pub workers: Option<u64>,
     /// Result-cache directory (defaults to `.hdsmt-cache`).
     pub cache_dir: Option<String>,

@@ -290,6 +290,59 @@ fn a_repeated_cache_key_simulates_once_on_many_workers() {
 }
 
 #[test]
+fn batch_default_is_every_core() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(hdsmt_campaign::default_workers(), cores);
+    assert_eq!(JobRunner::new(0, None).workers(), cores, "0 resolves to the batch default");
+}
+
+/// Every file under a cache directory, by relative path, with its bytes.
+fn cache_files(dir: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = std::collections::BTreeMap::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                let bytes = fs::read(&path).unwrap();
+                files.insert(path.strip_prefix(dir).unwrap().to_path_buf(), bytes);
+            }
+        }
+    }
+    files
+}
+
+#[test]
+fn the_default_worker_count_changes_no_output() {
+    // `oracle_smoke.toml` lists one cache key twice (13 jobs, 12 keys), so
+    // the job counters would expose a key simulated twice.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs/oracle_smoke.toml");
+    let catalog = Catalog::paper();
+    let run = |workers: Option<u64>, tag: &str| {
+        let dir = tmpdir(tag);
+        let mut spec = CampaignSpec::load(&path).unwrap();
+        spec.workers = workers;
+        spec.cache_dir = Some(dir.to_string_lossy().into_owned());
+        let r = engine::run_campaign(&spec, &catalog).unwrap();
+        let files = cache_files(&dir);
+        let _ = fs::remove_dir_all(&dir);
+        (serde_json::to_string(&r.cells).unwrap(), r.report, files)
+    };
+    let (default_cells, default_report, default_files) = run(None, "default-workers");
+    let (one_cells, one_report, one_files) = run(Some(1), "one-worker");
+    assert!(one_report.simulated < one_report.total, "the spec repeats keys: {one_report:?}");
+    assert_eq!(default_cells, one_cells);
+    assert_eq!(
+        (default_report.simulated, default_report.cache_hits),
+        (one_report.simulated, one_report.cache_hits)
+    );
+    assert_eq!(default_files.len(), one_report.simulated, "one entry per simulated key");
+    assert!(default_files == one_files, "cache entries differ between worker counts");
+}
+
+#[test]
 fn a_repeat_of_a_failed_job_reports_the_same_error() {
     let dir = tmpdir("repeated-failure");
     // Passes pre-flight but panics in the simulator (see

@@ -17,7 +17,7 @@
 use std::fs;
 
 use hdsmt_area::{paper_area_table, pipeline_area};
-use hdsmt_campaign::CampaignSpec;
+use hdsmt_campaign::{default_workers, CampaignSpec};
 use hdsmt_core::{run_sim, FetchPolicy, MissProfile, SimConfig, ThreadSpec};
 use hdsmt_pipeline::{MicroArch, M2, M4, M6, M8};
 use hdsmt_workloads::{
@@ -209,13 +209,15 @@ fn figs45(quick: bool, what: &str) {
         "running full campaign (6 archs × 22 workloads, oracle mapping search; {} insts/thread)…",
         spec.budget().measure_insts
     );
+    // The envelope spec leaves `workers` unset: the batch default.
+    let workers = default_workers();
     let t0 = std::time::Instant::now();
     let r = run_paper_experiments(&spec).unwrap_or_else(|e| {
         eprintln!("envelope campaign failed: {e}");
         std::process::exit(1);
     });
     eprintln!(
-        "campaign finished in {:.1}s (cache at {})",
+        "campaign finished in {:.1}s on {workers} workers (cache at {})",
         t0.elapsed().as_secs_f64(),
         spec.cache_dir.as_deref().unwrap_or("-")
     );
