@@ -22,8 +22,6 @@ struct Entry {
 pub struct Btb {
     sets: usize,
     entries: Vec<Entry>,
-    hits: u64,
-    misses: u64,
 }
 
 impl Btb {
@@ -34,7 +32,7 @@ impl Btb {
             "BTB size must be a multiple of {WAYS}"
         );
         let sets = entries / WAYS;
-        Btb { sets, entries: vec![Entry::default(); entries], hits: 0, misses: 0 }
+        Btb { sets, entries: vec![Entry::default(); entries] }
     }
 
     /// The paper's configuration: 256 entries, 4-way.
@@ -53,24 +51,15 @@ impl Btb {
     pub fn lookup(&mut self, key: u64) -> Option<Pc> {
         let r = self.set_range(key);
         let set = &mut self.entries[r];
-        let hit = set.iter().position(|e| e.valid && e.tag == key);
-        match hit {
-            Some(w) => {
-                let old = set[w].lru;
-                for e in set.iter_mut() {
-                    if e.lru < old {
-                        e.lru += 1;
-                    }
-                }
-                set[w].lru = 0;
-                self.hits += 1;
-                Some(Pc(set[w].target))
-            }
-            None => {
-                self.misses += 1;
-                None
+        let w = set.iter().position(|e| e.valid && e.tag == key)?;
+        let old = set[w].lru;
+        for e in set.iter_mut() {
+            if e.lru < old {
+                e.lru += 1;
             }
         }
+        set[w].lru = 0;
+        Some(Pc(set[w].target))
     }
 
     /// Install/update the resolved target for `key` (LRU victim on fill).
@@ -96,11 +85,6 @@ impl Btb {
         }
         set[way] = Entry { valid: true, tag: key, target: target.0, lru: 0 };
     }
-
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +97,6 @@ mod tests {
         assert_eq!(btb.lookup(42), None);
         btb.update(42, Pc(0x2000));
         assert_eq!(btb.lookup(42), Some(Pc(0x2000)));
-        assert_eq!(btb.stats(), (1, 1));
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! The campaign CLI.
 //!
 //! ```text
-//! hdsmt-campaign run    <spec.(toml|json)> [--workers N] [--cache DIR] [--remote ADDR]
-//! hdsmt-campaign status [<spec>]           [--cache DIR] [--remote ADDR]
-//! hdsmt-campaign export <spec> [--out DIR] [--cache DIR] [--remote ADDR]
+//! hdsmt-campaign run    <spec.(toml|json)> [--workers N] [--cache DIR]
+//!                       [--cell-deadline-ms N] [--cell-retries N] [--durable]
+//! hdsmt-campaign export <spec> [--out DIR] and every `run` flag
+//! hdsmt-campaign status <spec> [--cache DIR]
+//! hdsmt-campaign run|export <spec> --remote ADDR [--poll-timeout-secs N]
+//!                       [--out DIR (export only)]
+//! hdsmt-campaign status --remote ADDR
 //! hdsmt-campaign serve  [--addr A] [--cache DIR] [--workers N]
 //!                       [--queue-cap N] [--shard I/N] [--addr-file PATH]
 //!                       [--cell-deadline-ms N] [--cell-retries N]
@@ -19,7 +23,9 @@
 //! runs the sweep-service daemon (see `hdsmt_campaign::serve`); `fsck`
 //! verifies and repairs a cache tree — scrub + quarantine, orphaned-tmp
 //! reaping, a pending-accept count, quarantine GC — and prints a
-//! machine-readable JSON report (see `hdsmt_campaign::fsck`).
+//! machine-readable JSON report (see `hdsmt_campaign::fsck`). Each verb
+//! (and `--remote` mode) accepts only the flags it reads: any other flag
+//! exits 2 naming the flag and the verb, rather than being ignored.
 //!
 //! `serve` records every accepted campaign as an atomically renamed file
 //! under `<cache>/pending/` before acknowledging it and replays
@@ -71,6 +77,8 @@ fn main() -> ExitCode {
 }
 
 struct Options {
+    /// Every flag given, in order (checked against the verb's set).
+    flags: Vec<String>,
     spec_path: Option<PathBuf>,
     workers: Option<usize>,
     cache_dir: Option<String>,
@@ -101,9 +109,13 @@ struct Options {
 }
 
 fn usage() -> String {
-    "usage: hdsmt-campaign <run|status|export> <spec.(toml|json)> \
-     [--workers N] [--cache DIR] [--out DIR] [--remote ADDR] \
-     [--poll-timeout-secs N]\n       \
+    "usage: hdsmt-campaign <run|export> <spec.(toml|json)> \
+     [--workers N] [--cache DIR] [--cell-deadline-ms N] [--cell-retries N] \
+     [--durable] [--out DIR (export)]\n       \
+     hdsmt-campaign status <spec> [--cache DIR]\n       \
+     hdsmt-campaign <run|export> <spec> --remote ADDR [--poll-timeout-secs N] \
+     [--out DIR (export)]\n       \
+     hdsmt-campaign status --remote ADDR\n       \
      hdsmt-campaign serve [--addr A] [--cache DIR] [--workers N] \
      [--queue-cap N] [--shard I/N] \
      [--addr-file PATH] [--cell-deadline-ms N] [--cell-retries N] \
@@ -115,6 +127,7 @@ fn usage() -> String {
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
+        flags: Vec::new(),
         spec_path: None,
         workers: None,
         cache_dir: None,
@@ -135,6 +148,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if arg.starts_with("--") {
+            opts.flags.push(arg.clone());
+        }
         match arg.as_str() {
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
@@ -201,6 +217,41 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
+/// Does `cmd` read `flag`? `remote`: `cmd` runs as a `--remote` thin
+/// client, which leaves the simulation settings to the daemon.
+fn reads_flag(cmd: &str, remote: bool, flag: &str) -> bool {
+    let batch = matches!(cmd, "run" | "export");
+    match flag {
+        "--remote" => batch || cmd == "status",
+        "--cache" => !remote,
+        "--workers" | "--cell-deadline-ms" | "--cell-retries" | "--durable" => {
+            (batch && !remote) || cmd == "serve"
+        }
+        "--out" => cmd == "export",
+        "--poll-timeout-secs" => batch && remote,
+        "--addr" | "--queue-cap" | "--shard" | "--addr-file" | "--no-journal" => cmd == "serve",
+        "--tmp-age-secs" | "--gc" | "--gc-age-secs" => cmd == "fsck",
+        _ => false,
+    }
+}
+
+/// Reject a flag (or a spec file) that `cmd` would silently ignore.
+fn check_flags(cmd: &str, opts: &Options) -> Result<(), String> {
+    if !matches!(cmd, "run" | "export" | "status" | "serve" | "fsck") {
+        return Ok(()); // the dispatcher names the unknown command
+    }
+    // Only the batch verbs have a thin-client mode.
+    let remote = opts.remote.is_some() && matches!(cmd, "run" | "export" | "status");
+    let verb = if remote { format!("{cmd} --remote") } else { cmd.to_string() };
+    if let Some(flag) = opts.flags.iter().find(|f| !reads_flag(cmd, remote, f)) {
+        return Err(format!("`{verb}` does not take {flag}\n{}", usage()));
+    }
+    if matches!(cmd, "serve" | "fsck") && opts.spec_path.is_some() {
+        return Err(format!("`{cmd}` takes no spec file\n{}", usage()));
+    }
+    Ok(())
+}
+
 fn spec_path(opts: &Options) -> Result<&PathBuf, String> {
     opts.spec_path.as_ref().ok_or_else(|| format!("missing spec file\n{}", usage()))
 }
@@ -222,11 +273,25 @@ fn load(opts: &Options) -> Result<(CampaignSpec, ResultCache), String> {
     Ok((spec, cache))
 }
 
+/// The batch runner of a local `run`/`export`, announced on stderr.
+fn local_runner(spec: &CampaignSpec, cache: &ResultCache, opts: &Options) -> JobRunner {
+    let runner = JobRunner::new(spec.workers.unwrap_or(0) as usize, Some(cache.clone()))
+        .with_watchdog(watchdog_of(opts));
+    eprintln!(
+        "campaign `{}`: {} workers, cache at {}",
+        spec.display_name(),
+        runner.workers(),
+        cache.dir().display()
+    );
+    runner
+}
+
 fn run(args: Vec<String>) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(usage());
     };
     let opts = parse_options(rest)?;
+    check_flags(cmd, &opts)?;
     match (cmd.as_str(), &opts.remote) {
         ("run", Some(remote)) => remote_run(remote, &opts),
         ("status", Some(remote)) => remote_status(remote),
@@ -234,14 +299,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         ("run", None) => {
             let (spec, cache) = load(&opts)?;
             let catalog = engine::catalog_for(&spec);
-            let runner = JobRunner::new(spec.workers.unwrap_or(0) as usize, Some(cache.clone()))
-                .with_watchdog(watchdog_of(&opts));
-            eprintln!(
-                "campaign `{}`: {} workers, cache at {}",
-                spec.display_name(),
-                runner.workers(),
-                cache.dir().display()
-            );
+            let runner = local_runner(&spec, &cache, &opts);
             let t0 = std::time::Instant::now();
             let result =
                 engine::run_campaign_with(&spec, &catalog, &runner).map_err(|e| e.to_string())?;
@@ -294,8 +352,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         ("export", None) => {
             let (spec, cache) = load(&opts)?;
             let catalog = engine::catalog_for(&spec);
-            let runner = JobRunner::new(spec.workers.unwrap_or(0) as usize, Some(cache))
-                .with_watchdog(watchdog_of(&opts));
+            let runner = local_runner(&spec, &cache, &opts);
             let result =
                 engine::run_campaign_with(&spec, &catalog, &runner).map_err(|e| e.to_string())?;
             write_exports(&opts.out_dir, &export_texts(&result))?;
@@ -349,9 +406,10 @@ fn run(args: Vec<String>) -> Result<(), String> {
                     .map_err(|e| format!("cannot write {}: {e}", addr_file.display()))?;
             }
             eprintln!(
-                "hdsmt-campaign serve: listening on {} (cache {}, 1 executor{})",
+                "hdsmt-campaign serve: listening on {} (cache {}, 1 executor, {} workers{})",
                 server.addr(),
                 cache_dir,
+                server.state().config.sim_workers,
                 match opts.shard {
                     Some(s) => format!(", shard {s}"),
                     None => String::new(),

@@ -170,10 +170,6 @@ impl ResultCache {
     /// (see [`Self::quarantined_entries`]), so the *next* lookup of the
     /// same key is a clean miss that re-simulates.
     pub fn entry_text(&self, key: &str) -> EntryLookup {
-        if crate::fault::on_cache_get(key) {
-            self.telemetry.misses.fetch_add(1, Ordering::Relaxed);
-            return EntryLookup::Miss;
-        }
         let Ok(text) = fs::read_to_string(self.path(key)) else {
             self.telemetry.misses.fetch_add(1, Ordering::Relaxed);
             return EntryLookup::Miss;

@@ -14,11 +14,9 @@
 //!
 //! | Directive        | Effect when the counter reaches `n`                  |
 //! |------------------|------------------------------------------------------|
-//! | `kill@sim=n`     | abort the process as the n-th simulation starts      |
 //! | `hang@sim=n`     | the n-th simulation wedges until its watchdog deadline |
 //! | `corrupt@put=n`  | the n-th cache write is torn (payload truncated)     |
 //! | `err@put=n`      | the n-th cache write fails with an injected I/O error |
-//! | `err@get=n`      | the n-th cache lookup fails (served as a miss)       |
 //! | `kill@accept=n`  | abort right after the n-th durably recorded campaign accept |
 //! | `err@journal=n`  | the n-th pending-accept write fails with an injected I/O error |
 //! | `torn@journal=n` | the n-th pending-accept write fsyncs half its bytes to the tmp file, then the process aborts before the rename |
@@ -35,11 +33,9 @@ use std::time::Instant;
 /// One parsed `HDSMT_FAULT` plan.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    pub kill_sim: Vec<u64>,
     pub hang_sim: Vec<u64>,
     pub corrupt_put: Vec<u64>,
     pub err_put: Vec<u64>,
-    pub err_get: Vec<u64>,
     pub kill_accept: Vec<u64>,
     pub err_journal: Vec<u64>,
     pub torn_journal: Vec<u64>,
@@ -47,11 +43,9 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     pub fn is_empty(&self) -> bool {
-        self.kill_sim.is_empty()
-            && self.hang_sim.is_empty()
+        self.hang_sim.is_empty()
             && self.corrupt_put.is_empty()
             && self.err_put.is_empty()
-            && self.err_get.is_empty()
             && self.kill_accept.is_empty()
             && self.err_journal.is_empty()
             && self.torn_journal.is_empty()
@@ -75,11 +69,9 @@ pub fn parse_plan(text: &str) -> Result<FaultPlan, String> {
             .split_once('=')
             .ok_or_else(|| format!("fault directive `{directive}` has no `=n` part"))?;
         let list: &mut Vec<u64> = match head.trim() {
-            "kill@sim" => &mut plan.kill_sim,
             "hang@sim" => &mut plan.hang_sim,
             "corrupt@put" => &mut plan.corrupt_put,
             "err@put" => &mut plan.err_put,
-            "err@get" => &mut plan.err_get,
             "kill@accept" => &mut plan.kill_accept,
             "err@journal" => &mut plan.err_journal,
             "torn@journal" => &mut plan.torn_journal,
@@ -110,7 +102,6 @@ mod active {
 
     pub(super) static SIMS: AtomicU64 = AtomicU64::new(0);
     pub(super) static PUTS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static GETS: AtomicU64 = AtomicU64::new(0);
     pub(super) static ACCEPTS: AtomicU64 = AtomicU64::new(0);
     pub(super) static PENDING_WRITES: AtomicU64 = AtomicU64::new(0);
 
@@ -131,8 +122,8 @@ mod active {
     }
 }
 
-/// Called as each simulation starts (cache misses only). May abort the
-/// process (`kill@sim`) or burn the watchdog deadline (`hang@sim`).
+/// Called as each simulation starts (cache misses only). May burn the
+/// watchdog deadline (`hang@sim`).
 #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
 pub fn on_sim_start(deadline: Option<Instant>) -> SimStart {
     #[cfg(feature = "fault-inject")]
@@ -140,10 +131,6 @@ pub fn on_sim_start(deadline: Option<Instant>) -> SimStart {
         use std::sync::atomic::Ordering;
         let Some(plan) = active::plan() else { return SimStart::Run };
         let n = active::SIMS.fetch_add(1, Ordering::Relaxed) + 1;
-        if plan.kill_sim.contains(&n) {
-            eprintln!("fault-inject: kill@sim={n} — aborting");
-            std::process::abort();
-        }
         if plan.hang_sim.contains(&n) {
             // Emulate a wedged simulation: block until the watchdog
             // deadline passes, hard-capped so an unconfigured watchdog
@@ -157,24 +144,6 @@ pub fn on_sim_start(deadline: Option<Instant>) -> SimStart {
         }
     }
     SimStart::Run
-}
-
-/// Called before each cache lookup; `true` = inject a read failure (the
-/// cache serves the lookup as a miss).
-#[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
-pub fn on_cache_get(key: &str) -> bool {
-    #[cfg(feature = "fault-inject")]
-    {
-        use std::sync::atomic::Ordering;
-        if let Some(plan) = active::plan() {
-            let n = active::GETS.fetch_add(1, Ordering::Relaxed) + 1;
-            if plan.err_get.contains(&n) {
-                eprintln!("fault-inject: err@get={n} on {key}");
-                return true;
-            }
-        }
-    }
-    false
 }
 
 /// Called with each cache write's payload before it hits disk. May tear
@@ -262,15 +231,13 @@ mod tests {
     #[test]
     fn parses_every_directive_kind_and_multi_counts() {
         let plan = parse_plan(
-            "kill@sim=3; hang@sim=1,2,7 ;corrupt@put=2;err@put=9;err@get=4;\
-             kill@accept=1;err@journal=2;torn@journal=5",
+            "hang@sim=1,2,7 ;corrupt@put=2;err@put=9;kill@accept=1;err@journal=2;\
+             torn@journal=5",
         )
         .unwrap();
-        assert_eq!(plan.kill_sim, vec![3]);
         assert_eq!(plan.hang_sim, vec![1, 2, 7]);
         assert_eq!(plan.corrupt_put, vec![2]);
         assert_eq!(plan.err_put, vec![9]);
-        assert_eq!(plan.err_get, vec![4]);
         assert_eq!(plan.kill_accept, vec![1]);
         assert_eq!(plan.err_journal, vec![2]);
         assert_eq!(plan.torn_journal, vec![5]);
@@ -280,7 +247,7 @@ mod tests {
 
     #[test]
     fn rejects_malformed_plans() {
-        for bad in ["kill@sim", "boom@sim=1", "kill@sim=x", "kill@sim=0", "kill=1"] {
+        for bad in ["hang@sim", "boom@sim=1", "hang@sim=x", "hang@sim=0", "hang=1", "kill@sim=1"] {
             assert!(parse_plan(bad).is_err(), "{bad} must be rejected");
         }
     }
@@ -290,7 +257,6 @@ mod tests {
         // Whatever the build features, a test process without HDSMT_FAULT
         // must see every hook as a no-op.
         assert_eq!(on_sim_start(None), SimStart::Run);
-        assert!(!on_cache_get("0000"));
         let mut payload = b"{\"ok\":true}".to_vec();
         on_cache_put(&mut payload).unwrap();
         assert_eq!(payload, b"{\"ok\":true}");

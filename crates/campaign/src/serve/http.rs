@@ -260,8 +260,7 @@ pub struct HttpResponse {
 /// reuses it across requests. Responses are `Content-Length`-framed, so
 /// the connection stays usable after every exchange; a stale pooled
 /// connection (the server closed it while idle, so it fails before any
-/// response arrives) is retried exactly once on a fresh one. Every
-/// request first passes the [`crate::fault`] network seam.
+/// response arrives) is retried exactly once on a fresh one.
 #[derive(Debug)]
 pub struct HttpClient {
     addr: String,
@@ -454,7 +453,9 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Backoff before retry number `retry` (1-based): `base * 2^(retry-1)`
     /// clamped to `cap`, plus up to 25% deterministic jitter keyed on
-    /// `(salt, retry)` so a fleet of identical clients still de-phases.
+    /// `(salt, retry)`, so concurrent clients whose requests differ (the
+    /// salt is method, daemon and path) de-phase instead of retrying in
+    /// lockstep.
     pub fn backoff(&self, retry: u32, salt: &str) -> Duration {
         let exp = self.base.saturating_mul(1u32 << (retry - 1).min(16)).min(self.cap);
         let jitter = exp.mul_f64(0.25 * fraction(fnv(salt, retry)));

@@ -60,9 +60,9 @@
 //! Compiled with `--features fault-inject`, the daemon (and CLI) honor a
 //! seeded fault plan in `HDSMT_FAULT`: `;`-separated directives of the
 //! form `kind@counter=n[,n...]`, firing on the n-th event of a
-//! per-process counter (see [`crate::fault`] for the grammar — `kill@sim`,
-//! `hang@sim`, `corrupt@put`, `err@put`, `err@get`, `kill@accept`,
-//! `err@journal`, `torn@journal`). The chaos e2e suite drives
+//! per-process counter (see [`crate::fault`] for the grammar — `hang@sim`,
+//! `corrupt@put`, `err@put`, `kill@accept`, `err@journal`,
+//! `torn@journal`). The chaos e2e suite drives
 //! hang/corrupt matrices through a daemon with one simulation worker, so
 //! every failure fires at the same cell on every run. Without the
 //! feature (the default), every hook compiles to a no-op.

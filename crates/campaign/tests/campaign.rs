@@ -502,6 +502,35 @@ fn cli_rejects_bad_input() {
 }
 
 #[test]
+fn cli_rejects_flags_the_verb_does_not_read() {
+    let dir = tmpdir("cli-verb-flags");
+    let spec = dir.join("spec.toml");
+    fs::write(&spec, "archs = [\"M8\"]\nworkloads = [\"2W1\"]\n").unwrap();
+    let spec = spec.to_string_lossy().into_owned();
+    for (args, flag, verb) in [
+        // Used to run the whole campaign, not a shard.
+        (vec!["run", spec.as_str(), "--shard", "0/2"], "--shard", "`run`"),
+        (vec!["serve", "--out", "x"], "--out", "`serve`"),
+        (vec!["fsck", "--gc-age-secs", "1", "--remote", "a"], "--remote", "`fsck`"),
+        // With --remote the daemon picks its own worker count.
+        (
+            vec!["run", spec.as_str(), "--remote", "a", "--workers", "4"],
+            "--workers",
+            "`run --remote`",
+        ),
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains(verb) && stderr.contains("usage:"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cli_rejects_the_retired_fleet_flags_with_usage() {
     let dir = tmpdir("cli-fleet-flags");
     let spec = dir.join("spec.toml");

@@ -524,6 +524,55 @@ search_insts = 500
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A failed cache write costs resumability, not correctness: the run
+    /// keeps the result in hand, warns, and reports the same cells as an
+    /// undisturbed run; the next run simulates exactly the lost cell.
+    #[test]
+    fn failed_cache_write_warns_and_only_that_cell_resimulates() {
+        let dir = tmpdir("err-put");
+        let spec_text = |cache: &Path| {
+            format!(
+                "name = \"chaos-err-put\"\narchs = [\"M8\"]\nworkloads = [\"2W1\", \"2W7\"]\n\
+                 policies = [\"rr\"]\nseed = 9\ncache_dir = \"{}\"\n\
+                 [budget]\nmeasure_insts = 1500\nwarmup_insts = 600\nsearch_insts = 500\n",
+                cache.display()
+            )
+        };
+        let spec_path = dir.join("spec.toml");
+        fs::write(&spec_path, spec_text(&dir.join("cache"))).unwrap();
+        let reference_path = dir.join("reference.toml");
+        fs::write(&reference_path, spec_text(&dir.join("reference-cache"))).unwrap();
+
+        // First run: its first cache write fails.
+        let run = cli()
+            .arg("run")
+            .arg(&spec_path)
+            .args(["--workers", "1"])
+            .env("HDSMT_FAULT", "err@put=1")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(run.status.success(), "{stderr}");
+        assert!(stderr.contains("warning: cache write failed"), "{stderr}");
+        assert!(stderr.contains("0 cache hits, 2 simulated"), "{stderr}");
+
+        // Same cells as an undisturbed run on a fresh cache.
+        let reference =
+            cli().arg("run").arg(&reference_path).args(["--workers", "1"]).output().unwrap();
+        assert!(reference.status.success(), "{}", String::from_utf8_lossy(&reference.stderr));
+        assert_eq!(
+            String::from_utf8_lossy(&run.stdout),
+            String::from_utf8_lossy(&reference.stdout)
+        );
+
+        // Next run (no faults): only the unwritten cell simulates.
+        let run2 = cli().arg("run").arg(&spec_path).args(["--workers", "1"]).output().unwrap();
+        let stderr2 = String::from_utf8_lossy(&run2.stderr);
+        assert!(run2.status.success(), "{stderr2}");
+        assert!(stderr2.contains("1 cache hits, 1 simulated"), "{stderr2}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     // ------------------------------------------- journal fault injection
 
     /// Wait (bounded) for a daemon that is expected to die on its own —

@@ -454,6 +454,7 @@ fn cli_remote_round_trip_against_a_serve_subprocess() {
         .and_then(|rest| rest.split_whitespace().next())
         .unwrap_or_else(|| panic!("no address in banner: {banner}"))
         .to_string();
+    assert!(banner.contains(", 2 workers"), "the banner names the worker count: {banner}");
 
     // Thin-client run: submits, polls, prints the summary.
     let run = Command::new(env!("CARGO_BIN_EXE_hdsmt-campaign"))

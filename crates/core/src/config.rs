@@ -129,6 +129,15 @@ impl ThreadSpec {
     }
 }
 
+/// Shared rename registers per class (Table 1: 256).
+pub const RENAME_REGS: u16 = 256;
+/// Per-thread ROB entries (Table 1: 256).
+pub const ROB_ENTRIES: usize = 256;
+/// Global fetch bandwidth: instructions per cycle (§4: 8).
+pub const FETCH_WIDTH: u8 = 8;
+/// Global fetch bandwidth: threads per cycle (§4: 2).
+pub const FETCH_THREADS: u8 = 2;
+
 /// Full simulator configuration.
 #[derive(Clone)]
 pub struct SimConfig {
@@ -136,14 +145,6 @@ pub struct SimConfig {
     pub fetch_policy: FetchPolicy,
     pub predictor: DirPredictorKind,
     pub mem: MemConfig,
-    /// Shared rename registers per class (Table 1: 256).
-    pub rename_regs: u16,
-    /// Per-thread ROB entries (Table 1: 256).
-    pub rob_entries: usize,
-    /// Global fetch bandwidth: instructions per cycle (§4: 8).
-    pub fetch_width: u8,
-    /// Global fetch bandwidth: threads per cycle (§4: 2).
-    pub fetch_threads: u8,
     /// Register-file read/write latency in cycles. `None` = paper rule
     /// (§4): 1 for the monolithic baseline, 2 for multipipeline
     /// configurations (shared-register-file routing overhead).
@@ -178,10 +179,6 @@ impl SimConfig {
             fetch_policy,
             predictor: DirPredictorKind::Perceptron,
             mem: MemConfig::default(),
-            rename_regs: 256,
-            rob_entries: 256,
-            fetch_width: 8,
-            fetch_threads: 2,
             regfile_lat: None,
             max_retired_per_thread: max_retired,
             warmup_insts: max_retired.min(400_000),
@@ -197,12 +194,6 @@ impl SimConfig {
 
     pub fn validate(&self) -> Result<(), String> {
         self.mem.validate()?;
-        if self.fetch_width == 0 || self.fetch_threads == 0 {
-            return Err("fetch bandwidth must be positive".into());
-        }
-        if self.rob_entries == 0 {
-            return Err("ROB must have entries".into());
-        }
         if self.max_retired_per_thread == 0 {
             return Err("run length must be positive".into());
         }
@@ -277,7 +268,7 @@ mod tests {
     fn validation() {
         let mut c = SimConfig::paper_defaults(MicroArch::baseline(), 1000);
         c.validate().unwrap();
-        c.fetch_width = 0;
+        c.max_retired_per_thread = 0;
         assert!(c.validate().is_err());
     }
 }

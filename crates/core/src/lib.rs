@@ -37,9 +37,12 @@ pub mod sim;
 pub mod stats;
 pub mod timeline;
 
-pub use config::{FetchPolicy, SimConfig, ThreadSpec, WorkloadKind, RV_BENCH_PREFIX};
+pub use config::{
+    FetchPolicy, SimConfig, ThreadSpec, WorkloadKind, FETCH_THREADS, FETCH_WIDTH, RENAME_REGS,
+    ROB_ENTRIES, RV_BENCH_PREFIX,
+};
 pub use dynmap::{run_dynamic, DynMapResult};
-pub use mapping::{enumerate_mappings, heuristic_mapping, MappingPolicy, MissProfile};
+pub use mapping::{enumerate_mappings, heuristic_mapping, MissProfile};
 pub use proc::Processor;
 pub use profiler::profile_benchmark;
 pub use sim::{run_sim, run_sim_interruptible, SimResult};

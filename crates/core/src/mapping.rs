@@ -68,21 +68,6 @@ impl MissProfile {
     }
 }
 
-/// How threads are assigned to pipelines for a run.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MappingPolicy {
-    /// The paper's §2.1 profile-guided heuristic.
-    Heuristic,
-    /// Oracle: simulate every distinct mapping, keep the best.
-    Best,
-    /// Anti-oracle: keep the worst (the paper's WORST envelope).
-    Worst,
-    /// Threads dealt to pipelines in order (ablation).
-    RoundRobin,
-    /// Seeded random assignment (ablation).
-    Random(u64),
-}
-
 /// The paper's seven-step heuristic (§2.1), verbatim:
 ///
 /// 1. arrange active threads by profiled data-cache misses, fewest first;

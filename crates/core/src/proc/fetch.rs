@@ -15,7 +15,7 @@ use hdsmt_pipeline::{ColdInst, HotInst};
 use hdsmt_trace::DynInst;
 
 use super::Processor;
-use crate::config::FetchPolicy;
+use crate::config::{FetchPolicy, FETCH_THREADS, FETCH_WIDTH, ROB_ENTRIES};
 
 impl Processor {
     /// Select threads and fetch up to the global bandwidth.
@@ -47,11 +47,11 @@ impl Processor {
         };
         order.sort_by_key(|&t| key(self, t));
 
-        let mut budget = self.cfg.fetch_width as u32;
+        let mut budget = FETCH_WIDTH as u32;
         let mut threads_used = 0u8;
         #[allow(clippy::explicit_counter_loop)] // the counter is a port budget, not an index
         for &t in &order {
-            if threads_used >= self.cfg.fetch_threads || budget == 0 {
+            if threads_used >= FETCH_THREADS || budget == 0 {
                 break;
             }
             threads_used += 1; // the I-cache port is consumed even on a stall
@@ -265,7 +265,7 @@ impl Processor {
         let fe = super::FrontEntry { id, dst: d.sinst.dst, srcs: d.sinst.srcs, addr: d.addr };
         let pushed = self.pipes[pipe_idx].buffer.push_back(fe);
         debug_assert!(pushed, "buffer space checked before fetch");
-        debug_assert!(self.threads[t].rob.len() < self.cfg.rob_entries * 2);
+        debug_assert!(self.threads[t].rob.len() < ROB_ENTRIES * 2);
 
         let th = &mut self.threads[t];
         th.icount += 1;

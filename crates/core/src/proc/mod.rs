@@ -70,7 +70,7 @@
 //!   The MSHR files deliberately report nothing: a fill expiry on its
 //!   own wakes no stage — every access that could exploit the freed
 //!   capacity arrives via a reporter above (a parked retry, a stall
-//!   release), so `MemHier::next_mshr_expiry` would only truncate warps.
+//!   release), so reporting the earliest fill would only truncate warps.
 //!   Quiescence makes the list exhaustive: anything that could act
 //!   sooner would have set an activity bit this cycle.
 //! * **The warp.** [`Processor::run`] jumps `cycle` straight to
@@ -123,7 +123,7 @@ use hdsmt_pipeline::{
 use hdsmt_trace::{ChunkBuf, DynInst, TraceSource};
 
 use crate::checkpoint::CheckpointLog;
-use crate::config::{SimConfig, ThreadSpec};
+use crate::config::{SimConfig, ThreadSpec, RENAME_REGS, ROB_ENTRIES};
 use crate::stats::{SimStats, ThreadStats};
 use crate::timeline::Timeline;
 
@@ -395,7 +395,7 @@ impl Processor {
             }
         }
 
-        let regfile = RegFile::new(n_threads, cfg.rename_regs, cfg.rename_regs);
+        let regfile = RegFile::new(n_threads, RENAME_REGS, RENAME_REGS);
         let mut threads = Vec::with_capacity(n_threads);
         for (i, (spec, &pipe)) in workload.iter().zip(mapping.iter()).enumerate() {
             assert!((pipe as usize) < pipes.len(), "mapping targets missing pipeline");
@@ -418,7 +418,7 @@ impl Processor {
                 ras,
                 ckpt,
                 map: RenameMap::new(i, &regfile),
-                rob: Rob::new(cfg.rob_entries),
+                rob: Rob::new(ROB_ENTRIES),
                 next_seq: 1,
                 last_committed_seq: 0,
                 icount: 0,
@@ -433,7 +433,7 @@ impl Processor {
         }
 
         // Worst-case in-flight population: ROBs + buffers + latches.
-        let capacity = n_threads * cfg.rob_entries
+        let capacity = n_threads * ROB_ENTRIES
             + pipes.iter().map(|p| p.buffer.capacity() + 2 * p.model.width as usize).sum::<usize>()
             + 64;
         let rf_lat = cfg.effective_regfile_lat();
@@ -655,9 +655,9 @@ impl Processor {
         // The MSHR files report nothing: a fill expiry on its own wakes
         // no stage — its only effect is freeing capacity for a *later*
         // access, and every such access is driven by a reporter above (a
-        // parked retry or a fetch-stall release). Reporting the expiry
-        // (`MemHier::next_mshr_expiry`) was measured to only truncate
-        // warps one or two cycles short of the corresponding completion;
+        // parked retry or a fetch-stall release). Reporting the earliest
+        // outstanding fill was measured to only truncate warps one or two
+        // cycles short of the corresponding completion;
         // the shadow-stepping differential and the warp proptest enforce
         // that leaving it out never skips real work.
         for t in &self.threads {

@@ -25,10 +25,10 @@
 //! The MSHR files deliberately do *not* report: a fill completion on its
 //! own wakes no stage — it only frees capacity that a later access (a
 //! parked MSHR-stall retry, a stall-released fetch) exploits, and those
-//! accesses are all driven by the reporters above. Reporting the expiry
-//! (`MemHier::next_mshr_expiry`) is safe but measurably counter-
-//! productive: it lands warps one or two cycles short of the completion
-//! that actually wakes the machine.
+//! accesses are all driven by the reporters above. Reporting the
+//! earliest outstanding fill was tried: it is safe but measurably
+//! counter-productive, landing warps one or two cycles short of the
+//! completion that actually wakes the machine.
 //!
 //! The fold keeps the minimum (and its source label, for diagnostics).
 //! `Processor::run` then warps the cycle counter directly to

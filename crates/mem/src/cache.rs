@@ -10,7 +10,8 @@ pub struct CacheConfig {
     pub size_bytes: u64,
     pub line_bytes: u64,
     pub ways: usize,
-    /// Number of banks (consecutive lines interleave across banks).
+    /// Number of banks. A Table 1 parameter that the timing model does
+    /// not use: there are no bank conflicts.
     pub banks: usize,
 }
 
@@ -59,24 +60,6 @@ impl CacheConfig {
     }
 }
 
-/// Hit/miss counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct CacheStats {
-    pub accesses: u64,
-    pub hits: u64,
-    pub misses: u64,
-}
-
-impl CacheStats {
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// One way of one set: tag, valid bit and LRU rank interleaved, so a
 /// whole low-associativity set sits on one host cache line. (The old
 /// layout kept three parallel arrays — every simulated access touched a
@@ -98,7 +81,6 @@ pub struct Cache {
     set_mask: u64,
     /// Flattened `[set][way]` store.
     ways: Vec<WayEntry>,
-    stats: CacheStats,
 }
 
 impl Cache {
@@ -109,7 +91,6 @@ impl Cache {
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: (cfg.num_sets() - 1) as u64,
             ways: vec![WayEntry { tag: 0, valid: false, lru: 0 }; n],
-            stats: CacheStats::default(),
             cfg,
         }
     }
@@ -125,30 +106,22 @@ impl Cache {
         addr >> self.line_shift
     }
 
-    /// Which bank services `addr` (consecutive lines interleave).
-    #[inline]
-    pub fn bank_of(&self, addr: u64) -> usize {
-        (self.line_addr(addr) as usize) & (self.cfg.banks - 1)
-    }
-
     #[inline]
     fn set_base(&self, line: u64) -> usize {
         ((line & self.set_mask) as usize) * self.cfg.ways
     }
 
     /// Access `addr`: returns `true` on hit (and promotes the line to MRU).
-    /// A miss records the statistic but does **not** allocate — call
-    /// [`Self::fill`] when modelling the fill.
+    /// A miss does **not** allocate — call [`Self::fill`] when modelling
+    /// the fill.
     pub fn access(&mut self, addr: u64) -> bool {
         let line = self.line_addr(addr);
         let base = self.set_base(line);
-        self.stats.accesses += 1;
         let ways = self.cfg.ways;
         // One bounds check for the whole set; the scan and the promotion
         // share the slice.
         let set = &mut self.ways[base..base + ways];
         let Some(way) = set.iter().position(|e| e.valid && e.tag == line) else {
-            self.stats.misses += 1;
             return false;
         };
         let old = set[way].lru;
@@ -164,15 +137,7 @@ impl Cache {
             }
             set[way].lru = 0;
         }
-        self.stats.hits += 1;
         true
-    }
-
-    /// Tag probe without statistics or LRU update.
-    pub fn probe(&self, addr: u64) -> bool {
-        let line = self.line_addr(addr);
-        let base = self.set_base(line);
-        self.ways[base..base + self.cfg.ways].iter().any(|e| e.valid && e.tag == line)
     }
 
     /// Allocate the line containing `addr`, evicting the LRU way if needed.
@@ -213,17 +178,6 @@ impl Cache {
         evicted
     }
 
-    /// Invalidate the line containing `addr` (if present).
-    pub fn invalidate(&mut self, addr: u64) {
-        let line = self.line_addr(addr);
-        let base = self.set_base(line);
-        for e in &mut self.ways[base..base + self.cfg.ways] {
-            if e.valid && e.tag == line {
-                e.valid = false;
-            }
-        }
-    }
-
     fn touch(&mut self, base: usize, way: usize) {
         let old = self.ways[base + way].lru;
         for w in 0..self.cfg.ways {
@@ -233,15 +187,6 @@ impl Cache {
             }
         }
         self.ways[base + way].lru = 0;
-    }
-
-    #[inline]
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 
@@ -262,8 +207,6 @@ mod tests {
         assert!(c.access(0x1000));
         assert!(c.access(0x101f), "same line");
         assert!(!c.access(0x1020), "next line");
-        assert_eq!(c.stats().hits, 2);
-        assert_eq!(c.stats().misses, 2);
     }
 
     #[test]
@@ -290,32 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_is_side_effect_free() {
-        let mut c = small();
-        c.fill(0x40);
-        let s = c.stats();
-        assert!(c.probe(0x40));
-        assert!(!c.probe(0x4000));
-        assert_eq!(c.stats(), s);
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = small();
-        c.fill(0x40);
-        c.invalidate(0x40);
-        assert!(!c.probe(0x40));
-    }
-
-    #[test]
-    fn banks_interleave_lines() {
-        let c = small();
-        assert_ne!(c.bank_of(0x00), c.bank_of(0x20), "adjacent lines use different banks");
-        assert_eq!(c.bank_of(0x00), c.bank_of(0x40), "wraps around 2 banks");
-        assert_eq!(c.bank_of(0x00), c.bank_of(0x1f), "same line, same bank");
-    }
-
-    #[test]
     fn capacity_and_conflict_behaviour() {
         // Working set ≤ capacity: second pass all hits.
         let mut c = small();
@@ -332,15 +249,17 @@ mod tests {
         // access misses (classic LRU worst case).
         let mut c = small();
         let lines: Vec<u64> = (0..16).map(|i| i * 32).collect();
+        let mut hits = 0;
         for _ in 0..3 {
             for &a in &lines {
-                if !c.access(a) {
+                if c.access(a) {
+                    hits += 1;
+                } else {
                     c.fill(a);
                 }
             }
         }
-        let s = c.stats();
-        assert_eq!(s.hits, 0, "sequential over-capacity scan must thrash");
+        assert_eq!(hits, 0, "sequential over-capacity scan must thrash");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The assembled memory hierarchy shared by every pipeline.
 
-use crate::cache::Cache;
+use crate::cache::{Cache, CacheConfig};
 use crate::config::MemConfig;
 use crate::mshr::MshrFile;
 use crate::tlb::Tlb;
@@ -11,14 +11,6 @@ pub enum HitLevel {
     L1,
     L2,
     Mem,
-}
-
-/// Access class (statistics bucketing).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AccessKind {
-    Load,
-    Store,
-    IFetch,
 }
 
 /// Outcome of one hierarchy access.
@@ -47,29 +39,89 @@ pub struct MemHierStats {
     pub itlb_misses: u64,
 }
 
-impl MemHierStats {
-    /// Data-cache misses per 1000 data accesses — the profile statistic the
-    /// paper's mapping heuristic sorts threads by.
-    pub fn dl1_mpka(&self) -> f64 {
-        let acc = self.loads + self.stores;
-        if acc == 0 {
-            0.0
-        } else {
-            (self.load_l1_misses + self.store_l1_misses) as f64 * 1000.0 / acc as f64
+/// One side of the L1 (instruction or data): its TLB, tag array and MSHR
+/// file.
+struct L1Side {
+    tlb: Tlb,
+    cache: Cache,
+    mshrs: MshrFile,
+}
+
+impl L1Side {
+    fn new(cache: CacheConfig, tlb_entries: usize, cfg: &MemConfig) -> Self {
+        L1Side {
+            tlb: Tlb::new(tlb_entries, cfg.page_bytes),
+            cache: Cache::new(cache),
+            mshrs: MshrFile::new(cfg.mshrs),
         }
+    }
+
+    /// The one MSHR-tracked access path, shared by loads and instruction
+    /// fetches: translate, coalesce with an outstanding miss to the same
+    /// line, probe the L1, and on a miss take the L2 step, claim an MSHR
+    /// and fill the L1. An L1 hit reports `l1_lat` plus any TLB walk; the
+    /// caller decides what a hit costs it.
+    ///
+    /// Always inlined, so each caller compiles to the straight-line path
+    /// it had as a hand-written copy: with a plain hint the compiler keeps
+    /// one out-of-line body behind both, and loads run on every simulated
+    /// memory operation.
+    #[inline(always)]
+    fn access(&mut self, l2: &mut Cache, cfg: &MemConfig, addr: u64, now: u64) -> AccessResult {
+        let tlb_miss = !self.tlb.access(addr);
+        let tlb_extra = if tlb_miss { cfg.tlb_miss_penalty } else { 0 };
+
+        // A miss already in flight for this line: data arrives with the
+        // original fill.
+        let line = self.cache.line_addr(addr);
+        if let Some(ready) = self.mshrs.lookup(line, now) {
+            let lat = (ready.saturating_sub(now) as u32).max(cfg.l1_lat) + tlb_extra;
+            return AccessResult { latency: lat, level: HitLevel::L2, tlb_miss, mshr_stall: false };
+        }
+
+        if self.cache.access(addr) {
+            return AccessResult {
+                latency: cfg.l1_lat + tlb_extra,
+                level: HitLevel::L1,
+                tlb_miss,
+                mshr_stall: false,
+            };
+        }
+
+        // The L2 is accessed (and filled) before the MSHR allocation can
+        // fail, so an access replayed for a full MSHR file finds its line
+        // in the L2.
+        let (lat, level) = l2_step(l2, cfg, addr);
+        // The fill cannot start until translation completes, so a cold page
+        // delays the line's arrival too.
+        let total = lat + tlb_extra;
+        // Structural limit on outstanding misses.
+        if !self.mshrs.allocate(line, now + total as u64, now) {
+            return AccessResult { latency: 1, level, tlb_miss, mshr_stall: true };
+        }
+        self.cache.fill(addr);
+        AccessResult { latency: total, level, tlb_miss, mshr_stall: false }
+    }
+}
+
+/// The L2 step of every L1 miss: a hit costs the L2-hit latency; a miss
+/// fills the line and costs the full memory latency.
+#[inline]
+fn l2_step(l2: &mut Cache, cfg: &MemConfig, addr: u64) -> (u32, HitLevel) {
+    if l2.access(addr) {
+        (cfg.l2_hit_latency(), HitLevel::L2)
+    } else {
+        l2.fill(addr);
+        (cfg.mem_latency(), HitLevel::Mem)
     }
 }
 
 /// L1I + L1D + unified L2 + TLBs + MSHRs, with Table 1 timing.
 pub struct MemHier {
     cfg: MemConfig,
-    l1i: Cache,
-    l1d: Cache,
+    i: L1Side,
+    d: L1Side,
     l2: Cache,
-    itlb: Tlb,
-    dtlb: Tlb,
-    d_mshrs: MshrFile,
-    i_mshrs: MshrFile,
     stats: MemHierStats,
 }
 
@@ -77,13 +129,9 @@ impl MemHier {
     pub fn new(cfg: MemConfig) -> Self {
         cfg.validate().expect("invalid memory configuration");
         MemHier {
-            l1i: Cache::new(cfg.l1i),
-            l1d: Cache::new(cfg.l1d),
+            i: L1Side::new(cfg.l1i, cfg.itlb_entries, &cfg),
+            d: L1Side::new(cfg.l1d, cfg.dtlb_entries, &cfg),
             l2: Cache::new(cfg.l2),
-            itlb: Tlb::new(cfg.itlb_entries, cfg.page_bytes),
-            dtlb: Tlb::new(cfg.dtlb_entries, cfg.page_bytes),
-            d_mshrs: MshrFile::new(cfg.mshrs),
-            i_mshrs: MshrFile::new(cfg.mshrs),
             stats: MemHierStats::default(),
             cfg,
         }
@@ -96,61 +144,25 @@ impl MemHier {
 
     /// Data load at cycle `now`. Fill-on-access with MSHR-coalesced timing.
     pub fn load(&mut self, addr: u64, now: u64) -> AccessResult {
-        self.stats.loads += 1;
-        let tlb_miss = !self.dtlb.access(addr);
-        if tlb_miss {
-            self.stats.dtlb_misses += 1;
-        }
-        let tlb_extra = if tlb_miss { self.cfg.tlb_miss_penalty } else { 0 };
-
-        // A miss already in flight for this line: data arrives with the
-        // original fill.
-        let line = self.l1d.line_addr(addr);
-        if let Some(ready) = self.d_mshrs.lookup(line, now) {
-            self.stats.load_l1_misses += 1;
-            let lat = (ready.saturating_sub(now) as u32).max(self.cfg.l1_lat) + tlb_extra;
-            return AccessResult { latency: lat, level: HitLevel::L2, tlb_miss, mshr_stall: false };
-        }
-
-        if self.l1d.access(addr) {
-            return AccessResult {
-                latency: self.cfg.l1_lat + tlb_extra,
-                level: HitLevel::L1,
-                tlb_miss,
-                mshr_stall: false,
-            };
-        }
-        self.stats.load_l1_misses += 1;
-
-        // Structural limit on outstanding misses.
-        let (lat, level) = if self.l2.access(addr) {
-            (self.cfg.l2_hit_latency(), HitLevel::L2)
-        } else {
-            self.stats.load_l2_misses += 1;
-            self.l2.fill(addr);
-            (self.cfg.mem_latency(), HitLevel::Mem)
-        };
-        // The fill cannot start until translation completes, so a cold page
-        // delays the line's arrival too.
-        let total = lat + tlb_extra;
-        if !self.d_mshrs.allocate(line, now + total as u64, now) {
-            return AccessResult { latency: 1, level, tlb_miss, mshr_stall: true };
-        }
-        self.l1d.fill(addr);
-        AccessResult { latency: total, level, tlb_miss, mshr_stall: false }
+        let r = self.d.access(&mut self.l2, &self.cfg, addr, now);
+        let s = &mut self.stats;
+        s.loads += 1;
+        s.dtlb_misses += r.tlb_miss as u64;
+        s.load_l1_misses += (r.level != HitLevel::L1) as u64;
+        s.load_l2_misses += (r.level == HitLevel::Mem) as u64;
+        r
     }
 
     /// Store performed at commit. Write-allocate, write-back; the paper's
     /// pipeline never stalls commit on store misses (write buffering), so
     /// callers typically ignore the latency but the hierarchy state and
-    /// statistics update either way.
+    /// statistics update either way. No MSHR, and no TLB term in the
+    /// latency.
     pub fn store(&mut self, addr: u64, _now: u64) -> AccessResult {
         self.stats.stores += 1;
-        let tlb_miss = !self.dtlb.access(addr);
-        if tlb_miss {
-            self.stats.dtlb_misses += 1;
-        }
-        if self.l1d.access(addr) {
+        let tlb_miss = !self.d.tlb.access(addr);
+        self.stats.dtlb_misses += tlb_miss as u64;
+        if self.d.cache.access(addr) {
             return AccessResult {
                 latency: self.cfg.l1_lat,
                 level: HitLevel::L1,
@@ -159,50 +171,25 @@ impl MemHier {
             };
         }
         self.stats.store_l1_misses += 1;
-        let (lat, level) = if self.l2.access(addr) {
-            (self.cfg.l2_hit_latency(), HitLevel::L2)
-        } else {
-            self.l2.fill(addr);
-            (self.cfg.mem_latency(), HitLevel::Mem)
-        };
-        self.l1d.fill(addr);
-        AccessResult { latency: lat, level, tlb_miss, mshr_stall: false }
+        let (latency, level) = l2_step(&mut self.l2, &self.cfg, addr);
+        self.d.cache.fill(addr);
+        AccessResult { latency, level, tlb_miss, mshr_stall: false }
     }
 
     /// Instruction fetch of the line containing `addr`.
     pub fn ifetch(&mut self, addr: u64, now: u64) -> AccessResult {
-        self.stats.ifetches += 1;
-        let tlb_miss = !self.itlb.access(addr);
-        if tlb_miss {
-            self.stats.itlb_misses += 1;
-        }
-        let tlb_extra = if tlb_miss { self.cfg.tlb_miss_penalty } else { 0 };
-
-        let line = self.l1i.line_addr(addr);
-        if let Some(ready) = self.i_mshrs.lookup(line, now) {
-            self.stats.ifetch_l1_misses += 1;
-            let lat = (ready.saturating_sub(now) as u32).max(self.cfg.l1_lat) + tlb_extra;
-            return AccessResult { latency: lat, level: HitLevel::L2, tlb_miss, mshr_stall: false };
-        }
-
-        if self.l1i.access(addr) {
+        let mut r = self.i.access(&mut self.l2, &self.cfg, addr, now);
+        let s = &mut self.stats;
+        s.ifetches += 1;
+        s.itlb_misses += r.tlb_miss as u64;
+        if r.level == HitLevel::L1 {
             // L1I hits are the pipelined common case; fetch charges no
-            // extra latency for them.
-            return AccessResult { latency: 0, level: HitLevel::L1, tlb_miss, mshr_stall: false };
-        }
-        self.stats.ifetch_l1_misses += 1;
-        let (lat, level) = if self.l2.access(addr) {
-            (self.cfg.l2_hit_latency(), HitLevel::L2)
+            // extra latency for them, not even an I-TLB walk.
+            r.latency = 0;
         } else {
-            self.l2.fill(addr);
-            (self.cfg.mem_latency(), HitLevel::Mem)
-        };
-        let total = lat + tlb_extra;
-        if !self.i_mshrs.allocate(line, now + total as u64, now) {
-            return AccessResult { latency: 1, level, tlb_miss, mshr_stall: true };
+            s.ifetch_l1_misses += 1;
         }
-        self.l1i.fill(addr);
-        AccessResult { latency: total, level, tlb_miss, mshr_stall: false }
+        r
     }
 
     /// Functionally pre-load a data byte range into the L2 (and optionally
@@ -215,7 +202,7 @@ impl MemHier {
         while addr < start + bytes {
             self.l2.fill(addr);
             if also_l1 {
-                self.l1d.fill(addr);
+                self.d.cache.fill(addr);
             }
             addr += step;
         }
@@ -227,25 +214,9 @@ impl MemHier {
         let mut addr = start;
         while addr < start + bytes {
             self.l2.fill(addr);
-            self.l1i.fill(addr);
+            self.i.cache.fill(addr);
             addr += step;
         }
-    }
-
-    /// Earliest cycle after `now` at which any outstanding miss fill (data
-    /// or instruction MSHRs) completes, or `u64::MAX` when none is
-    /// outstanding. Diagnostics only — deliberately **not** a reporter
-    /// into the processor's quiescence `Timeline`: a fill expiry on its
-    /// own wakes no pipeline stage (it only frees capacity that a later,
-    /// separately-scheduled access exploits), so reporting it would just
-    /// truncate warps short of the completion that actually wakes the
-    /// machine (see `hdsmt_core::timeline`). Expires completed entries
-    /// first, the same lazy sweep every access performs, so calling this
-    /// on an arbitrary schedule cannot change observable behaviour.
-    pub fn next_mshr_expiry(&mut self, now: u64) -> u64 {
-        self.d_mshrs.expire(now);
-        self.i_mshrs.expire(now);
-        self.d_mshrs.next_expiry().min(self.i_mshrs.next_expiry())
     }
 
     #[inline]
@@ -257,19 +228,11 @@ impl MemHier {
     /// (ifetch coalesced, ifetch full-stalls))` — diagnostics only, not
     /// part of the serialized statistics.
     pub fn mshr_stats(&self) -> ((u64, u64), (u64, u64)) {
-        (self.d_mshrs.stats(), self.i_mshrs.stats())
-    }
-
-    /// Per-cache raw statistics `(l1i, l1d, l2)`.
-    pub fn cache_stats(&self) -> (crate::CacheStats, crate::CacheStats, crate::CacheStats) {
-        (self.l1i.stats(), self.l1d.stats(), self.l2.stats())
+        (self.d.mshrs.stats(), self.i.mshrs.stats())
     }
 
     pub fn reset_stats(&mut self) {
         self.stats = MemHierStats::default();
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
-        self.l2.reset_stats();
     }
 }
 
@@ -378,23 +341,9 @@ mod tests {
         for i in 0..99 {
             m.load(0x1_0000 + i * 8, 1000 + i * 600);
         }
-        let mpka = m.stats().dl1_mpka();
-        // 100 loads covering 25 distinct 32 B lines → 25 misses → 250 MPKA.
-        assert!((200.0..300.0).contains(&mpka), "mpka {mpka}");
-        assert!(m.stats().loads == 100);
-    }
-
-    #[test]
-    fn next_mshr_expiry_reports_the_earliest_outstanding_fill() {
-        let mut m = hier();
-        assert_eq!(m.next_mshr_expiry(0), u64::MAX, "no outstanding misses");
-        m.load(0x1_0000, 0); // warm the TLB page
-        let r = m.load(0x900_0000, 100);
-        assert_eq!(r.level, HitLevel::Mem);
-        let fill = 100 + r.latency as u64;
-        let next = m.next_mshr_expiry(150);
-        assert!(next > 150 && next <= fill, "next expiry {next} vs fill {fill}");
-        assert_eq!(m.next_mshr_expiry(fill), u64::MAX, "completed fills expire");
+        // 100 loads covering 25 distinct 32 B lines → 25 misses.
+        assert_eq!(m.stats().load_l1_misses, 25);
+        assert_eq!(m.stats().loads, 100);
     }
 
     #[test]

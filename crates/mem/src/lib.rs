@@ -32,8 +32,8 @@ pub mod hier;
 pub mod mshr;
 pub mod tlb;
 
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig};
 pub use config::MemConfig;
-pub use hier::{AccessKind, AccessResult, HitLevel, MemHier, MemHierStats};
+pub use hier::{AccessResult, HitLevel, MemHier, MemHierStats};
 pub use mshr::MshrFile;
 pub use tlb::Tlb;

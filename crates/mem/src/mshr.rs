@@ -29,7 +29,7 @@ impl MshrFile {
     }
 
     /// Drop entries whose fills have completed by `now`.
-    pub fn expire(&mut self, now: u64) {
+    fn expire(&mut self, now: u64) {
         if self.next_expiry > now {
             return; // nothing outstanding can have completed
         }
@@ -62,21 +62,6 @@ impl MshrFile {
         true
     }
 
-    /// Earliest outstanding fill-completion cycle (`u64::MAX` when
-    /// nothing is outstanding). Call [`Self::expire`] first for a value
-    /// guaranteed to be in the future — this is the file's next-activity
-    /// report into the processor's `Timeline`.
-    #[inline]
-    pub fn next_expiry(&self) -> u64 {
-        self.next_expiry
-    }
-
-    /// Outstanding misses at `now`.
-    pub fn outstanding(&mut self, now: u64) -> usize {
-        self.expire(now);
-        self.entries.len()
-    }
-
     /// (coalesced hits, full-file stalls).
     pub fn stats(&self) -> (u64, u64) {
         (self.coalesced, self.full_stalls)
@@ -102,7 +87,9 @@ mod tests {
         assert!(m.allocate(10, 100, 0));
         assert_eq!(m.lookup(10, 99), Some(100));
         assert_eq!(m.lookup(10, 100), None, "fill completed at cycle 100");
-        assert_eq!(m.outstanding(100), 0);
+        // The completed entry no longer holds a slot: both are free again.
+        assert!(m.allocate(11, 200, 100));
+        assert!(m.allocate(12, 200, 100));
     }
 
     #[test]

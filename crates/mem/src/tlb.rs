@@ -29,8 +29,6 @@ pub struct Tlb {
     clock: u64,
     capacity: usize,
     page_shift: u32,
-    hits: u64,
-    misses: u64,
 }
 
 impl Tlb {
@@ -44,8 +42,6 @@ impl Tlb {
             clock: 0,
             capacity: entries,
             page_shift: page_bytes.trailing_zeros(),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -71,17 +67,14 @@ impl Tlb {
         if let Some(&p) = self.vpns.get(cached) {
             if p == vpn {
                 self.stamps[cached] = self.clock;
-                self.hits += 1;
                 return true;
             }
         }
         if let Some(pos) = self.vpns.iter().position(|&p| p == vpn) {
             self.stamps[pos] = self.clock;
             self.memo[m] = pos as u32;
-            self.hits += 1;
             return true;
         }
-        self.misses += 1;
         if self.vpns.len() < self.capacity {
             self.memo[m] = self.vpns.len() as u32;
             self.vpns.push(vpn);
@@ -100,10 +93,6 @@ impl Tlb {
             self.memo[m] = victim as u32;
         }
         false
-    }
-
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 }
 
@@ -139,11 +128,9 @@ mod tests {
         for &a in &pages {
             t.access(a);
         }
-        let before = t.stats().0;
         for &a in &pages {
             assert!(t.access(a));
         }
-        assert_eq!(t.stats().0, before + 64);
         // …while an 8 MB random set keeps missing.
         let mut t = Tlb::new(128, 8192);
         let mut miss = 0;
@@ -154,14 +141,5 @@ mod tests {
             }
         }
         assert!(miss > 8000, "large random set must thrash a 128-entry TLB (missed {miss})");
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut t = Tlb::new(4, 8192);
-        t.access(0);
-        t.access(0);
-        t.access(0x2000);
-        assert_eq!(t.stats(), (1, 2));
     }
 }

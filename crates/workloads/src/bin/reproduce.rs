@@ -18,7 +18,10 @@ use std::fs;
 
 use hdsmt_area::{paper_area_table, pipeline_area};
 use hdsmt_campaign::{default_workers, CampaignSpec};
-use hdsmt_core::{run_sim, FetchPolicy, MissProfile, SimConfig, ThreadSpec};
+use hdsmt_core::{
+    run_sim, FetchPolicy, MissProfile, SimConfig, ThreadSpec, FETCH_THREADS, FETCH_WIDTH,
+    RENAME_REGS, ROB_ENTRIES,
+};
 use hdsmt_pipeline::{MicroArch, M2, M4, M6, M8};
 use hdsmt_workloads::{
     all_workloads, format_figure_panel, paper_spec, quick_spec, run_paper_experiments, summarize,
@@ -152,8 +155,8 @@ fn table1() {
     println!("Branch Predictor       perceptron (4K local, 256 perceps)");
     println!("BTB                    256 entries, 4-way associative");
     println!("RAS*                   256 entries");
-    println!("ROB Size*              {} entries", cfg.rob_entries);
-    println!("Rename Registers       {} regs.", cfg.rename_regs);
+    println!("ROB Size*              {ROB_ENTRIES} entries");
+    println!("Rename Registers       {RENAME_REGS} regs.");
     println!(
         "L1 I-Cache             {}KB, {}-way, {} banks",
         m.l1i.size_bytes / 1024,
@@ -179,6 +182,7 @@ fn table1() {
         m.itlb_entries, m.dtlb_entries, m.tlb_miss_penalty
     );
     println!("(* replicated per thread)");
+    println!("Fetch bandwidth (§4)   {FETCH_WIDTH} inst. from {FETCH_THREADS} threads per cycle");
     println!();
 }
 
