@@ -29,6 +29,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Largest accepted request body (campaign specs are a few KB).
@@ -265,11 +266,26 @@ pub struct HttpResponse {
 pub struct HttpClient {
     addr: String,
     stream: Option<TcpStream>,
+    /// Salts this client's retry jitter apart from every other client's:
+    /// the process id and a per-process client counter, fixed at `new`.
+    jitter_id: u64,
 }
+
+/// Clients created so far in this process (the low half of `jitter_id`).
+static CLIENTS: AtomicU64 = AtomicU64::new(0);
 
 impl HttpClient {
     pub fn new(addr: &str) -> Self {
-        HttpClient { addr: addr.to_string(), stream: None }
+        let jitter_id = (u64::from(std::process::id()) << 32)
+            | (CLIENTS.fetch_add(1, Ordering::Relaxed) & 0xffff_ffff);
+        HttpClient { addr: addr.to_string(), stream: None, jitter_id }
+    }
+
+    /// Jitter salt for retries of `method path`: the request and this
+    /// client's `jitter_id`, so identical clients polling one daemon
+    /// de-phase, while one client's delays stay reproducible.
+    fn retry_salt(&self, method: &str, path: &str) -> String {
+        format!("{method} {}{path} #{:x}", self.addr, self.jitter_id)
     }
 
     /// Send one request, reusing the pooled connection when possible.
@@ -304,7 +320,7 @@ impl HttpClient {
         body: Option<&str>,
         policy: &RetryPolicy,
     ) -> std::io::Result<HttpResponse> {
-        let salt = format!("{method} {}{path}", self.addr);
+        let salt = self.retry_salt(method, path);
         for attempt in 1..=policy.attempts.max(1) {
             // The final attempt returns unconditionally — a lingering 503
             // or refusal is the caller's to report, with full context.
@@ -452,9 +468,10 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Backoff before retry number `retry` (1-based): `base * 2^(retry-1)`
-    /// clamped to `cap`, plus up to 25% deterministic jitter keyed on
-    /// `(salt, retry)`, so concurrent clients whose requests differ (the
-    /// salt is method, daemon and path) de-phase instead of retrying in
+    /// clamped to `cap`, plus up to 25% jitter keyed on `(salt, retry)`.
+    /// [`HttpClient`] salts with the request and its own client id, so the
+    /// jitter is deterministic per client, and concurrent clients — even
+    /// ones sending the same request — de-phase instead of retrying in
     /// lockstep.
     pub fn backoff(&self, retry: u32, salt: &str) -> Duration {
         let exp = self.base.saturating_mul(1u32 << (retry - 1).min(16)).min(self.cap);
@@ -463,8 +480,9 @@ impl RetryPolicy {
     }
 }
 
-/// FNV-1a over the salt and retry counter — a cheap deterministic jitter
-/// source (no `rand` dependency, reproducible failures).
+/// FNV-1a over the salt and retry counter — a cheap jitter source (no
+/// `rand` dependency): one salt, hence one client, always gets the same
+/// delays.
 fn fnv(salt: &str, retry: u32) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in salt.bytes().chain(retry.to_le_bytes()) {
@@ -810,6 +828,14 @@ mod tests {
         let resp = HttpClient::new(&addr).request_retry("GET", "/stats", None, &policy).unwrap();
         assert_eq!(resp.status, 200);
         assert!(started.elapsed() < Duration::from_millis(900), "{:?}", started.elapsed());
+    }
+
+    #[test]
+    fn identical_clients_salt_their_retry_jitter_apart() {
+        let a = HttpClient::new("127.0.0.1:1");
+        let b = HttpClient::new("127.0.0.1:1");
+        assert_ne!(a.retry_salt("GET", "/campaigns/c1"), b.retry_salt("GET", "/campaigns/c1"));
+        assert_eq!(a.retry_salt("GET", "/campaigns/c1"), a.retry_salt("GET", "/campaigns/c1"));
     }
 
     #[test]

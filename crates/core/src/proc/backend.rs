@@ -128,16 +128,8 @@ impl Processor {
                 let (id, op, srcs, t, seq, addr) =
                     (de.id, de.op, de.src_phys, de.thread as usize, de.seq, de.addr);
                 let kind = op.fu_kind();
-                {
-                    let pipe = &mut self.pipes[p];
-                    let q = match kind {
-                        FuKind::Int => &mut pipe.iq,
-                        FuKind::Fp => &mut pipe.fq,
-                        FuKind::LdSt => &mut pipe.lq,
-                    };
-                    if !q.push(id) {
-                        break;
-                    }
+                if !self.pipes[p].queue_mut(kind).push(id) {
+                    break;
                 }
                 let hot = self.pool.hot_mut(id);
                 let gen = hot.gen();
@@ -151,13 +143,8 @@ impl Processor {
                 hot.set_state(InstState::Waiting);
                 hot.pending_srcs = pending;
                 if pending == 0 {
-                    let pipe = &mut self.pipes[p];
-                    let q = match kind {
-                        FuKind::Int => &mut pipe.iq,
-                        FuKind::Fp => &mut pipe.fq,
-                        FuKind::LdSt => &mut pipe.lq,
-                    };
-                    q.mark_ready(ReadyEntry { seq, addr, id, thread: t as u8, op });
+                    let entry = ReadyEntry { seq, addr, id, thread: t as u8, op };
+                    self.pipes[p].queue_mut(kind).mark_ready(entry);
                 }
                 if op.is_store() {
                     self.threads[t].lq_stores.push_back(LqStore {
@@ -365,12 +352,7 @@ impl Processor {
         // LQ itself (forwarding source) until commit, everything else
         // leaves its queue entirely.
         {
-            let pipe = &mut self.pipes[p];
-            let q = match op.fu_kind() {
-                FuKind::Int => &mut pipe.iq,
-                FuKind::Fp => &mut pipe.fq,
-                FuKind::LdSt => &mut pipe.lq,
-            };
+            let q = self.pipes[p].queue_mut(op.fu_kind());
             let was_ready = q.remove_ready(id);
             debug_assert!(was_ready, "issued from the ready set");
             if !op.is_store() {
@@ -550,13 +532,8 @@ impl Processor {
                     FuKind::LdSt => self.pool.cold(w.id).d.addr,
                     _ => 0,
                 };
-                let p = &mut self.pipes[pipe];
-                let q = match op.fu_kind() {
-                    FuKind::Int => &mut p.iq,
-                    FuKind::Fp => &mut p.fq,
-                    FuKind::LdSt => &mut p.lq,
-                };
-                q.mark_ready(ReadyEntry { seq, addr, id: w.id, thread, op });
+                let entry = ReadyEntry { seq, addr, id: w.id, thread, op };
+                self.pipes[pipe].queue_mut(op.fu_kind()).mark_ready(entry);
             }
         }
         self.scratch_woken = woken;

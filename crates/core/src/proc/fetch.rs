@@ -157,15 +157,7 @@ impl Processor {
             // crosses the `Box<dyn TraceSource>` seam only to refill it:
             // one virtual call (one tight block-at-a-time generation
             // loop) per chunk instead of per instruction.
-            let d = match th.chunk.pop() {
-                Some(d) => d,
-                None => {
-                    th.chunk.reset();
-                    th.stream.fill(&mut th.chunk);
-                    th.chunk.pop().expect("an endless TraceSource must fill at least one inst")
-                }
-            };
-            (d, false)
+            (th.chunk.next_from(th.stream.as_mut()), false)
         }
     }
 

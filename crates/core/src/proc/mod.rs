@@ -43,7 +43,7 @@
 //! to the polled core on the golden-stats matrix
 //! (`tests/golden_stats.rs`). The invariants tying the lazy/evented
 //! structures together are asserted by
-//! [`Processor::check_scheduler_invariants`] (tests and the
+//! `Processor::check_scheduler_invariants` (compiled for tests and the
 //! `invariant-checks` feature).
 //!
 //! # The quiescence-skipping cycle engine
@@ -114,7 +114,7 @@ mod squash;
 use std::collections::VecDeque;
 
 use hdsmt_bpred::{Btb, DirectionPredictor, Ras, RasSnapshot};
-use hdsmt_isa::{BlockId, Pc, ThreadId};
+use hdsmt_isa::{BlockId, FuKind, Pc, ThreadId};
 use hdsmt_mem::MemHier;
 use hdsmt_pipeline::{
     Completion, CompletionWheel, FuPool, InstId, InstPool, IssueQueue, PipeModel, ReadyEntry,
@@ -164,10 +164,10 @@ pub(crate) struct Thread {
     /// The thread's dynamic-instruction front-end (synthetic benchmark
     /// model or RV64I emulator — see [`TraceSource`]).
     pub stream: Box<dyn TraceSource>,
-    /// Fetch-side chunk buffer over `stream`: correct-path fetch pops
-    /// plain records here and crosses the trait object only on a refill
-    /// ([`TraceSource::fill`]), amortizing the virtual dispatch and the
-    /// source's per-call re-entry ~[`hdsmt_trace::CHUNK_INSTS`]×.
+    /// Fetch-side chunk buffer over `stream`: correct-path fetch reads
+    /// through [`ChunkBuf::next_from`], which crosses the trait object
+    /// only on a refill ([`TraceSource::fill`]), amortizing the virtual
+    /// dispatch and the source's re-entry ~[`hdsmt_trace::CHUNK_INSTS`]×.
     pub chunk: ChunkBuf,
     /// Squashed-but-architecturally-required instructions awaiting
     /// re-fetch (FLUSH recovery), oldest at the front.
@@ -281,6 +281,17 @@ impl Pipe {
             commit_rr: 0,
             retired: 0,
             model,
+        }
+    }
+
+    /// The issue queue that holds instructions of functional-unit class
+    /// `kind`.
+    #[inline]
+    pub fn queue_mut(&mut self, kind: FuKind) -> &mut IssueQueue {
+        match kind {
+            FuKind::Int => &mut self.iq,
+            FuKind::Fp => &mut self.fq,
+            FuKind::LdSt => &mut self.lq,
         }
     }
 }

@@ -68,12 +68,7 @@ impl Processor {
                     // Eagerly maintained ready sets: drop the membership
                     // and the ready entry (if its operands had become
                     // ready) before the slot is reclaimed.
-                    let pipe = &mut self.pipes[pipe_idx];
-                    let q = match op.fu_kind() {
-                        hdsmt_isa::FuKind::Int => &mut pipe.iq,
-                        hdsmt_isa::FuKind::Fp => &mut pipe.fq,
-                        hdsmt_isa::FuKind::LdSt => &mut pipe.lq,
-                    };
+                    let q = self.pipes[pipe_idx].queue_mut(op.fu_kind());
                     q.remove_ready(tail);
                     let removed = q.remove(tail);
                     debug_assert!(removed, "waiting instruction must be in its queue");

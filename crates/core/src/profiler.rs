@@ -8,6 +8,7 @@
 //! offline profiling runs.
 
 use hdsmt_mem::{Cache, MemConfig};
+use hdsmt_trace::ChunkBuf;
 
 use crate::config::ThreadSpec;
 
@@ -16,15 +17,16 @@ use crate::config::ThreadSpec;
 const PROFILE_SEED: u64 = 0x0090_f11e_5eed;
 
 /// Data-cache misses per 1000 instructions for `spec`'s benchmark, measured
-/// over `n_insts` instructions on a Table 1 L1D. Works through the
-/// [`hdsmt_trace::TraceSource`] abstraction, so both synthetic models and
-/// RV64I programs profile the same way.
+/// over `n_insts` instructions on a Table 1 L1D. Reads the
+/// [`hdsmt_trace::TraceSource`] through a [`ChunkBuf`] like fetch does, so
+/// both synthetic models and RV64I programs profile the same way.
 pub fn profile_benchmark(spec: &ThreadSpec, n_insts: u64) -> f64 {
     let mut stream = spec.build_source_seeded(PROFILE_SEED, 0);
+    let mut buf = ChunkBuf::new();
     let mut l1d = Cache::new(MemConfig::default().l1d);
     let mut misses = 0u64;
     for _ in 0..n_insts {
-        let d = stream.next_inst();
+        let d = buf.next_from(stream.as_mut());
         if d.sinst.op.is_mem() && !l1d.access(d.addr) {
             l1d.fill(d.addr);
             misses += 1;

@@ -76,12 +76,6 @@ impl StaticInst {
         StaticInst { op, dst: None, srcs: [src, None], mem: None }
     }
 
-    /// Number of register source operands.
-    #[inline]
-    pub fn src_count(&self) -> usize {
-        self.srcs.iter().filter(|s| s.is_some()).count()
-    }
-
     /// Internal consistency: memory annotation present exactly for memory
     /// ops, destination class matches op class, etc. Used by
     /// [`crate::Program::validate`].
@@ -127,10 +121,8 @@ mod tests {
         a.check().unwrap();
         let l = StaticInst::load(ArchReg::int(3), ArchReg::int(4), MemGen::Stride { stride: 8 });
         l.check().unwrap();
-        assert_eq!(l.src_count(), 1);
         let s = StaticInst::store(ArchReg::int(3), ArchReg::int(4), MemGen::Stack);
         s.check().unwrap();
-        assert_eq!(s.src_count(), 2);
         let b = StaticInst::control(Op::CondBranch, Some(ArchReg::int(5)));
         b.check().unwrap();
     }

@@ -116,13 +116,6 @@ impl Op {
         matches!(self, Op::CondBranch | Op::Jump | Op::Call | Op::Return | Op::IndirectJump)
     }
 
-    /// True if the control transfer's target cannot be derived from the
-    /// instruction encoding alone (needs BTB / RAS prediction).
-    #[inline]
-    pub fn is_indirect(self) -> bool {
-        matches!(self, Op::Return | Op::IndirectJump)
-    }
-
     /// All op variants, for exhaustive table-driven tests.
     pub const ALL: [Op; 14] = [
         Op::IntAlu,
@@ -175,9 +168,7 @@ mod tests {
     #[test]
     fn control_classification() {
         assert!(Op::CondBranch.is_control());
-        assert!(Op::Return.is_control() && Op::Return.is_indirect());
-        assert!(Op::IndirectJump.is_indirect());
-        assert!(!Op::Jump.is_indirect());
+        assert!(Op::Return.is_control());
         assert!(!Op::Load.is_control());
     }
 

@@ -44,11 +44,6 @@ impl<T> RingBuf<T> {
         self.capacity
     }
 
-    #[inline]
-    pub fn free_slots(&self) -> usize {
-        self.capacity - self.q.len()
-    }
-
     /// Append; `false` when full (fetch back-pressure).
     pub fn push_back(&mut self, v: T) -> bool {
         if self.is_full() {
@@ -110,12 +105,12 @@ mod tests {
     #[test]
     fn free_slots_accounting() {
         let mut b = RingBuf::new(4);
-        assert_eq!(b.free_slots(), 4);
-        b.push_back(1);
-        b.push_back(2);
-        assert_eq!(b.free_slots(), 2);
+        assert!(b.push_back(1) && b.push_back(2));
+        assert_eq!((b.len(), b.capacity()), (2, 4));
         b.pop_front();
-        assert_eq!(b.free_slots(), 3);
+        // Three slots are free again: exactly three more pushes land.
+        assert!((0..3).all(|i| b.push_back(i)));
+        assert!(b.is_full() && !b.push_back(9));
     }
 
     #[test]

@@ -187,11 +187,6 @@ impl MicroArch {
         self.pipes.len() == 1
     }
 
-    /// Homogeneous (all pipelines the same model)?
-    pub fn is_homogeneous(&self) -> bool {
-        self.pipes.windows(2).all(|w| w[0].name == w[1].name)
-    }
-
     /// Total issue width across pipelines.
     pub fn total_width(&self) -> u32 {
         self.pipes.iter().map(|p| p.width as u32).sum()
@@ -272,14 +267,6 @@ mod tests {
             let b = MicroArch::parse(&a.name).unwrap();
             assert_eq!(a.pipes, b.pipes, "{name} vs {}", a.name);
         }
-    }
-
-    #[test]
-    fn homogeneity_classification() {
-        assert!(MicroArch::parse("3M4").unwrap().is_homogeneous());
-        assert!(MicroArch::parse("4M4").unwrap().is_homogeneous());
-        assert!(!MicroArch::parse("2M4+2M2").unwrap().is_homogeneous());
-        assert!(MicroArch::parse("M8").unwrap().is_homogeneous());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Pipeline:
 //!
 //! 1. [`asm`] parses the text into an instruction list + label map;
-//! 2. [`translate`] builds the basic-block dictionary
+//! 2. [`translate`](mod@translate) builds the basic-block dictionary
 //!    ([`hdsmt_isa::Program`]) the fetch engine needs for wrong-path
 //!    decoding, appending a synthetic *restart jump* so finite programs
 //!    become the endless streams the simulator consumes;
@@ -84,7 +84,7 @@ pub fn by_name(name: &str) -> Option<Arc<RvImage>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdsmt_trace::TraceSource;
+    use hdsmt_trace::ChunkBuf;
 
     #[test]
     fn every_bundled_program_parses_translates_and_validates() {
@@ -110,9 +110,11 @@ mod tests {
         // enough (≥ 5k dynamic instructions) that the wipe is noise.
         for name in program_names() {
             let mut s = RvTraceSource::new(by_name(name).unwrap(), 1, 0);
+            // Capacity 1: `laps()` counts exactly the instructions read.
+            let mut buf = ChunkBuf::with_capacity(1);
             let mut lap_len = 0u64;
             loop {
-                let d = s.next_inst();
+                let d = buf.next_from(&mut s);
                 lap_len += 1;
                 assert!(lap_len < 3_000_000, "{name}: lap too long");
                 if d.sinst.op == hdsmt_isa::Op::Jump

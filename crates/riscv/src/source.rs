@@ -1,8 +1,8 @@
 //! [`RvTraceSource`]: the emulator as an endless [`TraceSource`].
 //!
-//! Each call to [`next_inst`](TraceSource::next_inst) architecturally
-//! executes one instruction and reports it in the simulator's dynamic
-//! vocabulary: the instruction's laid-out PC, its static classification,
+//! Each instruction [`fill`](TraceSource::fill) generates is one
+//! architecturally executed instruction, reported in the simulator's
+//! dynamic vocabulary: the instruction's laid-out PC, its static classification,
 //! the *real* effective address (relocated into this thread's address
 //! space), and the *real* branch outcome. When execution reaches the
 //! synthetic restart jump the machine resets, so the stream is an endless
@@ -38,7 +38,6 @@ pub struct RvTraceSource {
     code_start: u64,
     /// Address-space base of the data memory.
     data_start: u64,
-    emitted: u64,
     laps: u64,
 }
 
@@ -63,7 +62,6 @@ impl RvTraceSource {
             wp_rng: SmallRng::seed_from_u64(seed ^ 0x52_5653_3634), // "RV64"
             code_start: asid_base + color(asid, 997),
             data_start: asid_base + 0x2000_0000 + color(asid, 1),
-            emitted: 0,
             laps: 0,
             image,
         }
@@ -74,20 +72,13 @@ impl RvTraceSource {
     pub fn laps(&self) -> u64 {
         self.laps
     }
-
-    /// The machine's architectural state (tests / debugging).
-    #[inline]
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
 }
 
 impl RvTraceSource {
     /// Architecturally execute one instruction and report it (the body of
-    /// both [`TraceSource::next_inst`] and the batched
-    /// [`TraceSource::fill`] loop). `image` is the caller's borrow of
-    /// `self.image`, hoisted so the chunked loop pays the `Arc`
-    /// indirection once per chunk instead of once per instruction.
+    /// the [`TraceSource::fill`] loop). `image` is the caller's borrow of
+    /// `self.image`, hoisted so the loop pays the `Arc` indirection once
+    /// per chunk instead of once per instruction.
     #[inline]
     fn emit_with(&mut self, image: &RvImage) -> DynInst {
         let idx = self.machine.next_idx;
@@ -121,24 +112,15 @@ impl RvTraceSource {
             self.machine.reset();
             self.laps += 1;
         }
-        self.emitted += 1;
         DynInst { pc, sinst, addr, ctrl }
     }
 }
 
 impl TraceSource for RvTraceSource {
-    #[inline]
-    fn next_inst(&mut self) -> DynInst {
-        let image = Arc::clone(&self.image);
-        self.emit_with(&image)
-    }
-
-    /// Batched generation: run the emulator loop for a whole chunk per
-    /// trait-object crossing. The per-instruction body is identical to
-    /// [`Self::next_inst`] (the equivalence test pins this); the win is
-    /// the amortized dispatch, the hoisted image borrow, and the emulator
-    /// staying hot in one tight loop instead of being re-entered from the
-    /// fetch engine per instruction.
+    /// Run the emulator loop for a whole chunk per trait-object crossing:
+    /// the dispatch is amortized, the image borrow hoisted, and the
+    /// emulator stays hot in one tight loop instead of being re-entered
+    /// from the fetch engine per instruction.
     fn fill(&mut self, buf: &mut ChunkBuf) {
         let image = Arc::clone(&self.image);
         for _ in 0..buf.room() {
@@ -175,11 +157,6 @@ impl TraceSource for RvTraceSource {
     fn region_layout(&self) -> [(u64, u64); 4] {
         [(self.data_start, MEM_BYTES as u64), (0, 0), (0, 0), (0, 0)]
     }
-
-    #[inline]
-    fn emitted(&self) -> u64 {
-        self.emitted
-    }
 }
 
 #[cfg(test)]
@@ -193,47 +170,41 @@ mod tests {
 
     #[test]
     fn stream_is_deterministic_and_seed_independent_architecturally() {
-        let mut a = source("sum", 1, 0);
-        let mut b = source("sum", 99, 0); // different seed: same correct path
+        let (mut a, mut abuf) = (source("sum", 1, 0), ChunkBuf::new());
+        // Different seed: same correct path.
+        let (mut b, mut bbuf) = (source("sum", 99, 0), ChunkBuf::new());
         for i in 0..30_000 {
-            let (x, y) = (a.next_inst(), b.next_inst());
-            assert_eq!(x, y, "diverged at {i}");
+            assert_eq!(abuf.next_from(&mut a), bbuf.next_from(&mut b), "diverged at {i}");
         }
-        assert_eq!(a.emitted(), 30_000);
     }
 
     #[test]
     fn chunked_fill_matches_per_call_generation_across_laps() {
-        // The batched emulator loop must emit exactly the per-call
-        // sequence, including across the lap-boundary machine reset, and
-        // stay equivalent when the two entry points interleave.
-        for cap in [1, 5, 64] {
-            let mut a = source("fib", 2, 0);
-            let mut b = source("fib", 2, 0);
-            let mut buf = ChunkBuf::with_capacity(cap);
-            let mut produced = 0u64;
-            while produced < 30_000 {
-                buf.reset();
-                a.fill(&mut buf);
-                while let Some(d) = buf.pop() {
-                    assert_eq!(d, b.next_inst(), "cap {cap}, inst {produced}");
-                    produced += 1;
-                }
-                if produced.is_multiple_of(320) {
-                    assert_eq!(a.next_inst(), b.next_inst());
-                    produced += 1;
+        // A capacity-1 chunk executes one instruction per refill: the
+        // per-call reference. Larger capacities must emit the same
+        // stream, across the lap-boundary machine reset, and the same
+        // wrong-path addresses after each episode's view sync.
+        for cap in [3, 7, 48, 64] {
+            let (mut a, mut abuf) = (source("fib", 2, 0), ChunkBuf::with_capacity(cap));
+            let (mut b, mut bbuf) = (source("fib", 2, 0), ChunkBuf::with_capacity(1));
+            for n in 1..=30_000u64 {
+                assert_eq!(abuf.next_from(&mut a), bbuf.next_from(&mut b), "cap {cap}, inst {n}");
+                if n.is_multiple_of(97) {
+                    a.sync_wrong_path_view(abuf.len() as u64);
+                    b.sync_wrong_path_view(bbuf.len() as u64);
+                    for g in [MemGen::Stack, MemGen::Random] {
+                        assert_eq!(a.wrong_path_addr(g), b.wrong_path_addr(g), "cap {cap}");
+                    }
                 }
             }
-            assert!(a.laps() > 0, "30k instructions must cross a lap boundary");
-            assert_eq!(a.laps(), b.laps());
-            assert_eq!(a.emitted(), b.emitted());
+            assert!(b.laps() > 0, "30k instructions must cross a lap boundary");
         }
     }
 
     #[test]
     fn wrong_path_does_not_perturb_the_lap() {
-        let mut a = source("sort", 5, 0);
-        let mut b = source("sort", 5, 0);
+        let (mut a, mut abuf) = (source("sort", 5, 0), ChunkBuf::new());
+        let (mut b, mut bbuf) = (source("sort", 5, 0), ChunkBuf::new());
         for i in 0..20_000 {
             if i % 7 == 0 {
                 for _ in 0..3 {
@@ -241,7 +212,7 @@ mod tests {
                     let _ = a.wrong_path_addr(MemGen::Stack);
                 }
             }
-            assert_eq!(a.next_inst(), b.next_inst(), "diverged at {i}");
+            assert_eq!(abuf.next_from(&mut a), bbuf.next_from(&mut b), "diverged at {i}");
         }
     }
 
@@ -250,11 +221,11 @@ mod tests {
         // The defining stream invariant: each instruction's next_pc is
         // the PC of the next emitted instruction — including across the
         // lap boundary (the restart jump).
-        let mut s = source("fib", 3, 0);
-        let mut prev = s.next_inst();
+        let (mut s, mut buf) = (source("fib", 3, 0), ChunkBuf::with_capacity(1));
+        let mut prev = buf.next_from(&mut s);
         let mut restarts = 0;
         for _ in 0..60_000 {
-            let d = s.next_inst();
+            let d = buf.next_from(&mut s);
             assert_eq!(prev.next_pc(), d.pc, "discontinuity after {:?}", prev.pc);
             if d.pc == Program::BASE_PC && prev.sinst.op == hdsmt_isa::Op::Jump {
                 restarts += 1;
@@ -269,9 +240,9 @@ mod tests {
 
     #[test]
     fn ctrl_outcomes_match_op_classes() {
-        let mut s = source("prime", 2, 0);
+        let (mut s, mut buf) = (source("prime", 2, 0), ChunkBuf::new());
         for _ in 0..40_000 {
-            let d = s.next_inst();
+            let d = buf.next_from(&mut s);
             assert_eq!(d.sinst.op.is_control(), d.ctrl.is_some(), "{:?}", d.sinst.op);
             if let Some(c) = d.ctrl {
                 if !c.taken {
@@ -288,11 +259,11 @@ mod tests {
 
     #[test]
     fn addresses_live_in_the_declared_region_and_asids_differ() {
-        let mut a = source("matmul", 1, 0);
-        let mut b = source("matmul", 1, 3);
+        let (mut a, mut abuf) = (source("matmul", 1, 0), ChunkBuf::new());
+        let (mut b, mut bbuf) = (source("matmul", 1, 3), ChunkBuf::new());
         let [region_a, ..] = a.region_layout();
         for _ in 0..20_000 {
-            let (x, y) = (a.next_inst(), b.next_inst());
+            let (x, y) = (abuf.next_from(&mut a), bbuf.next_from(&mut b));
             if x.sinst.op.is_mem() {
                 assert!(
                     (region_a.0..region_a.0 + region_a.1).contains(&x.addr),
@@ -307,10 +278,10 @@ mod tests {
 
     #[test]
     fn returns_target_their_call_sites() {
-        let mut s = source("fib", 7, 0);
+        let (mut s, mut buf) = (source("fib", 7, 0), ChunkBuf::new());
         let mut stack: Vec<Pc> = Vec::new();
         for _ in 0..50_000 {
-            let d = s.next_inst();
+            let d = buf.next_from(&mut s);
             match d.sinst.op {
                 hdsmt_isa::Op::Call => stack.push(d.pc.next()),
                 hdsmt_isa::Op::Return => {

@@ -1,14 +1,13 @@
-//! [`ChunkBuf`]: the reusable instruction chunk the batched front-end
-//! generation fills and the fetch engine drains.
+//! [`ChunkBuf`]: the reusable instruction chunk a [`TraceSource`] fills
+//! and every consumer reads.
 //!
 //! The processor holds each thread's stream behind a `Box<dyn
-//! TraceSource>`, which put a virtual call (and, for the RV64I emulator, a
-//! full emulator re-entry) on every fetched instruction. The chunk buffer
-//! amortizes that seam: fetch pops plain records from a per-thread
-//! `ChunkBuf` and crosses the trait object only when it runs dry — one
-//! [`TraceSource::fill`](crate::TraceSource::fill) call per
-//! [`CHUNK_INSTS`] instructions, inside which the concrete source runs a
-//! tight, fully devirtualized block-at-a-time loop.
+//! TraceSource>`. The chunk buffer keeps that seam off the per-instruction
+//! path: consumers read through [`ChunkBuf::next_from`], which pops plain
+//! records and crosses the trait object only when the buffer runs dry —
+//! one [`TraceSource::fill`] call per [`CHUNK_INSTS`] instructions, inside
+//! which the concrete source runs a tight, fully devirtualized
+//! block-at-a-time loop.
 //!
 //! A `ChunkBuf` is drain-then-refill, not a ring: the consumer pops until
 //! empty, then [`reset`](ChunkBuf::reset)s and refills. The backing
@@ -16,6 +15,7 @@
 //! the steady-state fetch path still allocates nothing.
 
 use crate::dyninst::DynInst;
+use crate::source::TraceSource;
 
 /// Default chunk capacity: one `fill` call amortizes the trait-object
 /// dispatch (and emulator/program re-entry) across this many
@@ -50,6 +50,20 @@ impl ChunkBuf {
         let d = *self.items.get(self.head)?;
         self.head += 1;
         Some(d)
+    }
+
+    /// Read the next instruction of `src`'s stream: pop it, or reset,
+    /// refill from `src` and pop when the buffer is empty. The only read
+    /// path of the trace front ends; the buffer must only ever be filled
+    /// from `src`.
+    #[inline]
+    pub fn next_from<S: TraceSource + ?Sized>(&mut self, src: &mut S) -> DynInst {
+        if let Some(d) = self.pop() {
+            return d;
+        }
+        self.reset();
+        src.fill(self);
+        self.pop().expect("a TraceSource fill appends at least one instruction")
     }
 
     /// Append one instruction. Fill implementations must not exceed

@@ -21,6 +21,7 @@ use rand::{Rng, SeedableRng};
 use crate::chunk::ChunkBuf;
 use crate::dyninst::{CtrlOutcome, DynInst};
 use crate::profile::BenchProfile;
+use crate::source::TraceSource;
 
 /// Maximum modelled call depth (the generator only produces depth-1 calls;
 /// the cap is pure robustness against malformed inputs).
@@ -45,7 +46,7 @@ const WINDOW_JUMP_P: f32 = 0.10;
 const HOT_P: f32 = 0.75;
 const HOT_DIVISOR: u64 = 8;
 /// Instructions of cursor-mutation history kept for
-/// [`TraceStream::sync_wrong_path_view`] rewinds — comfortably above any
+/// [`TraceSource::sync_wrong_path_view`] rewinds — comfortably above any
 /// sane chunk capacity (the default is 64).
 const WP_VIEW_HORIZON: u64 = 4096;
 
@@ -66,13 +67,12 @@ pub struct TraceStream {
     /// threads do not alias set-for-set in the physically-indexed caches
     /// (the job an OS page allocator does).
     region_start: [u64; 4],
-    /// Undo log of scan-cursor mutations made by batched generation:
+    /// Undo log of scan-cursor mutations:
     /// `(instruction index that mutated, region, prior state)`. Lets
-    /// [`Self::sync_wrong_path_view`] reconstruct the cursors as of any
-    /// recently consumed instruction, so wrong-path fabrication never
-    /// sees the generation frontier the chunk buffer runs ahead by.
-    /// Only [`Self::fill`] logs (per-call generation never outruns its
-    /// consumer); pruned to a bounded horizon.
+    /// `sync_wrong_path_view` reconstruct the cursors as of any recently
+    /// consumed instruction, so wrong-path fabrication never sees the
+    /// generation frontier the chunk buffer runs ahead by. Pruned to a
+    /// bounded horizon.
     cursor_log: std::collections::VecDeque<(u64, u8, (u64, u64))>,
     /// Frozen cursor view for the current wrong-path episode (`None` ⇒
     /// the consumption point is the frontier; peek live cursors).
@@ -82,6 +82,7 @@ pub struct TraceStream {
     region_weights: [f32; 3],
     /// Cached `region_weights` sum (same f32 fold, computed once).
     region_weight_total: f32,
+    /// Instructions generated so far: the stamp of the undo log.
     emitted: u64,
 }
 
@@ -143,198 +144,11 @@ impl TraceStream {
         3
     }
 
-    /// The static program being walked.
-    #[inline]
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
-    }
-
-    /// Address-space base; instruction-fetch addresses are
-    /// `code_base() + pc`.
-    #[inline]
-    pub fn code_base(&self) -> u64 {
-        self.code_start
-    }
-
-    /// Data-region layout: `(start address, bytes)` for the stack and the
-    /// three heap regions, in this thread's address space. Used to pre-warm
-    /// caches to steady-state residency on scaled runs.
-    pub fn region_layout(&self) -> [(u64, u64); 4] {
-        let mut out = [(0, 0); 4];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = (self.region_start[i], self.region_size[i]);
-        }
-        out
-    }
-
-    /// Code-image range `(start address, bytes)` in this thread's address
-    /// space.
-    pub fn code_range(&self) -> (u64, u64) {
-        let start = self.program.block(self.program.entry()).start;
-        (self.code_start + start.0, self.program.len_insts() * hdsmt_isa::Pc::INST_BYTES)
-    }
-
-    /// Total architecturally-correct instructions emitted so far.
-    #[inline]
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Produce the next architecturally-correct dynamic instruction.
-    pub fn next_inst(&mut self) -> DynInst {
-        let cur = self.cur;
-        let b = self.program.block(cur);
-        let sinst = b.insts[self.off];
-        let pc = b.pc_at(self.off);
-        let is_last = self.off + 1 == b.len();
-
-        let addr = match sinst.mem {
-            Some(g) => self.correct_addr(g),
-            None => 0,
-        };
-
-        let mut ctrl = None;
-        if !is_last {
-            self.off += 1;
-        } else {
-            let (next, outcome) = self.resolve_terminator(cur, pc);
-            self.cur = next;
-            self.off = 0;
-            ctrl = outcome;
-        }
-        self.emitted += 1;
-        DynInst { pc, sinst, addr, ctrl }
-    }
-
-    /// Produce the next run of instructions block-at-a-time: one block
-    /// lookup per basic block instead of one per instruction, with the
-    /// per-instruction work reduced to the address draw and the record
-    /// write. Emits exactly the sequence repeated [`Self::next_inst`]
-    /// calls would (same RNG draw order), which the equivalence test
-    /// pins.
-    pub fn fill(&mut self, buf: &mut ChunkBuf) {
-        // Keep the cursor-undo log bounded: nothing older than the
-        // rewind horizon can ever be asked for again.
-        while self
-            .cursor_log
-            .front()
-            .is_some_and(|&(stamp, _, _)| stamp + WP_VIEW_HORIZON < self.emitted)
-        {
-            self.cursor_log.pop_front();
-        }
-        // A second handle on the program so block borrows don't conflict
-        // with the RNG/cursor state `correct_addr_impl` mutates.
-        let program = Arc::clone(&self.program);
-        while buf.room() > 0 {
-            let cur = self.cur;
-            let b = program.block(cur);
-            let len = b.len();
-            // Body instructions (everything before the block's last slot).
-            while self.off + 1 < len && buf.room() > 0 {
-                let sinst = b.insts[self.off];
-                let pc = b.pc_at(self.off);
-                let addr = match sinst.mem {
-                    Some(g) => self.correct_addr_impl(g, true),
-                    None => 0,
-                };
-                self.off += 1;
-                self.emitted += 1;
-                buf.push(DynInst { pc, sinst, addr, ctrl: None });
-            }
-            if buf.room() == 0 {
-                return;
-            }
-            // The block's last instruction resolves the terminator.
-            let sinst = b.insts[self.off];
-            let pc = b.pc_at(self.off);
-            let addr = match sinst.mem {
-                Some(g) => self.correct_addr_impl(g, true),
-                None => 0,
-            };
-            let (next, ctrl) = self.resolve_terminator(cur, pc);
-            self.cur = next;
-            self.off = 0;
-            self.emitted += 1;
-            buf.push(DynInst { pc, sinst, addr, ctrl });
-        }
-    }
-
-    /// Freeze the wrong-path cursor view at the consumption point: the
-    /// machine has consumed everything generated except the last
-    /// `unconsumed` instructions (its chunk backlog). See
-    /// [`crate::TraceSource::sync_wrong_path_view`].
-    pub fn sync_wrong_path_view(&mut self, unconsumed: u64) {
-        if unconsumed == 0 {
-            self.wp_view = None;
-            return;
-        }
-        debug_assert!(unconsumed <= WP_VIEW_HORIZON, "chunk backlog outran the undo log");
-        let consumed = self.emitted - unconsumed;
-        let mut view = self.cursors;
-        // Newest-to-oldest: the final write per region is its *oldest*
-        // unconsumed mutation's prior state — the state at `consumed`.
-        for &(stamp, r, prev) in self.cursor_log.iter().rev() {
-            if stamp < consumed {
-                break; // stamps ascend: everything earlier is consumed
-            }
-            view[r as usize] = prev;
-        }
-        self.wp_view = Some(view);
-    }
-
-    /// Fabricate an effective address for a *wrong-path* instruction with
-    /// memory-generator `g`. Uses the dedicated wrong-path RNG and never
-    /// mutates scan cursors, so correct-path determinism is preserved no
-    /// matter how much mis-speculated work the pipeline performs.
-    pub fn wrong_path_addr(&mut self, g: MemGen) -> u64 {
-        match g {
-            MemGen::Stack => {
-                let off = self.wp_rng.gen_range(0..STACK_BYTES / 8) * 8;
-                self.region_start[0] + off
-            }
-            MemGen::Stride { stride } => {
-                let r = Self::draw_region(
-                    self.region_weights,
-                    self.region_weight_total,
-                    &mut self.wp_rng,
-                );
-                // Peek the scan state without committing it — through the
-                // consumption-point view when batched generation has run
-                // the live cursors ahead of the machine.
-                let (base, cursor) = match self.wp_view {
-                    Some(view) => view[r],
-                    None => self.cursors[r],
-                };
-                let window = STRIDE_WINDOW.min(self.region_size[r]);
-                let next = base + (cursor + stride as u64) % window;
-                self.region_start[r] + next
-            }
-            MemGen::Random => {
-                let r = Self::draw_region(
-                    self.region_weights,
-                    self.region_weight_total,
-                    &mut self.wp_rng,
-                );
-                let span = if self.wp_rng.gen::<f32>() < HOT_P {
-                    (self.region_size[r] / HOT_DIVISOR).max(8)
-                } else {
-                    self.region_size[r]
-                };
-                let off = self.wp_rng.gen_range(0..span / 8) * 8;
-                self.region_start[r] + off
-            }
-        }
-    }
-
+    /// Draw the correct-path effective address for generator `g`. Scan
+    /// cursor mutations are logged (with the index of the mutating
+    /// instruction) so `sync_wrong_path_view` can rewind to a consumption
+    /// point.
     fn correct_addr(&mut self, g: MemGen) -> u64 {
-        self.correct_addr_impl(g, false)
-    }
-
-    /// `log`: batched generation records cursor mutations (with the index
-    /// of the mutating instruction) so [`Self::sync_wrong_path_view`] can
-    /// rewind to a consumption point. Per-call generation never outruns
-    /// its consumer, so it skips the log.
-    fn correct_addr_impl(&mut self, g: MemGen, log: bool) -> u64 {
         match g {
             MemGen::Stack => {
                 let off = self.rng.gen_range(0..STACK_BYTES / 8) * 8;
@@ -345,9 +159,7 @@ impl TraceStream {
                     Self::draw_region(self.region_weights, self.region_weight_total, &mut self.rng);
                 let window = STRIDE_WINDOW.min(self.region_size[r]);
                 let (mut base, mut cursor) = self.cursors[r];
-                if log {
-                    self.cursor_log.push_back((self.emitted, r as u8, (base, cursor)));
-                }
+                self.cursor_log.push_back((self.emitted, r as u8, (base, cursor)));
                 cursor += stride as u64;
                 if cursor >= window {
                     // Lap complete: usually rescan (temporal reuse), but
@@ -437,53 +249,147 @@ impl TraceStream {
     }
 }
 
-/// The synthetic stream is one of the two [`crate::TraceSource`]
-/// front-ends (the other is the RV64I emulator in `hdsmt-riscv`); the
-/// trait methods delegate to the inherent API above.
-impl crate::TraceSource for TraceStream {
-    #[inline]
-    fn next_inst(&mut self) -> DynInst {
-        TraceStream::next_inst(self)
-    }
-
-    #[inline]
+/// The synthetic stream is one of the two [`TraceSource`] front-ends (the
+/// other is the RV64I emulator in `hdsmt-riscv`).
+impl TraceSource for TraceStream {
+    /// Block-at-a-time generation: one block lookup per basic block, with
+    /// the per-instruction work reduced to the address draw and the
+    /// record write.
     fn fill(&mut self, buf: &mut ChunkBuf) {
-        TraceStream::fill(self, buf)
+        // Keep the cursor-undo log bounded: nothing older than the
+        // rewind horizon can ever be asked for again.
+        while self
+            .cursor_log
+            .front()
+            .is_some_and(|&(stamp, _, _)| stamp + WP_VIEW_HORIZON < self.emitted)
+        {
+            self.cursor_log.pop_front();
+        }
+        // A second handle on the program so block borrows don't conflict
+        // with the RNG/cursor state `correct_addr` mutates.
+        let program = Arc::clone(&self.program);
+        while buf.room() > 0 {
+            let cur = self.cur;
+            let b = program.block(cur);
+            let len = b.len();
+            // Body instructions (everything before the block's last slot).
+            while self.off + 1 < len && buf.room() > 0 {
+                let sinst = b.insts[self.off];
+                let pc = b.pc_at(self.off);
+                let addr = match sinst.mem {
+                    Some(g) => self.correct_addr(g),
+                    None => 0,
+                };
+                self.off += 1;
+                self.emitted += 1;
+                buf.push(DynInst { pc, sinst, addr, ctrl: None });
+            }
+            if buf.room() == 0 {
+                return;
+            }
+            // The block's last instruction resolves the terminator.
+            let sinst = b.insts[self.off];
+            let pc = b.pc_at(self.off);
+            let addr = match sinst.mem {
+                Some(g) => self.correct_addr(g),
+                None => 0,
+            };
+            let (next, ctrl) = self.resolve_terminator(cur, pc);
+            self.cur = next;
+            self.off = 0;
+            self.emitted += 1;
+            buf.push(DynInst { pc, sinst, addr, ctrl });
+        }
     }
 
-    #[inline]
+    /// Fabricate an effective address for a *wrong-path* instruction with
+    /// memory-generator `g`. Uses the dedicated wrong-path RNG and never
+    /// mutates scan cursors, so correct-path determinism is preserved no
+    /// matter how much mis-speculated work the pipeline performs.
     fn wrong_path_addr(&mut self, g: MemGen) -> u64 {
-        TraceStream::wrong_path_addr(self, g)
+        match g {
+            MemGen::Stack => {
+                let off = self.wp_rng.gen_range(0..STACK_BYTES / 8) * 8;
+                self.region_start[0] + off
+            }
+            MemGen::Stride { stride } => {
+                let r = Self::draw_region(
+                    self.region_weights,
+                    self.region_weight_total,
+                    &mut self.wp_rng,
+                );
+                // Peek the scan state without committing it — through the
+                // consumption-point view when a chunk has run the live
+                // cursors ahead of the machine.
+                let (base, cursor) = match self.wp_view {
+                    Some(view) => view[r],
+                    None => self.cursors[r],
+                };
+                let window = STRIDE_WINDOW.min(self.region_size[r]);
+                let next = base + (cursor + stride as u64) % window;
+                self.region_start[r] + next
+            }
+            MemGen::Random => {
+                let r = Self::draw_region(
+                    self.region_weights,
+                    self.region_weight_total,
+                    &mut self.wp_rng,
+                );
+                let span = if self.wp_rng.gen::<f32>() < HOT_P {
+                    (self.region_size[r] / HOT_DIVISOR).max(8)
+                } else {
+                    self.region_size[r]
+                };
+                let off = self.wp_rng.gen_range(0..span / 8) * 8;
+                self.region_start[r] + off
+            }
+        }
     }
 
-    #[inline]
+    /// Freeze the wrong-path cursor view at the consumption point: the
+    /// machine has consumed everything generated except the last
+    /// `unconsumed` instructions (its chunk backlog).
     fn sync_wrong_path_view(&mut self, unconsumed: u64) {
-        TraceStream::sync_wrong_path_view(self, unconsumed)
+        if unconsumed == 0 {
+            self.wp_view = None;
+            return;
+        }
+        debug_assert!(unconsumed <= WP_VIEW_HORIZON, "chunk backlog outran the undo log");
+        let consumed = self.emitted - unconsumed;
+        let mut view = self.cursors;
+        // Newest-to-oldest: the final write per region is its *oldest*
+        // unconsumed mutation's prior state — the state at `consumed`.
+        for &(stamp, r, prev) in self.cursor_log.iter().rev() {
+            if stamp < consumed {
+                break; // stamps ascend: everything earlier is consumed
+            }
+            view[r as usize] = prev;
+        }
+        self.wp_view = Some(view);
     }
 
     #[inline]
     fn program(&self) -> &Arc<Program> {
-        TraceStream::program(self)
+        &self.program
     }
 
     #[inline]
     fn code_base(&self) -> u64 {
-        TraceStream::code_base(self)
+        self.code_start
     }
 
-    #[inline]
     fn code_range(&self) -> (u64, u64) {
-        TraceStream::code_range(self)
+        let start = self.program.block(self.program.entry()).start;
+        (self.code_start + start.0, self.program.len_insts() * Pc::INST_BYTES)
     }
 
-    #[inline]
+    /// The stack and the three heap regions.
     fn region_layout(&self) -> [(u64, u64); 4] {
-        TraceStream::region_layout(self)
-    }
-
-    #[inline]
-    fn emitted(&self) -> u64 {
-        TraceStream::emitted(self)
+        let mut out = [(0, 0); 4];
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = (self.region_start[i], self.region_size[i]);
+        }
+        out
     }
 }
 
@@ -501,72 +407,54 @@ mod tests {
 
     #[test]
     fn deterministic_replay() {
-        let mut a = stream_for("gzip", 11, 0);
-        let mut b = stream_for("gzip", 11, 0);
+        let (mut a, mut abuf) = (stream_for("gzip", 11, 0), ChunkBuf::new());
+        let (mut b, mut bbuf) = (stream_for("gzip", 11, 0), ChunkBuf::new());
         for _ in 0..20_000 {
-            assert_eq!(a.next_inst(), b.next_inst());
+            assert_eq!(abuf.next_from(&mut a), bbuf.next_from(&mut b));
         }
-        assert_eq!(a.emitted(), 20_000);
+        assert_eq!(a.emitted - abuf.len() as u64, 20_000);
     }
 
     #[test]
     fn block_at_a_time_fill_matches_per_call_generation() {
-        // The batched path must emit exactly the per-call sequence, for
-        // chunk capacities that land refills on every possible offset
-        // within a block — and stay equivalent when the two entry points
-        // interleave mid-block.
-        for cap in [1, 3, 7, 64] {
-            let mut a = stream_for("gcc", 17, 1);
-            let mut b = stream_for("gcc", 17, 1);
-            let mut buf = ChunkBuf::with_capacity(cap);
-            let mut produced = 0u64;
-            while produced < 20_000 {
-                buf.reset();
-                a.fill(&mut buf);
-                assert!(!buf.is_empty(), "fill must emit at least one instruction");
-                while let Some(d) = buf.pop() {
-                    assert_eq!(d, b.next_inst(), "cap {cap}, inst {produced}");
-                    produced += 1;
-                }
-                if produced.is_multiple_of(640) {
-                    // Interleave a direct call between refills.
-                    assert_eq!(a.next_inst(), b.next_inst());
-                    produced += 1;
-                }
+        // A capacity-1 chunk generates one instruction per refill: the
+        // per-call reference. Larger capacities land refills on every
+        // possible offset within a block and must emit the same stream.
+        for cap in [3, 7, 48, 64] {
+            let (mut a, mut abuf) = (stream_for("gcc", 17, 1), ChunkBuf::with_capacity(cap));
+            let (mut b, mut bbuf) = (stream_for("gcc", 17, 1), ChunkBuf::with_capacity(1));
+            for n in 0..20_000 {
+                assert_eq!(abuf.next_from(&mut a), bbuf.next_from(&mut b), "cap {cap}, inst {n}");
             }
-            assert_eq!(a.emitted(), b.emitted());
+            assert_eq!(a.emitted - abuf.len() as u64, b.emitted);
         }
     }
 
     #[test]
     fn synced_wrong_path_view_matches_per_call_generation() {
         // A chunked consumer that anchors the wrong-path view at each
-        // episode start must fabricate exactly the addresses a per-call
-        // consumer sees, even though its generation frontier runs a
+        // episode start must fabricate exactly the addresses the per-call
+        // reference sees, even though its generation frontier runs a
         // chunk ahead of the machine.
-        let mut per_call = stream_for("mcf", 23, 0);
-        let mut chunked = stream_for("mcf", 23, 0);
-        let mut buf = ChunkBuf::with_capacity(48);
-        let g = hdsmt_isa::MemGen::Stride { stride: 64 };
-        let mut consumed = 0u64;
-        while consumed < 30_000 {
-            buf.reset();
-            chunked.fill(&mut buf);
-            while let Some(d) = buf.pop() {
-                assert_eq!(d, per_call.next_inst());
-                consumed += 1;
+        let g = MemGen::Stride { stride: 64 };
+        for cap in [3, 7, 48, 64] {
+            let (mut per_call, mut pbuf) = (stream_for("mcf", 23, 0), ChunkBuf::with_capacity(1));
+            let (mut chunked, mut cbuf) = (stream_for("mcf", 23, 0), ChunkBuf::with_capacity(cap));
+            for consumed in 1..=30_000u64 {
+                assert_eq!(cbuf.next_from(&mut chunked), pbuf.next_from(&mut per_call));
                 if consumed.is_multiple_of(97) {
                     // Wrong-path episode opens at this instruction.
-                    chunked.sync_wrong_path_view(buf.len() as u64);
+                    chunked.sync_wrong_path_view(cbuf.len() as u64);
+                    per_call.sync_wrong_path_view(pbuf.len() as u64);
                     for _ in 0..4 {
                         assert_eq!(
                             chunked.wrong_path_addr(g),
                             per_call.wrong_path_addr(g),
-                            "stride fabrication diverged at inst {consumed}"
+                            "cap {cap}: stride fabrication diverged at inst {consumed}"
                         );
                         assert_eq!(
-                            chunked.wrong_path_addr(hdsmt_isa::MemGen::Random),
-                            per_call.wrong_path_addr(hdsmt_isa::MemGen::Random)
+                            chunked.wrong_path_addr(MemGen::Random),
+                            per_call.wrong_path_addr(MemGen::Random)
                         );
                     }
                 }
@@ -576,26 +464,26 @@ mod tests {
 
     #[test]
     fn wrong_path_does_not_perturb_correct_path() {
-        let mut a = stream_for("vpr", 3, 0);
-        let mut b = stream_for("vpr", 3, 0);
-        let g = hdsmt_isa::MemGen::Random;
+        let (mut a, mut abuf) = (stream_for("vpr", 3, 0), ChunkBuf::new());
+        let (mut b, mut bbuf) = (stream_for("vpr", 3, 0), ChunkBuf::new());
+        let g = MemGen::Random;
         for i in 0..10_000 {
             if i % 3 == 0 {
                 // Arbitrary amounts of wrong-path traffic on `a` only.
                 for _ in 0..5 {
                     let _ = a.wrong_path_addr(g);
-                    let _ = a.wrong_path_addr(hdsmt_isa::MemGen::Stack);
+                    let _ = a.wrong_path_addr(MemGen::Stack);
                 }
             }
-            assert_eq!(a.next_inst(), b.next_inst(), "diverged at {i}");
+            assert_eq!(abuf.next_from(&mut a), bbuf.next_from(&mut b), "diverged at {i}");
         }
     }
 
     #[test]
     fn control_outcomes_are_consistent() {
-        let mut s = stream_for("gcc", 5, 0);
+        let (mut s, mut buf) = (stream_for("gcc", 5, 0), ChunkBuf::new());
         for _ in 0..50_000 {
-            let d = s.next_inst();
+            let d = buf.next_from(&mut s);
             assert_eq!(d.sinst.op.is_control(), d.ctrl.is_some(), "{:?}", d.sinst.op);
             if let Some(c) = d.ctrl {
                 if !c.taken {
@@ -609,11 +497,11 @@ mod tests {
 
     #[test]
     fn addresses_live_in_declared_regions() {
-        let mut s = stream_for("mcf", 9, 3);
+        let (mut s, mut buf) = (stream_for("mcf", 9, 3), ChunkBuf::new());
         assert_eq!(s.code_base() >> 40, 4, "asid 3 occupies the fourth address-space slot");
         let layout = s.region_layout();
         for _ in 0..50_000 {
-            let d = s.next_inst();
+            let d = buf.next_from(&mut s);
             if d.sinst.op.is_mem() {
                 assert_eq!(d.addr & 7, 0, "addresses are 8-byte aligned");
                 let ok =
@@ -641,10 +529,10 @@ mod tests {
         };
         let prog = Arc::new(Program::build(vec![b0, b1], BlockId(0)).unwrap());
         let profile = spec::by_name("gzip").unwrap();
-        let mut s = TraceStream::new(prog, profile, 1, 0);
+        let (mut s, mut buf) = (TraceStream::new(prog, profile, 1, 0), ChunkBuf::new());
         let mut outcomes = Vec::new();
         for _ in 0..40 {
-            let d = s.next_inst();
+            let d = buf.next_from(&mut s);
             if d.sinst.op == Op::CondBranch {
                 outcomes.push(d.ctrl.unwrap().taken);
             }
@@ -657,10 +545,10 @@ mod tests {
 
     #[test]
     fn calls_return_to_call_site() {
-        let mut s = stream_for("vortex", 21, 0);
+        let (mut s, mut buf) = (stream_for("vortex", 21, 0), ChunkBuf::new());
         let mut expected_returns: Vec<Pc> = Vec::new();
         for _ in 0..200_000 {
-            let d = s.next_inst();
+            let d = buf.next_from(&mut s);
             match d.sinst.op {
                 Op::Call => {
                     // Architectural return address: target of the matching
@@ -683,10 +571,10 @@ mod tests {
 
     #[test]
     fn distinct_asids_never_alias() {
-        let mut a = stream_for("gzip", 1, 0);
-        let mut b = stream_for("gzip", 1, 1);
+        let (mut a, mut abuf) = (stream_for("gzip", 1, 0), ChunkBuf::new());
+        let (mut b, mut bbuf) = (stream_for("gzip", 1, 1), ChunkBuf::new());
         for _ in 0..5_000 {
-            let (x, y) = (a.next_inst(), b.next_inst());
+            let (x, y) = (abuf.next_from(&mut a), bbuf.next_from(&mut b));
             if x.sinst.op.is_mem() {
                 assert_ne!(x.addr, y.addr);
                 assert_ne!(x.addr >> 40, y.addr >> 40);
@@ -697,12 +585,12 @@ mod tests {
     #[test]
     fn dynamic_mix_roughly_matches_profile() {
         let p = spec::by_name("gzip").unwrap();
-        let mut s = stream_for("gzip", 2, 0);
+        let (mut s, mut buf) = (stream_for("gzip", 2, 0), ChunkBuf::new());
         let n = 200_000;
         let mut loads = 0u64;
         let mut branches = 0u64;
         for _ in 0..n {
-            let d = s.next_inst();
+            let d = buf.next_from(&mut s);
             if d.sinst.op.is_load() {
                 loads += 1;
             }
