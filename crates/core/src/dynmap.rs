@@ -6,13 +6,14 @@
 //! during execution."
 //!
 //! This module implements that extension: at a fixed cycle interval, the
-//! §2.1 heuristic ([`heuristic_by_misses`]) is re-evaluated on *runtime*
-//! data-cache misses per retired instruction over the last interval
-//! (instead of offline profile data) and threads whose assignment changed
-//! are migrated. A migration squashes the thread's uncommitted work
-//! (replaying the architectural instructions through the normal FLUSH
-//! recovery path) and re-homes it on the new pipeline, modelling the
-//! drain-and-move cost a real implementation would pay.
+//! §2.1 heuristic (the one behind [`crate::heuristic_mapping`]) is
+//! re-evaluated on *runtime* data-cache misses per retired instruction
+//! over the last interval (instead of offline profile data) and threads
+//! whose assignment changed are migrated. A migration squashes the
+//! thread's uncommitted work (replaying the architectural instructions
+//! through the normal FLUSH recovery path) and re-homes it on the new
+//! pipeline, modelling the drain-and-move cost a real implementation
+//! would pay.
 
 use crate::config::{SimConfig, ThreadSpec};
 use crate::mapping::heuristic_by_misses;
@@ -48,7 +49,8 @@ pub fn run_dynamic(
     let mut intervals = 0u64;
 
     while !proc.finished() && proc.cycle() < cfg.max_cycles {
-        proc.step();
+        // The warping cycle loop, stopped at each decision cycle.
+        proc.run_until(next_decision, &mut || false);
         if proc.cycle() >= next_decision {
             next_decision += interval_cycles;
             intervals += 1;
@@ -140,6 +142,34 @@ mod tests {
             dynamic.result.ipc(),
             static_good.ipc()
         );
+    }
+
+    #[test]
+    fn warping_is_invisible_to_dynamic_remapping() {
+        // `run_dynamic` runs on the warping cycle loop, each warp stopped
+        // at the next decision cycle: with the engine on and off it must
+        // make the same decisions and end in the same state, at every
+        // interval `reproduce ablate-dynmap` uses.
+        for (arch, initial) in [("M8", [0u8, 0]), ("2M4+2M2", [2, 0])] {
+            let cfg = SimConfig::paper_defaults(MicroArch::parse(arch).unwrap(), 12_000);
+            let mut stepped_cfg = cfg.clone();
+            stepped_cfg.warp = false;
+            for interval in [2_000, 8_000, 32_000] {
+                let warped = run_dynamic(&cfg, &specs(), &initial, interval);
+                let stepped = run_dynamic(&stepped_cfg, &specs(), &initial, interval);
+                assert!(warped.intervals > 0, "{arch}/{interval}: no decision taken");
+                assert_eq!(warped.result.stats, stepped.result.stats, "{arch}/{interval}");
+                assert_eq!(warped.result.mapping, stepped.result.mapping, "{arch}/{interval}");
+                assert_eq!(warped.migrations, stepped.migrations, "{arch}/{interval}");
+                assert_eq!(warped.intervals, stepped.intervals, "{arch}/{interval}");
+            }
+            // The comparison means something only if the loop warps
+            // before the first decision.
+            let mut proc = Processor::new(cfg, &specs(), &initial);
+            proc.run_until(2_000, &mut || false);
+            assert_eq!(proc.cycle(), 2_000, "{arch}: a capped warp stops at the decision");
+            assert!(proc.warped_cycles() > 0, "{arch}: nothing warped");
+        }
     }
 
     #[test]

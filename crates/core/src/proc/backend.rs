@@ -102,7 +102,7 @@ impl Processor {
                     thread: t as u8,
                     src_phys,
                 };
-                let pushed = self.threads[t].rob.push_tail(id);
+                let pushed = self.threads[t].rob.push_back(id);
                 debug_assert!(pushed, "ROB space checked above");
                 self.pipes[p].dispatch_latch.push(entry);
                 moved += 1;
@@ -219,7 +219,7 @@ impl Processor {
                     // re-parks the load with a concrete cycle.
                     self.threads[e.thread as usize].blocked_loads.push((store_seq, e));
                 } else {
-                    lq.park_at(known_at, e);
+                    lq.park_at(known_at, e, now);
                 }
             }
             self.scratch_blocked = blocked;
@@ -296,7 +296,7 @@ impl Processor {
                     let lq = &mut self.pipes[p].lq;
                     let was_ready = lq.remove_ready(id);
                     debug_assert!(was_ready, "replayed load came from the ready set");
-                    lq.park_at(now + 2, ReadyEntry { seq, addr, id, thread: t as u8, op });
+                    lq.park_at(now + 2, ReadyEntry { seq, addr, id, thread: t as u8, op }, now);
                     return;
                 }
                 if !wrong && access.level != hdsmt_mem::HitLevel::L1 {
@@ -336,7 +336,7 @@ impl Processor {
                     }
                 });
                 for &e in &unblocked {
-                    self.pipes[p].lq.park_at(agen_done, e);
+                    self.pipes[p].lq.park_at(agen_done, e, now);
                 }
                 self.scratch_unblocked = unblocked;
             }

@@ -22,7 +22,7 @@ impl Processor {
                 }
                 let t = self.pipes[p].threads[(start + k) % n_threads];
                 while budget > 0 {
-                    let Some(head) = self.threads[t].rob.head() else { break };
+                    let Some(&head) = self.threads[t].rob.front() else { break };
                     // Hot half first: a head that cannot retire yet — the
                     // common case every polled cycle — is decided without
                     // touching its cold record.
@@ -56,7 +56,7 @@ impl Processor {
                             self.regfile.free(old);
                         }
                     }
-                    self.threads[t].rob.pop_head();
+                    self.threads[t].rob.pop_front();
                     self.threads[t].last_committed_seq = seq;
                     if is_ctrl {
                         self.threads[t].ckpt.prune_committed(seq);

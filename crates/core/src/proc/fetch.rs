@@ -10,7 +10,7 @@
 //! wider pipeline, then ICOUNT).
 
 use hdsmt_bpred::branch_key;
-use hdsmt_isa::{Op, Pc, Program, SeqNum, StaticInst, Terminator};
+use hdsmt_isa::{Op, Pc, SeqNum, StaticInst};
 use hdsmt_pipeline::{ColdInst, HotInst};
 use hdsmt_trace::DynInst;
 
@@ -118,38 +118,16 @@ impl Processor {
     fn next_fetch_inst(&mut self, t: usize) -> (DynInst, bool) {
         let th = &mut self.threads[t];
         if let Some(wpc) = th.wrong_path {
-            // Sequential wrong-path fetches hit the cursor; only taken
-            // targets (and redirects) pay the dictionary search.
-            let hit = if th.wp_cursor.0 == wpc {
-                Some((th.wp_cursor.1, th.wp_cursor.2 as usize))
-            } else {
-                th.stream.program().lookup_id(wpc)
-            };
-            let d = match hit {
-                Some((blk, off)) => {
-                    let (sinst, blk_len) = {
-                        let b = th.stream.program().block(blk);
-                        (b.insts[off], b.insts.len())
-                    };
-                    th.wp_cursor = if off + 1 < blk_len {
-                        (wpc.next(), blk, (off + 1) as u32)
-                    } else {
-                        (Pc(u64::MAX), blk, 0)
-                    };
-                    let addr = match sinst.mem {
-                        Some(g) => th.stream.wrong_path_addr(g),
-                        None => 0,
-                    };
-                    DynInst { pc: wpc, sinst, addr, ctrl: None }
-                }
-                None => DynInst {
-                    pc: wpc,
-                    sinst: StaticInst { op: Op::Nop, dst: None, srcs: [None, None], mem: None },
-                    addr: 0,
-                    ctrl: None,
-                },
-            };
-            (d, true)
+            // The wrong path decodes real static instructions from the
+            // basic-block dictionary, and no-ops once it runs off the image.
+            let sinst = th.stream.program().inst_at(wpc).copied().unwrap_or(StaticInst {
+                op: Op::Nop,
+                dst: None,
+                srcs: [None, None],
+                mem: None,
+            });
+            let addr = sinst.mem.map_or(0, |g| th.stream.wrong_path_addr(g));
+            (DynInst { pc: wpc, sinst, addr, ctrl: None }, true)
         } else if let Some(d) = th.replay.pop_front() {
             (d, false)
         } else {
@@ -161,24 +139,10 @@ impl Processor {
         }
     }
 
-    /// Taken target of the control transfer at `pc` (a pure function of
-    /// the thread's program), through a per-thread direct-mapped memo.
-    fn taken_target(&mut self, t: usize, pc: Pc) -> Pc {
-        let slot = (((pc.0 >> 2) ^ (pc.0 >> 9)) as usize) & 63;
-        let th = &mut self.threads[t];
-        if th.taken_memo[slot].0 == pc {
-            return th.taken_memo[slot].1;
-        }
-        let target = static_taken_target(th.stream.program(), pc);
-        th.taken_memo[slot] = (pc, target);
-        target
-    }
-
     /// Rename-free front half of fetch for one instruction: prediction,
     /// RAS/history bookkeeping, wrong-path transitions, buffer insertion.
     /// Returns whether the burst ends after this instruction.
     fn fetch_one(&mut self, t: usize, pipe_idx: usize, d: DynInst, wrong: bool) -> bool {
-        let now = self.cycle;
         let op = d.sinst.op;
         let seq = self.threads[t].next_seq;
         self.threads[t].next_seq += 1;
@@ -195,10 +159,10 @@ impl Processor {
                     let (p, snap) = self.dir.predict(t, key);
                     self.dir.spec_update(t, p);
                     dir_snap = Some(snap);
-                    let tt = self.taken_target(t, d.pc);
-                    (p, if p { tt } else { d.pc.next() })
+                    let program = self.threads[t].stream.program();
+                    (p, if p { program.taken_target(d.pc) } else { d.pc.next() })
                 }
-                Op::Jump | Op::Call => (true, self.taken_target(t, d.pc)),
+                Op::Jump | Op::Call => (true, self.threads[t].stream.program().taken_target(d.pc)),
                 Op::Return => (true, self.threads[t].ras.pop()),
                 Op::IndirectJump => (true, self.btb.lookup(key).unwrap_or(d.pc.next())),
                 _ => unreachable!(),
@@ -267,22 +231,6 @@ impl Processor {
             th.st.fetched += 1;
         }
         self.fetched_total += 1;
-        let _ = now;
         end_burst
-    }
-}
-
-/// Static target of the direct control transfer ending the block at `pc`
-/// (conditional taken-target, loop back-edge, jump or call destination).
-fn static_taken_target(program: &Program, pc: Pc) -> Pc {
-    match program.lookup(pc) {
-        Some((b, off)) if off + 1 == b.len() => match &b.term {
-            Terminator::Cond { taken, .. } => program.block(*taken).start,
-            Terminator::Loop { back, .. } => program.block(*back).start,
-            Terminator::Jump { target } => program.block(*target).start,
-            Terminator::Call { callee, .. } => program.block(*callee).start,
-            _ => pc.next(),
-        },
-        _ => pc.next(),
     }
 }

@@ -27,10 +27,12 @@
 //! * **Blocked loads** are fully evented too: a load whose oldest
 //!   unknown-address older store has not issued waits on that store's
 //!   issue (`Thread::blocked_loads`); once the store's agen completion
-//!   cycle is known the load sits in the queue's timed park and rejoins
-//!   the ready set exactly when the address becomes visible. The
-//!   load-ordering walk itself reads the per-thread [`LqStore`] list
-//!   (program-ordered, denormalised) instead of rescanning the LQ.
+//!   cycle is known the load moves to the queue's park (a
+//!   [`CompletionWheel`] of ready entries, also where MSHR-full loads
+//!   back off) and rejoins the ready set exactly when the address becomes
+//!   visible. The load-ordering walk itself reads the per-thread
+//!   `LqStore` list (program-ordered, denormalised) instead of rescanning
+//!   the LQ.
 //! * **Completion wheel** ([`CompletionWheel`]): executing instructions
 //!   are filed under their completion cycle; writeback drains exactly the
 //!   bucket due now. Squashed in-flight executions are reclaimed from
@@ -53,18 +55,18 @@
 //! those cycles cheap, and the warp engine removes them entirely:
 //!
 //! * **Quiescence proof.** Every stage sets a bit in
-//!   [`Processor::activity`] the moment it does observable work (the
-//!   [`act`] flags). A step that ends with the mask zero changed nothing
+//!   `Processor::activity` the moment it does observable work (the
+//!   `act` flags). A step that ends with the mask zero changed nothing
 //!   but the per-cycle rotation counters — and, since every inter-cycle
 //!   dependency in the machine is *scheduled* (wheel completions, FLUSH
 //!   triggers, park expiries, fetch-stall releases, MSHR fills), the
 //!   machine will do nothing again until the earliest scheduled event.
 //! * **The [`Timeline`] contract.** Each time-bearing subsystem reports
-//!   its next-activity cycle: both wheels via
+//!   its next-activity cycle. Every wheel reports through
 //!   `CompletionWheel::next_due` (O(1): near-ring occupancy mask + far
-//!   minimum; stale entries included, which is conservative, never
-//!   wrong), each issue queue's timed park via
-//!   `IssueQueue::park_next_due`, and each live thread's
+//!   minimum): the completion and FLUSH wheels directly, stale entries
+//!   included, which is conservative, never wrong; each issue queue's
+//!   park through `IssueQueue::park_next_due`. So does each live thread's
 //!   `stalled_until` (threads that are done report nothing; FLUSH-gated
 //!   or buffer-blocked threads ride the completion that releases them).
 //!   The MSHR files deliberately report nothing: a fill expiry on its
@@ -73,11 +75,15 @@
 //!   release), so reporting the earliest fill would only truncate warps.
 //!   Quiescence makes the list exhaustive: anything that could act
 //!   sooner would have set an activity bit this cycle.
-//! * **The warp.** [`Processor::run`] jumps `cycle` straight to
-//!   `min(next event, max_cycles)`, advancing `fetch_rr`/`commit_rr` by
+//! * **The warp.** The one cycle loop behind [`Processor::run`] and
+//!   [`crate::run_dynamic`] jumps `cycle` straight to
+//!   `min(next event, stop cycle)`, where the stop cycle is `max_cycles`
+//!   or the next re-mapping decision, advancing `fetch_rr`/`commit_rr` by
 //!   the skipped distance (they tick on idle cycles and feed priority
-//!   tie-breaks) and letting the wheels perform the far-entry migrations
-//!   the skipped lap boundaries would have done. Nothing else moves —
+//!   tie-breaks) and letting the completion and FLUSH wheels perform the
+//!   far-entry migrations the skipped lap boundaries would have done (a
+//!   park's entries are a few cycles out, always in its near ring, so a
+//!   park has none to migrate). Nothing else moves —
 //!   that is exactly what the proof established — so statistics are
 //!   **bit-identical** to single-stepping: enforced by the golden-stats
 //!   matrix, by a warp-on/off differential proptest, and — under
@@ -114,11 +120,11 @@ mod squash;
 use std::collections::VecDeque;
 
 use hdsmt_bpred::{Btb, DirectionPredictor, Ras, RasSnapshot};
-use hdsmt_isa::{BlockId, FuKind, Pc, ThreadId};
+use hdsmt_isa::{FuKind, Pc, ThreadId};
 use hdsmt_mem::MemHier;
 use hdsmt_pipeline::{
     Completion, CompletionWheel, FuPool, InstId, InstPool, IssueQueue, PipeModel, ReadyEntry,
-    RegFile, RenameMap, RingBuf, Rob, Waiter,
+    RegFile, RenameMap, RingBuf, Waiter,
 };
 use hdsmt_trace::{ChunkBuf, DynInst, TraceSource};
 
@@ -189,7 +195,8 @@ pub(crate) struct Thread {
     /// instruction, for rewinds at arbitrary squash points.
     pub ckpt: CheckpointLog<(RasSnapshot, u64)>,
     pub map: RenameMap,
-    pub rob: Rob,
+    /// Reorder buffer, program-ordered.
+    pub rob: RingBuf<InstId>,
     pub next_seq: u64,
     pub last_committed_seq: u64,
     /// Pre-issue instruction count (the ICOUNT priority key).
@@ -202,17 +209,9 @@ pub(crate) struct Thread {
     /// no LQ rescans and no instruction-pool traffic per candidate load.
     pub lq_stores: VecDeque<LqStore>,
     /// Ready loads blocked on a specific not-yet-issued older store
-    /// (keyed by that store's sequence number). Woken — moved to the LQ's
-    /// timed park — when the store issues.
+    /// (keyed by that store's sequence number). Moved to the LQ's park,
+    /// due at the store's agen completion cycle, when the store issues.
     pub blocked_loads: Vec<(u64, ReadyEntry)>,
-    /// Wrong-path fetch cursor: (pc, block, offset) of the next
-    /// fabricated instruction. Caches the pure pc → block dictionary
-    /// mapping so sequential wrong-path runs skip the binary search;
-    /// keyed by pc, so a stale cursor simply misses.
-    pub wp_cursor: (Pc, BlockId, u32),
-    /// Direct-mapped memo of control-transfer taken targets (also a pure
-    /// function of the program; loops make it hit constantly).
-    pub taken_memo: Vec<(Pc, Pc)>,
     pub st: ThreadStats,
     /// Retired its run-length target.
     pub done: bool,
@@ -429,15 +428,13 @@ impl Processor {
                 ras,
                 ckpt,
                 map: RenameMap::new(i, &regfile),
-                rob: Rob::new(ROB_ENTRIES),
+                rob: RingBuf::new(ROB_ENTRIES),
                 next_seq: 1,
                 last_committed_seq: 0,
                 icount: 0,
                 inflight_loads: 0,
                 lq_stores: VecDeque::new(),
                 blocked_loads: Vec::new(),
-                wp_cursor: (Pc(u64::MAX), BlockId(0), 0),
-                taken_memo: vec![(Pc(u64::MAX), Pc(0)); 64],
                 st: ThreadStats { benchmark: spec.name.clone(), pipe, ..Default::default() },
                 done: false,
             });
@@ -631,22 +628,37 @@ impl Processor {
     /// state. This is how a per-cell watchdog deadline cancels a hung or
     /// over-budget simulation without a second thread.
     pub fn run_interruptible(&mut self, should_stop: &mut dyn FnMut() -> bool) -> Option<SimStats> {
+        self.run_until(u64::MAX, should_stop).then(|| self.collect_stats())
+    }
+
+    /// The one cycle loop: step (warping over proven-quiescent ranges)
+    /// until the run ends or the cycle counter reaches `stop_at` or
+    /// `max_cycles`, whichever is first. No warp passes `stop_at`, so a
+    /// caller that acts on the machine at that cycle (dynamic re-mapping)
+    /// sees exactly the state single-stepping would have left. Returns
+    /// `false` when `should_stop` abandoned the loop.
+    pub(crate) fn run_until(
+        &mut self,
+        stop_at: u64,
+        should_stop: &mut dyn FnMut() -> bool,
+    ) -> bool {
         // Polling cadence: cheap enough to be invisible next to `step()`,
         // frequent enough that a deadline lands within milliseconds.
         const POLL_MASK: u64 = 4096 - 1;
+        let limit = stop_at.min(self.cfg.max_cycles);
         let mut steps: u64 = 0;
-        while !self.stop && self.cycle < self.cfg.max_cycles {
+        while !self.stop && self.cycle < limit {
             self.step();
             if self.activity == 0 && self.warp_enabled {
                 self.quiescent_steps += 1;
-                self.try_warp();
+                self.try_warp(limit);
             }
             steps += 1;
             if steps & POLL_MASK == 0 && should_stop() {
-                return None;
+                return false;
             }
         }
-        Some(self.collect_stats())
+        true
     }
 
     /// Aggregate every subsystem's next-activity report. Only meaningful
@@ -660,7 +672,7 @@ impl Processor {
         tl.observe("flush-wheel", self.flush_wheel.next_due(now));
         for p in &self.pipes {
             for q in [&p.iq, &p.fq, &p.lq] {
-                tl.observe("timed-park", q.park_next_due());
+                tl.observe("timed-park", q.park_next_due(now));
             }
         }
         // The MSHR files report nothing: a fill expiry on its own wakes
@@ -700,10 +712,10 @@ impl Processor {
     }
 
     /// After a proven-quiescent step: jump to the next event on the
-    /// timeline (capped at `max_cycles`). No-op when the next event is
-    /// the very next cycle or the timeline is empty with no finite cycle
-    /// cap (an idle-forever machine keeps its single-stepped semantics).
-    fn try_warp(&mut self) {
+    /// timeline, capped at `limit`. No-op when the next event is the very
+    /// next cycle or the timeline is empty with no finite cap (an
+    /// idle-forever machine keeps its single-stepped semantics).
+    fn try_warp(&mut self, limit: u64) {
         debug_assert_eq!(self.activity, 0);
         debug_assert_eq!(self.regfile.pending_wakeups(), 0, "quiescent with undrained wakeups");
         debug_assert!(self.squashed_exec.is_empty(), "quiescent with unreclaimed squashes");
@@ -718,18 +730,14 @@ impl Processor {
             // missed event.
             Some(at) => {
                 debug_assert!(at >= self.cycle, "a past event cannot be pending while quiescent");
-                at.min(self.cfg.max_cycles)
+                at.min(limit)
             }
-            // Nothing scheduled, ever. With a finite cycle cap the
+            // Nothing scheduled, ever. With a finite cap the
             // single-stepped machine would idle to the cap; replicate
             // that. With no cap it would hang — preserve that semantic
             // (such a machine is a modelling bug, not a warp decision).
-            None => {
-                if self.cfg.max_cycles == u64::MAX {
-                    return;
-                }
-                self.cfg.max_cycles
-            }
+            None if limit == u64::MAX => return,
+            None => limit,
         };
         if target <= self.cycle {
             return;
@@ -1054,7 +1062,7 @@ impl Processor {
         let executing = self
             .threads
             .iter()
-            .flat_map(|t| t.rob.iter())
+            .flat_map(|t| t.rob.iter().copied())
             .filter(|&id| self.pool.hot(id).state() == InstState::Executing)
             .count();
         assert_eq!(wheel_live, executing, "completion wheel out of step with the ROBs");

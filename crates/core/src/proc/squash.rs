@@ -33,7 +33,7 @@ impl Processor {
         // whole-queue purge passes afterwards. Only the pre-rename
         // front-end containers (decoupling buffer, stage latches) are
         // swept by flag below.
-        while let Some(tail) = self.threads[t].rob.tail() {
+        while let Some(&tail) = self.threads[t].rob.back() {
             // Hot half decides whether the walk stops; the cold half (rename
             // mappings, the fetched instruction) is opened only for entries
             // actually being squashed — walk-back is one of the two stages
@@ -45,7 +45,7 @@ impl Processor {
             if seq <= seq_min {
                 break;
             }
-            self.threads[t].rob.pop_tail();
+            self.threads[t].rob.pop_back();
 
             // Undo the rename, youngest-first restores the oldest mapping.
             // Only a renamed destination needs the cold record opened (for

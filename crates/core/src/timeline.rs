@@ -10,11 +10,11 @@
 //! such events reports the earliest cycle at which it could act into a
 //! `Timeline`:
 //!
-//! * the **completion wheel** and the **FLUSH wheel**
-//!   (`CompletionWheel::next_due`): the earliest filed completion/trigger,
-//!   stale entries included (conservative, never wrong);
-//! * each issue queue's **timed park** (`IssueQueue::park_next_due`):
-//!   MSHR back-off retries and store-agen waits;
+//! * every **wheel**, through `CompletionWheel::next_due`: the completion
+//!   wheel and the FLUSH wheel (the earliest filed completion/trigger,
+//!   stale entries included — conservative, never wrong), and each issue
+//!   queue's **park** (`IssueQueue::park_next_due`: MSHR back-off retries
+//!   and store-agen waits);
 //! * the **front end**: each live thread's fetch-stall release cycle
 //!   (`stalled_until` — I-cache misses, redirect bubbles). A thread that
 //!   is done contributes nothing; a FLUSH-gated thread's release rides
@@ -31,9 +31,10 @@
 //! completion that actually wakes the machine.
 //!
 //! The fold keeps the minimum (and its source label, for diagnostics).
-//! `Processor::run` then warps the cycle counter directly to
-//! `min(next_event, max_cycles)` instead of idling through the dead
-//! range. Statistics stay bit-identical because a quiescent cycle
+//! The processor's one cycle loop (behind `Processor::run` and
+//! `run_dynamic`) then warps the cycle counter directly to
+//! `min(next_event, stop cycle)` — `max_cycles`, or the next re-mapping
+//! decision — instead of idling through the dead range. Statistics stay bit-identical because a quiescent cycle
 //! mutates nothing except the per-cycle rotation counters (`fetch_rr`,
 //! `commit_rr`), which the warp advances by exactly the skipped distance.
 

@@ -5,7 +5,10 @@
 //! PC-indexed lookup ([`Program::lookup`]) is the paper's "basic block
 //! dictionary in which information of all static instructions is contained"
 //! (§4): it lets the front-end keep decoding real static instructions while
-//! fetching down a mispredicted path.
+//! fetching down a mispredicted path, and gives fetch the static taken
+//! target of every direct control transfer ([`Program::taken_target`]).
+//! The image is contiguous, so the dictionary is a dense array indexed by
+//! instruction slot and every lookup is O(1).
 
 use crate::{BasicBlock, BlockId, Op, Pc, StaticInst, Terminator};
 
@@ -14,10 +17,9 @@ use crate::{BasicBlock, BlockId, Op, Pc, StaticInst, Terminator};
 pub struct Program {
     blocks: Vec<BasicBlock>,
     entry: BlockId,
-    /// `starts[i]` = start PC value of `blocks[i]`; strictly increasing, so
-    /// PC lookup is a binary search.
-    starts: Vec<u64>,
-    total_insts: u64,
+    /// `block_at[i]` = index of the block holding the instruction at
+    /// `BASE_PC + i * INST_BYTES`: one entry per static instruction.
+    block_at: Vec<u32>,
 }
 
 /// Static instruction-mix statistics for a program.
@@ -48,20 +50,17 @@ impl Program {
         if entry.index() >= blocks.len() {
             return Err("entry block out of range".into());
         }
-        let n = blocks.len();
         let mut pc = Self::BASE_PC;
-        let mut starts = Vec::with_capacity(n);
-        let mut total_insts = 0u64;
+        let mut block_at = Vec::new();
         for (i, b) in blocks.iter_mut().enumerate() {
             if b.id.index() != i {
                 return Err(format!("block at position {i} has id {:?}", b.id));
             }
             b.start = pc;
-            starts.push(pc.0);
             pc = pc.advance(b.insts.len() as u64);
-            total_insts += b.insts.len() as u64;
+            block_at.resize(block_at.len() + b.insts.len(), i as u32);
         }
-        let prog = Program { blocks, entry, starts, total_insts };
+        let prog = Program { blocks, entry, block_at };
         prog.validate()?;
         Ok(prog)
     }
@@ -106,7 +105,7 @@ impl Program {
     /// Total static instruction count.
     #[inline]
     pub fn len_insts(&self) -> u64 {
-        self.total_insts
+        self.block_at.len() as u64
     }
 
     /// The dictionary: map a PC to its block and instruction offset.
@@ -116,24 +115,34 @@ impl Program {
         self.lookup_id(pc).map(|(id, off)| (self.block(id), off))
     }
 
-    /// [`Self::lookup`] returning the block id, for callers that cache
-    /// fetch cursors across calls.
+    /// [`Self::lookup`] returning the block id. O(1): one index into the
+    /// dense slot → block array.
     pub fn lookup_id(&self, pc: Pc) -> Option<(BlockId, usize)> {
-        if pc.0 < Self::BASE_PC.0 || !pc.0.is_multiple_of(Pc::INST_BYTES) {
+        let rel = pc.0.checked_sub(Self::BASE_PC.0)?;
+        if !rel.is_multiple_of(Pc::INST_BYTES) {
             return None;
         }
-        // partition_point: index of the first block whose start is > pc.
-        let idx = self.starts.partition_point(|&s| s <= pc.0);
-        if idx == 0 {
-            return None;
-        }
-        let b = &self.blocks[idx - 1];
-        let off = ((pc.0 - b.start.0) / Pc::INST_BYTES) as usize;
-        if off < b.insts.len() {
-            Some((b.id, off))
-        } else {
-            None // PC past the final block's end.
-        }
+        let &idx = self.block_at.get(usize::try_from(rel / Pc::INST_BYTES).ok()?)?;
+        let b = &self.blocks[idx as usize];
+        Some((b.id, ((pc.0 - b.start.0) / Pc::INST_BYTES) as usize))
+    }
+
+    /// Static target of the control transfer at `pc` when taken: the
+    /// successor named by the terminator of the block `pc` ends
+    /// (conditional taken edge, loop back-edge, jump or call destination),
+    /// and `pc.next()` anywhere else.
+    pub fn taken_target(&self, pc: Pc) -> Pc {
+        let target = match self.lookup(pc) {
+            Some((b, off)) if off + 1 == b.len() => match b.term {
+                Terminator::Cond { taken, .. } => Some(taken),
+                Terminator::Loop { back, .. } => Some(back),
+                Terminator::Jump { target } => Some(target),
+                Terminator::Call { callee, .. } => Some(callee),
+                _ => None,
+            },
+            _ => None,
+        };
+        target.map_or(pc.next(), |id| self.block(id).start)
     }
 
     /// The static instruction at `pc`, if inside the image.

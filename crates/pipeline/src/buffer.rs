@@ -1,13 +1,17 @@
-//! Per-pipeline decoupling buffers.
+//! Fixed-capacity FIFOs: the per-pipeline decoupling buffers and the
+//! per-thread reorder buffers.
 //!
 //! "In order to decouple the fetch engine from the characteristics of each
 //! specific pipeline it feeds, some small buffers are added before each
 //! pipeline … the fetch engine inserts in-order the fetched instructions at
 //! its own rate while each pipeline extracts in-order instructions
-//! according to its width." (§2)
+//! according to its width." (§2) A squash must also be able to delete a
+//! thread's instructions that are still sitting in the buffer, hence
+//! `retain`.
 //!
-//! A squash must also be able to delete a thread's instructions that are
-//! still sitting in the buffer, hence `retain`.
+//! The paper replicates a 256-entry ROB per thread (Table 1, §3), a
+//! `RingBuf<InstId>`: commit pops the head in order, and squash walks
+//! back from the tail with `back`/`pop_back`.
 
 use std::collections::VecDeque;
 
@@ -64,6 +68,18 @@ impl<T> RingBuf<T> {
         self.q.front()
     }
 
+    /// Youngest entry (the ROB's squash candidate).
+    #[inline]
+    pub fn back(&self) -> Option<&T> {
+        self.q.back()
+    }
+
+    /// Remove the youngest entry (walk-back squash).
+    #[inline]
+    pub fn pop_back(&mut self) -> Option<T> {
+        self.q.pop_back()
+    }
+
     /// Squash support: drop entries failing the predicate, preserving order.
     pub fn retain(&mut self, f: impl FnMut(&T) -> bool) {
         self.q.retain(f);
@@ -111,6 +127,62 @@ mod tests {
         // Three slots are free again: exactly three more pushes land.
         assert!((0..3).all(|i| b.push_back(i)));
         assert!(b.is_full() && !b.push_back(9));
+    }
+
+    #[test]
+    fn fifo_order() {
+        let mut r = RingBuf::new(4);
+        for i in 0..4 {
+            assert!(r.push_back(i));
+        }
+        assert!(!r.push_back(99), "full ring rejects");
+        assert_eq!(r.pop_front(), Some(0));
+        assert_eq!(r.pop_front(), Some(1));
+        assert!(r.push_back(4));
+        let order: Vec<u32> = r.iter().copied().collect();
+        assert_eq!(order, [2, 3, 4]);
+    }
+
+    #[test]
+    fn tail_squash() {
+        let mut r = RingBuf::new(8);
+        for i in 0..5 {
+            r.push_back(i);
+        }
+        assert_eq!(r.back(), Some(&4));
+        assert_eq!(r.pop_back(), Some(4));
+        assert_eq!(r.pop_back(), Some(3));
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.front(), Some(&0));
+        // Push after squash reuses the space.
+        assert!(r.push_back(10));
+        let order: Vec<u32> = r.iter().copied().collect();
+        assert_eq!(order, [0, 1, 2, 10]);
+    }
+
+    #[test]
+    fn wraparound_stress() {
+        let mut r = RingBuf::new(3);
+        let mut next = 0u32;
+        let mut expect_head = 0u32;
+        #[allow(clippy::explicit_counter_loop)] // head lags tail; not a plain index
+        for _ in 0..100 {
+            while r.push_back(next) {
+                next += 1;
+            }
+            assert!(r.is_full());
+            assert_eq!(r.pop_front(), Some(expect_head));
+            expect_head += 1;
+        }
+    }
+
+    #[test]
+    fn empty_behaviour() {
+        let mut r = RingBuf::<u32>::new(2);
+        assert!(r.is_empty());
+        assert_eq!((r.front(), r.back()), (None, None));
+        assert_eq!(r.pop_front(), None);
+        assert_eq!(r.pop_back(), None);
     }
 
     #[test]

@@ -24,18 +24,19 @@
 //!
 //! The scheduler-facing structures are *event-driven*: the register file
 //! keeps producer-indexed wakeup lists, each issue queue keeps an eagerly
-//! maintained ready set plus a timed park for replayed/blocked entries,
-//! and the completion wheel files executing instructions by completion
-//! cycle so writeback drains O(due) work. Stale cross-references are
+//! maintained ready set plus a retry park (a [`CompletionWheel`] of ready
+//! entries) for replayed/blocked entries, and the completion wheel files
+//! executing instructions by completion cycle so writeback drains O(due)
+//! work. Stale cross-references are
 //! impossible by construction: the instruction pool gives every slot a
 //! generation, and consumers validate `(id, generation)` pairs on use.
 //!
 //! The time-bearing structures also *report their horizon* for the
 //! processor's quiescence-skipping cycle engine: the completion wheel's
 //! [`CompletionWheel::next_due`] (O(1) — near-ring occupancy bitmask plus
-//! a maintained far-list minimum) and each queue's
-//! [`IssueQueue::park_next_due`] tell the core `Timeline` the earliest
-//! cycle they could act, and [`CompletionWheel::warp_to`] performs the
+//! a maintained far-list minimum), which each queue's park reports through
+//! [`IssueQueue::park_next_due`], tells the core `Timeline` the earliest
+//! cycle a wheel could act, and [`CompletionWheel::warp_to`] performs the
 //! far-entry migrations that skipped lap boundaries would have done. See
 //! `hdsmt_core::proc` for the full contract.
 //!
@@ -66,7 +67,6 @@ pub mod inst;
 pub mod model;
 pub mod queue;
 pub mod regfile;
-pub mod rob;
 pub mod wheel;
 
 pub use buffer::RingBuf;
@@ -75,5 +75,4 @@ pub use inst::{ColdInst, HotInst, InstId, InstPool, InstState};
 pub use model::{MicroArch, PipeModel, M2, M4, M6, M8};
 pub use queue::{IssueQueue, ReadyEntry};
 pub use regfile::{PhysReg, RegFile, RenameMap, Waiter};
-pub use rob::Rob;
 pub use wheel::{Completion, CompletionWheel, WheelEntry};

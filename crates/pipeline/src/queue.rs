@@ -20,17 +20,23 @@
 //! instruction-pool memory at all, which is what lets the scheduler's
 //! per-cycle paths run on the hot half of the instruction pool alone
 //! (see `inst`).
+//!
+//! An operand-ready entry that cannot issue yet for a known number of
+//! cycles (an MSHR-full load backing off, a load waiting for an older
+//! store's address) leaves the ready set for the queue's **park**, a
+//! [`CompletionWheel`] of `ReadyEntry` payloads filed by the cycle the
+//! entry rejoins the ready set. Issue drains it once per cycle; squash
+//! purges it eagerly, since every parked entry must be live; and its
+//! [`CompletionWheel::next_due`] is the queue's report to the
+//! processor's quiescence engine.
 
 use hdsmt_isa::Op;
 
 use crate::inst::InstId;
+use crate::wheel::CompletionWheel;
 
 /// Position sentinel: not in this queue.
 const ABSENT: u32 = u32::MAX;
-
-/// Park-wheel size: must exceed the longest park distance (MSHR back-off
-/// of 2, store address-generation of 1 + register-file latency ≤ 8).
-const PARK_SLOTS: usize = 16;
 
 /// One operand-ready instruction, with the metadata issue selection sorts
 /// and filters on. Self-contained: age ordering, FU routing and the
@@ -51,18 +57,17 @@ pub struct ReadyEntry {
 }
 
 /// One issue queue: a capacity-bounded membership set with O(1)
-/// insert/remove, a wakeup-fed ready set, and a retry park for
-/// structurally-replayed entries (MSHR back-pressure).
+/// insert/remove, a wakeup-fed ready set, and a retry park for entries
+/// that must wait a known number of cycles before rejoining it.
 pub struct IssueQueue {
     entries: Vec<InstId>,
     /// `pos[id] == i` ⇔ `entries[i] == id`; `ABSENT` when not a member.
     pos: Vec<u32>,
     /// Operand-ready members, every entry live (eagerly maintained).
     ready: Vec<ReadyEntry>,
-    /// Near-future re-admissions (MSHR back-off, store-agen waits), a
-    /// small timing wheel: bucket `cycle % PARK_SLOTS`.
-    parked: [Vec<(u64, ReadyEntry)>; PARK_SLOTS],
-    parked_count: usize,
+    /// Near-future re-admissions (MSHR back-off, store-agen waits), filed
+    /// by the cycle they rejoin `ready`.
+    park: CompletionWheel<ReadyEntry>,
     capacity: usize,
 }
 
@@ -72,8 +77,7 @@ impl IssueQueue {
             entries: Vec::with_capacity(capacity),
             pos: Vec::new(),
             ready: Vec::new(),
-            parked: std::array::from_fn(|_| Vec::new()),
-            parked_count: 0,
+            park: CompletionWheel::new(),
             capacity,
         }
     }
@@ -138,7 +142,7 @@ impl IssueQueue {
     }
 
     /// Keep only entries satisfying `f` (squash support). This does NOT
-    /// touch the ready set or the timed park: callers removing members
+    /// touch the ready set or the park: callers removing members
     /// must also evict their ready/parked entries (the scheduler does so
     /// eagerly — see `squash_younger`), since every ready entry is
     /// required to be live.
@@ -185,52 +189,42 @@ impl IssueQueue {
     }
 
     /// Park an entry until cycle `at` (MSHR back-off, or a blocking
-    /// store's pending address generation). `at` must be within
-    /// `PARK_SLOTS` cycles of the current cycle, and [`IssueQueue::
-    /// unpark_due`] must run every cycle so buckets hold one lap only.
-    pub fn park_at(&mut self, at: u64, e: ReadyEntry) {
-        self.parked[(at as usize) % PARK_SLOTS].push((at, e));
-        self.parked_count += 1;
+    /// store's pending address generation), at most 8 cycles after the
+    /// current cycle `now`: always inside the wheel's near ring, so a
+    /// processor warp never has a parked entry to migrate.
+    /// [`IssueQueue::unpark_due`] must run every cycle.
+    pub fn park_at(&mut self, at: u64, e: ReadyEntry, now: u64) {
+        debug_assert!(at <= now + 8, "park waits are a few cycles");
+        self.park.schedule(at, e, now);
     }
 
     /// Move every parked entry due exactly at `now` back onto the ready
     /// set, in park order, returning how many moved. O(due).
     pub fn unpark_due(&mut self, now: u64) -> usize {
-        if self.parked_count == 0 {
+        if self.park.is_empty() {
             return 0;
         }
-        let bucket = &mut self.parked[(now as usize) % PARK_SLOTS];
-        debug_assert!(bucket.iter().all(|&(at, _)| at == now), "park beyond the wheel horizon");
-        let n = bucket.len();
-        self.parked_count -= n;
-        self.ready.extend(bucket.drain(..).map(|(_, e)| e));
-        n
+        let before = self.ready.len();
+        self.park.drain_due(now, &mut self.ready);
+        self.ready.len() - before
     }
 
-    /// Earliest cycle any parked entry comes due, or `u64::MAX` when the
-    /// park is empty — the queue's next-activity report into the
-    /// processor's `Timeline`. Every parked entry is within `PARK_SLOTS`
-    /// cycles of now, so this scan is tiny and only runs when the machine
-    /// already looks quiescent.
-    pub fn park_next_due(&self) -> u64 {
-        if self.parked_count == 0 {
-            return u64::MAX;
-        }
-        self.parked.iter().flatten().map(|&(at, _)| at).min().unwrap_or(u64::MAX)
+    /// Earliest cycle (`>= now`) any parked entry comes due, or
+    /// `u64::MAX` when the park is empty — the queue's next-activity
+    /// report into the processor's `Timeline`.
+    #[inline]
+    pub fn park_next_due(&self, now: u64) -> u64 {
+        self.park.next_due(now)
     }
 
     /// Drop parked entries rejected by `keep` (squash support).
-    pub fn purge_parked(&mut self, mut keep: impl FnMut(&ReadyEntry) -> bool) {
-        for b in &mut self.parked {
-            let before = b.len();
-            b.retain(|(_, e)| keep(e));
-            self.parked_count -= before - b.len();
-        }
+    pub fn purge_parked(&mut self, keep: impl FnMut(&ReadyEntry) -> bool) {
+        self.park.retain(keep);
     }
 
     /// Parked entries (debug/invariant support).
     pub fn parked_entries(&self) -> impl Iterator<Item = &ReadyEntry> {
-        self.parked.iter().flatten().map(|(_, e)| e)
+        self.park.iter().map(|e| &e.c)
     }
 }
 
@@ -313,7 +307,7 @@ mod tests {
             q.push(InstId(i));
         }
         q.mark_ready(re(0, 10));
-        q.park_at(7, re(1, 20));
+        q.park_at(7, re(1, 20), 0);
         assert_eq!(q.ready_entries().len(), 1, "parked entries are not ready yet");
         q.unpark_due(6);
         assert_eq!(q.ready_entries().len(), 1, "not due yet");
@@ -329,14 +323,18 @@ mod tests {
         for i in 0..3 {
             q.push(InstId(i));
         }
-        assert_eq!(q.park_next_due(), u64::MAX, "empty park reports no activity");
-        q.park_at(9, re(0, 10));
-        q.park_at(4, re(1, 20));
-        assert_eq!(q.park_next_due(), 4);
-        q.unpark_due(4);
-        assert_eq!(q.park_next_due(), 9);
-        q.unpark_due(9);
-        assert_eq!(q.park_next_due(), u64::MAX);
+        assert_eq!(q.park_next_due(1), u64::MAX, "empty park reports no activity");
+        q.park_at(9, re(0, 10), 1);
+        q.park_at(4, re(1, 20), 1);
+        assert_eq!(q.park_next_due(1), 4);
+        for now in 1..=4 {
+            q.unpark_due(now);
+        }
+        assert_eq!(q.park_next_due(5), 9);
+        for now in 5..=9 {
+            q.unpark_due(now);
+        }
+        assert_eq!(q.park_next_due(10), u64::MAX);
         assert!(!q.ready_entries().is_empty());
     }
 

@@ -1,4 +1,4 @@
-//! The completion wheel: time-indexed buckets of executing instructions.
+//! The completion wheel: time-indexed buckets of scheduled events.
 //!
 //! Writeback used to scan a linear execution list every cycle, touching
 //! every in-flight instruction to find the few whose `ready_cycle` is
@@ -12,13 +12,15 @@
 //! cycles) and an unbounded far list for memory misses, swept into the
 //! ring once per lap.
 //!
-//! Entries are deliberately just `(cycle, id, generation)` — twelve
-//! bytes of payload: everything writeback needs beyond the identity
-//! (state, destination register, opcode classification) sits in the
-//! instruction's *hot* pool record, so the drain runs without opening a
-//! single cold record. Squashed instructions are *not* removed from their
-//! bucket; the processor releases their pool slot (bumping the generation)
-//! and the stale entry is discarded when its bucket comes up.
+//! The payload defaults to a [`Completion`]: just `(id, generation)`, as
+//! everything writeback needs beyond the identity (state, destination
+//! register, opcode classification) sits in the instruction's *hot* pool
+//! record, so the drain runs without opening a single cold record.
+//! Squashed instructions are *not* removed from their bucket; the
+//! processor releases their pool slot (bumping the generation) and the
+//! stale entry is discarded when its bucket comes up. Each issue queue's
+//! retry park is a wheel of `ReadyEntry` payloads instead, purged eagerly
+//! on squash with [`CompletionWheel::retain`].
 
 use crate::inst::InstId;
 
@@ -33,19 +35,19 @@ pub struct Completion {
     pub gen: u32,
 }
 
-/// One wheel slot: a completion plus its absolute due cycle.
+/// One wheel slot: a payload plus its absolute due cycle.
 #[derive(Clone, Copy, Debug)]
-pub struct WheelEntry {
-    /// Absolute cycle the instruction completes.
+pub struct WheelEntry<T = Completion> {
+    /// Absolute cycle the entry comes due.
     pub at: u64,
-    pub c: Completion,
+    pub c: T,
 }
 
-/// Time-indexed completion buckets (near ring + far overflow).
-pub struct CompletionWheel {
+/// Time-indexed buckets (near ring + far overflow) of `T` payloads.
+pub struct CompletionWheel<T = Completion> {
     /// One lap of buckets; an entry due within `NEAR_SLOTS` cycles lives
     /// in bucket `at % NEAR_SLOTS`.
-    near: Vec<Vec<WheelEntry>>,
+    near: Vec<Vec<WheelEntry<T>>>,
     /// Bit `b` set ⇔ `near[b]` is non-empty. Because a bucket only ever
     /// holds entries of one due cycle at a time (it is drained at that
     /// cycle before the index can recur), the mask plus the current cycle
@@ -55,7 +57,7 @@ pub struct CompletionWheel {
     occupied: u64,
     /// Completions beyond the ring horizon (memory misses), migrated into
     /// the ring at lap boundaries.
-    far: Vec<WheelEntry>,
+    far: Vec<WheelEntry<T>>,
     /// Exact earliest `at` on the far list (`u64::MAX` when empty);
     /// maintained on push and recomputed during the migration pass that
     /// removes entries.
@@ -64,13 +66,13 @@ pub struct CompletionWheel {
     scheduled: usize,
 }
 
-impl Default for CompletionWheel {
+impl<T: Copy> Default for CompletionWheel<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl CompletionWheel {
+impl<T: Copy> CompletionWheel<T> {
     /// A wheel. The two-tier design handles any completion distance: the
     /// near ring covers one lap, the far list everything beyond it.
     pub fn new() -> Self {
@@ -88,8 +90,8 @@ impl CompletionWheel {
         (at as usize) & (NEAR_SLOTS - 1)
     }
 
-    /// File a completion for cycle `at` (strictly in the future of `now`).
-    pub fn schedule(&mut self, at: u64, c: Completion, now: u64) {
+    /// File `c` for cycle `at` (strictly in the future of `now`).
+    pub fn schedule(&mut self, at: u64, c: T, now: u64) {
         debug_assert!(at > now, "completions are always at least one cycle out");
         let e = WheelEntry { at, c };
         if ((at - now) as usize) < NEAR_SLOTS {
@@ -102,9 +104,9 @@ impl CompletionWheel {
         self.scheduled += 1;
     }
 
-    /// Remove and append to `out` every completion due exactly at `now`.
+    /// Remove and append to `out` every entry due exactly at `now`.
     /// Must be called every cycle (buckets hold one lap only).
-    pub fn drain_due(&mut self, now: u64, out: &mut Vec<Completion>) {
+    pub fn drain_due(&mut self, now: u64, out: &mut Vec<T>) {
         // Lap boundary: pull the next lap's far entries into the ring.
         if (now as usize) & (NEAR_SLOTS - 1) == 0 && !self.far.is_empty() {
             self.migrate_far(now);
@@ -177,6 +179,30 @@ impl CompletionWheel {
         }
     }
 
+    /// Drop every filed entry whose payload `keep` rejects, keeping the
+    /// order of the rest (eager squash purge). Visits only the
+    /// occupied buckets.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let mut occupied = self.occupied;
+        while occupied != 0 {
+            let b = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            let bucket = &mut self.near[b];
+            let before = bucket.len();
+            bucket.retain(|e| keep(&e.c));
+            self.scheduled -= before - bucket.len();
+            if bucket.is_empty() {
+                self.occupied &= !(1 << b);
+            }
+        }
+        if !self.far.is_empty() {
+            let before = self.far.len();
+            self.far.retain(|e| keep(&e.c));
+            self.scheduled -= before - self.far.len();
+            self.far_min = self.far.iter().map(|e| e.at).min().unwrap_or(u64::MAX);
+        }
+    }
+
     /// Entries currently filed (stale ones included).
     #[inline]
     pub fn len(&self) -> usize {
@@ -189,7 +215,7 @@ impl CompletionWheel {
     }
 
     /// Every filed entry, for invariant checking.
-    pub fn iter(&self) -> impl Iterator<Item = &WheelEntry> {
+    pub fn iter(&self) -> impl Iterator<Item = &WheelEntry<T>> {
         self.near.iter().flatten().chain(self.far.iter())
     }
 }
@@ -300,6 +326,30 @@ mod tests {
         let mut out = Vec::new();
         w.drain_due(1000, &mut out);
         assert_eq!(out, vec![c(5, 2)]);
+    }
+
+    #[test]
+    fn retain_purges_both_tiers() {
+        let mut w = CompletionWheel::new();
+        w.schedule(5, c(1, 0), 0);
+        w.schedule(5, c(2, 0), 0);
+        w.schedule(5, c(3, 0), 0);
+        w.schedule(9, c(4, 0), 0);
+        w.schedule(300, c(6, 0), 0); // far
+        w.schedule(700, c(5, 0), 0); // far
+        w.retain(|e| e.id.0 % 2 == 1);
+        assert_eq!(w.len(), 3);
+        assert_eq!(w.next_due(1), 5);
+        w.retain(|e| e.id.0 != 1);
+        let mut out = Vec::new();
+        w.drain_due(5, &mut out);
+        assert_eq!(out, vec![c(3, 0)], "the emptied bucket 9 no longer reports");
+        assert_eq!(w.next_due(6), 700, "the far minimum follows the purge");
+        w.warp_to(700);
+        out.clear();
+        w.drain_due(700, &mut out);
+        assert_eq!(out, vec![c(5, 0)]);
+        assert!(w.is_empty());
     }
 
     #[test]

@@ -47,9 +47,9 @@ pub fn by_name(name: &str) -> Option<&'static BenchProfile> {
 
 /// The fixed synthetic binary of benchmark `name`, or `None` for an
 /// unknown name. The first call for a name synthesizes the program from
-/// its [`program_seed`]; every later call in the process shares that one
-/// immutable image, so concurrent callers racing on a name get the same
-/// pointer.
+/// its fixed per-benchmark seed; every later call in the process shares
+/// that one immutable image, so concurrent callers racing on a name get
+/// the same pointer.
 pub fn program(name: &str) -> Option<Arc<Program>> {
     static PROGRAMS: ProgramMemo = [const { OnceLock::new() }; BENCHMARK_NAMES.len()];
     program_in(&PROGRAMS, name)

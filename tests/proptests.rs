@@ -7,7 +7,7 @@ use hdsmt::bpred::Ras;
 use hdsmt::core::{enumerate_mappings, run_sim, SimConfig, ThreadSpec};
 use hdsmt::isa::Pc;
 use hdsmt::mem::{Cache, CacheConfig, Tlb};
-use hdsmt::pipeline::{MicroArch, RegFile, RingBuf, Rob};
+use hdsmt::pipeline::{InstId, MicroArch, RegFile, RingBuf};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -51,45 +51,52 @@ proptest! {
         }
     }
 
-    /// RingBuf is a faithful bounded FIFO.
+    /// RingBuf is a faithful bounded FIFO at both ends: the decoupling
+    /// buffers' retain, and the ROB's head commit and tail squash under
+    /// random interleavings.
     #[test]
-    fn ringbuf_matches_vecdeque(ops in prop::collection::vec((0u8..3, 0u32..100), 1..200)) {
+    fn ringbuf_matches_vecdeque(ops in prop::collection::vec((0u8..5, 0u32..100), 1..300)) {
         let mut ring = RingBuf::new(8);
         let mut model = std::collections::VecDeque::new();
         for (op, v) in ops {
             match op {
-                0 => {
+                0 | 1 => {
                     let ok = ring.push_back(v);
                     prop_assert_eq!(ok, model.len() < 8);
                     if ok { model.push_back(v); }
                 }
-                1 => prop_assert_eq!(ring.pop_front(), model.pop_front()),
+                2 => prop_assert_eq!(ring.pop_front(), model.pop_front()),
+                3 => prop_assert_eq!(ring.pop_back(), model.pop_back()),
                 _ => {
                     ring.retain(|x| x % 3 != 0);
                     model.retain(|x| x % 3 != 0);
                 }
             }
             prop_assert_eq!(ring.len(), model.len());
+            prop_assert_eq!(ring.front(), model.front());
+            prop_assert_eq!(ring.back(), model.back());
         }
+        prop_assert!(ring.iter().eq(model.iter()));
     }
 
     /// ROB tail-squash + head-commit keep FIFO order under random
-    /// interleavings.
+    /// interleavings: the ROB is a RingBuf<InstId> committed from the front
+    /// and squashed from the back.
     #[test]
     fn rob_order_under_mixed_ops(ops in prop::collection::vec(0u8..4, 1..300)) {
-        let mut rob = Rob::new(16);
+        let mut rob: RingBuf<InstId> = RingBuf::new(16);
         let mut model = std::collections::VecDeque::new();
         let mut next = 0u32;
         for op in ops {
             match op {
                 0 | 1 => {
-                    let ok = rob.push_tail(hdsmt::pipeline::InstId(next));
+                    let ok = rob.push_back(InstId(next));
                     prop_assert_eq!(ok, model.len() < 16);
                     if ok { model.push_back(next); }
                     next += 1;
                 }
-                2 => prop_assert_eq!(rob.pop_head().map(|i| i.0), model.pop_front()),
-                _ => prop_assert_eq!(rob.pop_tail().map(|i| i.0), model.pop_back()),
+                2 => prop_assert_eq!(rob.pop_front().map(|i| i.0), model.pop_front()),
+                _ => prop_assert_eq!(rob.pop_back().map(|i| i.0), model.pop_back()),
             }
             prop_assert_eq!(rob.len(), model.len());
         }
