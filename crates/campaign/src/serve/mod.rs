@@ -15,12 +15,19 @@
 //! | `/healthz`                | GET    | liveness probe                             |
 //! | `/stats`                  | GET    | uptime, job totals, cache hit/miss/corrupt |
 //! | `/campaigns`              | POST   | submit a spec (TOML or JSON body) → 202 + id |
-//! | `/campaigns`              | GET    | list submitted campaigns                   |
-//! | `/campaigns/:id`          | GET    | per-cell progress snapshot                 |
+//! | `/campaigns`              | GET    | list held campaigns, in submission order   |
+//! | `/campaigns/:id`          | GET    | per-cell progress snapshot (404 if dropped) |
 //! | `/campaigns/:id/results`  | GET    | export (`?format=json\|csv\|summary`)      |
 //! | `/cells/:hash`            | GET    | verbatim cache entry by content key        |
 //! | `/cells/:hash?sha256=hex` | PUT    | land one checksummed cache entry           |
 //! | `/shutdown`               | POST   | graceful drain (same as SIGINT)            |
+//!
+//! The registry holds every queued and running campaign, plus the
+//! [`state::CAMPAIGNS_RETAINED`] settled (done or failed) ones most
+//! recently settled or read; reading a campaign's snapshot or results
+//! counts. Past that bound the least recently read settled campaign is
+//! dropped: its id then answers 404 on both routes, like an unknown one,
+//! and its cells stay in the cache. `/stats` counts every submission.
 //!
 //! Errors are structured JSON (`{"error":{"status":…,"message":…}}`) —
 //! see [`api`] for the exact status-code mapping. Backpressure 503s from

@@ -1,9 +1,9 @@
-//! Shared daemon state: the campaign registry, per-campaign progress
-//! counters, the bounded memo of finished results, and the global
-//! service counters behind `GET /stats`. Every accepted campaign is
-//! registered here and queued for the daemon's one executor.
+//! Shared daemon state: the bounded campaign registry, per-campaign
+//! progress counters, the bounded memo of finished results, and the
+//! global service counters behind `GET /stats`. Every accepted campaign
+//! is registered here and queued for the daemon's one executor.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -122,6 +122,86 @@ impl ResultMemo {
 
     pub(crate) fn len(&self) -> usize {
         self.held().len()
+    }
+}
+
+/// How many settled (done or failed) campaigns the registry keeps. Past
+/// the bound the one least recently settled or read is dropped, and its
+/// id then answers 404 like an unknown one. Queued and running campaigns
+/// are always kept.
+pub const CAMPAIGNS_RETAINED: usize = 256;
+
+/// The campaign registry: every queued or running campaign, plus the
+/// [`CAMPAIGNS_RETAINED`] most recently settled or read settled ones.
+#[derive(Debug, Default)]
+struct Registry {
+    /// Held entries by registration number, i.e. in submission order.
+    entries: BTreeMap<u64, Arc<CampaignEntry>>,
+    /// Campaign id → its registration number and, once settled, the
+    /// tick of its last read.
+    ids: BTreeMap<String, Held>,
+    /// Settled entries: last-read tick → registration number, least
+    /// recently read first.
+    settled: BTreeMap<u64, u64>,
+    /// Source of registration numbers and read ticks.
+    clock: u64,
+}
+
+#[derive(Debug)]
+struct Held {
+    order: u64,
+    read: Option<u64>,
+}
+
+impl Registry {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    fn insert(&mut self, entry: Arc<CampaignEntry>) {
+        let order = self.tick();
+        self.ids.insert(entry.id.clone(), Held { order, read: None });
+        self.entries.insert(order, entry);
+    }
+
+    fn remove(&mut self, id: &str) {
+        if let Some(held) = self.ids.remove(id) {
+            self.entries.remove(&held.order);
+            if let Some(read) = held.read {
+                self.settled.remove(&read);
+            }
+        }
+    }
+
+    /// `id`'s entry; a settled one becomes the most recently read.
+    fn get(&mut self, id: &str) -> Option<Arc<CampaignEntry>> {
+        let now = self.tick();
+        let held = self.ids.get_mut(id)?;
+        if let Some(read) = held.read.as_mut() {
+            self.settled.remove(read);
+            self.settled.insert(now, held.order);
+            *read = now;
+        }
+        self.entries.get(&held.order).cloned()
+    }
+
+    /// Mark `id` settled and read now, then drop the least recently read
+    /// settled entries past the bound.
+    fn settle(&mut self, id: &str) {
+        let now = self.tick();
+        if let Some(held) = self.ids.get_mut(id) {
+            if let Some(read) = held.read.replace(now) {
+                self.settled.remove(&read);
+            }
+            self.settled.insert(now, held.order);
+        }
+        while self.settled.len() > CAMPAIGNS_RETAINED {
+            let Some((_, order)) = self.settled.pop_first() else { break };
+            if let Some(entry) = self.entries.remove(&order) {
+                self.ids.remove(&entry.id);
+            }
+        }
     }
 }
 
@@ -348,7 +428,7 @@ pub struct ServerState {
     pub config: ServerConfig,
     pub cache: ResultCache,
     pub queue: BoundedQueue<Arc<CampaignEntry>>,
-    campaigns: Mutex<Vec<Arc<CampaignEntry>>>,
+    campaigns: Mutex<Registry>,
     /// Results of the most recently finished or read done campaigns.
     results: ResultMemo,
     /// Once true: no new submissions, queued campaigns drain, and every
@@ -357,6 +437,7 @@ pub struct ServerState {
     started: Instant,
     seq: AtomicU64,
     jobs: JobTotals,
+    campaigns_submitted: AtomicU64,
     campaigns_done: AtomicU64,
     campaigns_failed: AtomicU64,
     /// Durable pending accepts (absent with `--no-journal`).
@@ -366,10 +447,10 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// Poison-tolerant registry lock: the campaign list is a plain Vec of
-    /// Arcs — valid after any partial mutation — and an executor that
+    /// Poison-tolerant registry lock: registry mutations are map inserts
+    /// and removes that cannot panic halfway, and an executor that
     /// panicked mid-simulation must not take the whole API down with it.
-    fn campaigns_lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<CampaignEntry>>> {
+    fn campaigns_lock(&self) -> std::sync::MutexGuard<'_, Registry> {
         self.campaigns.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
@@ -391,12 +472,13 @@ impl ServerState {
             queue: BoundedQueue::new(config.queue_cap),
             config,
             cache,
-            campaigns: Mutex::new(Vec::new()),
+            campaigns: Mutex::new(Registry::default()),
             results: ResultMemo::default(),
             shutdown: Arc::new(AtomicBool::new(false)),
             started: Instant::now(),
             seq: AtomicU64::new(0),
             jobs: JobTotals::default(),
+            campaigns_submitted: AtomicU64::new(0),
             campaigns_done: AtomicU64::new(0),
             campaigns_failed: AtomicU64::new(0),
             pending,
@@ -427,28 +509,31 @@ impl ServerState {
     /// register it and queue it for the executor (a recovered campaign
     /// past the queue bound too).
     fn hand_off(&self, entry: Arc<CampaignEntry>, recovered: bool) -> Result<(), PushError> {
-        self.campaigns_lock().push(entry.clone());
+        self.campaigns_lock().insert(entry.clone());
         let queued = if recovered {
             self.queue.push_recovered(entry.clone())
         } else {
             self.queue.push(entry.clone())
         };
-        if queued.is_err() {
-            self.campaigns_lock().retain(|e| !Arc::ptr_eq(e, &entry));
+        if queued.is_ok() {
+            self.campaigns_submitted.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.campaigns_lock().remove(&entry.id);
         }
         queued
     }
 
-    /// Count a campaign that reached `done` or `failed` and delete its
-    /// pending file; other phases are not settled and do nothing. Called
-    /// before the entry shows the phase, so a reader that sees it also
-    /// sees the count.
+    /// Count a campaign that reached `done` or `failed`, let the registry
+    /// bound it, and delete its pending file; other phases are not
+    /// settled and do nothing. Called before the entry shows the phase,
+    /// so a reader that sees it also sees the count.
     fn settle(&self, id: &str, phase: CampaignPhase) {
         match phase {
             CampaignPhase::Done => self.campaigns_done.fetch_add(1, Ordering::Relaxed),
             CampaignPhase::Failed => self.campaigns_failed.fetch_add(1, Ordering::Relaxed),
             _ => return,
         };
+        self.campaigns_lock().settle(id);
         self.resolve(id);
     }
 
@@ -514,25 +599,29 @@ impl ServerState {
         }
     }
 
+    /// The registered campaign `id`, counted as a read: `None` once it
+    /// was dropped past [`CAMPAIGNS_RETAINED`], like an unknown id.
     pub fn get(&self, id: &str) -> Option<Arc<CampaignEntry>> {
-        self.campaigns_lock().iter().find(|e| e.id == id).cloned()
+        self.campaigns_lock().get(id)
     }
 
+    /// Every registered campaign, in submission order.
     pub fn list(&self) -> Vec<Arc<CampaignEntry>> {
-        self.campaigns_lock().clone()
+        self.campaigns_lock().entries.values().cloned().collect()
     }
 
-    /// The result of done campaign `id`: from the memo while retained,
+    /// The result of done campaign `id` (404 once the registry dropped
+    /// it, which a read here postpones): from the memo while retained,
     /// otherwise replayed from the cache and retained again. Every cell of
     /// a done campaign is a cache hit, so the replay is pure reads; a
     /// failed cell was never cached, so it is attempted again under the
     /// same watchdog. `Err` carries the HTTP status and message for the
     /// API layer.
     pub fn results(&self, id: &str) -> Result<Arc<CampaignResult>, (u16, String)> {
+        let entry = self.get(id).ok_or_else(|| (404, format!("no campaign `{id}`")))?;
         if let Some(result) = self.results.get(id) {
             return Ok(result);
         }
-        let entry = self.get(id).ok_or_else(|| (404, format!("no campaign `{id}`")))?;
         let phase = entry.phase();
         if phase != CampaignPhase::Done {
             return Err((
@@ -607,7 +696,6 @@ impl ServerState {
 
     /// The `GET /stats` payload.
     pub fn stats(&self) -> ServerStats {
-        let submitted = self.campaigns_lock().len();
         let cache_counters = self.cache.counters();
         ServerStats {
             uptime_secs: self.uptime_secs(),
@@ -616,7 +704,7 @@ impl ServerState {
             sim_workers: self.config.sim_workers,
             queue: QueueStats { depth: self.queue.len(), capacity: self.queue.capacity() },
             campaigns: CampaignStats {
-                submitted,
+                submitted: self.campaigns_submitted.load(Ordering::Relaxed) as usize,
                 done: self.campaigns_done.load(Ordering::Relaxed),
                 failed: self.campaigns_failed.load(Ordering::Relaxed),
                 results_retained: self.results.len(),
@@ -659,6 +747,8 @@ pub struct QueueStats {
 
 #[derive(Clone, Copy, Debug, serde::Serialize)]
 pub struct CampaignStats {
+    /// Campaigns accepted since start, recovered ones included (the
+    /// registry holds at most [`CAMPAIGNS_RETAINED`] settled ones).
     pub submitted: usize,
     pub done: u64,
     pub failed: u64,
@@ -725,5 +815,52 @@ mod tests {
         memo.put("new", result("newer"));
         assert_eq!(memo.len(), RESULTS_RETAINED);
         assert_eq!(memo.get("new").map(|r| r.name.clone()).as_deref(), Some("newer"));
+    }
+
+    #[test]
+    fn registry_drops_the_least_recently_read_settled_campaigns() {
+        const SPEC: &str = r#"{"archs": ["M8"], "workloads": ["2W1"], "policies": ["rr"]}"#;
+        let dir = std::env::temp_dir().join(format!("hdsmt-serve-registry-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let state = ServerState::new(ServerConfig {
+            cache_dir: dir.to_string_lossy().into_owned(),
+            journal: false,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let run = || {
+            let entry = state.submit(SPEC).unwrap();
+            state.execute(&state.queue.pop().unwrap());
+            entry.id.clone()
+        };
+        // Taken off the queue but never run: it stays `queued`.
+        let queued = state.submit(SPEC).unwrap().id.clone();
+        state.queue.pop().unwrap();
+        let watched = run();
+        let k = 3;
+        let others: Vec<String> = (1..CAMPAIGNS_RETAINED + k)
+            .map(|_| {
+                let id = run();
+                assert!(state.get(&watched).is_some(), "the campaign being read stays");
+                id
+            })
+            .collect();
+
+        // The bound plus k settled campaigns: the k least recently read
+        // are gone and answer 404, like an unknown id.
+        for id in &others[..k] {
+            assert!(state.get(id).is_none(), "{id} should have been dropped");
+            assert_eq!(state.results(id).err().map(|e| e.0), Some(404));
+        }
+        let mut kept = vec![queued.clone(), watched.clone()];
+        kept.extend(others[k..].iter().cloned());
+        let listed: Vec<String> = state.list().iter().map(|e| e.id.clone()).collect();
+        assert_eq!(listed, kept, "held campaigns list in submission order");
+        assert_eq!(state.get(&queued).map(|e| e.phase()), Some(CampaignPhase::Queued));
+        assert!(state.results(&watched).is_ok());
+        let stats = state.stats().campaigns;
+        assert_eq!(stats.submitted, CAMPAIGNS_RETAINED + k + 1, "submitted never falls");
+        assert_eq!(stats.done as usize, CAMPAIGNS_RETAINED + k);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -128,7 +128,7 @@ impl Processor {
                 let (id, op, srcs, t, seq, addr) =
                     (de.id, de.op, de.src_phys, de.thread as usize, de.seq, de.addr);
                 let kind = op.fu_kind();
-                if !self.pipes[p].queue_mut(kind).push(id) {
+                if !self.pipes[p].queue_mut(kind).push() {
                     break;
                 }
                 let hot = self.pool.hot_mut(id);
@@ -175,16 +175,10 @@ impl Processor {
         for p in 0..self.pipes.len() {
             let width = self.pipes[p].model.width as usize;
 
-            // Re-admit parked entries whose wait expired.
-            {
-                let pipe = &mut self.pipes[p];
-                let mut unparked = 0;
-                for q in [&mut pipe.iq, &mut pipe.fq, &mut pipe.lq] {
-                    unparked += q.unpark_due(now);
-                }
-                if unparked > 0 {
-                    self.activity |= super::act::ISSUE_UNPARK;
-                }
+            // Re-admit parked loads whose wait expired.
+            let pipe = &mut self.pipes[p];
+            if pipe.lq.unpark_due(&mut pipe.lq_park, now) > 0 {
+                self.activity |= super::act::ISSUE_UNPARK;
             }
             // Gather candidates from the ready sets. Entries are eagerly
             // maintained and self-contained, so selection touches no
@@ -211,15 +205,15 @@ impl Processor {
                 }
             }
             for &(e, store_seq, known_at) in &blocked {
-                let lq = &mut self.pipes[p].lq;
-                let was_ready = lq.remove_ready(e.id);
+                let pipe = &mut self.pipes[p];
+                let was_ready = pipe.lq.remove_ready(e.id);
                 debug_assert!(was_ready);
                 if known_at == u64::MAX {
                     // Wait for the store's issue; its agen completion
                     // re-parks the load with a concrete cycle.
                     self.threads[e.thread as usize].blocked_loads.push((store_seq, e));
                 } else {
-                    lq.park_at(known_at, e, now);
+                    pipe.park_load(known_at, e, now);
                 }
             }
             self.scratch_blocked = blocked;
@@ -292,11 +286,11 @@ impl Processor {
                     // Structural replay: stay Waiting, retry two cycles
                     // later. The issue slot and FU cycle are wasted, as in
                     // hardware. The entry leaves the ready set for the
-                    // timed park, so the back-off costs nothing to poll.
-                    let lq = &mut self.pipes[p].lq;
-                    let was_ready = lq.remove_ready(id);
+                    // LQ park, so the back-off costs nothing to poll.
+                    let pipe = &mut self.pipes[p];
+                    let was_ready = pipe.lq.remove_ready(id);
                     debug_assert!(was_ready, "replayed load came from the ready set");
-                    lq.park_at(now + 2, ReadyEntry { seq, addr, id, thread: t as u8, op }, now);
+                    pipe.park_load(now + 2, ReadyEntry { seq, addr, id, thread: t as u8, op }, now);
                     return;
                 }
                 if !wrong && access.level != hdsmt_mem::HitLevel::L1 {
@@ -316,7 +310,7 @@ impl Processor {
             // Address generation only; data is written at commit. The
             // thread's store list learns the agen completion cycle so
             // load-ordering checks need no pool lookup, and loads blocked
-            // on this store move to the timed park (they cannot clear
+            // on this store move to the LQ park (they cannot clear
             // before the agen result is visible).
             let agen_done = now + 1 + rf_extra as u64;
             let stores = &mut self.threads[t].lq_stores;
@@ -336,7 +330,7 @@ impl Processor {
                     }
                 });
                 for &e in &unblocked {
-                    self.pipes[p].lq.park_at(agen_done, e, now);
+                    self.pipes[p].park_load(agen_done, e, now);
                 }
                 self.scratch_unblocked = unblocked;
             }
@@ -356,8 +350,7 @@ impl Processor {
             let was_ready = q.remove_ready(id);
             debug_assert!(was_ready, "issued from the ready set");
             if !op.is_store() {
-                let removed = q.remove(id);
-                debug_assert!(removed);
+                q.remove();
             }
         }
         let th = &mut self.threads[t];
@@ -406,26 +399,11 @@ impl Processor {
         }
     }
 
-    /// Writeback: reclaim squashed executions, drain the completion-wheel
-    /// bucket due this cycle, mark results ready (firing wakeups into the
-    /// ready sets), clear FLUSH gates, resolve branches (training +
-    /// misprediction recovery).
+    /// Writeback: drain the completion-wheel bucket due this cycle, mark
+    /// results ready (firing wakeups into the ready sets), clear FLUSH
+    /// gates, resolve branches (training + misprediction recovery).
     pub(crate) fn writeback_stage(&mut self) {
         let now = self.cycle;
-        // Squashed in-flight executions, marked since the last writeback:
-        // release their slots now (the cycle the old linear drain
-        // reclaimed them). Their wheel entries go stale with the release
-        // and are dropped when their bucket comes due.
-        if !self.squashed_exec.is_empty() {
-            self.activity |= super::act::WB_RECLAIM;
-        }
-        for i in 0..self.squashed_exec.len() {
-            let id = self.squashed_exec[i];
-            debug_assert!(self.pool.hot(id).is_squashed());
-            self.pool.release(id);
-        }
-        self.squashed_exec.clear();
-
         // Destination register, opcode classification and state all live
         // in the hot record, so this loop never opens a cold record — the
         // cold half is only read later, for resolved branches.
@@ -433,7 +411,7 @@ impl Processor {
         due.clear();
         self.wheel.drain_due(now, &mut due);
         if !due.is_empty() {
-            // Stale (squashed-and-reclaimed) completions count too: their
+            // Stale (squashed and released) completions count too: their
             // discard is the cheapest possible cycle, and treating them as
             // activity keeps the wheel's next-due report conservative.
             self.activity |= super::act::WB_COMPLETE;
@@ -442,11 +420,11 @@ impl Processor {
         resolved.clear();
         for &c in &due {
             if self.pool.gen(c.id) != c.gen {
-                continue; // squashed and reclaimed above, slot recycled
+                continue; // squashed and released; the slot may be reused
             }
             let (t, wrong, op, dst) = {
                 let hot = self.pool.hot_mut(c.id);
-                debug_assert!(!hot.is_squashed(), "squashed executions never stay a full cycle");
+                debug_assert!(!hot.is_squashed(), "squash releases its slots at once");
                 debug_assert_eq!(hot.state(), InstState::Executing);
                 debug_assert_eq!(hot.ready_cycle, now);
                 hot.set_state(InstState::Done);
@@ -628,7 +606,7 @@ impl Processor {
         for &c in &due {
             let id = c.id;
             // Validate at fire time: the load may have been squashed (slot
-            // reclaimed, generation bumped — possibly by an earlier flush
+            // released, generation bumped — possibly by an earlier flush
             // this same cycle) or already completed. A generation match
             // guarantees the same incarnation, so the schedule-time
             // classification still holds.
@@ -637,7 +615,7 @@ impl Processor {
             }
             let hot = self.pool.hot(id);
             debug_assert!(hot.op.is_load(), "only loads arm FLUSH triggers");
-            if hot.is_squashed() || hot.state() != InstState::Executing {
+            if hot.state() != InstState::Executing {
                 continue;
             }
             let (t, seq) = (hot.thread().index(), hot.seq.0);
@@ -696,7 +674,7 @@ mod tests {
             h.set_state(state);
             h.ready_cycle = ready_cycle;
         }
-        assert!(p.pipes[0].lq.push(id));
+        assert!(p.pipes[0].lq.push());
         if state == InstState::Waiting {
             // Sources are None, so dispatch would mark it ready at once.
             p.pipes[0].lq.mark_ready(ReadyEntry { seq, addr, id, thread: t as u8, op });
@@ -809,10 +787,10 @@ mod tests {
             InstState::Waiting,
             "MSHR stall keeps the load waiting"
         );
-        assert!(p.pipes[0].lq.iter().any(|x| x == load), "the load stays in its queue");
+        assert_eq!(p.pipes[0].lq.len(), 1, "the load stays in its queue");
         assert!(
-            p.pipes[0].lq.parked_entries().any(|e| e.id == load),
-            "the replayed load waits in the timed park"
+            p.pipes[0].lq_park.iter().any(|e| e.c.id == load),
+            "the replayed load waits in the LQ park"
         );
         assert!(
             !p.pipes[0].lq.ready_entries().iter().any(|e| e.id == load),
@@ -824,7 +802,8 @@ mod tests {
         let resume = first.latency as u64 + 8;
         for c in 1..=resume {
             p.cycle = c;
-            p.pipes[0].lq.unpark_due(c);
+            let pipe = &mut p.pipes[0];
+            pipe.lq.unpark_due(&mut pipe.lq_park, c);
         }
         assert!(
             p.pipes[0].lq.ready_entries().iter().any(|e| e.id == load),
@@ -834,5 +813,76 @@ mod tests {
         let h = p.pool.hot(load);
         assert_eq!(h.state(), InstState::Executing, "retry issues once an MSHR frees up");
         assert!(h.ready_cycle > p.cycle);
+    }
+
+    #[test]
+    fn a_slot_freed_by_squashing_an_executing_load_is_reused_in_the_same_cycle() {
+        use crate::config::FetchPolicy;
+        use hdsmt_isa::ArchReg;
+
+        let mut p = mini_proc(|c| c.fetch_policy = FetchPolicy::Flush);
+        p.cycle = 100;
+        // An executing load that misses to memory: it files a completion
+        // and a FLUSH trigger, both far beyond this cycle.
+        let load = inject(&mut p, 0, 5, Op::Load, 0x6000_0000, InstState::Waiting, 0);
+        p.threads[0].rob.push_back(load);
+        p.begin_execution(0, load, Op::Load, 0x6000_0000, false);
+        let (load_done, load_gen) = (p.pool.hot(load).ready_cycle, p.pool.gen(load));
+        assert_eq!(p.pool.hot(load).state(), InstState::Executing);
+        assert!(!p.flush_wheel.is_empty(), "the miss armed a FLUSH trigger");
+        // A younger consumer subscribed to a register nobody has written.
+        let src = p.regfile.alloc(ArchReg::INT0).expect("a free rename register");
+        let consumer = inject(&mut p, 0, 6, Op::Load, 0x7000, InstState::Rename, 0);
+        p.threads[0].rob.push_back(consumer);
+        {
+            let h = p.pool.hot_mut(consumer);
+            h.set_state(InstState::Waiting);
+            h.pending_srcs = 1;
+        }
+        p.regfile.subscribe(src, consumer, p.pool.gen(consumer));
+
+        p.squash_younger(0, 4);
+        assert!(p.threads[0].rob.is_empty());
+
+        // Reallocate in the same cycle: the free list is LIFO, so the new
+        // instruction lands in the squashed load's slot under a new
+        // generation, and the next one in the consumer's.
+        let fresh = inject(&mut p, 0, 5, Op::Load, 0x8000, InstState::Waiting, 0);
+        assert_eq!(fresh, load, "the executing load's slot is free at squash");
+        assert_ne!(p.pool.gen(fresh), load_gen);
+        let waiter = inject(&mut p, 0, 6, Op::Load, 0x9000, InstState::Rename, 0);
+        assert_eq!(waiter, consumer);
+        {
+            let h = p.pool.hot_mut(waiter);
+            h.set_state(InstState::Waiting);
+            h.pending_srcs = 1;
+        }
+        p.threads[0].rob.push_back(fresh);
+        p.threads[0].rob.push_back(waiter);
+        p.begin_execution(0, fresh, Op::Load, 0x8000, true);
+        let fresh_done = p.pool.hot(fresh).ready_cycle;
+        assert!(fresh_done < load_done);
+
+        // The old consumer's subscription fires: dropped by generation, so
+        // the new occupant still waits on its own operand.
+        p.regfile.set_ready(src);
+        // Run writeback and FLUSH every cycle past the stale load's
+        // completion: its wheel and FLUSH entries are dropped by
+        // generation, while the new occupant completes on time.
+        for c in 101..=load_done + 1 {
+            p.cycle = c;
+            p.writeback_stage();
+            p.process_flushes();
+            if c == fresh_done {
+                assert_eq!(p.pool.hot(fresh).state(), InstState::Done, "completes normally");
+            }
+        }
+        assert_eq!(p.pool.gen(fresh), p.pool.gen(load), "no release behind its back");
+        assert_eq!(p.pool.hot(fresh).state(), InstState::Done);
+        assert_eq!(p.pool.hot(waiter).pending_srcs, 1, "stale wakeup was dropped");
+        assert!(!p.pipes[0].lq.ready_entries().iter().any(|e| e.id == waiter));
+        assert_eq!(p.threads[0].st.flushes, 0, "stale FLUSH trigger was dropped");
+        assert_eq!(p.threads[0].flush_gate, None);
+        assert!(p.wheel.is_empty() && p.flush_wheel.is_empty());
     }
 }

@@ -30,9 +30,12 @@ impl Processor {
                         let h = self.pool.hot(head);
                         (h.state(), h.ready_cycle, h.seq.0, h.is_wrong_path(), h.op, h.old_phys())
                     };
-                    if state != InstState::Done || ready > now {
+                    if state != InstState::Done {
                         break;
                     }
+                    // Writeback marks `Done` at `ready_cycle`, and commit
+                    // runs first in the next cycle.
+                    debug_assert!(ready < now, "a done head's result is already visible");
                     self.activity |= super::act::COMMIT;
                     debug_assert!(!wrong, "wrong-path instructions never reach commit");
                     let is_ctrl = op.is_control();
@@ -44,7 +47,7 @@ impl Processor {
                         // latency is not charged to commit.
                         let addr = self.pool.cold(head).d.addr;
                         let _ = self.mem.store(addr, now);
-                        self.pipes[p].lq.remove(head);
+                        self.pipes[p].lq.remove();
                         // In-order commit retires this thread's oldest
                         // in-LQ store: the front of its store list.
                         let popped = self.threads[t].lq_stores.pop_front();

@@ -230,7 +230,6 @@ impl Processor {
         } else {
             th.st.fetched += 1;
         }
-        self.fetched_total += 1;
         end_burst
     }
 }

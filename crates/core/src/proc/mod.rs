@@ -23,22 +23,25 @@
 //!   members as self-contained entries (seq, thread, op, address), kept
 //!   eagerly in sync — issue and squash remove entries immediately — so
 //!   the issue stage sorts only genuine candidates by age and touches no
-//!   pool memory for selection.
+//!   pool memory for selection. Beyond that a queue keeps only its member
+//!   count, for dispatch's capacity check: which instructions it holds is
+//!   already recorded by the ROBs, from which the invariant checks derive
+//!   it.
 //! * **Blocked loads** are fully evented too: a load whose oldest
 //!   unknown-address older store has not issued waits on that store's
 //!   issue (`Thread::blocked_loads`); once the store's agen completion
-//!   cycle is known the load moves to the queue's park (a
-//!   [`CompletionWheel`] of ready entries, also where MSHR-full loads
-//!   back off) and rejoins the ready set exactly when the address becomes
-//!   visible. The load-ordering walk itself reads the per-thread
+//!   cycle is known the load moves to the LQ's park (a
+//!   [`CompletionWheel`] of ready entries beside the LQ, also where
+//!   MSHR-full loads back off) and rejoins the ready set exactly when the
+//!   address becomes visible. The load-ordering walk itself reads the per-thread
 //!   `LqStore` list (program-ordered, denormalised) instead of rescanning
 //!   the LQ.
 //! * **Completion wheel** ([`CompletionWheel`]): executing instructions
 //!   are filed under their completion cycle; writeback drains exactly the
-//!   bucket due now. Squashed in-flight executions are reclaimed from
-//!   `squashed_exec` at the next writeback (the cycle the old linear
-//!   drain freed them), leaving their wheel entries to die by generation
-//!   mismatch. FLUSH triggers ride a second wheel the same way.
+//!   bucket due now. Squash releases an executing instruction's slot at
+//!   once, like every other squashed slot, leaving its wheel entry to die
+//!   by generation mismatch. FLUSH triggers ride a second wheel the same
+//!   way.
 //!
 //! Every structure is deterministic, and issue order uses the pool-
 //! independent `(seq, thread)` age key, so the refactor is bit-identical
@@ -65,8 +68,8 @@
 //!   its next-activity cycle. Every wheel reports through
 //!   `CompletionWheel::next_due` (O(1): near-ring occupancy mask + far
 //!   minimum): the completion and FLUSH wheels directly, stale entries
-//!   included, which is conservative, never wrong; each issue queue's
-//!   park through `IssueQueue::park_next_due`. So does each live thread's
+//!   included, which is conservative, never wrong; and each pipeline's
+//!   LQ park. So does each live thread's
 //!   `stalled_until` (threads that are done report nothing; FLUSH-gated
 //!   or buffer-blocked threads ride the completion that releases them).
 //!   The MSHR files deliberately report nothing: a fill expiry on its
@@ -137,16 +140,15 @@ use crate::timeline::Timeline;
 /// [`Processor::activity`]).
 pub(crate) mod act {
     pub const COMMIT: u32 = 1 << 0;
-    pub const WB_RECLAIM: u32 = 1 << 1;
-    pub const WB_COMPLETE: u32 = 1 << 2;
-    pub const WB_WAKEUP: u32 = 1 << 3;
-    pub const FLUSH: u32 = 1 << 4;
-    pub const ISSUE_UNPARK: u32 = 1 << 5;
-    pub const ISSUE_READY: u32 = 1 << 6;
-    pub const DISPATCH: u32 = 1 << 7;
-    pub const RENAME: u32 = 1 << 8;
-    pub const DECODE: u32 = 1 << 9;
-    pub const FETCH: u32 = 1 << 10;
+    pub const WB_COMPLETE: u32 = 1 << 1;
+    pub const WB_WAKEUP: u32 = 1 << 2;
+    pub const FLUSH: u32 = 1 << 3;
+    pub const ISSUE_UNPARK: u32 = 1 << 4;
+    pub const ISSUE_READY: u32 = 1 << 5;
+    pub const DISPATCH: u32 = 1 << 6;
+    pub const RENAME: u32 = 1 << 7;
+    pub const DECODE: u32 = 1 << 8;
+    pub const FETCH: u32 = 1 << 9;
 }
 
 /// One in-LQ store, denormalised for the load-ordering check: the walk
@@ -254,6 +256,11 @@ pub(crate) struct Pipe {
     pub iq: IssueQueue,
     pub fq: IssueQueue,
     pub lq: IssueQueue,
+    /// The LQ's retry park: operand-ready loads that must wait a known
+    /// few cycles (an MSHR-full back-off, an older store's pending
+    /// address), filed by the cycle they rejoin the LQ's ready set. Only
+    /// loads ever wait this way, so the other queues have none.
+    pub lq_park: CompletionWheel<ReadyEntry>,
     pub int_fu: FuPool,
     pub fp_fu: FuPool,
     pub ldst_fu: FuPool,
@@ -273,6 +280,7 @@ impl Pipe {
             iq: IssueQueue::new(model.iq as usize),
             fq: IssueQueue::new(model.fq as usize),
             lq: IssueQueue::new(model.lq as usize),
+            lq_park: CompletionWheel::new(),
             int_fu: FuPool::new(model.int_units as usize),
             fp_fu: FuPool::new(model.fp_units as usize),
             ldst_fu: FuPool::new(model.ldst_units as usize),
@@ -293,6 +301,15 @@ impl Pipe {
             FuKind::LdSt => &mut self.lq,
         }
     }
+
+    /// Park a ready load until cycle `at`, at most 8 cycles after `now`:
+    /// always inside the wheel's near ring, so a warp never has a parked
+    /// load to migrate. The issue stage unparks every cycle.
+    #[inline]
+    pub fn park_load(&mut self, at: u64, e: ReadyEntry, now: u64) {
+        debug_assert!(at <= now + 8, "park waits are a few cycles");
+        self.lq_park.schedule(at, e, now);
+    }
 }
 
 /// The full machine.
@@ -309,16 +326,12 @@ pub struct Processor {
     /// Executing instructions, filed by completion cycle: writeback
     /// drains exactly the bucket due now instead of scanning a list.
     pub(crate) wheel: CompletionWheel,
-    /// Squashed-while-executing instructions awaiting slot release at the
-    /// next writeback (the cycle the old linear drain reclaimed them).
-    pub(crate) squashed_exec: Vec<InstId>,
     /// FLUSH policy triggers (loads predicted to miss L2), filed by
     /// trigger cycle like the completion wheel: no per-cycle scan of
     /// outstanding candidates.
     pub(crate) flush_wheel: CompletionWheel,
     /// Rotating tie-break for fetch priority.
     pub(crate) fetch_rr: usize,
-    pub(crate) fetched_total: u64,
     pub(crate) stop: bool,
     /// Register read/write latency (§4: 1 monolithic, 2 hdSMT).
     pub(crate) rf_lat: u32,
@@ -363,7 +376,7 @@ pub struct Processor {
     scratch_flush_due: Vec<Completion>,
     /// Fetch-priority ordering of eligible threads.
     scratch_order: Vec<usize>,
-    /// Loads released by a store's issue (moved to the timed park).
+    /// Loads released by a store's issue (moved to the LQ park).
     scratch_unblocked: Vec<ReadyEntry>,
     /// Squash scratch: correct-path instructions awaiting replay assembly.
     scratch_replay: Vec<(u64, DynInst)>,
@@ -456,10 +469,8 @@ impl Processor {
             pipes,
             threads,
             wheel: CompletionWheel::new(),
-            squashed_exec: Vec::new(),
             flush_wheel: CompletionWheel::new(),
             fetch_rr: 0,
-            fetched_total: 0,
             stop: false,
             rf_lat,
             warmed: false,
@@ -593,7 +604,6 @@ impl Processor {
         }
         self.warmed = true;
         self.measure_start_cycle = self.cycle;
-        self.fetched_total = 0;
         self.mem.reset_stats();
         for p in &mut self.pipes {
             p.retired = 0;
@@ -671,9 +681,7 @@ impl Processor {
         tl.observe("completion-wheel", self.wheel.next_due(now));
         tl.observe("flush-wheel", self.flush_wheel.next_due(now));
         for p in &self.pipes {
-            for q in [&p.iq, &p.fq, &p.lq] {
-                tl.observe("timed-park", q.park_next_due(now));
-            }
+            tl.observe("lq-park", p.lq_park.next_due(now));
         }
         // The MSHR files report nothing: a fill expiry on its own wakes
         // no stage — its only effect is freeing capacity for a *later*
@@ -718,7 +726,6 @@ impl Processor {
     fn try_warp(&mut self, limit: u64) {
         debug_assert_eq!(self.activity, 0);
         debug_assert_eq!(self.regfile.pending_wakeups(), 0, "quiescent with undrained wakeups");
-        debug_assert!(self.squashed_exec.is_empty(), "quiescent with unreclaimed squashes");
         // Quiescent cycles commit nothing, so a warp can never jump the
         // warm-up boundary: it was either crossed before this stretch
         // began or needs commits that the warp target's events unlock.
@@ -823,12 +830,13 @@ impl Processor {
     pub fn collect_stats(&self) -> SimStats {
         let threads: Vec<ThreadStats> = self.threads.iter().map(|t| t.st.clone()).collect();
         let retired = threads.iter().map(|t| t.retired).sum();
+        let fetched_total = threads.iter().map(|t| t.fetched + t.wrong_path_fetched).sum();
         SimStats {
             cycles: self.cycle - self.measure_start_cycle,
             threads,
             mem: self.mem.stats(),
             retired,
-            fetched_total: self.fetched_total,
+            fetched_total,
             per_pipe_retired: self.pipes.iter().map(|p| p.retired).collect(),
         }
     }
@@ -894,9 +902,12 @@ impl Processor {
     }
 
     /// Debug invariant: the per-thread ICOUNT counters must equal the
-    /// actual pre-issue population. O(everything); test-only.
+    /// actual pre-issue population: the front-end containers plus the
+    /// thread's waiting (dispatched, not yet issued) ROB entries.
+    /// O(everything); test-only.
     #[cfg(any(test, feature = "invariant-checks"))]
     pub fn check_icount_invariant(&self) {
+        use hdsmt_pipeline::InstState;
         let mut counts = vec![0i32; self.threads.len()];
         for p in &self.pipes {
             for e in p.buffer.iter() {
@@ -908,28 +919,22 @@ impl Processor {
             for e in p.dispatch_latch.iter() {
                 counts[e.thread as usize] += 1;
             }
-            for q in [&p.iq, &p.fq, &p.lq] {
-                for id in q.iter() {
-                    let hot = self.pool.hot(id);
-                    // Stores stay in the LQ after issue; only pre-issue
-                    // entries count.
-                    if hot.state() == hdsmt_pipeline::InstState::Waiting {
-                        counts[hot.thread().index()] += 1;
-                    }
-                }
-            }
         }
-        for (t, &c) in self.threads.iter().zip(counts.iter()) {
-            assert_eq!(t.icount, c, "icount drift on thread {:?}", t.id);
+        for (t, th) in self.threads.iter().enumerate() {
+            let waiting =
+                th.rob.iter().filter(|&&id| self.pool.hot(id).state() == InstState::Waiting);
+            counts[t] += waiting.count() as i32;
+            assert_eq!(th.icount, counts[t], "icount drift on thread {:?}", th.id);
         }
     }
 
-    /// Debug invariants of the event-driven scheduler structures: ready
-    /// sets sound and complete w.r.t. the queues, completion-wheel
-    /// population matching the executing instructions, and the per-thread
-    /// store lists matching the LQs. O(everything); test-only. Call
-    /// between cycles (mid-cycle the lazily-maintained sets are allowed to
-    /// be stale).
+    /// Debug invariants of the event-driven scheduler structures: queue
+    /// counts matching the members derived from the ROBs, ready sets and
+    /// the LQ park sound and complete w.r.t. those members,
+    /// completion-wheel population matching the executing instructions,
+    /// and the per-thread store lists matching the ROBs. O(everything);
+    /// test-only. Call between cycles (mid-cycle the lazily-maintained
+    /// sets are allowed to be stale).
     #[cfg(any(test, feature = "invariant-checks"))]
     pub fn check_scheduler_invariants(&self) {
         use hdsmt_pipeline::InstState;
@@ -937,9 +942,26 @@ impl Processor {
         let operands_ready = |id: InstId| {
             self.pool.cold(id).src_phys.iter().flatten().all(|&s| self.regfile.is_ready(s))
         };
+        // A queue's members, as the ROBs of its pipeline's threads record
+        // them: the waiting instructions of its kind, plus issued stores
+        // until they commit.
+        let queue_members = |pi: usize, kind: FuKind| -> Vec<InstId> {
+            let in_queue = |h: &hdsmt_pipeline::HotInst| {
+                h.state() == InstState::Waiting
+                    || (h.op.is_store()
+                        && matches!(h.state(), InstState::Executing | InstState::Done))
+            };
+            let robs = self.pipes[pi].threads.iter().flat_map(|&t| self.threads[t].rob.iter());
+            robs.copied()
+                .filter(|&id| self.pool.hot(id).op.fu_kind() == kind && in_queue(self.pool.hot(id)))
+                .collect()
+        };
 
         for (pi, p) in self.pipes.iter().enumerate() {
-            for q in [&p.iq, &p.fq, &p.lq] {
+            let kinds = [FuKind::Int, FuKind::Fp, FuKind::LdSt];
+            for (kind, q) in kinds.into_iter().zip([&p.iq, &p.fq, &p.lq]) {
+                let members = queue_members(pi, kind);
+                assert_eq!(q.len(), members.len(), "pipe {pi}: {kind:?} queue count drift");
                 // Soundness: ready sets are eagerly maintained, so every
                 // entry is a live Waiting queue member with all operands
                 // available and metadata matching its instruction.
@@ -951,7 +973,11 @@ impl Processor {
                         "pipe {pi}: ready entry {:?} is not waiting",
                         e.id
                     );
-                    assert!(q.contains(e.id), "pipe {pi}: ready entry {:?} not in its queue", e.id);
+                    assert!(
+                        members.contains(&e.id),
+                        "pipe {pi}: ready entry {:?} not in its queue",
+                        e.id
+                    );
                     assert!(
                         operands_ready(e.id),
                         "pipe {pi}: ready entry {:?} has an unready operand",
@@ -979,58 +1005,61 @@ impl Processor {
                         e.id
                     );
                 }
-                // Timed park: entries are live waiting members too, and
-                // never double-listed with the ready set.
-                for e in q.parked_entries() {
-                    assert_eq!(
-                        self.pool.hot(e.id).state(),
-                        InstState::Waiting,
-                        "pipe {pi}: parked entry {:?} is not waiting",
-                        e.id
-                    );
-                    assert!(
-                        q.contains(e.id),
-                        "pipe {pi}: parked entry {:?} not in its queue",
-                        e.id
-                    );
-                    assert!(
-                        !q.ready_entries().iter().any(|r| r.id == e.id),
-                        "pipe {pi}: {:?} both parked and ready",
-                        e.id
-                    );
-                }
-                // Completeness: every operand-ready Waiting entry is in
-                // the ready set, the timed park, or blocked on a store's
+                // Completeness: every operand-ready Waiting member is in
+                // the ready set, the LQ park, or blocked on a store's
                 // issue (the event-driven core never strands a wakeup).
-                for id in q.iter() {
+                for &id in &members {
                     let hot = self.pool.hot(id);
                     if hot.state() == InstState::Waiting && operands_ready(id) {
                         let t = hot.thread().index();
                         assert!(
                             q.ready_entries().iter().any(|e| e.id == id)
-                                || q.parked_entries().any(|e| e.id == id)
+                                || p.lq_park.iter().any(|e| e.c.id == id)
                                 || self.threads[t].blocked_loads.iter().any(|&(_, e)| e.id == id),
                             "pipe {pi}: operand-ready {id:?} missing from the ready set"
                         );
                         assert_eq!(
-                            self.pool.hot(id).pending_srcs,
-                            0,
+                            hot.pending_srcs, 0,
                             "pipe {pi}: {id:?} ready but counts pending sources"
                         );
                     }
                 }
             }
+            // LQ park: entries are live waiting loads of this pipeline,
+            // and never double-listed with the ready set.
+            for e in p.lq_park.iter().map(|e| &e.c) {
+                let hot = self.pool.hot(e.id);
+                assert_eq!(
+                    hot.state(),
+                    InstState::Waiting,
+                    "pipe {pi}: parked entry {:?} is not waiting",
+                    e.id
+                );
+                assert!(
+                    hot.op.is_load() && hot.pipe() as usize == pi,
+                    "pipe {pi}: parked entry {:?} is not one of its loads",
+                    e.id
+                );
+                assert!(
+                    !p.lq.ready_entries().iter().any(|r| r.id == e.id),
+                    "pipe {pi}: {:?} both parked and ready",
+                    e.id
+                );
+            }
         }
-        // Store-blocked loads: live waiting LQ members whose recorded
-        // blocker is a real, not-yet-issued older store of the same
-        // thread.
+        // Store-blocked loads: live waiting loads of the thread's ROB
+        // whose recorded blocker is a real, not-yet-issued older store of
+        // the same thread.
         for (t, th) in self.threads.iter().enumerate() {
-            let lq = &self.pipes[th.pipe as usize].lq;
             for &(store_seq, e) in &th.blocked_loads {
                 assert_eq!(e.thread as usize, t, "blocked load filed under the wrong thread");
                 let state = self.pool.hot(e.id).state();
                 assert_eq!(state, InstState::Waiting, "blocked load {:?} not waiting", e.id);
-                assert!(lq.contains(e.id), "blocked load {:?} not in its LQ", e.id);
+                assert!(
+                    th.rob.iter().any(|&id| id == e.id),
+                    "blocked load {:?} not in its ROB",
+                    e.id
+                );
                 assert!(store_seq < e.seq, "blocker must be older than the load");
                 let blocker =
                     th.lq_stores.iter().find(|s| s.seq == store_seq).unwrap_or_else(|| {
@@ -1046,17 +1075,15 @@ impl Processor {
         }
         assert_eq!(self.regfile.pending_wakeups(), 0, "undrained register wakeups");
 
-        // Wheel population == executing (non-squashed) instructions. Every
-        // non-squashed Executing instruction sits in its thread's ROB;
-        // squashed ones await release on `squashed_exec`.
+        // Wheel population == executing instructions. Squash releases
+        // every squashed slot at once, so a live (generation-matching)
+        // entry is always an executing instruction in its thread's ROB.
         let wheel_live = self
             .wheel
             .iter()
             .filter(|e| {
-                self.pool.gen(e.c.id) == e.c.gen && {
-                    let h = self.pool.hot(e.c.id);
-                    !h.is_squashed() && h.state() == InstState::Executing
-                }
+                self.pool.gen(e.c.id) == e.c.gen
+                    && self.pool.hot(e.c.id).state() == InstState::Executing
             })
             .count();
         let executing = self
@@ -1067,19 +1094,18 @@ impl Processor {
             .count();
         assert_eq!(wheel_live, executing, "completion wheel out of step with the ROBs");
 
-        // Per-thread store lists mirror the same-thread stores of the LQ
-        // (queue iteration is unordered; the list itself must be
-        // program-ordered).
+        // Per-thread store lists mirror the thread's dispatched,
+        // uncommitted stores, in ROB (program) order.
         for (t, th) in self.threads.iter().enumerate() {
-            let lq = &self.pipes[th.pipe as usize].lq;
-            let mut expect: Vec<InstId> = lq
+            let expect: Vec<InstId> = th
+                .rob
                 .iter()
+                .copied()
                 .filter(|&id| {
                     let h = self.pool.hot(id);
-                    h.thread().index() == t && h.op.is_store()
+                    h.op.is_store() && h.state() != InstState::Rename
                 })
                 .collect();
-            expect.sort_unstable_by_key(|&id| self.pool.hot(id).seq.0);
             let got: Vec<InstId> = th.lq_stores.iter().map(|s| s.id).collect();
             let seqs: Vec<u64> = th.lq_stores.iter().map(|s| s.seq).collect();
             assert!(

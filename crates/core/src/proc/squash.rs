@@ -8,8 +8,8 @@ use super::Processor;
 
 impl Processor {
     /// Squash every instruction of thread `t` younger than `seq_min`, in
-    /// every structure: decoupling buffer, stage latches, issue queues,
-    /// ROB and execution list. Rename mappings are walked back youngest-
+    /// every structure: decoupling buffer, stage latches, issue queues
+    /// and ROB, releasing every squashed slot at once. Rename mappings are walked back youngest-
     /// first; squashed *correct-path* instructions are pushed onto the
     /// thread's replay queue (oldest first) so FLUSH can re-fetch them.
     ///
@@ -70,8 +70,7 @@ impl Processor {
                     // ready) before the slot is reclaimed.
                     let q = self.pipes[pipe_idx].queue_mut(op.fu_kind());
                     q.remove_ready(tail);
-                    let removed = q.remove(tail);
-                    debug_assert!(removed, "waiting instruction must be in its queue");
+                    q.remove();
                     to_release.push(tail);
                 }
                 InstState::Executing => {
@@ -81,15 +80,16 @@ impl Processor {
                     if op.is_store() {
                         // Issued stores remain LQ members (forwarding
                         // source) until commit; squash evicts them here.
-                        self.pipes[pipe_idx].lq.remove(tail);
+                        self.pipes[pipe_idx].lq.remove();
                     }
-                    // Released at the next writeback; its completion-wheel
-                    // entry goes stale with that release.
-                    self.squashed_exec.push(tail);
+                    // Its completion-wheel and FLUSH-wheel entries go
+                    // stale with the release and are dropped by
+                    // generation when they come due.
+                    to_release.push(tail);
                 }
                 InstState::Done => {
                     if op.is_store() {
-                        self.pipes[pipe_idx].lq.remove(tail);
+                        self.pipes[pipe_idx].lq.remove();
                     }
                     to_release.push(tail);
                 }
@@ -142,9 +142,7 @@ impl Processor {
             pipe.decode_latch.retain(|e| !pool.hot(e.id).is_squashed());
             pipe.dispatch_latch.retain(|e| !pool.hot(e.id).is_squashed());
             let tt = t as u8;
-            for q in [&mut pipe.iq, &mut pipe.fq, &mut pipe.lq] {
-                q.purge_parked(|e| !(e.thread == tt && e.seq > seq_min));
-            }
+            pipe.lq_park.retain(|e| !(e.thread == tt && e.seq > seq_min));
         }
         // Loads waiting on a blocking store's issue: squashed ones are
         // exactly those younger than the squash point.
@@ -152,7 +150,7 @@ impl Processor {
             self.threads[t].blocked_loads.retain(|&(_, e)| e.seq <= seq_min);
         }
 
-        // ---- release everything not owned by the execution list ----
+        // ---- release every squashed slot ----
         let n_replay = replay.len();
         for &id in &to_release {
             self.pool.release(id);

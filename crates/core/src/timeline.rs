@@ -12,9 +12,8 @@
 //!
 //! * every **wheel**, through `CompletionWheel::next_due`: the completion
 //!   wheel and the FLUSH wheel (the earliest filed completion/trigger,
-//!   stale entries included — conservative, never wrong), and each issue
-//!   queue's **park** (`IssueQueue::park_next_due`: MSHR back-off retries
-//!   and store-agen waits);
+//!   stale entries included — conservative, never wrong), and each
+//!   pipeline's **LQ park** (MSHR back-off retries and store-agen waits);
 //! * the **front end**: each live thread's fetch-stall release cycle
 //!   (`stalled_until` — I-cache misses, redirect bubbles). A thread that
 //!   is done contributes nothing; a FLUSH-gated thread's release rides

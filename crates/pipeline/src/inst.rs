@@ -45,13 +45,17 @@
 //!
 //! # Generations
 //!
-//! Each slot carries a generation counter, bumped on release: stale
-//! references held by lazily-maintained structures (wakeup lists, the
-//! completion/flush wheels) pair the id with the generation they captured
-//! and are dropped when the two no longer match. The free list is LIFO and
-//! the release schedule is owned by the processor, so slot-reuse timing —
-//! and therefore every downstream statistic — is independent of the
-//! layout.
+//! Each slot carries a generation counter, bumped on release. The
+//! processor releases a slot at commit or at squash, an instruction
+//! squashed mid-execution included, so a slot can be reused in the very
+//! cycle it was freed while lazily-maintained structures (wakeup lists,
+//! the completion and FLUSH wheels) still refer to its previous
+//! occupant. Those references pair the id with the generation they
+//! captured and are dropped when the two no longer match. The free list
+//! is LIFO and the release schedule is owned by the processor, so
+//! slot-reuse timing is independent of the layout, and no statistic
+//! depends on slot numbers: issue orders by the pool-independent
+//! `(seq, thread)` age key.
 
 use hdsmt_bpred::DirSnapshot;
 use hdsmt_isa::{Op, SeqNum, ThreadId};

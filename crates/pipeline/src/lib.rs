@@ -23,20 +23,20 @@
 //! heap allocation (slab + free list, fixed rings, index-based links).
 //!
 //! The scheduler-facing structures are *event-driven*: the register file
-//! keeps producer-indexed wakeup lists, each issue queue keeps an eagerly
-//! maintained ready set plus a retry park (a [`CompletionWheel`] of ready
-//! entries) for replayed/blocked entries, and the completion wheel files
-//! executing instructions by completion cycle so writeback drains O(due)
-//! work. Stale cross-references are
+//! keeps producer-indexed wakeup lists, each issue queue keeps a member
+//! count and an eagerly maintained ready set, the LQ's retry park (a
+//! [`CompletionWheel`] of ready entries) holds replayed and blocked
+//! loads, and the completion wheel files executing instructions by
+//! completion cycle so writeback drains O(due) work. Stale cross-references are
 //! impossible by construction: the instruction pool gives every slot a
 //! generation, and consumers validate `(id, generation)` pairs on use.
 //!
 //! The time-bearing structures also *report their horizon* for the
 //! processor's quiescence-skipping cycle engine: the completion wheel's
 //! [`CompletionWheel::next_due`] (O(1) — near-ring occupancy bitmask plus
-//! a maintained far-list minimum), which each queue's park reports through
-//! [`IssueQueue::park_next_due`], tells the core `Timeline` the earliest
-//! cycle a wheel could act, and [`CompletionWheel::warp_to`] performs the
+//! a maintained far-list minimum), which the LQ park reports through as
+//! well, tells the core `Timeline` the earliest cycle a wheel could act,
+//! and [`CompletionWheel::warp_to`] performs the
 //! far-entry migrations that skipped lap boundaries would have done. See
 //! `hdsmt_core::proc` for the full contract.
 //!

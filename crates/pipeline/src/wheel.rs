@@ -18,9 +18,9 @@
 //! record, so the drain runs without opening a single cold record.
 //! Squashed instructions are *not* removed from their bucket; the
 //! processor releases their pool slot (bumping the generation) and the
-//! stale entry is discarded when its bucket comes up. Each issue queue's
-//! retry park is a wheel of `ReadyEntry` payloads instead, purged eagerly
-//! on squash with [`CompletionWheel::retain`].
+//! stale entry is discarded when its bucket comes up. The LQ's retry
+//! park is a wheel of `ReadyEntry` payloads instead, purged eagerly on
+//! squash with [`CompletionWheel::retain`].
 
 use crate::inst::InstId;
 
