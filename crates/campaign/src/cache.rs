@@ -153,34 +153,42 @@ impl ResultCache {
     /// count as misses (the caller re-simulates and overwrites them), but
     /// corrupt ones are additionally tallied in [`Self::counters`].
     pub fn get(&self, key: &str) -> Option<SimResult> {
-        match self.entry_text(key) {
-            // `entry_text` validated the text deserializes; re-parse
-            // defensively anyway — a decode surprise is a miss, not a panic.
-            EntryLookup::Hit(text) => {
-                serde_json::from_str::<CacheEntry>(&text).ok().map(|entry| entry.result)
-            }
-            EntryLookup::Miss | EntryLookup::Corrupt => None,
-        }
+        self.lookup(key).ok().map(|(_, entry)| entry.result)
     }
 
     /// Raw entry lookup: the verbatim on-disk JSON, validated. This is
     /// the `GET /cells/:hash` backend — the entry text is already the
-    /// response body — and what [`Self::get`] decodes. Updates the
-    /// telemetry counters. A corrupt entry is quarantined on detection
-    /// (see [`Self::quarantined_entries`]), so the *next* lookup of the
-    /// same key is a clean miss that re-simulates.
+    /// response body. Updates the telemetry counters. A corrupt entry is
+    /// quarantined on detection (see [`Self::quarantined_entries`]), so
+    /// the *next* lookup of the same key is a clean miss that
+    /// re-simulates.
     pub fn entry_text(&self, key: &str) -> EntryLookup {
+        match self.lookup(key) {
+            Ok((text, _)) => EntryLookup::Hit(text),
+            Err(miss) => miss,
+        }
+    }
+
+    /// Read and decode `key`'s entry once, for both [`Self::get`] and
+    /// [`Self::entry_text`]: the text and its decoded entry on a hit,
+    /// otherwise [`EntryLookup::Miss`] or [`EntryLookup::Corrupt`] (the
+    /// corrupt entry quarantined). Counts the outcome.
+    fn lookup(&self, key: &str) -> Result<(String, CacheEntry), EntryLookup> {
         let Ok(text) = fs::read_to_string(self.path(key)) else {
             self.telemetry.misses.fetch_add(1, Ordering::Relaxed);
-            return EntryLookup::Miss;
+            return Err(EntryLookup::Miss);
         };
-        if serde_json::from_str::<CacheEntry>(&text).is_err() {
-            self.telemetry.corrupt.fetch_add(1, Ordering::Relaxed);
-            self.quarantine(key, "failed to deserialize at lookup");
-            return EntryLookup::Corrupt;
+        match serde_json::from_str::<CacheEntry>(&text) {
+            Ok(entry) => {
+                self.telemetry.hits.fetch_add(1, Ordering::Relaxed);
+                Ok((text, entry))
+            }
+            Err(_) => {
+                self.telemetry.corrupt.fetch_add(1, Ordering::Relaxed);
+                self.quarantine(key, "failed to deserialize at lookup");
+                Err(EntryLookup::Corrupt)
+            }
         }
-        self.telemetry.hits.fetch_add(1, Ordering::Relaxed);
-        EntryLookup::Hit(text)
     }
 
     /// Move a rotten entry into `<dir>/quarantine/` (atomic rename) with a
@@ -572,6 +580,28 @@ mod tests {
         assert_eq!(got.arch, "M8");
         assert_eq!(got.mapping, vec![0, 0]);
         assert_eq!(cache.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_corrupt_entry_read_through_get_is_quarantined() {
+        let dir = tmpdir("corrupt-get");
+        let cache = ResultCache::open(&dir).unwrap();
+        let key = ResultCache::key_for("{\"job\":4}");
+        cache.put(&key, "{\"job\":4}", &fake_result()).unwrap();
+        assert!(cache.get(&key).is_some());
+        // Valid JSON of the wrong shape: it parses, but not as an entry.
+        let path = dir.join(&key[..2]).join(format!("{key}.json"));
+        fs::write(&path, "{\"version\": 1}").unwrap();
+
+        assert!(cache.get(&key).is_none(), "a corrupt entry reads as a miss");
+        assert!(!cache.contains(&key), "quarantine removes the live entry");
+        assert_eq!(cache.quarantined_entries(), 1);
+        assert!(dir.join(QUARANTINE_DIR).join(format!("{key}.json")).is_file());
+        assert!(cache.get(&key).is_none(), "then a clean miss");
+        let counters = cache.counters();
+        assert_eq!((counters.hits, counters.corrupt, counters.misses), (1, 1, 1), "{counters:?}");
+        assert_eq!(counters.quarantined, 1, "{counters:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

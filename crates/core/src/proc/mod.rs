@@ -31,11 +31,17 @@
 //!   unknown-address older store has not issued waits on that store's
 //!   issue (`Thread::blocked_loads`); once the store's agen completion
 //!   cycle is known the load moves to the LQ's park (a
-//!   [`CompletionWheel`] of ready entries beside the LQ, also where
-//!   MSHR-full loads back off) and rejoins the ready set exactly when the
-//!   address becomes visible. The load-ordering walk itself reads the per-thread
-//!   `LqStore` list (program-ordered, denormalised) instead of rescanning
-//!   the LQ.
+//!   [`CompletionWheel`] of ready entries beside the LQ) and rejoins the
+//!   ready set exactly when the address becomes visible. The
+//!   load-ordering walk itself reads the per-thread `LqStore` list
+//!   (program-ordered, denormalised) instead of rescanning the LQ.
+//! * **MSHR-full retries** cost no churn: a load that bounces off the
+//!   full D-MSHR file keeps its ready-set place, backed off for two
+//!   cycles (`IssueQueue::back_off`), and issue passes over it until
+//!   then. It was clear of every older store when it bounced and stays
+//!   so, so its retry skips the load-ordering walk, and it carries the
+//!   MSHR file's version from the bounce, so the retry skips the MSHR
+//!   scans while the file is unchanged (`MemHier::retry_load`).
 //! * **Completion wheel** ([`CompletionWheel`]): executing instructions
 //!   are filed under their completion cycle; writeback drains exactly the
 //!   bucket due now. Squash releases an executing instruction's slot at
@@ -62,19 +68,26 @@
 //!   `act` flags). A step that ends with the mask zero changed nothing
 //!   but the per-cycle rotation counters — and, since every inter-cycle
 //!   dependency in the machine is *scheduled* (wheel completions, FLUSH
-//!   triggers, park expiries, fetch-stall releases, MSHR fills), the
-//!   machine will do nothing again until the earliest scheduled event.
+//!   triggers, park expiries, back-off expiries, fetch-stall releases,
+//!   MSHR fills), the machine will do nothing again until the earliest
+//!   scheduled event. A step whose only work was draining completions
+//!   (`act::WB_COMPLETE` alone: nothing woken, issued, committed or
+//!   fetched) counts too: a completion can act on the next cycle only
+//!   through a ROB head it finished (the `Timeline`'s commit reporter),
+//!   a released FLUSH gate or a misprediction redirect (both through
+//!   `stalled_until`).
 //! * **The [`Timeline`] contract.** Each time-bearing subsystem reports
 //!   its next-activity cycle. Every wheel reports through
 //!   `CompletionWheel::next_due` (O(1): near-ring occupancy mask + far
 //!   minimum): the completion and FLUSH wheels directly, stale entries
 //!   included, which is conservative, never wrong; and each pipeline's
-//!   LQ park. So does each live thread's
+//!   LQ park. Each LQ reports its earliest back-off expiry
+//!   (`IssueQueue::next_retry`), and each live thread its
 //!   `stalled_until` (threads that are done report nothing; FLUSH-gated
 //!   or buffer-blocked threads ride the completion that releases them).
 //!   The MSHR files deliberately report nothing: a fill expiry on its
 //!   own wakes no stage — every access that could exploit the freed
-//!   capacity arrives via a reporter above (a parked retry, a stall
+//!   capacity arrives via a reporter above (a backed-off retry, a stall
 //!   release), so reporting the earliest fill would only truncate warps.
 //!   Quiescence makes the list exhaustive: anything that could act
 //!   sooner would have set an activity bit this cycle.
@@ -93,8 +106,36 @@
 //!   `invariant-checks` — by *shadow-stepping*, which single-steps every
 //!   warped range, asserts each skipped cycle was inert, and checks the
 //!   fast path's counter math against the stepped result.
-//!   `SimConfig::warp = false` disables the engine;
+//!   `SimConfig::warp = false` disables the engine (both kinds of jump);
 //!   external `step()` callers are never warped.
+//! * **Retry-only stretches.** With every D-MSHR taken, the MEM-class
+//!   workloads spend stretches in which the only work is backed-off
+//!   loads bouncing again every two cycles. Such a step sets only
+//!   `act::ISSUE_RETRY`: each load that got a load/store unit hit the
+//!   D-TLB, missed the L1D, hit the L2 and bounced (a *clean* bounce),
+//!   and any load/store candidate without a unit lost to those bounces.
+//!   Two consecutive such steps that rejected the same candidates (and
+//!   bounced at least one load) form a full **retry period**, after
+//!   which the machine is at a fixed point: the next period sees the
+//!   same candidates in the same order, all load/store units free again
+//!   (they are pipelined), the same MSHR-full file (no fill due), and
+//!   TLB and L2 recency that the last period already brought to where
+//!   repeating its promotions leaves it; the L1D is untouched by misses.
+//!   So the processor jumps an even number of cycles, to just before the
+//!   earliest event that can break the pattern — a completion or FLUSH
+//!   trigger, a park expiry, a fetch-stall release, the stop cycle, or
+//!   the first retry that would reach the D-MSHR file at or after its
+//!   earliest fill (the retry-period `Timeline` drops the back-off
+//!   reporter, which is the period itself, and adds that fill) — and
+//!   replays the skipped retries in one batch: `MemHier`'s load and
+//!   L1D-miss counts and the D-MSHR full-stall count
+//!   (`MemHier::replay_load_bounces`), and every backed-off load's retry
+//!   cycle (`IssueQueue::delay_retries`), beside the rotation counters
+//!   and wheel migrations of a quiescent warp. Shadow-stepping checks
+//!   these jumps too: each skipped step may do no more than
+//!   `act::ISSUE_RETRY`, and the statistics, the raw MSHR counters,
+//!   the ready sets and a digest of the cache, TLB and MSHR state
+//!   (`MemHier::state_digest`) must come out as the batch predicted.
 //!
 //! # Hot/cold pool traffic per stage
 //!
@@ -126,8 +167,8 @@ use hdsmt_bpred::{Btb, DirectionPredictor, Ras, RasSnapshot};
 use hdsmt_isa::{FuKind, Pc, ThreadId};
 use hdsmt_mem::MemHier;
 use hdsmt_pipeline::{
-    Completion, CompletionWheel, FuPool, InstId, InstPool, IssueQueue, PipeModel, ReadyEntry,
-    RegFile, RenameMap, RingBuf, Waiter,
+    Completion, CompletionWheel, FuPool, InstId, InstPool, InstState, IssueQueue, PipeModel,
+    ReadyEntry, RegFile, RenameMap, RingBuf, Waiter,
 };
 use hdsmt_trace::{ChunkBuf, DynInst, TraceSource};
 
@@ -144,11 +185,16 @@ pub(crate) mod act {
     pub const WB_WAKEUP: u32 = 1 << 2;
     pub const FLUSH: u32 = 1 << 3;
     pub const ISSUE_UNPARK: u32 = 1 << 4;
+    /// Issue selected a candidate that did anything but a clean bounce.
     pub const ISSUE_READY: u32 = 1 << 5;
     pub const DISPATCH: u32 = 1 << 6;
     pub const RENAME: u32 = 1 << 7;
     pub const DECODE: u32 = 1 << 8;
     pub const FETCH: u32 = 1 << 9;
+    /// A load bounced off the full D-MSHR file after hitting the D-TLB
+    /// and the L2, or a load/store candidate found every load/store unit
+    /// taken: the only work a retry-only step does.
+    pub const ISSUE_RETRY: u32 = 1 << 10;
 }
 
 /// One in-LQ store, denormalised for the load-ordering check: the walk
@@ -256,10 +302,10 @@ pub(crate) struct Pipe {
     pub iq: IssueQueue,
     pub fq: IssueQueue,
     pub lq: IssueQueue,
-    /// The LQ's retry park: operand-ready loads that must wait a known
-    /// few cycles (an MSHR-full back-off, an older store's pending
-    /// address), filed by the cycle they rejoin the LQ's ready set. Only
-    /// loads ever wait this way, so the other queues have none.
+    /// The LQ's park: operand-ready loads waiting a known few cycles for
+    /// an older store's address, filed by the cycle they rejoin the LQ's
+    /// ready set. (A load backed off after an MSHR-full bounce waits in
+    /// the ready set itself, see `IssueQueue::back_off`.)
     pub lq_park: CompletionWheel<ReadyEntry>,
     pub int_fu: FuPool,
     pub fp_fu: FuPool,
@@ -359,11 +405,27 @@ pub struct Processor {
     warps: u64,
     /// Quiescent steps observed (diagnostics).
     quiescent_steps: u64,
+    /// Cycles skipped by fast-forwarding retry-only stretches, a subset
+    /// of `warped_cycles` (diagnostics; not part of `SimStats`).
+    retry_warped_cycles: u64,
+    /// Clean MSHR-full bounces in the step being run (see
+    /// [`act::ISSUE_RETRY`]).
+    step_bounces: u32,
+    /// Load/store candidates of the step being run that found every
+    /// load/store unit taken, in issue order.
+    step_rejected: Vec<InstId>,
+    /// The clean bounces of the previous step when it was retry-only
+    /// (its activity at most [`act::ISSUE_RETRY`]): with the current
+    /// step, one full two-cycle retry period.
+    retry_half: Option<u32>,
+    /// The previous step's `step_rejected`. A period repeats only if both
+    /// of its steps rejected the same entries.
+    prev_rejected: Vec<InstId>,
 
     // ---- reusable per-cycle scratch (kept across cycles so the steady-
     // state hot loop allocates nothing) ----
-    /// Issue candidates: (packed age key, id, op, address, forwarded).
-    scratch_candidates: Vec<(u64, InstId, hdsmt_isa::Op, u64, bool)>,
+    /// Issue candidates of one pipeline.
+    scratch_candidates: Vec<backend::Candidate>,
     /// Loads found blocked during the gather (applied after it).
     scratch_blocked: Vec<(ReadyEntry, u64, u64)>,
     /// Register-file wakeups being routed to ready sets.
@@ -481,6 +543,11 @@ impl Processor {
             warped_cycles: 0,
             warps: 0,
             quiescent_steps: 0,
+            retry_warped_cycles: 0,
+            step_bounces: 0,
+            step_rejected: Vec::new(),
+            retry_half: None,
+            prev_rejected: Vec::new(),
             scratch_candidates: Vec::new(),
             scratch_blocked: Vec::new(),
             scratch_woken: Vec::new(),
@@ -570,6 +637,14 @@ impl Processor {
         self.quiescent_steps
     }
 
+    /// Cycles skipped so far by fast-forwarding retry-only stretches, a
+    /// subset of [`Self::warped_cycles`] (diagnostics; never part of
+    /// `SimStats`).
+    #[inline]
+    pub fn retry_warped_cycles(&self) -> u64 {
+        self.retry_warped_cycles
+    }
+
     /// Raw MSHR statistics (diagnostics; see [`MemHier::mshr_stats`]).
     pub fn mshr_stats(&self) -> ((u64, u64), (u64, u64)) {
         self.mem.mshr_stats()
@@ -579,6 +654,8 @@ impl Processor {
     /// at most one stage per cycle.
     pub fn step(&mut self) {
         self.activity = 0;
+        self.step_bounces = 0;
+        self.step_rejected.clear();
         self.commit_stage();
         self.writeback_stage();
         self.process_flushes();
@@ -659,9 +736,8 @@ impl Processor {
         let mut steps: u64 = 0;
         while !self.stop && self.cycle < limit {
             self.step();
-            if self.activity == 0 && self.warp_enabled {
-                self.quiescent_steps += 1;
-                self.try_warp(limit);
+            if self.warp_enabled {
+                self.after_step(limit);
             }
             steps += 1;
             if steps & POLL_MASK == 0 && should_stop() {
@@ -671,26 +747,79 @@ impl Processor {
         true
     }
 
+    /// The warp decisions after one step: warp over a proven-quiescent
+    /// range, or fast-forward a retry-only stretch once a full retry
+    /// period has been observed (see the module docs).
+    fn after_step(&mut self, limit: u64) {
+        if self.activity & !(act::ISSUE_RETRY | act::WB_COMPLETE) != 0 {
+            self.retry_half = None;
+            return;
+        }
+        if self.activity & act::ISSUE_RETRY == 0 {
+            self.quiescent_steps += (self.activity == 0) as u64;
+            if self.try_warp(limit) {
+                self.retry_half = None;
+                return;
+            }
+        }
+        // A retry-only step. With the previous one it makes a full
+        // period if both rejected the same load/store candidates: then
+        // every step of the next period sees the same candidates.
+        let bounces = self.step_bounces;
+        let same_rejects = self.prev_rejected == self.step_rejected;
+        std::mem::swap(&mut self.prev_rejected, &mut self.step_rejected);
+        let period = self.retry_half.replace(bounces).map(|prev| prev + bounces);
+        if let Some(bounces) = period.filter(|&b| b > 0 && same_rejects) {
+            if self.try_retry_warp(limit, bounces) {
+                self.retry_half = None;
+            }
+        }
+    }
+
     /// Aggregate every subsystem's next-activity report. Only meaningful
     /// right after a quiescent step (otherwise the current cycle's own
-    /// work is the next activity). See the [`Timeline`] docs for the list
-    /// of reporters and why it is exhaustive.
-    fn timeline(&mut self) -> Timeline {
+    /// work is the next activity), or, with `retry_period`, right after
+    /// a full retry period: then the backed-off loads' retries are the
+    /// period itself, not events, and the D-MSHR file's earliest fill is
+    /// the event that ends it. See the [`Timeline`] docs for the list of
+    /// reporters and why it is exhaustive.
+    fn timeline(&mut self, retry_period: bool) -> Timeline {
         let now = self.cycle;
         let mut tl = Timeline::new();
+        // A step's completions wake nothing by themselves (their wakeups
+        // are their own activity), but one may have finished a ROB head,
+        // which commits on the very next step.
+        if self.activity & act::WB_COMPLETE != 0 && self.threads.iter().any(|t| self.head_done(t)) {
+            tl.observe("commit", now);
+        }
         tl.observe("completion-wheel", self.wheel.next_due(now));
         tl.observe("flush-wheel", self.flush_wheel.next_due(now));
         for p in &self.pipes {
             tl.observe("lq-park", p.lq_park.next_due(now));
+            if !retry_period {
+                // Quiescence proves every ready entry is a backed-off
+                // load: anything else would have been an issue candidate.
+                let retry = p.lq.next_retry();
+                debug_assert!(retry >= now, "a due retry cannot be pending while quiescent");
+                tl.observe("lq-retry", retry);
+            }
         }
-        // The MSHR files report nothing: a fill expiry on its own wakes
-        // no stage — its only effect is freeing capacity for a *later*
-        // access, and every such access is driven by a reporter above (a
-        // parked retry or a fetch-stall release). Reporting the earliest
-        // outstanding fill was measured to only truncate warps one or two
-        // cycles short of the corresponding completion;
-        // the shadow-stepping differential and the warp proptest enforce
-        // that leaving it out never skips real work.
+        // Outside a retry period the MSHR files report nothing: a fill
+        // expiry on its own wakes no stage — its only effect is freeing
+        // capacity for a *later* access, and every such access is driven
+        // by a reporter above (a backed-off retry or a fetch-stall
+        // release). Reporting the earliest outstanding fill was measured
+        // to only truncate warps one or two cycles short of the
+        // corresponding completion; the shadow-stepping differential and
+        // the warp proptest enforce that leaving it out never skips real
+        // work. Within a retry period the retries are not events, and the
+        // fill is: a retry issued at cycle `c` reaches the D-MSHR file at
+        // its agen cycle, `c + rf_lat`, so the first retry that can find
+        // the fill expired issues `rf_lat` cycles before it.
+        if retry_period {
+            let fill = self.mem.dmshr_next_fill();
+            tl.observe("dmshr-fill", fill.saturating_sub(self.rf_lat as u64));
+        }
         for t in &self.threads {
             // A done thread never acts again; a FLUSH-gated or buffer-
             // blocked thread's release rides another reporter (the gating
@@ -719,18 +848,24 @@ impl Processor {
         tl
     }
 
-    /// After a proven-quiescent step: jump to the next event on the
-    /// timeline, capped at `limit`. No-op when the next event is the very
+    /// Is thread `t`'s oldest instruction done, ready to commit?
+    fn head_done(&self, t: &Thread) -> bool {
+        t.rob.front().is_some_and(|&id| self.pool.hot(id).state() == InstState::Done)
+    }
+
+    /// After a proven-quiescent step, or one whose only work was
+    /// completions: jump to the next event on the timeline, capped at
+    /// `limit`. No-op (returning `false`) when the next event is the very
     /// next cycle or the timeline is empty with no finite cap (an
     /// idle-forever machine keeps its single-stepped semantics).
-    fn try_warp(&mut self, limit: u64) {
-        debug_assert_eq!(self.activity, 0);
+    fn try_warp(&mut self, limit: u64) -> bool {
+        debug_assert_eq!(self.activity & !act::WB_COMPLETE, 0);
         debug_assert_eq!(self.regfile.pending_wakeups(), 0, "quiescent with undrained wakeups");
         // Quiescent cycles commit nothing, so a warp can never jump the
         // warm-up boundary: it was either crossed before this stretch
         // began or needs commits that the warp target's events unlock.
         debug_assert!(self.warmed || self.committed_total < self.cfg.warmup_insts);
-        let target = match self.timeline().next_event() {
+        let target = match self.timeline(false).next_event() {
             // `cycle` was already incremented past the quiescent step, so
             // an event at exactly `cycle` means "due on the very next
             // step" — no warp, but not a bug. Strictly earlier would be a
@@ -743,85 +878,159 @@ impl Processor {
             // single-stepped machine would idle to the cap; replicate
             // that. With no cap it would hang — preserve that semantic
             // (such a machine is a modelling bug, not a warp decision).
-            None if limit == u64::MAX => return,
+            None if limit == u64::MAX => return false,
             None => limit,
         };
         if target <= self.cycle {
-            return;
+            return false;
         }
-        self.warp_to(target);
+        self.warp_to(target, 0);
+        true
+    }
+
+    /// After a full retry period — two consecutive steps whose only
+    /// activity was `bounces` clean MSHR-full bounces and the same
+    /// load/store candidates losing unit arbitration — jump an even
+    /// number of cycles, to just before the next event or `limit`,
+    /// replaying the skipped bounces. Returns whether it jumped.
+    fn try_retry_warp(&mut self, limit: u64, bounces: u32) -> bool {
+        let now = self.cycle;
+        debug_assert!(self.mem.dmshr_full(), "a bounce leaves the D-MSHR file full");
+        // Every ready entry is a load/store of the period: backed off to
+        // one of its two cycles, or rejected in both (and due already).
+        debug_assert!(self.pipes.iter().all(|p| p.iq.ready_entries().is_empty()
+            && p.fq.ready_entries().is_empty()
+            && p.lq.ready_entries().iter().all(|e| e.retry_at <= now + 1)));
+        // The D-MSHR file holds entries, so its fill always reports.
+        let end = self.timeline(true).next_event().unwrap_or(limit).min(limit);
+        let skipped = end.saturating_sub(now) & !1;
+        if skipped == 0 {
+            return false;
+        }
+        self.warp_to(now + skipped, bounces as u64 * skipped / 2);
+        true
     }
 
     /// Jump from the current cycle to `target`, reproducing exactly the
-    /// state a run of quiescent single-steps would have left: the
-    /// rotation counters advance by the skipped distance and the timing
-    /// wheels perform the far-entry migrations the skipped lap boundaries
-    /// would have done. Everything else is untouched — that is what
-    /// quiescence proved.
+    /// state single-stepping would have left: the rotation counters
+    /// advance by the skipped distance and the timing wheels perform the
+    /// far-entry migrations the skipped lap boundaries would have done.
+    /// A retry-only stretch also replays its `bounces` skipped retries:
+    /// the memory hierarchy charges them (its caches and MSHRs stay at
+    /// their fixed point), and every backed-off load's retry moves out
+    /// by the (even) skipped distance. Everything else is untouched —
+    /// that is what quiescence, or the retry period's fixed point,
+    /// proved.
     ///
     /// With the `invariant-checks` feature the skip is *shadow-stepped*
-    /// instead: every skipped cycle is executed and asserted inert, and
-    /// the resulting counters are asserted equal to what the warp would
-    /// have produced — the differential proof that warping is invisible.
-    fn warp_to(&mut self, target: u64) {
+    /// instead: every skipped cycle is executed and asserted to do no
+    /// more than the warp assumed, and the resulting statistics,
+    /// counters, ready sets and cache/TLB/MSHR state are asserted equal
+    /// to what the warp would have produced — the differential proof
+    /// that warping is invisible.
+    fn warp_to(&mut self, target: u64, bounces: u64) {
         let skipped = target - self.cycle;
         self.warped_cycles += skipped;
         self.warps += 1;
-
-        #[cfg(feature = "invariant-checks")]
-        {
-            let want_fetch_rr = self.fetch_rr.wrapping_add(skipped as usize);
-            let want_commit_rr: Vec<usize> = self
-                .pipes
-                .iter()
-                .map(|p| {
-                    if p.threads.is_empty() {
-                        p.commit_rr
-                    } else {
-                        p.commit_rr.wrapping_add(skipped as usize)
-                    }
-                })
-                .collect();
-            // Only the cycle counter may move across a warp; pre-age it
-            // so everything else can be compared wholesale.
-            let mut before = self.collect_stats();
-            before.cycles = target - self.measure_start_cycle;
-            let source = self.timeline().source();
-            while self.cycle < target {
-                let at = self.cycle;
-                self.step();
-                assert_eq!(
-                    self.activity, 0,
-                    "cycle {at} inside a warp to {target} (source: {source}) performed \
-                     work (activity mask {:#b})",
-                    self.activity
-                );
-                assert!(!self.stop, "a quiescent cycle cannot end the run");
-            }
-            assert_eq!(self.collect_stats(), before, "shadow-stepped warp changed statistics");
-            assert_eq!(self.fetch_rr, want_fetch_rr, "warp fetch-rotation mismatch");
-            for (p, want) in self.pipes.iter().zip(want_commit_rr) {
-                assert_eq!(p.commit_rr, want, "warp commit-rotation mismatch");
-            }
-            return;
+        if bounces > 0 {
+            self.retry_warped_cycles += skipped;
         }
-
+        #[cfg(feature = "invariant-checks")]
+        self.shadow_step_to(target, bounces);
         #[cfg(not(feature = "invariant-checks"))]
-        {
-            self.cycle = target;
-            // Per-cycle rotation counters tick even on dead cycles; the
-            // fetch priority and commit round-robin orders after the warp
-            // must match the single-stepped machine's exactly.
-            self.fetch_rr = self.fetch_rr.wrapping_add(skipped as usize);
-            for p in &mut self.pipes {
-                if !p.threads.is_empty() {
-                    p.commit_rr = p.commit_rr.wrapping_add(skipped as usize);
-                }
+        self.jump_to(target, bounces);
+    }
+
+    /// The fast path of [`Self::warp_to`].
+    #[cfg_attr(feature = "invariant-checks", allow(dead_code))]
+    fn jump_to(&mut self, target: u64, bounces: u64) {
+        let now = self.cycle;
+        let skipped = target - now;
+        self.cycle = target;
+        // Per-cycle rotation counters tick even on dead cycles; the
+        // fetch priority and commit round-robin orders after the warp
+        // must match the single-stepped machine's exactly.
+        self.fetch_rr = self.fetch_rr.wrapping_add(skipped as usize);
+        for p in &mut self.pipes {
+            if !p.threads.is_empty() {
+                p.commit_rr = p.commit_rr.wrapping_add(skipped as usize);
             }
-            // The wheels' skipped lap boundaries would have migrated far
-            // entries into the near rings.
-            self.wheel.warp_to(target);
-            self.flush_wheel.warp_to(target);
+        }
+        // The wheels' skipped lap boundaries would have migrated far
+        // entries into the near rings.
+        self.wheel.warp_to(target);
+        self.flush_wheel.warp_to(target);
+        if bounces > 0 {
+            debug_assert_eq!(skipped % 2, 0, "a retry stretch skips whole periods");
+            self.mem.replay_load_bounces(bounces);
+            for p in &mut self.pipes {
+                p.lq.delay_retries(now, skipped);
+            }
+        }
+    }
+
+    /// The shadow-stepping check of [`Self::warp_to`]: single-step to
+    /// `target` and compare with what [`Self::jump_to`] predicts.
+    #[cfg(feature = "invariant-checks")]
+    fn shadow_step_to(&mut self, target: u64, bounces: u64) {
+        let now = self.cycle;
+        let skipped = target - now;
+        let want_fetch_rr = self.fetch_rr.wrapping_add(skipped as usize);
+        let want_commit_rr: Vec<usize> = self
+            .pipes
+            .iter()
+            .map(|p| {
+                if p.threads.is_empty() {
+                    p.commit_rr
+                } else {
+                    p.commit_rr.wrapping_add(skipped as usize)
+                }
+            })
+            .collect();
+        // The cycle counter and the replayed retries' counters are all
+        // that may move; pre-age them so everything else compares
+        // wholesale.
+        let mut want = self.collect_stats();
+        want.cycles = target - self.measure_start_cycle;
+        want.mem.loads += bounces;
+        want.mem.load_l1_misses += bounces;
+        let ((dc, df), ifetch) = self.mem.mshr_stats();
+        let want_mshr = ((dc, df + bounces), ifetch);
+        let want_mem = self.mem.state_digest();
+        let want_ready: Vec<Vec<ReadyEntry>> = self
+            .pipes
+            .iter()
+            .map(|p| {
+                let mut lq = p.lq.ready_entries().to_vec();
+                for e in lq.iter_mut().filter(|e| bounces > 0 && e.retry_at >= now) {
+                    e.retry_at += skipped;
+                }
+                lq
+            })
+            .collect();
+        let allowed = if bounces > 0 { act::ISSUE_RETRY } else { 0 };
+        let source = self.timeline(bounces > 0).source();
+        while self.cycle < target {
+            let at = self.cycle;
+            self.step();
+            assert_eq!(
+                self.activity & !allowed,
+                0,
+                "cycle {at} inside a warp to {target} (source: {source}) performed \
+                 work (activity mask {:#b})",
+                self.activity
+            );
+            assert!(!self.stop, "a skipped cycle cannot end the run");
+        }
+        assert_eq!(self.collect_stats(), want, "shadow-stepped warp changed statistics");
+        assert_eq!(self.mem.mshr_stats(), want_mshr, "warp MSHR statistics mismatch");
+        assert_eq!(self.mem.state_digest(), want_mem, "warp moved cache, TLB or MSHR state");
+        assert_eq!(self.fetch_rr, want_fetch_rr, "warp fetch-rotation mismatch");
+        for (p, (want_rr, want_lq)) in
+            self.pipes.iter().zip(want_commit_rr.into_iter().zip(want_ready))
+        {
+            assert_eq!(p.commit_rr, want_rr, "warp commit-rotation mismatch");
+            assert_eq!(p.lq.ready_entries(), &want_lq[..], "warp back-off mismatch");
         }
     }
 
@@ -907,7 +1116,6 @@ impl Processor {
     /// O(everything); test-only.
     #[cfg(any(test, feature = "invariant-checks"))]
     pub fn check_icount_invariant(&self) {
-        use hdsmt_pipeline::InstState;
         let mut counts = vec![0i32; self.threads.len()];
         for p in &self.pipes {
             for e in p.buffer.iter() {
@@ -937,8 +1145,6 @@ impl Processor {
     /// sets are allowed to be stale).
     #[cfg(any(test, feature = "invariant-checks"))]
     pub fn check_scheduler_invariants(&self) {
-        use hdsmt_pipeline::InstState;
-
         let operands_ready = |id: InstId| {
             self.pool.cold(id).src_phys.iter().flatten().all(|&s| self.regfile.is_ready(s))
         };

@@ -45,6 +45,7 @@ pub fn run_sim_interruptible(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FetchPolicy;
     use hdsmt_pipeline::MicroArch;
 
     fn spec(name: &str, seed: u64) -> ThreadSpec {
@@ -229,6 +230,33 @@ mod tests {
             skipped * 5 > total,
             "expected a substantial fraction of {total} cycles skipped, got {skipped}"
         );
+    }
+
+    #[test]
+    fn retry_storms_fast_forward_invisibly() {
+        // The MSHR-saturated cells: four mcf threads under ICOUNT, and
+        // the FLUSH mix. Fast-forwarding their retry-only stretches must
+        // leave the statistics and the raw MSHR counters bit-identical,
+        // and it must actually fire.
+        let cases: [(&[&str], FetchPolicy); 2] = [
+            (&["mcf", "mcf", "mcf", "mcf"], FetchPolicy::Icount),
+            (&["mcf", "mcf", "twolf", "vpr"], FetchPolicy::Flush),
+        ];
+        for (names, policy) in cases {
+            let workload: Vec<ThreadSpec> =
+                names.iter().enumerate().map(|(i, n)| spec(n, 40 + i as u64)).collect();
+            let mut on = SimConfig::paper_defaults(MicroArch::baseline(), 5_000);
+            on.fetch_policy = policy;
+            let mut off = on.clone();
+            off.warp = false;
+            let mut warped = Processor::new(on, &workload, &[0; 4]);
+            let mut stepped = Processor::new(off, &workload, &[0; 4]);
+            assert_eq!(warped.run(), stepped.run(), "{policy:?}: statistics differ");
+            assert_eq!(warped.mshr_stats(), stepped.mshr_stats(), "{policy:?}: MSHR counters");
+            assert!(warped.retry_warped_cycles() > 0, "{policy:?}: no retry stretch skipped");
+            assert!(warped.retry_warped_cycles() < warped.warped_cycles());
+            assert_eq!(stepped.warped_cycles(), 0, "warp = false single-steps every cycle");
+        }
     }
 
     #[test]

@@ -13,7 +13,13 @@
 //! * every **wheel**, through `CompletionWheel::next_due`: the completion
 //!   wheel and the FLUSH wheel (the earliest filed completion/trigger,
 //!   stale entries included — conservative, never wrong), and each
-//!   pipeline's **LQ park** (MSHR back-off retries and store-agen waits);
+//!   pipeline's **LQ park** (loads waiting for a store's agen);
+//! * each pipeline's **LQ back-offs**, through `IssueQueue::next_retry`:
+//!   the earliest cycle a load that bounced off the full MSHR file
+//!   retries;
+//! * the **commit stage**, after a step that completed instructions: the
+//!   very next cycle, if a completion finished a thread's oldest
+//!   instruction;
 //! * the **front end**: each live thread's fetch-stall release cycle
 //!   (`stalled_until` — I-cache misses, redirect bubbles). A thread that
 //!   is done contributes nothing; a FLUSH-gated thread's release rides
@@ -23,11 +29,16 @@
 //!
 //! The MSHR files deliberately do *not* report: a fill completion on its
 //! own wakes no stage — it only frees capacity that a later access (a
-//! parked MSHR-stall retry, a stall-released fetch) exploits, and those
-//! accesses are all driven by the reporters above. Reporting the
+//! backed-off MSHR-stall retry, a stall-released fetch) exploits, and
+//! those accesses are all driven by the reporters above. Reporting the
 //! earliest outstanding fill was tried: it is safe but measurably
 //! counter-productive, landing warps one or two cycles short of the
 //! completion that actually wakes the machine.
+//!
+//! After a full *retry period* (two steps whose only work was MSHR-full
+//! bounces, see `hdsmt_core::proc`) the list changes: the back-offs are
+//! the period itself and do not report, and the D-MSHR file's earliest
+//! fill does, as the first cycle a retry could find room.
 //!
 //! The fold keeps the minimum (and its source label, for diagnostics).
 //! The processor's one cycle loop (behind `Processor::run` and

@@ -178,6 +178,15 @@ impl Cache {
         evicted
     }
 
+    /// Feed every way's tag, valid bit and LRU rank to `out`, in array
+    /// order (see `MemHier::state_digest`).
+    pub fn digest_into(&self, out: &mut dyn FnMut(u64)) {
+        for e in &self.ways {
+            out(e.tag);
+            out((e.valid as u64) << 8 | e.lru as u64);
+        }
+    }
+
     fn touch(&mut self, base: usize, way: usize) {
         let old = self.ways[base + way].lru;
         for w in 0..self.cfg.ways {

@@ -24,9 +24,10 @@
 //!
 //! The scheduler-facing structures are *event-driven*: the register file
 //! keeps producer-indexed wakeup lists, each issue queue keeps a member
-//! count and an eagerly maintained ready set, the LQ's retry park (a
-//! [`CompletionWheel`] of ready entries) holds replayed and blocked
-//! loads, and the completion wheel files executing instructions by
+//! count and an eagerly maintained ready set (where a load that bounced
+//! off a full MSHR file waits out its back-off in place), the LQ's park
+//! (a [`CompletionWheel`] of ready entries) holds loads waiting for a
+//! store's address, and the completion wheel files executing instructions by
 //! completion cycle so writeback drains O(due) work. Stale cross-references are
 //! impossible by construction: the instruction pool gives every slot a
 //! generation, and consumers validate `(id, generation)` pairs on use.
@@ -36,6 +37,7 @@
 //! [`CompletionWheel::next_due`] (O(1) — near-ring occupancy bitmask plus
 //! a maintained far-list minimum), which the LQ park reports through as
 //! well, tells the core `Timeline` the earliest cycle a wheel could act,
+//! [`IssueQueue::next_retry`] the earliest back-off expiry,
 //! and [`CompletionWheel::warp_to`] performs the
 //! far-entry migrations that skipped lap boundaries would have done. See
 //! `hdsmt_core::proc` for the full contract.

@@ -22,10 +22,17 @@
 //! the instruction pool alone (see `inst`).
 //!
 //! Only loads ever wait a known number of cycles with their operands
-//! ready (an MSHR-full back-off, an older store's pending address), so
-//! only the LQ has a retry park. The processor keeps it beside the LQ, a
-//! [`CompletionWheel`] of ready entries that [`IssueQueue::unpark_due`]
-//! moves back onto the ready set when they come due.
+//! ready, in two ways. A load that bounced off a full MSHR file keeps
+//! its place in the ready set with a **back-off**: its entry records the
+//! first cycle it may retry (`retry_at`) and the MSHR file's version at
+//! the bounce, and issue passes over it until then. The bounce thus
+//! costs no removal or re-insertion, the retry can tell whether the
+//! file changed since, and [`IssueQueue::next_retry`] is what the
+//! processor's `Timeline` reads for the earliest retry. A load waiting
+//! for an older store's address goes to the LQ's park instead, which the
+//! processor keeps beside the LQ: a [`CompletionWheel`] of ready entries
+//! that [`IssueQueue::unpark_due`] moves back onto the ready set when
+//! they come due.
 
 use hdsmt_isa::Op;
 
@@ -44,10 +51,24 @@ pub struct ReadyEntry {
     /// straight to the memory hierarchy, so issuing a memory op touches
     /// no cold pool record at all.
     pub addr: u64,
+    /// First cycle a load backed off after an MSHR-full bounce may
+    /// retry; 0 when it never bounced.
+    pub retry_at: u64,
+    /// The D-MSHR file's version at the load's last bounce (meaningful
+    /// only while `retry_at` is set).
+    pub mshr_version: u64,
     pub id: InstId,
     /// Thread index (the deterministic cross-thread age tie-break).
     pub thread: u8,
     pub op: Op,
+}
+
+impl ReadyEntry {
+    /// The entry of an instruction whose operands just became ready.
+    #[inline]
+    pub fn new(seq: u64, addr: u64, id: InstId, thread: u8, op: Op) -> Self {
+        ReadyEntry { seq, addr, retry_at: 0, mshr_version: 0, id, thread, op }
+    }
 }
 
 /// One issue queue: a capacity-bounded member count and a wakeup-fed
@@ -118,14 +139,49 @@ impl IssueQueue {
         &self.ready
     }
 
-    /// Drop `id`'s ready entry (it issued or was squashed). Returns
-    /// `false` when it had none (operands still outstanding). O(ready).
+    /// Drop `id`'s ready entry (it was squashed). Returns `false` when
+    /// it had none (operands still outstanding). O(ready).
     pub fn remove_ready(&mut self, id: InstId) -> bool {
         if let Some(i) = self.ready.iter().position(|e| e.id == id) {
             self.ready.swap_remove(i);
             true
         } else {
             false
+        }
+    }
+
+    /// Drop the ready entry at position `slot` (it issued, or moved to a
+    /// wait); the last entry takes its place. O(1).
+    #[inline]
+    pub fn swap_remove_ready(&mut self, slot: usize) -> ReadyEntry {
+        self.ready.swap_remove(slot)
+    }
+
+    /// Back off the load at position `slot` after an MSHR-full bounce:
+    /// it stays in place, skipped by issue until `retry_at`.
+    #[inline]
+    pub fn back_off(&mut self, slot: usize, retry_at: u64, mshr_version: u64) {
+        let e = &mut self.ready[slot];
+        debug_assert!(e.op.is_load() && retry_at > 0);
+        e.retry_at = retry_at;
+        e.mshr_version = mshr_version;
+    }
+
+    /// Earliest cycle a ready entry can issue: its back-off, or 0 for an
+    /// entry that never bounced (it could issue now); `u64::MAX` when the
+    /// set is empty. O(ready).
+    pub fn next_retry(&self) -> u64 {
+        self.ready.iter().map(|e| e.retry_at).min().unwrap_or(u64::MAX)
+    }
+
+    /// Push every back-off due at or after `from` out by `by` cycles: what
+    /// `by` cycles of retries that all bounce again would leave, `by`
+    /// being a whole number of back-off periods. Entries already due
+    /// before `from` (candidates that keep losing unit arbitration) keep
+    /// theirs.
+    pub fn delay_retries(&mut self, from: u64, by: u64) {
+        for e in self.ready.iter_mut().filter(|e| e.retry_at >= from) {
+            e.retry_at += by;
         }
     }
 
@@ -175,7 +231,27 @@ mod tests {
     }
 
     fn re(id: u32, seq: u64) -> ReadyEntry {
-        ReadyEntry { seq, addr: 0, id: InstId(id), thread: 0, op: Op::IntAlu }
+        ReadyEntry::new(seq, 0, InstId(id), 0, Op::IntAlu)
+    }
+
+    #[test]
+    fn backed_off_loads_keep_their_place_and_report_their_retry() {
+        let mut q = IssueQueue::new(8);
+        assert_eq!(q.next_retry(), u64::MAX, "an empty set never issues");
+        for id in 0..2 {
+            q.push();
+            q.mark_ready(ReadyEntry::new(10 + id as u64, 0x40, InstId(id), 0, Op::Load));
+        }
+        assert_eq!(q.next_retry(), 0, "a fresh entry can issue now");
+        q.back_off(0, 12, 7);
+        q.back_off(1, 13, 7);
+        assert_eq!(q.next_retry(), 12);
+        q.delay_retries(13, 4);
+        let got: Vec<(u64, u64)> =
+            q.ready_entries().iter().map(|e| (e.retry_at, e.mshr_version)).collect();
+        assert_eq!(got, [(12, 7), (17, 7)], "only back-offs due from cycle 13 move");
+        assert_eq!(q.swap_remove_ready(0).id, InstId(0));
+        assert_eq!(q.ready_entries()[0].id, InstId(1));
     }
 
     #[test]

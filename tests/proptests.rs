@@ -51,6 +51,30 @@ proptest! {
         }
     }
 
+    /// The TLB's replacement is exact LRU at every capacity: after each
+    /// access its resident pages, most recent first, are the reference
+    /// recency list's, so every victim is the true least recently used
+    /// page. Small page ranges mix hits into the misses; large ones keep
+    /// the index's probe runs long and its deletions frequent.
+    #[test]
+    fn tlb_recency_matches_reference_lru(
+        entries in 1usize..20,
+        span in 1u64..200,
+        pages in prop::collection::vec(0u64..1_000_000, 1..400),
+    ) {
+        let mut tlb = Tlb::new(entries, 8192);
+        let mut reference: Vec<u64> = Vec::new();
+        for &raw in &pages {
+            let p = raw % span;
+            let model_hit = reference.contains(&p);
+            prop_assert_eq!(tlb.access(p * 8192 + raw % 8192), model_hit, "page {}", p);
+            reference.retain(|&x| x != p);
+            reference.insert(0, p);
+            reference.truncate(entries);
+            prop_assert_eq!(tlb.recency().collect::<Vec<_>>(), reference.clone());
+        }
+    }
+
     /// RingBuf is a faithful bounded FIFO at both ends: the decoupling
     /// buffers' retain, and the ROB's head commit and tail squash under
     /// random interleavings.
