@@ -237,11 +237,9 @@ impl Processor {
     /// whole queues, and never the instruction pool.
     ///
     /// Activity splits in two. A load that bounces off the full D-MSHR
-    /// file after hitting the D-TLB and the L2, and a load/store that
-    /// finds every load/store unit taken, set only
-    /// [`act::ISSUE_RETRY`](super::act::ISSUE_RETRY): the raw material of
-    /// a retry-only stretch (see the module docs), which also needs the
-    /// rejected entries, kept in `step_rejected`. Everything else a
+    /// file after hitting the D-TLB and the L2 sets only
+    /// [`act::ISSUE_RETRY`](super::act::ISSUE_RETRY), the raw material of
+    /// a retry-only stretch (see the module docs). Everything else a
     /// candidate does sets [`act::ISSUE_READY`](super::act::ISSUE_READY).
     pub(crate) fn issue_stage(&mut self) {
         let now = self.cycle;
@@ -291,7 +289,7 @@ impl Processor {
                         LoadOrder::Blocked { store_seq, known_at } => {
                             // The last entry moves into this slot; the
                             // slots already gathered are all below it.
-                            lq.swap_remove_ready(slot);
+                            lq.swap_remove_ready(slot, e.id);
                             blocked.push((e, store_seq, known_at));
                             continue;
                         }
@@ -339,18 +337,9 @@ impl Processor {
                     FuKind::LdSt => &mut pipe.ldst_fu,
                 };
                 if !fu.try_issue(now, occupy) {
-                    // This pool is saturated; other kinds may go. Every
-                    // load/store unit is pipelined and free again next
-                    // cycle, so when the units went to bounces alone, a
-                    // load/store candidate left without one loses again
-                    // in the next period; any other rejection waits on a
-                    // busy unit, real activity.
-                    if kind == FuKind::LdSt {
-                        self.activity |= super::act::ISSUE_RETRY;
-                        self.step_rejected.push(c.id);
-                    } else {
-                        self.activity |= super::act::ISSUE_READY;
-                    }
+                    // This pool is saturated; other kinds may go. The
+                    // candidate tries again next cycle.
+                    self.activity |= super::act::ISSUE_READY;
                     continue;
                 }
                 issued += 1;
@@ -360,7 +349,7 @@ impl Processor {
                     // candidate, if one is still to come.
                     let q = self.pipes[p].queue_mut(kind);
                     let last = (q.ready_entries().len() - 1) as u32;
-                    q.swap_remove_ready(c.slot as usize);
+                    q.swap_remove_ready(c.slot as usize, c.id);
                     let moved = candidates[i + 1..]
                         .iter_mut()
                         .find(|m| m.slot == last && m.op.fu_kind() == kind);
@@ -391,19 +380,12 @@ impl Processor {
         // Address generation, then (loads not forwarded) the cache, before
         // anything else: a load that bounces touches no pool memory.
         let agen_done = now + 1 + rf_extra as u64;
-        let access = (op.is_load() && !c.forward).then(|| {
-            let e = &self.pipes[p].lq.ready_entries()[slot];
-            let bounced_at = (e.retry_at != 0).then_some(e.mshr_version);
-            self.mem.retry_load(addr, agen_done, bounced_at)
-        });
+        let access = (op.is_load() && !c.forward).then(|| self.mem.load(addr, agen_done));
         if let Some(access) = access.filter(|a| a.mshr_stall) {
             // Structural replay: stay Waiting, retry two cycles later. The
             // issue slot and FU cycle are wasted, as in hardware. The
-            // entry keeps its ready-set place with a back-off, and the
-            // file's version lets the retry skip the MSHR scans if
-            // nothing changed meanwhile.
-            let version = self.mem.dmshr_version();
-            self.pipes[p].lq.back_off(slot, now + 2, version);
+            // entry keeps its ready-set place with a back-off.
+            self.pipes[p].lq.back_off(slot, id, now + 2);
             if !access.tlb_miss && access.level == hdsmt_mem::HitLevel::L2 {
                 self.activity |= super::act::ISSUE_RETRY;
                 self.step_bounces += 1;
@@ -789,7 +771,7 @@ mod tests {
         let c = Candidate::new(&p.pipes[0].lq.ready_entries()[slot], slot, forward);
         let issued = p.begin_execution(0, &c);
         if issued {
-            p.pipes[0].lq.swap_remove_ready(slot);
+            p.pipes[0].lq.swap_remove_ready(slot, id);
         }
         issued
     }
@@ -895,7 +877,6 @@ mod tests {
         assert_eq!(p.pipes[0].lq.len(), 1, "the load stays in its queue");
         let e = p.pipes[0].lq.ready_entries()[0];
         assert_eq!((e.id, e.retry_at), (load, 2), "backed off in place for two cycles");
-        assert_eq!(e.mshr_version, p.mem.dmshr_version());
         assert_eq!(p.pipes[0].lq.next_retry(), 2, "the back-off is on the timeline");
 
         // Retries against the unchanged file bounce again, each pushing

@@ -39,9 +39,7 @@
 //!   full D-MSHR file keeps its ready-set place, backed off for two
 //!   cycles (`IssueQueue::back_off`), and issue passes over it until
 //!   then. It was clear of every older store when it bounced and stays
-//!   so, so its retry skips the load-ordering walk, and it carries the
-//!   MSHR file's version from the bounce, so the retry skips the MSHR
-//!   scans while the file is unchanged (`MemHier::retry_load`).
+//!   so, so its retry skips the load-ordering walk.
 //! * **Completion wheel** ([`CompletionWheel`]): executing instructions
 //!   are filed under their completion cycle; writeback drains exactly the
 //!   bucket due now. Squash releases an executing instruction's slot at
@@ -70,12 +68,7 @@
 //!   dependency in the machine is *scheduled* (wheel completions, FLUSH
 //!   triggers, park expiries, back-off expiries, fetch-stall releases,
 //!   MSHR fills), the machine will do nothing again until the earliest
-//!   scheduled event. A step whose only work was draining completions
-//!   (`act::WB_COMPLETE` alone: nothing woken, issued, committed or
-//!   fetched) counts too: a completion can act on the next cycle only
-//!   through a ROB head it finished (the `Timeline`'s commit reporter),
-//!   a released FLUSH gate or a misprediction redirect (both through
-//!   `stalled_until`).
+//!   scheduled event.
 //! * **The [`Timeline`] contract.** Each time-bearing subsystem reports
 //!   its next-activity cycle. Every wheel reports through
 //!   `CompletionWheel::next_due` (O(1): near-ring occupancy mask + far
@@ -110,17 +103,19 @@
 //!   external `step()` callers are never warped.
 //! * **Retry-only stretches.** With every D-MSHR taken, the MEM-class
 //!   workloads spend stretches in which the only work is backed-off
-//!   loads bouncing again every two cycles. Such a step sets only
-//!   `act::ISSUE_RETRY`: each load that got a load/store unit hit the
-//!   D-TLB, missed the L1D, hit the L2 and bounced (a *clean* bounce),
-//!   and any load/store candidate without a unit lost to those bounces.
-//!   Two consecutive such steps that rejected the same candidates (and
-//!   bounced at least one load) form a full **retry period**, after
-//!   which the machine is at a fixed point: the next period sees the
-//!   same candidates in the same order, all load/store units free again
-//!   (they are pipelined), the same MSHR-full file (no fill due), and
-//!   TLB and L2 recency that the last period already brought to where
-//!   repeating its promotions leaves it; the L1D is untouched by misses.
+//!   loads bouncing again every two cycles. Such a step sets at most
+//!   `act::ISSUE_RETRY`: every issue candidate was a load that got a
+//!   load/store unit, hit the D-TLB, missed the L1D, hit the L2 and
+//!   bounced (a *clean* bounce), and no other stage did anything. Two
+//!   consecutive such steps (one of them may bounce nothing: the idle
+//!   half of a period whose loads all retry on the same cycle parity)
+//!   with at least one bounce form a full **retry period**. Every ready
+//!   entry is then a load that bounced in it, and the machine is at a
+//!   fixed point: the next period sees the same candidates in the same
+//!   order, the load/store units free again (they are pipelined), the
+//!   same MSHR-full file (no fill due), and TLB and L2 recency that the
+//!   last period already brought to where repeating its promotions
+//!   leaves it; the L1D is untouched by misses.
 //!   So the processor jumps an even number of cycles, to just before the
 //!   earliest event that can break the pattern — a completion or FLUSH
 //!   trigger, a park expiry, a fetch-stall release, the stop cycle, or
@@ -167,8 +162,8 @@ use hdsmt_bpred::{Btb, DirectionPredictor, Ras, RasSnapshot};
 use hdsmt_isa::{FuKind, Pc, ThreadId};
 use hdsmt_mem::MemHier;
 use hdsmt_pipeline::{
-    Completion, CompletionWheel, FuPool, InstId, InstPool, InstState, IssueQueue, PipeModel,
-    ReadyEntry, RegFile, RenameMap, RingBuf, Waiter,
+    Completion, CompletionWheel, FuPool, InstId, InstPool, IssueQueue, PipeModel, ReadyEntry,
+    RegFile, RenameMap, RingBuf, Waiter,
 };
 use hdsmt_trace::{ChunkBuf, DynInst, TraceSource};
 
@@ -411,16 +406,10 @@ pub struct Processor {
     /// Clean MSHR-full bounces in the step being run (see
     /// [`act::ISSUE_RETRY`]).
     step_bounces: u32,
-    /// Load/store candidates of the step being run that found every
-    /// load/store unit taken, in issue order.
-    step_rejected: Vec<InstId>,
     /// The clean bounces of the previous step when it was retry-only
     /// (its activity at most [`act::ISSUE_RETRY`]): with the current
     /// step, one full two-cycle retry period.
     retry_half: Option<u32>,
-    /// The previous step's `step_rejected`. A period repeats only if both
-    /// of its steps rejected the same entries.
-    prev_rejected: Vec<InstId>,
 
     // ---- reusable per-cycle scratch (kept across cycles so the steady-
     // state hot loop allocates nothing) ----
@@ -545,9 +534,7 @@ impl Processor {
             quiescent_steps: 0,
             retry_warped_cycles: 0,
             step_bounces: 0,
-            step_rejected: Vec::new(),
             retry_half: None,
-            prev_rejected: Vec::new(),
             scratch_candidates: Vec::new(),
             scratch_blocked: Vec::new(),
             scratch_woken: Vec::new(),
@@ -655,7 +642,6 @@ impl Processor {
     pub fn step(&mut self) {
         self.activity = 0;
         self.step_bounces = 0;
-        self.step_rejected.clear();
         self.commit_stage();
         self.writeback_stage();
         self.process_flushes();
@@ -751,25 +737,23 @@ impl Processor {
     /// range, or fast-forward a retry-only stretch once a full retry
     /// period has been observed (see the module docs).
     fn after_step(&mut self, limit: u64) {
-        if self.activity & !(act::ISSUE_RETRY | act::WB_COMPLETE) != 0 {
+        if self.activity & !act::ISSUE_RETRY != 0 {
             self.retry_half = None;
             return;
         }
-        if self.activity & act::ISSUE_RETRY == 0 {
-            self.quiescent_steps += (self.activity == 0) as u64;
+        if self.activity == 0 {
+            self.quiescent_steps += 1;
             if self.try_warp(limit) {
                 self.retry_half = None;
                 return;
             }
         }
-        // A retry-only step. With the previous one it makes a full
-        // period if both rejected the same load/store candidates: then
-        // every step of the next period sees the same candidates.
+        // A retry-only step, or a quiescent one that could not warp
+        // because a retry is due next: with the previous such step, a
+        // full period if either bounced anything.
         let bounces = self.step_bounces;
-        let same_rejects = self.prev_rejected == self.step_rejected;
-        std::mem::swap(&mut self.prev_rejected, &mut self.step_rejected);
         let period = self.retry_half.replace(bounces).map(|prev| prev + bounces);
-        if let Some(bounces) = period.filter(|&b| b > 0 && same_rejects) {
+        if let Some(bounces) = period.filter(|&b| b > 0) {
             if self.try_retry_warp(limit, bounces) {
                 self.retry_half = None;
             }
@@ -786,12 +770,6 @@ impl Processor {
     fn timeline(&mut self, retry_period: bool) -> Timeline {
         let now = self.cycle;
         let mut tl = Timeline::new();
-        // A step's completions wake nothing by themselves (their wakeups
-        // are their own activity), but one may have finished a ROB head,
-        // which commits on the very next step.
-        if self.activity & act::WB_COMPLETE != 0 && self.threads.iter().any(|t| self.head_done(t)) {
-            tl.observe("commit", now);
-        }
         tl.observe("completion-wheel", self.wheel.next_due(now));
         tl.observe("flush-wheel", self.flush_wheel.next_due(now));
         for p in &self.pipes {
@@ -848,18 +826,13 @@ impl Processor {
         tl
     }
 
-    /// Is thread `t`'s oldest instruction done, ready to commit?
-    fn head_done(&self, t: &Thread) -> bool {
-        t.rob.front().is_some_and(|&id| self.pool.hot(id).state() == InstState::Done)
-    }
-
-    /// After a proven-quiescent step, or one whose only work was
-    /// completions: jump to the next event on the timeline, capped at
-    /// `limit`. No-op (returning `false`) when the next event is the very
-    /// next cycle or the timeline is empty with no finite cap (an
-    /// idle-forever machine keeps its single-stepped semantics).
+    /// After a proven-quiescent step: jump to the next event on the
+    /// timeline, capped at `limit`. No-op (returning `false`) when the
+    /// next event is the very next cycle or the timeline is empty with no
+    /// finite cap (an idle-forever machine keeps its single-stepped
+    /// semantics).
     fn try_warp(&mut self, limit: u64) -> bool {
-        debug_assert_eq!(self.activity & !act::WB_COMPLETE, 0);
+        debug_assert_eq!(self.activity, 0);
         debug_assert_eq!(self.regfile.pending_wakeups(), 0, "quiescent with undrained wakeups");
         // Quiescent cycles commit nothing, so a warp can never jump the
         // warm-up boundary: it was either crossed before this stretch
@@ -889,18 +862,17 @@ impl Processor {
     }
 
     /// After a full retry period — two consecutive steps whose only
-    /// activity was `bounces` clean MSHR-full bounces and the same
-    /// load/store candidates losing unit arbitration — jump an even
+    /// activity was `bounces` clean MSHR-full bounces — jump an even
     /// number of cycles, to just before the next event or `limit`,
     /// replaying the skipped bounces. Returns whether it jumped.
     fn try_retry_warp(&mut self, limit: u64, bounces: u32) -> bool {
         let now = self.cycle;
         debug_assert!(self.mem.dmshr_full(), "a bounce leaves the D-MSHR file full");
-        // Every ready entry is a load/store of the period: backed off to
-        // one of its two cycles, or rejected in both (and due already).
+        // Every ready entry is a load that bounced in the period, backed
+        // off to one of the next period's two cycles.
         debug_assert!(self.pipes.iter().all(|p| p.iq.ready_entries().is_empty()
             && p.fq.ready_entries().is_empty()
-            && p.lq.ready_entries().iter().all(|e| e.retry_at <= now + 1)));
+            && p.lq.ready_entries().iter().all(|e| e.retry_at == now || e.retry_at == now + 1)));
         // The D-MSHR file holds entries, so its fill always reports.
         let end = self.timeline(true).next_event().unwrap_or(limit).min(limit);
         let skipped = end.saturating_sub(now) & !1;
@@ -964,7 +936,7 @@ impl Processor {
             debug_assert_eq!(skipped % 2, 0, "a retry stretch skips whole periods");
             self.mem.replay_load_bounces(bounces);
             for p in &mut self.pipes {
-                p.lq.delay_retries(now, skipped);
+                p.lq.delay_retries(skipped);
             }
         }
     }
@@ -1002,8 +974,8 @@ impl Processor {
             .iter()
             .map(|p| {
                 let mut lq = p.lq.ready_entries().to_vec();
-                for e in lq.iter_mut().filter(|e| bounces > 0 && e.retry_at >= now) {
-                    e.retry_at += skipped;
+                if bounces > 0 {
+                    lq.iter_mut().for_each(|e| e.retry_at += skipped);
                 }
                 lq
             })
@@ -1116,6 +1088,7 @@ impl Processor {
     /// O(everything); test-only.
     #[cfg(any(test, feature = "invariant-checks"))]
     pub fn check_icount_invariant(&self) {
+        use hdsmt_pipeline::InstState;
         let mut counts = vec![0i32; self.threads.len()];
         for p in &self.pipes {
             for e in p.buffer.iter() {
@@ -1145,6 +1118,8 @@ impl Processor {
     /// sets are allowed to be stale).
     #[cfg(any(test, feature = "invariant-checks"))]
     pub fn check_scheduler_invariants(&self) {
+        use hdsmt_pipeline::InstState;
+
         let operands_ready = |id: InstId| {
             self.pool.cold(id).src_phys.iter().flatten().all(|&s| self.regfile.is_ready(s))
         };

@@ -17,9 +17,6 @@
 //! * each pipeline's **LQ back-offs**, through `IssueQueue::next_retry`:
 //!   the earliest cycle a load that bounced off the full MSHR file
 //!   retries;
-//! * the **commit stage**, after a step that completed instructions: the
-//!   very next cycle, if a completion finished a thread's oldest
-//!   instruction;
 //! * the **front end**: each live thread's fetch-stall release cycle
 //!   (`stalled_until` — I-cache misses, redirect bubbles). A thread that
 //!   is done contributes nothing; a FLUSH-gated thread's release rides

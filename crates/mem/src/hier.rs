@@ -66,38 +66,17 @@ impl L1Side {
     /// it had as a hand-written copy: with a plain hint the compiler keeps
     /// one out-of-line body behind both, and loads run on every simulated
     /// memory operation.
-    ///
-    /// `bounced_at` is the MSHR-file version a retried access last
-    /// bounced at (`None` for a first attempt). While the file is
-    /// unchanged and no fill is due, the line cannot be outstanding and
-    /// the file is still full, so the coalescing lookup and the
-    /// allocation are skipped; the TLB, L1 and L2 steps run as always.
     #[inline(always)]
-    fn access(
-        &mut self,
-        l2: &mut Cache,
-        cfg: &MemConfig,
-        addr: u64,
-        now: u64,
-        bounced_at: Option<u64>,
-    ) -> AccessResult {
+    fn access(&mut self, l2: &mut Cache, cfg: &MemConfig, addr: u64, now: u64) -> AccessResult {
         let tlb_miss = !self.tlb.access(addr);
         let tlb_extra = if tlb_miss { cfg.tlb_miss_penalty } else { 0 };
-        let unchanged = bounced_at.is_some_and(|v| self.mshrs.unchanged_since(v, now));
 
         // A miss already in flight for this line: data arrives with the
         // original fill.
         let line = self.cache.line_addr(addr);
-        if !unchanged {
-            if let Some(ready) = self.mshrs.lookup(line, now) {
-                let lat = (ready.saturating_sub(now) as u32).max(cfg.l1_lat) + tlb_extra;
-                return AccessResult {
-                    latency: lat,
-                    level: HitLevel::L2,
-                    tlb_miss,
-                    mshr_stall: false,
-                };
-            }
+        if let Some(ready) = self.mshrs.lookup(line, now) {
+            let lat = (ready.saturating_sub(now) as u32).max(cfg.l1_lat) + tlb_extra;
+            return AccessResult { latency: lat, level: HitLevel::L2, tlb_miss, mshr_stall: false };
         }
 
         if self.cache.access(addr) {
@@ -117,10 +96,6 @@ impl L1Side {
         // delays the line's arrival too.
         let total = lat + tlb_extra;
         // Structural limit on outstanding misses.
-        if unchanged {
-            self.mshrs.stall();
-            return AccessResult { latency: 1, level, tlb_miss, mshr_stall: true };
-        }
         if !self.mshrs.allocate(line, now + total as u64, now) {
             return AccessResult { latency: 1, level, tlb_miss, mshr_stall: true };
         }
@@ -183,31 +158,14 @@ impl MemHier {
     }
 
     /// Data load at cycle `now`. Fill-on-access with MSHR-coalesced timing.
-    #[inline]
     pub fn load(&mut self, addr: u64, now: u64) -> AccessResult {
-        self.retry_load(addr, now, None)
-    }
-
-    /// [`Self::load`], for a load that may be retrying after it bounced
-    /// off the full D-MSHR file when the file's version was `bounced_at`
-    /// (read with [`Self::dmshr_version`] right after the bounce; `None`
-    /// for a first attempt). Identical in outcome, statistics and cache
-    /// state to [`Self::load`]; it only skips the MSHR scans while the
-    /// file provably has not changed.
-    pub fn retry_load(&mut self, addr: u64, now: u64, bounced_at: Option<u64>) -> AccessResult {
-        let r = self.d.access(&mut self.l2, &self.cfg, addr, now, bounced_at);
+        let r = self.d.access(&mut self.l2, &self.cfg, addr, now);
         let s = &mut self.stats;
         s.loads += 1;
         s.dtlb_misses += r.tlb_miss as u64;
         s.load_l1_misses += (r.level != HitLevel::L1) as u64;
         s.load_l2_misses += (r.level == HitLevel::Mem) as u64;
         r
-    }
-
-    /// The D-MSHR file's contents version (see [`MshrFile::version`]).
-    #[inline]
-    pub fn dmshr_version(&self) -> u64 {
-        self.d.mshrs.version()
     }
 
     /// Earliest outstanding D-side fill, `u64::MAX` when none: the first
@@ -224,7 +182,7 @@ impl MemHier {
     }
 
     /// Charge `n` load retries in one batch, exactly as `n` calls of
-    /// [`Self::load`] / [`Self::retry_load`] would have. Exact only for a
+    /// [`Self::load`] would have. Exact only for a
     /// batch that repeats, in order, one period of retries that each
     /// hit the D-TLB, missed the L1D, hit the L2 and bounced off the
     /// full D-MSHR file, with nothing else touching the hierarchy and no
@@ -287,7 +245,7 @@ impl MemHier {
 
     /// Instruction fetch of the line containing `addr`.
     pub fn ifetch(&mut self, addr: u64, now: u64) -> AccessResult {
-        let mut r = self.i.access(&mut self.l2, &self.cfg, addr, now, None);
+        let mut r = self.i.access(&mut self.l2, &self.cfg, addr, now);
         let s = &mut self.stats;
         s.ifetches += 1;
         s.itlb_misses += r.tlb_miss as u64;
@@ -462,12 +420,10 @@ mod tests {
         let lines = [0x900_0040u64, 0x900_0000];
         let (mut stepped, mut batched) = (saturated(), saturated());
         // One period on each brings TLB and L2 recency to its fixed point.
-        let mut tokens = [0; 2];
         for m in [&mut stepped, &mut batched] {
             for (k, &a) in lines.iter().enumerate() {
                 let r = m.load(a, 1010 + k as u64);
                 assert!(r.mshr_stall && !r.tlb_miss && r.level == HitLevel::L2, "{r:?}");
-                tokens[k] = m.dmshr_version();
             }
         }
         let fill = stepped.dmshr_next_fill();
@@ -475,7 +431,7 @@ mod tests {
             for (k, &a) in lines.iter().enumerate() {
                 let now = 1010 + 2 * p + k as u64;
                 assert!(now < fill);
-                let r = stepped.retry_load(a, now, Some(tokens[k]));
+                let r = stepped.load(a, now);
                 assert!(r.mshr_stall && !r.tlb_miss && r.level == HitLevel::L2, "{r:?}");
             }
         }
@@ -484,23 +440,6 @@ mod tests {
         assert_eq!(stepped.mshr_stats(), batched.mshr_stats());
         assert_eq!(stepped.state_digest(), batched.state_digest());
         assert_eq!(stepped.stats().loads, 3 + (PERIODS + 1) * 2);
-    }
-
-    #[test]
-    fn retry_load_matches_load_once_the_file_changes() {
-        let (mut fresh, mut retried) = (saturated(), saturated());
-        let token = retried.dmshr_version();
-        assert!(retried.load(0x900_0000, 1010).mshr_stall);
-        assert!(fresh.load(0x900_0000, 1010).mshr_stall);
-        // Past the first fill the file has room: the retry must take the
-        // full path and allocate, like a first attempt.
-        let at = fresh.dmshr_next_fill();
-        let a = fresh.load(0x900_0040, at);
-        let b = retried.retry_load(0x900_0040, at, Some(token));
-        assert!(!a.mshr_stall && !b.mshr_stall);
-        assert_eq!((a.latency, a.level), (b.latency, b.level));
-        assert_eq!(fresh.stats(), retried.stats());
-        assert_eq!(fresh.state_digest(), retried.state_digest());
     }
 
     #[test]

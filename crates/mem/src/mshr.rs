@@ -2,14 +2,10 @@
 //! coalescing and structural back-pressure.
 //!
 //! A full file bounces every new miss, and a bounced load retries until
-//! an entry frees. Two things keep those retry storms cheap without
-//! changing a single outcome: the file carries a **version** that moves
-//! whenever its contents change (an allocation or an expiry), so a retry
-//! that finds the version of its last bounce, with no fill due, knows
-//! the lookup and the allocation would fail again and skips both scans
-//! ([`MshrFile::stall`]); and a run of such retries can be charged in
-//! one batch ([`MshrFile::replay_stalls`]) when the processor fast-
-//! forwards over it.
+//! an entry frees. While no fill is due ([`MshrFile::next_fill`]) a full
+//! file cannot change, so a run of such retries can be charged in one
+//! batch ([`MshrFile::replay_stalls`]) when the processor fast-forwards
+//! over it.
 
 /// One MSHR file (per cache level).
 pub struct MshrFile {
@@ -20,9 +16,6 @@ pub struct MshrFile {
     /// per-access expiry sweep — which runs on *every* load and ifetch —
     /// is skipped entirely while nothing can have completed yet.
     next_expiry: u64,
-    /// Bumped on every change to `entries`. Equal versions mean equal
-    /// contents.
-    version: u64,
     /// Coalesced (secondary) misses observed.
     coalesced: u64,
     /// Allocation failures due to a full file.
@@ -36,7 +29,6 @@ impl MshrFile {
             entries: Vec::with_capacity(capacity),
             capacity,
             next_expiry: u64::MAX,
-            version: 0,
             coalesced: 0,
             full_stalls: 0,
         }
@@ -49,12 +41,10 @@ impl MshrFile {
         }
         self.entries.retain(|&(_, ready)| ready > now);
         self.next_expiry = self.entries.iter().map(|&(_, ready)| ready).min().unwrap_or(u64::MAX);
-        self.version += 1;
     }
 
     /// Is a miss for `line` already outstanding at `now`? Returns its
     /// completion cycle (coalescing).
-    #[inline]
     pub fn lookup(&mut self, line: u64, now: u64) -> Option<u64> {
         self.expire(now);
         let hit = self.entries.iter().find(|&&(l, _)| l == line).map(|&(_, r)| r);
@@ -75,15 +65,7 @@ impl MshrFile {
         }
         self.entries.push((line, ready));
         self.next_expiry = self.next_expiry.min(ready);
-        self.version += 1;
         true
-    }
-
-    /// The contents' version: it changes whenever an entry is allocated
-    /// or expires, and only then.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Earliest outstanding fill completion, `u64::MAX` when empty. An
@@ -97,22 +79,6 @@ impl MshrFile {
     #[inline]
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
-    }
-
-    /// Would a [`Self::lookup`] of a line that missed, then bounced, at
-    /// `version` still miss, and its [`Self::allocate`] still fail, at
-    /// `now`? True while the contents are unchanged and no fill is due.
-    #[inline]
-    pub fn unchanged_since(&self, version: u64, now: u64) -> bool {
-        version == self.version && self.next_expiry > now
-    }
-
-    /// Record the failed allocation of an access that
-    /// [`Self::unchanged_since`] cleared, without the scans.
-    #[inline]
-    pub fn stall(&mut self) {
-        debug_assert!(self.is_full(), "only a full file bounces");
-        self.full_stalls += 1;
     }
 
     /// Charge `n` more failed allocations at once: what `n` retries
@@ -166,25 +132,5 @@ mod tests {
         assert_eq!(m.stats().1, 1);
         // After the fills complete, capacity frees up.
         assert!(m.allocate(3, 120, 60));
-    }
-
-    #[test]
-    fn version_moves_exactly_when_the_contents_change() {
-        let mut m = MshrFile::new(2);
-        let v0 = m.version();
-        assert!(m.allocate(1, 50, 0));
-        assert!(m.allocate(2, 60, 0));
-        let full = m.version();
-        assert!(full > v0);
-        assert!(!m.allocate(3, 70, 10));
-        assert_eq!(m.lookup(3, 10), None);
-        assert_eq!(m.version(), full, "a bounce and a missed lookup change nothing");
-        assert!(m.unchanged_since(full, 49));
-        assert!(!m.unchanged_since(full, 50), "a fill is due at 50");
-        m.stall();
-        m.replay_stalls(3);
-        assert_eq!(m.stats().1, 5);
-        assert_eq!(m.lookup(2, 50), Some(60), "the first fill expired");
-        assert_ne!(m.version(), full);
     }
 }

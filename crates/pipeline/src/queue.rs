@@ -24,15 +24,14 @@
 //! Only loads ever wait a known number of cycles with their operands
 //! ready, in two ways. A load that bounced off a full MSHR file keeps
 //! its place in the ready set with a **back-off**: its entry records the
-//! first cycle it may retry (`retry_at`) and the MSHR file's version at
-//! the bounce, and issue passes over it until then. The bounce thus
-//! costs no removal or re-insertion, the retry can tell whether the
-//! file changed since, and [`IssueQueue::next_retry`] is what the
-//! processor's `Timeline` reads for the earliest retry. A load waiting
-//! for an older store's address goes to the LQ's park instead, which the
-//! processor keeps beside the LQ: a [`CompletionWheel`] of ready entries
-//! that [`IssueQueue::unpark_due`] moves back onto the ready set when
-//! they come due.
+//! first cycle it may retry (`retry_at`), and issue passes over it until
+//! then. The bounce thus costs no removal or re-insertion, and
+//! [`IssueQueue::next_retry`] is what the processor's `Timeline` reads
+//! for the earliest retry. A load waiting for an older store's address
+//! goes to the LQ's park instead, which the processor keeps beside the
+//! LQ: a [`CompletionWheel`] of ready entries that
+//! [`IssueQueue::unpark_due`] moves back onto the ready set when they
+//! come due.
 
 use hdsmt_isa::Op;
 
@@ -54,9 +53,6 @@ pub struct ReadyEntry {
     /// First cycle a load backed off after an MSHR-full bounce may
     /// retry; 0 when it never bounced.
     pub retry_at: u64,
-    /// The D-MSHR file's version at the load's last bounce (meaningful
-    /// only while `retry_at` is set).
-    pub mshr_version: u64,
     pub id: InstId,
     /// Thread index (the deterministic cross-thread age tie-break).
     pub thread: u8,
@@ -67,7 +63,7 @@ impl ReadyEntry {
     /// The entry of an instruction whose operands just became ready.
     #[inline]
     pub fn new(seq: u64, addr: u64, id: InstId, thread: u8, op: Op) -> Self {
-        ReadyEntry { seq, addr, retry_at: 0, mshr_version: 0, id, thread, op }
+        ReadyEntry { seq, addr, retry_at: 0, id, thread, op }
     }
 }
 
@@ -150,21 +146,23 @@ impl IssueQueue {
         }
     }
 
-    /// Drop the ready entry at position `slot` (it issued, or moved to a
-    /// wait); the last entry takes its place. O(1).
+    /// Drop `id`'s ready entry, at position `slot` (it issued, or moved
+    /// to a wait); the last entry takes its place. O(1).
     #[inline]
-    pub fn swap_remove_ready(&mut self, slot: usize) -> ReadyEntry {
-        self.ready.swap_remove(slot)
+    pub fn swap_remove_ready(&mut self, slot: usize, id: InstId) -> ReadyEntry {
+        let e = self.ready.swap_remove(slot);
+        debug_assert_eq!(e.id, id, "ready slot {slot} held another entry");
+        e
     }
 
-    /// Back off the load at position `slot` after an MSHR-full bounce:
-    /// it stays in place, skipped by issue until `retry_at`.
+    /// Back off load `id`, at position `slot`, after an MSHR-full
+    /// bounce: it stays in place, skipped by issue until `retry_at`.
     #[inline]
-    pub fn back_off(&mut self, slot: usize, retry_at: u64, mshr_version: u64) {
+    pub fn back_off(&mut self, slot: usize, id: InstId, retry_at: u64) {
         let e = &mut self.ready[slot];
+        debug_assert_eq!(e.id, id, "ready slot {slot} holds another entry");
         debug_assert!(e.op.is_load() && retry_at > 0);
         e.retry_at = retry_at;
-        e.mshr_version = mshr_version;
     }
 
     /// Earliest cycle a ready entry can issue: its back-off, or 0 for an
@@ -174,13 +172,12 @@ impl IssueQueue {
         self.ready.iter().map(|e| e.retry_at).min().unwrap_or(u64::MAX)
     }
 
-    /// Push every back-off due at or after `from` out by `by` cycles: what
-    /// `by` cycles of retries that all bounce again would leave, `by`
-    /// being a whole number of back-off periods. Entries already due
-    /// before `from` (candidates that keep losing unit arbitration) keep
-    /// theirs.
-    pub fn delay_retries(&mut self, from: u64, by: u64) {
-        for e in self.ready.iter_mut().filter(|e| e.retry_at >= from) {
+    /// Push every back-off out by `by` cycles: what `by` cycles of
+    /// retries that all bounce again would leave, `by` being a whole
+    /// number of back-off periods. Every entry must be backed off.
+    pub fn delay_retries(&mut self, by: u64) {
+        for e in &mut self.ready {
+            debug_assert!(e.retry_at != 0, "only backed-off loads are delayed");
             e.retry_at += by;
         }
     }
@@ -243,14 +240,13 @@ mod tests {
             q.mark_ready(ReadyEntry::new(10 + id as u64, 0x40, InstId(id), 0, Op::Load));
         }
         assert_eq!(q.next_retry(), 0, "a fresh entry can issue now");
-        q.back_off(0, 12, 7);
-        q.back_off(1, 13, 7);
+        q.back_off(0, InstId(0), 12);
+        q.back_off(1, InstId(1), 13);
         assert_eq!(q.next_retry(), 12);
-        q.delay_retries(13, 4);
-        let got: Vec<(u64, u64)> =
-            q.ready_entries().iter().map(|e| (e.retry_at, e.mshr_version)).collect();
-        assert_eq!(got, [(12, 7), (17, 7)], "only back-offs due from cycle 13 move");
-        assert_eq!(q.swap_remove_ready(0).id, InstId(0));
+        q.delay_retries(4);
+        let got: Vec<u64> = q.ready_entries().iter().map(|e| e.retry_at).collect();
+        assert_eq!(got, [16, 17]);
+        assert_eq!(q.swap_remove_ready(0, InstId(0)).id, InstId(0));
         assert_eq!(q.ready_entries()[0].id, InstId(1));
     }
 
