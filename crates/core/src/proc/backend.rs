@@ -1,7 +1,5 @@
 //! Decode, rename, dispatch, issue and writeback stages.
 
-use std::collections::VecDeque;
-
 use hdsmt_bpred::branch_key;
 use hdsmt_isa::{FuKind, Op};
 use hdsmt_pipeline::{Completion, InstId, InstState, ReadyEntry};
@@ -28,70 +26,6 @@ enum LoadOrder {
     Clear,
     /// Satisfied by store-to-load forwarding.
     Forward,
-}
-
-/// Memory-ordering check at cycle `now` for a load against its thread's
-/// older in-LQ stores (`stores`, the thread's `lq_stores`): blocked while
-/// any has an unknown address; forwarded on an exact (8-byte) match (the
-/// youngest older match is the forwarding source). The list is
-/// program-ordered, so the walk stops at the first store younger than
-/// the load instead of rescanning the whole LQ.
-fn load_order(stores: &VecDeque<LqStore>, now: u64, load_seq: u64, load_word: u64) -> LoadOrder {
-    let mut forward = false;
-    // Slice-at-a-time over the deque so the hot walk (every ready load,
-    // every cycle it is considered) skips per-step wrap checks.
-    let (front, back) = stores.as_slices();
-    for part in [front, back] {
-        for s in part {
-            if s.seq >= load_seq {
-                return if forward { LoadOrder::Forward } else { LoadOrder::Clear };
-            }
-            // Address known once agen completed (`known_at` is MAX while
-            // the store waits in its queue).
-            if s.known_at > now {
-                return LoadOrder::Blocked { store_seq: s.seq, known_at: s.known_at };
-            }
-            // Ascending seq: a later match overwrites an earlier one, so
-            // the youngest older store wins.
-            if s.addr_word == load_word {
-                forward = true;
-            }
-        }
-    }
-    if forward {
-        LoadOrder::Forward
-    } else {
-        LoadOrder::Clear
-    }
-}
-
-/// One issue candidate: what selection and issue read of its ready
-/// entry, and where that entry sits.
-#[derive(Clone, Copy)]
-pub(crate) struct Candidate {
-    /// Packed age priority (see [`age_key`]).
-    key: u64,
-    addr: u64,
-    id: InstId,
-    /// Position in its queue's ready set.
-    slot: u32,
-    op: Op,
-    /// Satisfied by store-to-load forwarding.
-    forward: bool,
-}
-
-impl Candidate {
-    #[inline]
-    fn new(e: &ReadyEntry, slot: usize, forward: bool) -> Self {
-        Candidate {
-            key: age_key(e.seq, e.thread),
-            addr: e.addr,
-            id: e.id,
-            slot: slot as u32,
-            op: e.op,
-            forward,
-        }
-    }
 }
 
 impl Processor {
@@ -257,56 +191,48 @@ impl Processor {
             // instruction-pool memory. A backed-off load is passed over
             // until its retry cycle; loads found blocked move to the
             // store-wait structures instead of being re-polled every
-            // cycle. A candidate records its position in its ready set.
+            // cycle.
             candidates.clear();
             let mut blocked = std::mem::take(&mut self.scratch_blocked);
             blocked.clear();
-            for kind in [FuKind::Int, FuKind::Fp] {
-                for (slot, e) in self.pipes[p].queue_mut(kind).ready_entries().iter().enumerate() {
-                    candidates.push(Candidate::new(e, slot, false));
-                }
-            }
-            let (lq, stores) = (&mut self.pipes[p].lq, &self.threads);
-            let mut slot = 0;
-            while let Some(&e) = lq.ready_entries().get(slot) {
-                let mut forward = false;
-                if e.retry_at > now {
-                    slot += 1;
-                    continue;
-                }
-                let thread_stores = &stores[e.thread as usize].lq_stores;
-                if e.retry_at != 0 {
-                    // A backed-off load was clear of every older store
-                    // when it bounced, and stays clear: older stores only
-                    // commit, and none younger can come before it.
-                    debug_assert!(matches!(
-                        load_order(thread_stores, now, e.seq, e.addr & !7),
-                        LoadOrder::Clear
-                    ));
-                } else if e.op.is_load() {
-                    debug_assert_eq!(self.pool.hot(e.id).state(), InstState::Waiting);
-                    match load_order(thread_stores, now, e.seq, e.addr & !7) {
-                        LoadOrder::Blocked { store_seq, known_at } => {
-                            // The last entry moves into this slot; the
-                            // slots already gathered are all below it.
-                            lq.swap_remove_ready(slot, e.id);
-                            blocked.push((e, store_seq, known_at));
-                            continue;
-                        }
-                        LoadOrder::Clear => {}
-                        LoadOrder::Forward => forward = true,
+            for q in [&self.pipes[p].iq, &self.pipes[p].fq, &self.pipes[p].lq] {
+                for &e in q.ready_entries() {
+                    let mut forward = false;
+                    if e.retry_at > now {
+                        continue;
                     }
+                    if e.retry_at != 0 {
+                        // A backed-off load was clear of every older store
+                        // when it bounced, and stays clear: older stores
+                        // only commit, and none younger can come before it.
+                        debug_assert!(matches!(
+                            self.load_order(e.thread as usize, e.seq, e.addr & !7),
+                            LoadOrder::Clear
+                        ));
+                    } else if e.op.is_load() {
+                        debug_assert_eq!(self.pool.hot(e.id).state(), InstState::Waiting);
+                        match self.load_order(e.thread as usize, e.seq, e.addr & !7) {
+                            LoadOrder::Blocked { store_seq, known_at } => {
+                                blocked.push((e, store_seq, known_at));
+                                continue;
+                            }
+                            LoadOrder::Clear => {}
+                            LoadOrder::Forward => forward = true,
+                        }
+                    }
+                    candidates.push((age_key(e.seq, e.thread), e.id, e.op, e.addr, forward));
                 }
-                candidates.push(Candidate::new(&e, slot, forward));
-                slot += 1;
             }
             for &(e, store_seq, known_at) in &blocked {
+                let pipe = &mut self.pipes[p];
+                let was_ready = pipe.lq.remove_ready(e.id);
+                debug_assert!(was_ready);
                 if known_at == u64::MAX {
                     // Wait for the store's issue; its agen completion
                     // re-parks the load with a concrete cycle.
                     self.threads[e.thread as usize].blocked_loads.push((store_seq, e));
                 } else {
-                    self.pipes[p].park_load(known_at, e, now);
+                    pipe.park_load(known_at, e, now);
                 }
             }
             if !blocked.is_empty() {
@@ -317,21 +243,19 @@ impl Processor {
             // cross-thread tie-break must not depend on pool slot
             // numbering (allocator history): thread index gives a total,
             // reproducible order.
-            candidates.sort_unstable_by_key(|c| c.key);
+            candidates.sort_unstable_by_key(|&(key, _, _, _, _)| key);
 
             let mut issued = 0;
-            for i in 0..candidates.len() {
-                let c = candidates[i];
+            for &(_, id, op, addr, forward) in candidates.iter() {
                 if issued >= width {
                     // Candidates left over for want of issue width try
-                    // again next cycle: not a periodic retry.
+                    // again next cycle.
                     self.activity |= super::act::ISSUE_READY;
                     break;
                 }
-                let occupy = if c.op.fu_pipelined() { 1 } else { c.op.exec_latency() };
+                let occupy = if op.fu_pipelined() { 1 } else { op.exec_latency() };
                 let pipe = &mut self.pipes[p];
-                let kind = c.op.fu_kind();
-                let fu = match kind {
+                let fu = match op.fu_kind() {
                     FuKind::Int => &mut pipe.int_fu,
                     FuKind::Fp => &mut pipe.fp_fu,
                     FuKind::LdSt => &mut pipe.ldst_fu,
@@ -343,64 +267,54 @@ impl Processor {
                     continue;
                 }
                 issued += 1;
-                if self.begin_execution(p, &c) {
-                    // The issued entry leaves its ready set and the last
-                    // entry moves into its slot: repoint that entry's
-                    // candidate, if one is still to come.
-                    let q = self.pipes[p].queue_mut(kind);
-                    let last = (q.ready_entries().len() - 1) as u32;
-                    q.swap_remove_ready(c.slot as usize, c.id);
-                    let moved = candidates[i + 1..]
-                        .iter_mut()
-                        .find(|m| m.slot == last && m.op.fu_kind() == kind);
-                    if let Some(m) = moved {
-                        m.slot = c.slot;
-                    }
-                }
+                self.begin_execution(p, id, op, addr, forward);
             }
         }
         self.scratch_candidates = candidates;
     }
 
-    /// Start executing candidate `c` of pipeline `p`, whose functional
-    /// unit issue has claimed. Returns `true` when it issued, and the
-    /// caller must then drop its entry from the ready set; `false` when a
-    /// load bounced off the full D-MSHR file and stays in place, backed
-    /// off for two cycles.
-    ///
-    /// Issue touches no cold pool memory at all: the candidate carries
-    /// the opcode and the full effective address, so the whole
+    /// Issue touches no cold pool memory at all: the candidate entry
+    /// carries the opcode and the full effective address, so the whole
     /// transition runs on one hot access (the reads here and the
     /// state/ready-cycle writes at the end; everything in between works
     /// on disjoint Processor fields).
-    pub(crate) fn begin_execution(&mut self, p: usize, c: &Candidate) -> bool {
+    fn begin_execution(
+        &mut self,
+        p: usize,
+        id: InstId,
+        op: hdsmt_isa::Op,
+        addr: u64,
+        forward: bool,
+    ) {
         let now = self.cycle;
         let rf_extra = self.rf_lat - 1; // §4: +1 per access in hdSMT
-        let (id, op, addr, slot) = (c.id, c.op, c.addr, c.slot as usize);
-        // Address generation, then (loads not forwarded) the cache, before
-        // anything else: a load that bounces touches no pool memory.
-        let agen_done = now + 1 + rf_extra as u64;
-        let access = (op.is_load() && !c.forward).then(|| self.mem.load(addr, agen_done));
-        if let Some(access) = access.filter(|a| a.mshr_stall) {
-            // Structural replay: stay Waiting, retry two cycles later. The
-            // issue slot and FU cycle are wasted, as in hardware. The
-            // entry keeps its ready-set place with a back-off.
-            self.pipes[p].lq.back_off(slot, id, now + 2);
-            if !access.tlb_miss && access.level == hdsmt_mem::HitLevel::L2 {
-                self.activity |= super::act::ISSUE_RETRY;
-                self.step_bounces += 1;
-            } else {
-                self.activity |= super::act::ISSUE_READY;
-            }
-            return false;
-        }
         let hot = self.pool.hot_mut(id);
         debug_assert_eq!(hot.op, op, "candidate entry carries a stale opcode");
         let (t, seq, wrong, gen) =
             (hot.thread().index(), hot.seq.0, hot.is_wrong_path(), hot.gen());
 
         let ready_cycle = if op.is_load() {
-            if let Some(access) = access {
+            // Address generation, then the cache (unless forwarded).
+            let agen_done = now + 1 + rf_extra as u64;
+            if forward {
+                hot.set_forwarded();
+                agen_done + 1
+            } else {
+                let access = self.mem.load(addr, agen_done);
+                if access.mshr_stall {
+                    // Structural replay: stay Waiting, retry two cycles
+                    // later. The issue slot and FU cycle are wasted, as in
+                    // hardware. The entry keeps its ready-set place with a
+                    // back-off.
+                    self.pipes[p].lq.back_off(id, now + 2);
+                    if !access.tlb_miss && access.level == hdsmt_mem::HitLevel::L2 {
+                        self.activity |= super::act::ISSUE_RETRY;
+                        self.step_bounces += 1;
+                    } else {
+                        self.activity |= super::act::ISSUE_READY;
+                    }
+                    return;
+                }
                 if !wrong && access.level != hdsmt_mem::HitLevel::L1 {
                     self.threads[t].st.dl1_misses += 1;
                 }
@@ -413,10 +327,6 @@ impl Processor {
                     self.flush_wheel.schedule(trigger, Completion { id, gen }, now);
                 }
                 agen_done + access.latency as u64 + rf_extra as u64
-            } else {
-                // Forwarded: a one-cycle bypass, no cache access.
-                hot.set_forwarded();
-                agen_done + 1
             }
         } else if op.is_store() {
             // Address generation only; data is written at commit. The
@@ -424,6 +334,7 @@ impl Processor {
             // load-ordering checks need no pool lookup, and loads blocked
             // on this store move to the LQ park (they cannot clear
             // before the agen result is visible).
+            let agen_done = now + 1 + rf_extra as u64;
             let stores = &mut self.threads[t].lq_stores;
             let pos = stores.partition_point(|s| s.seq < seq);
             debug_assert!(stores[pos].id == id, "issuing store must be in its thread's list");
@@ -454,11 +365,16 @@ impl Processor {
         hot.set_state(InstState::Executing);
         hot.ready_cycle = ready_cycle;
         self.wheel.schedule(ready_cycle, Completion { id, gen }, now);
-        // The issued instruction leaves the ready set (the caller drops
-        // the entry); stores stay in the LQ itself (forwarding source)
-        // until commit, everything else leaves its queue entirely.
-        if !op.is_store() {
-            self.pipes[p].queue_mut(op.fu_kind()).remove();
+        // The issued instruction leaves the ready set; stores stay in the
+        // LQ itself (forwarding source) until commit, everything else
+        // leaves its queue entirely.
+        {
+            let q = self.pipes[p].queue_mut(op.fu_kind());
+            let was_ready = q.remove_ready(id);
+            debug_assert!(was_ready, "issued from the ready set");
+            if !op.is_store() {
+                q.remove();
+            }
         }
         let th = &mut self.threads[t];
         th.icount -= 1;
@@ -468,7 +384,42 @@ impl Processor {
                 th.st.loads += 1;
             }
         }
-        true
+    }
+
+    /// Memory-ordering check for a load against older same-thread stores in
+    /// the LQ: blocked while any has an unknown address; forwarded on an
+    /// exact (8-byte) match (the youngest older match is the forwarding
+    /// source). Walks the thread's incremental in-LQ store list — program-
+    /// ordered, so the scan stops at the first store younger than the load
+    /// — instead of rescanning the whole LQ.
+    fn load_order(&self, thread: usize, load_seq: u64, load_word: u64) -> LoadOrder {
+        let now = self.cycle;
+        let mut forward = false;
+        // Slice-at-a-time over the deque so the hot walk (every ready
+        // load, every cycle it is considered) skips per-step wrap checks.
+        let (front, back) = self.threads[thread].lq_stores.as_slices();
+        for part in [front, back] {
+            for s in part {
+                if s.seq >= load_seq {
+                    return if forward { LoadOrder::Forward } else { LoadOrder::Clear };
+                }
+                // Address known once agen completed (`known_at` is MAX
+                // while the store waits in its queue).
+                if s.known_at > now {
+                    return LoadOrder::Blocked { store_seq: s.seq, known_at: s.known_at };
+                }
+                // Ascending seq: a later match overwrites an earlier one,
+                // so the youngest older store wins.
+                if s.addr_word == load_word {
+                    forward = true;
+                }
+            }
+        }
+        if forward {
+            LoadOrder::Forward
+        } else {
+            LoadOrder::Clear
+        }
     }
 
     /// Writeback: drain the completion-wheel bucket due this cycle, mark
@@ -713,7 +664,7 @@ mod tests {
     use hdsmt_trace::DynInst;
 
     use super::super::Processor;
-    use super::{load_order, Candidate, LoadOrder, LqStore, ReadyEntry};
+    use super::{LoadOrder, LqStore, ReadyEntry};
     use crate::config::{SimConfig, ThreadSpec};
 
     /// A two-thread M8 machine with empty pipelines, used as a harness to
@@ -762,24 +713,9 @@ mod tests {
         id
     }
 
-    /// Issue pipe 0's LQ-ready `id` as the issue stage does once it holds
-    /// a functional unit: returns whether it issued (and left the ready
-    /// set) rather than bounced.
-    fn issue(p: &mut Processor, id: InstId, forward: bool) -> bool {
-        let slot = p.pipes[0].lq.ready_entries().iter().position(|e| e.id == id);
-        let slot = slot.expect("the load is in the LQ ready set");
-        let c = Candidate::new(&p.pipes[0].lq.ready_entries()[slot], slot, forward);
-        let issued = p.begin_execution(0, &c);
-        if issued {
-            p.pipes[0].lq.swap_remove_ready(slot, id);
-        }
-        issued
-    }
-
     fn verdict(p: &Processor, id: InstId) -> &'static str {
         let h = p.pool.hot(id);
-        let stores = &p.threads[h.thread().index()].lq_stores;
-        match load_order(stores, p.cycle, h.seq.0, p.pool.cold(id).d.addr & !7) {
+        match p.load_order(h.thread().index(), h.seq.0, p.pool.cold(id).d.addr & !7) {
             LoadOrder::Blocked { .. } => "blocked",
             LoadOrder::Clear => "clear",
             LoadOrder::Forward => "forward",
@@ -849,7 +785,7 @@ mod tests {
         inject(&mut p, 0, 1, Op::Store, 0x6000, InstState::Done, 0);
         let load = inject(&mut p, 0, 2, Op::Load, 0x6000, InstState::Waiting, 0);
         p.cycle = 100;
-        assert!(issue(&mut p, load, true));
+        p.begin_execution(0, load, Op::Load, p.pool.cold(load).d.addr, true);
         let h = p.pool.hot(load);
         assert_eq!(h.state(), InstState::Executing);
         assert!(h.is_forwarded());
@@ -868,7 +804,7 @@ mod tests {
         // A second missing load now structurally replays.
         let load = inject(&mut p, 0, 1, Op::Load, 0x6000_0000, InstState::Waiting, 0);
         p.cycle = 0;
-        assert!(!issue(&mut p, load, false), "the bounce keeps the entry");
+        p.begin_execution(0, load, Op::Load, p.pool.cold(load).d.addr, false);
         assert_eq!(
             p.pool.hot(load).state(),
             InstState::Waiting,
@@ -879,14 +815,15 @@ mod tests {
         assert_eq!((e.id, e.retry_at), (load, 2), "backed off in place for two cycles");
         assert_eq!(p.pipes[0].lq.next_retry(), 2, "the back-off is on the timeline");
 
-        // Retries against the unchanged file bounce again, each pushing
-        // the back-off out; once the outstanding miss has drained, the
-        // retry allocates and issues.
+        // Retries against the full file bounce again, each pushing the
+        // back-off out; once the outstanding miss has drained, the retry
+        // allocates and issues.
         let resume = first.latency as u64 + 8;
         let mut bounces = 1;
         for c in (2..=resume).step_by(2) {
             p.cycle = c;
-            if issue(&mut p, load, false) {
+            p.begin_execution(0, load, Op::Load, p.pool.cold(load).d.addr, false);
+            if p.pool.hot(load).state() == InstState::Executing {
                 break;
             }
             bounces += 1;
@@ -910,7 +847,7 @@ mod tests {
         // and a FLUSH trigger, both far beyond this cycle.
         let load = inject(&mut p, 0, 5, Op::Load, 0x6000_0000, InstState::Waiting, 0);
         p.threads[0].rob.push_back(load);
-        assert!(issue(&mut p, load, false));
+        p.begin_execution(0, load, Op::Load, 0x6000_0000, false);
         let (load_done, load_gen) = (p.pool.hot(load).ready_cycle, p.pool.gen(load));
         assert_eq!(p.pool.hot(load).state(), InstState::Executing);
         assert!(!p.flush_wheel.is_empty(), "the miss armed a FLUSH trigger");
@@ -943,7 +880,7 @@ mod tests {
         }
         p.threads[0].rob.push_back(fresh);
         p.threads[0].rob.push_back(waiter);
-        assert!(issue(&mut p, fresh, true));
+        p.begin_execution(0, fresh, Op::Load, 0x8000, true);
         let fresh_done = p.pool.hot(fresh).ready_cycle;
         assert!(fresh_done < load_done);
 

@@ -413,8 +413,8 @@ pub struct Processor {
 
     // ---- reusable per-cycle scratch (kept across cycles so the steady-
     // state hot loop allocates nothing) ----
-    /// Issue candidates of one pipeline.
-    scratch_candidates: Vec<backend::Candidate>,
+    /// Issue candidates: (packed age key, id, op, address, forwarded).
+    scratch_candidates: Vec<(u64, InstId, hdsmt_isa::Op, u64, bool)>,
     /// Loads found blocked during the gather (applied after it).
     scratch_blocked: Vec<(ReadyEntry, u64, u64)>,
     /// Register-file wakeups being routed to ready sets.

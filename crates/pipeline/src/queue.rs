@@ -135,8 +135,8 @@ impl IssueQueue {
         &self.ready
     }
 
-    /// Drop `id`'s ready entry (it was squashed). Returns `false` when
-    /// it had none (operands still outstanding). O(ready).
+    /// Drop `id`'s ready entry (it issued or was squashed). Returns
+    /// `false` when it had none (operands still outstanding). O(ready).
     pub fn remove_ready(&mut self, id: InstId) -> bool {
         if let Some(i) = self.ready.iter().position(|e| e.id == id) {
             self.ready.swap_remove(i);
@@ -146,21 +146,11 @@ impl IssueQueue {
         }
     }
 
-    /// Drop `id`'s ready entry, at position `slot` (it issued, or moved
-    /// to a wait); the last entry takes its place. O(1).
-    #[inline]
-    pub fn swap_remove_ready(&mut self, slot: usize, id: InstId) -> ReadyEntry {
-        let e = self.ready.swap_remove(slot);
-        debug_assert_eq!(e.id, id, "ready slot {slot} held another entry");
-        e
-    }
-
-    /// Back off load `id`, at position `slot`, after an MSHR-full
-    /// bounce: it stays in place, skipped by issue until `retry_at`.
-    #[inline]
-    pub fn back_off(&mut self, slot: usize, id: InstId, retry_at: u64) {
-        let e = &mut self.ready[slot];
-        debug_assert_eq!(e.id, id, "ready slot {slot} holds another entry");
+    /// Back off load `id` after an MSHR-full bounce: it keeps its place
+    /// in the ready set, skipped by issue until `retry_at`. O(ready).
+    pub fn back_off(&mut self, id: InstId, retry_at: u64) {
+        let e = self.ready.iter_mut().find(|e| e.id == id);
+        let e = e.expect("a bounced load comes from the ready set");
         debug_assert!(e.op.is_load() && retry_at > 0);
         e.retry_at = retry_at;
     }
@@ -240,13 +230,13 @@ mod tests {
             q.mark_ready(ReadyEntry::new(10 + id as u64, 0x40, InstId(id), 0, Op::Load));
         }
         assert_eq!(q.next_retry(), 0, "a fresh entry can issue now");
-        q.back_off(0, InstId(0), 12);
-        q.back_off(1, InstId(1), 13);
+        q.back_off(InstId(0), 12);
+        q.back_off(InstId(1), 13);
         assert_eq!(q.next_retry(), 12);
         q.delay_retries(4);
         let got: Vec<u64> = q.ready_entries().iter().map(|e| e.retry_at).collect();
         assert_eq!(got, [16, 17]);
-        assert_eq!(q.swap_remove_ready(0, InstId(0)).id, InstId(0));
+        assert!(q.remove_ready(InstId(0)));
         assert_eq!(q.ready_entries()[0].id, InstId(1));
     }
 
