@@ -7,14 +7,6 @@ use hdsmt_pipeline::{Completion, InstId, InstState, ReadyEntry};
 use super::{DispatchEntry, LqStore, Processor};
 use crate::config::FetchPolicy;
 
-/// Packed issue-age priority: sequence number in the high bits, thread
-/// index (the deterministic cross-thread tie-break) in the low bits.
-#[inline]
-fn age_key(seq: u64, thread: u8) -> u64 {
-    debug_assert!(seq < 1 << 56);
-    (seq << 8) | thread as u64
-}
-
 /// Load/store ordering verdict for a load in the LQ.
 enum LoadOrder {
     /// An older same-thread store's address is still unknown. Carries the
@@ -117,9 +109,9 @@ impl Processor {
     /// Dispatch: insert renamed instructions into their issue queues, in
     /// order, stalling on a full queue. Entry point of the event-driven
     /// scheduler: an instruction with outstanding sources subscribes to
-    /// their wakeup lists; one with none goes straight onto its queue's
-    /// ready set. Stores are also appended to their thread's in-LQ store
-    /// list for incremental load-ordering checks.
+    /// their wakeup lists; one with none goes straight into its
+    /// pipeline's ready list. Stores are also appended to their thread's
+    /// in-LQ store list for incremental load-ordering checks.
     pub(crate) fn dispatch_stage(&mut self) {
         for p in 0..self.pipes.len() {
             let mut moved = 0;
@@ -143,8 +135,7 @@ impl Processor {
                 hot.set_state(InstState::Waiting);
                 hot.pending_srcs = pending;
                 if pending == 0 {
-                    let entry = ReadyEntry::new(seq, addr, id, t as u8, op);
-                    self.pipes[p].queue_mut(kind).mark_ready(entry);
+                    self.pipes[p].ready.insert(ReadyEntry::new(seq, addr, id, t as u8, op));
                 }
                 if op.is_store() {
                     self.threads[t].lq_stores.push_back(LqStore {
@@ -163,12 +154,17 @@ impl Processor {
         }
     }
 
-    /// Issue: visit the wakeup-fed ready sets oldest-first, claim
-    /// functional units, compute completion times (register-file latency
-    /// per §4, cache latency for loads), and file completions on the
-    /// wheel. Event-driven: only instructions whose operands became ready
-    /// are examined — a handful of self-contained entries — never the
-    /// whole queues, and never the instruction pool.
+    /// Issue: walk each pipeline's wakeup-fed ready list once, oldest
+    /// first, claim functional units, compute completion times
+    /// (register-file latency per §4, cache latency for loads), and file
+    /// completions on the wheel. Event-driven: only instructions whose
+    /// operands became ready are examined — a handful of self-contained
+    /// entries — never the whole queues, and never the instruction pool.
+    /// The list is already in age order, so each entry is decided where
+    /// it stands: passed over while backed off, filed away when blocked
+    /// on a store, left for next cycle past the width or when its FU pool
+    /// is saturated, and otherwise issued (dropped) or bounced (backed
+    /// off in place).
     ///
     /// Activity splits in two. A load that bounces off the full D-MSHR
     /// file after hitting the D-TLB and the L2 sets only
@@ -177,107 +173,91 @@ impl Processor {
     /// candidate does sets [`act::ISSUE_READY`](super::act::ISSUE_READY).
     pub(crate) fn issue_stage(&mut self) {
         let now = self.cycle;
-        let mut candidates = std::mem::take(&mut self.scratch_candidates);
         for p in 0..self.pipes.len() {
             let width = self.pipes[p].model.width as usize;
 
             // Re-admit loads whose wait for a store address expired.
             let pipe = &mut self.pipes[p];
-            if pipe.lq.unpark_due(&mut pipe.lq_park, now) > 0 {
+            if pipe.ready.unpark_due(&mut pipe.lq_park, now) > 0 {
                 self.activity |= super::act::ISSUE_UNPARK;
             }
-            // Gather candidates from the ready sets. Entries are eagerly
-            // maintained and self-contained, so selection touches no
-            // instruction-pool memory. A backed-off load is passed over
-            // until its retry cycle; loads found blocked move to the
-            // store-wait structures instead of being re-polled every
-            // cycle.
-            candidates.clear();
-            let mut blocked = std::mem::take(&mut self.scratch_blocked);
-            blocked.clear();
-            for q in [&self.pipes[p].iq, &self.pipes[p].fq, &self.pipes[p].lq] {
-                for &e in q.ready_entries() {
-                    let mut forward = false;
-                    if e.retry_at > now {
-                        continue;
-                    }
-                    if e.retry_at != 0 {
-                        // A backed-off load was clear of every older store
-                        // when it bounced, and stays clear: older stores
-                        // only commit, and none younger can come before it.
-                        debug_assert!(matches!(
-                            self.load_order(e.thread as usize, e.seq, e.addr & !7),
-                            LoadOrder::Clear
-                        ));
-                    } else if e.op.is_load() {
-                        debug_assert_eq!(self.pool.hot(e.id).state(), InstState::Waiting);
-                        match self.load_order(e.thread as usize, e.seq, e.addr & !7) {
-                            LoadOrder::Blocked { store_seq, known_at } => {
-                                blocked.push((e, store_seq, known_at));
-                                continue;
-                            }
-                            LoadOrder::Clear => {}
-                            LoadOrder::Forward => forward = true,
-                        }
-                    }
-                    candidates.push((age_key(e.seq, e.thread), e.id, e.op, e.addr, forward));
-                }
-            }
-            for &(e, store_seq, known_at) in &blocked {
-                let pipe = &mut self.pipes[p];
-                let was_ready = pipe.lq.remove_ready(e.id);
-                debug_assert!(was_ready);
-                if known_at == u64::MAX {
-                    // Wait for the store's issue; its agen completion
-                    // re-parks the load with a concrete cycle.
-                    self.threads[e.thread as usize].blocked_loads.push((store_seq, e));
-                } else {
-                    pipe.park_load(known_at, e, now);
-                }
-            }
-            if !blocked.is_empty() {
-                self.activity |= super::act::ISSUE_READY;
-            }
-            self.scratch_blocked = blocked;
-            // Age order on one packed key: `seq` is per-thread, so the
-            // cross-thread tie-break must not depend on pool slot
-            // numbering (allocator history): thread index gives a total,
-            // reproducible order.
-            candidates.sort_unstable_by_key(|&(key, _, _, _, _)| key);
-
+            // The walk needs the whole processor; nothing it calls
+            // touches a ready list, so the list is lent out meanwhile.
+            let mut ready = std::mem::take(&mut self.pipes[p].ready);
             let mut issued = 0;
-            for &(_, id, op, addr, forward) in candidates.iter() {
-                if issued >= width {
-                    // Candidates left over for want of issue width try
-                    // again next cycle.
-                    self.activity |= super::act::ISSUE_READY;
-                    break;
+            ready.retain_mut(|e| {
+                if e.retry_at > now {
+                    return true; // backed off: passed over until its retry
                 }
-                let occupy = if op.fu_pipelined() { 1 } else { op.exec_latency() };
+                let mut forward = false;
+                if e.retry_at != 0 {
+                    // A backed-off load was clear of every older store
+                    // when it bounced, and stays clear: older stores
+                    // only commit, and none younger can come before it.
+                    debug_assert!(matches!(
+                        self.load_order(e.thread as usize, e.seq, e.addr & !7),
+                        LoadOrder::Clear
+                    ));
+                } else if e.op.is_load() {
+                    debug_assert_eq!(self.pool.hot(e.id).state(), InstState::Waiting);
+                    match self.load_order(e.thread as usize, e.seq, e.addr & !7) {
+                        LoadOrder::Blocked { store_seq, known_at } => {
+                            // Blocked loads leave the list, whatever the
+                            // width: to wait for the store's issue (its
+                            // agen completion re-parks them), or in the
+                            // park until the agen of a store that issued
+                            // earlier, maybe earlier in this walk.
+                            self.activity |= super::act::ISSUE_READY;
+                            if known_at == u64::MAX {
+                                let t = e.thread as usize;
+                                self.threads[t].blocked_loads.push((store_seq, *e));
+                            } else {
+                                self.pipes[p].park_load(known_at, *e, now);
+                            }
+                            return false;
+                        }
+                        LoadOrder::Clear => {}
+                        LoadOrder::Forward => forward = true,
+                    }
+                }
+                if issued >= width {
+                    // Left over for want of issue width: next cycle.
+                    self.activity |= super::act::ISSUE_READY;
+                    return true;
+                }
+                let occupy = if e.op.fu_pipelined() { 1 } else { e.op.exec_latency() };
                 let pipe = &mut self.pipes[p];
-                let fu = match op.fu_kind() {
+                let fu = match e.op.fu_kind() {
                     FuKind::Int => &mut pipe.int_fu,
                     FuKind::Fp => &mut pipe.fp_fu,
                     FuKind::LdSt => &mut pipe.ldst_fu,
                 };
                 if !fu.try_issue(now, occupy) {
                     // This pool is saturated; other kinds may go. The
-                    // candidate tries again next cycle.
+                    // entry tries again next cycle.
                     self.activity |= super::act::ISSUE_READY;
-                    continue;
+                    return true;
                 }
                 issued += 1;
-                self.begin_execution(p, id, op, addr, forward);
-            }
+                match self.begin_execution(p, e.id, e.op, e.addr, forward) {
+                    Some(retry_at) => {
+                        e.retry_at = retry_at;
+                        true
+                    }
+                    None => false,
+                }
+            });
+            self.pipes[p].ready = ready;
         }
-        self.scratch_candidates = candidates;
     }
 
-    /// Issue touches no cold pool memory at all: the candidate entry
-    /// carries the opcode and the full effective address, so the whole
+    /// Issue touches no cold pool memory at all: the ready entry carries
+    /// the opcode and the full effective address, so the whole
     /// transition runs on one hot access (the reads here and the
     /// state/ready-cycle writes at the end; everything in between works
-    /// on disjoint Processor fields).
+    /// on disjoint Processor fields). Returns the retry cycle of a load
+    /// that bounced off the full D-MSHR file, or `None` once issued;
+    /// either way the caller keeps or drops the ready entry.
     fn begin_execution(
         &mut self,
         p: usize,
@@ -285,11 +265,11 @@ impl Processor {
         op: hdsmt_isa::Op,
         addr: u64,
         forward: bool,
-    ) {
+    ) -> Option<u64> {
         let now = self.cycle;
         let rf_extra = self.rf_lat - 1; // §4: +1 per access in hdSMT
         let hot = self.pool.hot_mut(id);
-        debug_assert_eq!(hot.op, op, "candidate entry carries a stale opcode");
+        debug_assert_eq!(hot.op, op, "ready entry carries a stale opcode");
         let (t, seq, wrong, gen) =
             (hot.thread().index(), hot.seq.0, hot.is_wrong_path(), hot.gen());
 
@@ -304,16 +284,15 @@ impl Processor {
                 if access.mshr_stall {
                     // Structural replay: stay Waiting, retry two cycles
                     // later. The issue slot and FU cycle are wasted, as in
-                    // hardware. The entry keeps its ready-set place with a
-                    // back-off.
-                    self.pipes[p].lq.back_off(id, now + 2);
+                    // hardware. The entry keeps its ready-list place with
+                    // a back-off.
                     if !access.tlb_miss && access.level == hdsmt_mem::HitLevel::L2 {
                         self.activity |= super::act::ISSUE_RETRY;
                         self.step_bounces += 1;
                     } else {
                         self.activity |= super::act::ISSUE_READY;
                     }
-                    return;
+                    return Some(now + 2);
                 }
                 if !wrong && access.level != hdsmt_mem::HitLevel::L1 {
                     self.threads[t].st.dl1_misses += 1;
@@ -365,16 +344,10 @@ impl Processor {
         hot.set_state(InstState::Executing);
         hot.ready_cycle = ready_cycle;
         self.wheel.schedule(ready_cycle, Completion { id, gen }, now);
-        // The issued instruction leaves the ready set; stores stay in the
-        // LQ itself (forwarding source) until commit, everything else
-        // leaves its queue entirely.
-        {
-            let q = self.pipes[p].queue_mut(op.fu_kind());
-            let was_ready = q.remove_ready(id);
-            debug_assert!(was_ready, "issued from the ready set");
-            if !op.is_store() {
-                q.remove();
-            }
+        // Stores stay in the LQ itself (forwarding source) until commit;
+        // everything else leaves its queue entirely.
+        if !op.is_store() {
+            self.pipes[p].queue_mut(op.fu_kind()).remove();
         }
         let th = &mut self.threads[t];
         th.icount -= 1;
@@ -384,6 +357,7 @@ impl Processor {
                 th.st.loads += 1;
             }
         }
+        None
     }
 
     /// Memory-ordering check for a load against older same-thread stores in
@@ -423,7 +397,7 @@ impl Processor {
     }
 
     /// Writeback: drain the completion-wheel bucket due this cycle, mark
-    /// results ready (firing wakeups into the ready sets), clear FLUSH
+    /// results ready (firing wakeups into the ready lists), clear FLUSH
     /// gates, resolve branches (training + misprediction recovery).
     pub(crate) fn writeback_stage(&mut self) {
         let now = self.cycle;
@@ -470,8 +444,8 @@ impl Processor {
         }
         self.scratch_due = due;
 
-        // Route this cycle's register wakeups into the queue ready sets
-        // before issue runs.
+        // Route this cycle's register wakeups into the ready lists before
+        // issue runs.
         self.drain_wakeups();
 
         // Resolve branches oldest-first per thread: an older misprediction
@@ -490,8 +464,8 @@ impl Processor {
     }
 
     /// Deliver pending register-file wakeups: each subscriber counts one
-    /// outstanding source down and enters its queue's ready set when none
-    /// remain. Subscriptions of since-squashed (recycled) instructions are
+    /// outstanding source down and enters its pipeline's ready list when
+    /// none remain. Subscriptions of since-squashed (recycled) instructions are
     /// discarded by generation mismatch.
     ///
     /// Delivery runs on the hot record: the pending-source countdown and
@@ -533,8 +507,7 @@ impl Processor {
                     FuKind::LdSt => self.pool.cold(w.id).d.addr,
                     _ => 0,
                 };
-                let entry = ReadyEntry::new(seq, addr, w.id, thread, op);
-                self.pipes[pipe].queue_mut(op.fu_kind()).mark_ready(entry);
+                self.pipes[pipe].ready.insert(ReadyEntry::new(seq, addr, w.id, thread, op));
             }
         }
         self.scratch_woken = woken;
@@ -676,8 +649,8 @@ mod tests {
         Processor::new(cfg, &w, &[0, 0])
     }
 
-    /// Place a load or store in pipe 0's LQ in the given state. Sources are
-    /// `None` (always operand-ready).
+    /// Place an instruction in pipe 0's queue of its kind in the given
+    /// state. Sources are `None` (always operand-ready).
     fn inject(
         p: &mut Processor,
         t: usize,
@@ -697,10 +670,10 @@ mod tests {
             h.set_state(state);
             h.ready_cycle = ready_cycle;
         }
-        assert!(p.pipes[0].lq.push());
+        assert!(p.pipes[0].queue_mut(op.fu_kind()).push());
         if state == InstState::Waiting {
             // Sources are None, so dispatch would mark it ready at once.
-            p.pipes[0].lq.mark_ready(ReadyEntry::new(seq, addr, id, t as u8, op));
+            p.pipes[0].ready.insert(ReadyEntry::new(seq, addr, id, t as u8, op));
         }
         if op.is_store() {
             let known_at = match state {
@@ -801,39 +774,126 @@ mod tests {
         let first = p.mem.load(0x5000_0000, 0);
         assert!(!first.mshr_stall, "first miss allocates the MSHR");
         assert!(first.latency > 1, "must actually miss");
-        // A second missing load now structurally replays.
+        // A second missing load now structurally replays, behind an
+        // older entry that stays put for want of an FP unit.
+        p.pipes[0].fp_fu = hdsmt_pipeline::FuPool::new(0);
+        let fp = inject(&mut p, 1, 1, Op::FpAlu, 0, InstState::Waiting, 0);
         let load = inject(&mut p, 0, 1, Op::Load, 0x6000_0000, InstState::Waiting, 0);
         p.cycle = 0;
-        p.begin_execution(0, load, Op::Load, p.pool.cold(load).d.addr, false);
+        p.issue_stage();
         assert_eq!(
             p.pool.hot(load).state(),
             InstState::Waiting,
             "MSHR stall keeps the load waiting"
         );
         assert_eq!(p.pipes[0].lq.len(), 1, "the load stays in its queue");
-        let e = p.pipes[0].lq.ready_entries()[0];
-        assert_eq!((e.id, e.retry_at), (load, 2), "backed off in place for two cycles");
-        assert_eq!(p.pipes[0].lq.next_retry(), 2, "the back-off is on the timeline");
+        let ids: Vec<_> = p.pipes[0].ready.entries().iter().map(|e| (e.id, e.retry_at)).collect();
+        assert_eq!(ids, [(load, 2), (fp, 0)], "backed off in place for two cycles");
+        assert_eq!(p.pipes[0].ready.next_retry(), 0, "the FP entry could issue now");
 
         // Retries against the full file bounce again, each pushing the
-        // back-off out; once the outstanding miss has drained, the retry
-        // allocates and issues.
+        // back-off out; the walk passes over the load in between. Once
+        // the outstanding miss has drained, the retry allocates and
+        // issues.
         let resume = first.latency as u64 + 8;
         let mut bounces = 1;
-        for c in (2..=resume).step_by(2) {
+        for c in 1..=resume {
             p.cycle = c;
-            p.begin_execution(0, load, Op::Load, p.pool.cold(load).d.addr, false);
+            p.issue_stage();
             if p.pool.hot(load).state() == InstState::Executing {
                 break;
             }
-            bounces += 1;
-            assert_eq!(p.pipes[0].lq.ready_entries()[0].retry_at, c + 2);
+            let e = p.pipes[0].ready.entries()[0];
+            assert_eq!(e.id, load, "the load keeps its place");
+            if c % 2 == 0 {
+                bounces += 1;
+                assert_eq!(e.retry_at, c + 2);
+            } else {
+                assert_eq!(e.retry_at, c + 1, "passed over until its retry");
+            }
         }
         let h = p.pool.hot(load);
         assert_eq!(h.state(), InstState::Executing, "retry issues once an MSHR frees up");
         assert!(h.ready_cycle > p.cycle);
-        assert!(p.pipes[0].lq.ready_entries().is_empty(), "the issued entry left");
+        let ids: Vec<_> = p.pipes[0].ready.entries().iter().map(|e| e.id).collect();
+        assert_eq!(ids, [fp], "the issued entry left");
         assert_eq!(p.mshr_stats().0 .1, bounces, "every bounce is a full-file stall");
+    }
+
+    #[test]
+    fn issue_walks_oldest_first_under_the_width_and_fu_limits() {
+        let mut p = mini_proc(|_| {});
+        // (thread, seq, op), injected out of age order; M8 issues 8 per
+        // cycle and has 3 FP units.
+        let plan = [
+            (0, 8, Op::Load),
+            (1, 7, Op::IntAlu),
+            (0, 4, Op::FpAlu),
+            (1, 5, Op::IntAlu),
+            (0, 2, Op::FpAlu),
+            (1, 1, Op::FpAlu),
+            (0, 6, Op::IntAlu),
+            (1, 2, Op::IntAlu),
+            (0, 3, Op::FpAlu),
+            (1, 4, Op::Load),
+            (0, 5, Op::IntAlu),
+        ];
+        let ids: Vec<InstId> = plan
+            .iter()
+            .map(|&(t, seq, op)| inject(&mut p, t, seq, op, 0x40 * seq, InstState::Waiting, 0))
+            .collect();
+        p.cycle = 10;
+        p.issue_stage();
+        // Oldest first: (1,1)F (2,0)F (2,1)I (3,0)F issue; (4,0)F finds
+        // the FP units taken; (4,1)L (5,0)I (5,1)I (6,0)I fill the width;
+        // (7,1)I and (8,0)L are left over.
+        let left: Vec<(u64, u8)> =
+            p.pipes[0].ready.entries().iter().map(|e| (e.seq, e.thread)).collect();
+        assert_eq!(left, [(4, 0), (7, 1), (8, 0)]);
+        for (&(t, seq, _), &id) in plan.iter().zip(&ids) {
+            let waiting = left.contains(&(seq, t as u8));
+            let want = if waiting { InstState::Waiting } else { InstState::Executing };
+            assert_eq!(p.pool.hot(id).state(), want, "thread {t} seq {seq}");
+        }
+        assert_eq!(p.pipes[0].iq.len() + p.pipes[0].fq.len() + p.pipes[0].lq.len(), 3);
+        assert_ne!(p.activity & super::super::act::ISSUE_READY, 0);
+    }
+
+    #[test]
+    fn a_load_behind_a_store_issued_in_the_same_walk_parks_at_its_agen() {
+        let mut p = mini_proc(|_| {});
+        let store = inject(&mut p, 0, 1, Op::Store, 0x1000, InstState::Waiting, 0);
+        let load = inject(&mut p, 0, 2, Op::Load, 0x1000, InstState::Waiting, 0);
+        p.cycle = 100;
+        p.issue_stage();
+        let agen = p.pool.hot(store).ready_cycle;
+        assert_eq!(p.pool.hot(store).state(), InstState::Executing);
+        assert_eq!(p.pool.hot(load).state(), InstState::Waiting);
+        assert!(p.pipes[0].ready.entries().is_empty(), "the load left the list");
+        assert!(p.threads[0].blocked_loads.is_empty(), "not filed under an issued store");
+        assert_eq!(p.pipes[0].lq_park.next_due(101), agen, "parked at the store's agen");
+        for c in 101..=agen {
+            p.cycle = c;
+            p.issue_stage();
+        }
+        assert_eq!(p.pool.hot(load).state(), InstState::Executing);
+        assert!(p.pool.hot(load).is_forwarded(), "the store's data is forwarded");
+
+        // A store whose operands are not ready yet: the load waits for
+        // its issue, then parks at its agen the same way.
+        let store = inject(&mut p, 1, 1, Op::Store, 0x2000, InstState::Waiting, 0);
+        let load = inject(&mut p, 1, 2, Op::Load, 0x2000, InstState::Waiting, 0);
+        let entry = p.pipes[0].ready.entries()[0];
+        p.pipes[0].ready.retain_mut(|e| e.id != store);
+        p.cycle = 200;
+        p.issue_stage();
+        let filed: Vec<_> = p.threads[1].blocked_loads.iter().map(|&(s, e)| (s, e.id)).collect();
+        assert_eq!(filed, [(1, load)], "waits for the store's issue");
+        p.pipes[0].ready.insert(entry);
+        p.cycle = 201;
+        p.issue_stage();
+        assert!(p.threads[1].blocked_loads.is_empty());
+        assert_eq!(p.pipes[0].lq_park.next_due(202), p.pool.hot(store).ready_cycle);
     }
 
     #[test]
@@ -901,7 +961,7 @@ mod tests {
         assert_eq!(p.pool.gen(fresh), p.pool.gen(load), "no release behind its back");
         assert_eq!(p.pool.hot(fresh).state(), InstState::Done);
         assert_eq!(p.pool.hot(waiter).pending_srcs, 1, "stale wakeup was dropped");
-        assert!(!p.pipes[0].lq.ready_entries().iter().any(|e| e.id == waiter));
+        assert!(!p.pipes[0].ready.entries().iter().any(|e| e.id == waiter));
         assert_eq!(p.threads[0].st.flushes, 0, "stale FLUSH trigger was dropped");
         assert_eq!(p.threads[0].flush_gate, None);
         assert!(p.wheel.is_empty() && p.flush_wheel.is_empty());

@@ -22,35 +22,37 @@ impl Processor {
     pub(crate) fn fetch_stage(&mut self) {
         let now = self.cycle;
         let n = self.threads.len();
-        let mut order = std::mem::take(&mut self.scratch_order);
-        order.clear();
-        order.extend((0..n).filter(|&t| self.fetch_eligible(t, now)));
-        // An eligible thread always acts: even a burst that stalls on an
-        // I-cache miss touches the hierarchy and re-arms its stall timer.
-        if !order.is_empty() {
-            self.activity |= super::act::FETCH;
-        }
         let rr = self.fetch_rr;
-        let key = |p: &Processor, t: usize| -> (i64, i64, i64, i64) {
-            let th = &p.threads[t];
+        let key = |t: usize| -> (i64, i64, i64, i64) {
+            let th = &self.threads[t];
             let rr_pos = ((t + n - rr % n.max(1)) % n.max(1)) as i64;
-            match p.cfg.fetch_policy {
+            match self.cfg.fetch_policy {
                 FetchPolicy::Icount | FetchPolicy::Flush => (th.icount as i64, rr_pos, 0, 0),
                 FetchPolicy::L1mcount => (
                     th.inflight_loads as i64,
-                    -(p.pipes[th.pipe as usize].model.width as i64),
+                    -(self.pipes[th.pipe as usize].model.width as i64),
                     th.icount as i64,
                     rr_pos,
                 ),
                 FetchPolicy::RoundRobin => (rr_pos, 0, 0, 0),
             }
         };
-        order.sort_by_key(|&t| key(self, t));
+        // Each key is computed once; the rotation field makes keys
+        // unique, so an unstable sort gives the one priority order.
+        let mut order = std::mem::take(&mut self.scratch_order);
+        order.clear();
+        order.extend((0..n).filter(|&t| self.fetch_eligible(t, now)).map(|t| (key(t), t)));
+        // An eligible thread always acts: even a burst that stalls on an
+        // I-cache miss touches the hierarchy and re-arms its stall timer.
+        if !order.is_empty() {
+            self.activity |= super::act::FETCH;
+        }
+        order.sort_unstable();
 
         let mut budget = FETCH_WIDTH as u32;
         let mut threads_used = 0u8;
         #[allow(clippy::explicit_counter_loop)] // the counter is a port budget, not an index
-        for &t in &order {
+        for &(_, t) in &order {
             if threads_used >= FETCH_THREADS || budget == 0 {
                 break;
             }

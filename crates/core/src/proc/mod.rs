@@ -16,30 +16,36 @@
 //! * **Wakeup lists** ([`RegFile`]): a dispatched instruction with
 //!   unready sources subscribes to those physical registers; writeback's
 //!   `set_ready` moves the subscribers to a woken buffer that the
-//!   processor drains into the queues' ready sets. Subscriptions carry
+//!   processor drains into the pipelines' ready lists. Subscriptions carry
 //!   the pool **generation** of the consumer, so wakeups for
 //!   since-squashed (recycled) instructions are discarded on delivery.
-//! * **Ready sets** ([`IssueQueue`]): each queue tracks its operand-ready
-//!   members as self-contained entries (seq, thread, op, address), kept
-//!   eagerly in sync — issue and squash remove entries immediately — so
-//!   the issue stage sorts only genuine candidates by age and touches no
-//!   pool memory for selection. Beyond that a queue keeps only its member
-//!   count, for dispatch's capacity check: which instructions it holds is
-//!   already recorded by the ROBs, from which the invariant checks derive
-//!   it.
+//! * **Ready lists** ([`ReadyList`]): each pipeline keeps the
+//!   operand-ready members of its three queues in one list of
+//!   self-contained entries (seq, thread, op, address), ordered by the
+//!   `(seq, thread)` age key at insertion (dispatch, wakeup drain, park
+//!   expiry) and kept eagerly in sync — issue and squash remove entries
+//!   immediately. Issue walks the list once, oldest first, and decides
+//!   each entry in place: pass over a back-off, file a blocked load,
+//!   leave an entry past the width or losing FU arbitration, issue the
+//!   rest. Nothing is gathered, sorted or looked up by id, and no pool
+//!   memory is read for selection. An [`IssueQueue`] keeps only its
+//!   member count, for dispatch's capacity check: which instructions it
+//!   holds is already recorded by the ROBs, from which the invariant
+//!   checks derive it.
 //! * **Blocked loads** are fully evented too: a load whose oldest
 //!   unknown-address older store has not issued waits on that store's
 //!   issue (`Thread::blocked_loads`); once the store's agen completion
 //!   cycle is known the load moves to the LQ's park (a
 //!   [`CompletionWheel`] of ready entries beside the LQ) and rejoins the
-//!   ready set exactly when the address becomes visible. The
+//!   ready list exactly when the address becomes visible. The
 //!   load-ordering walk itself reads the per-thread `LqStore` list
 //!   (program-ordered, denormalised) instead of rescanning the LQ.
-//! * **MSHR-full retries** cost no churn: a load that bounces off the
-//!   full D-MSHR file keeps its ready-set place, backed off for two
-//!   cycles (`IssueQueue::back_off`), and issue passes over it until
-//!   then. It was clear of every older store when it bounced and stays
-//!   so, so its retry skips the load-ordering walk.
+//! * **MSHR-full retries** cost no churn: `begin_execution` reports a
+//!   load that bounced off the full D-MSHR file with its retry cycle, two
+//!   cycles out, and the issue walk writes that back-off into the load's
+//!   entry where it stands (`ReadyEntry::retry_at`); later walks pass
+//!   over it until then. It was clear of every older store when it
+//!   bounced and stays so, so its retry skips the load-ordering walk.
 //! * **Completion wheel** ([`CompletionWheel`]): executing instructions
 //!   are filed under their completion cycle; writeback drains exactly the
 //!   bucket due now. Squash releases an executing instruction's slot at
@@ -74,8 +80,8 @@
 //!   `CompletionWheel::next_due` (O(1): near-ring occupancy mask + far
 //!   minimum): the completion and FLUSH wheels directly, stale entries
 //!   included, which is conservative, never wrong; and each pipeline's
-//!   LQ park. Each LQ reports its earliest back-off expiry
-//!   (`IssueQueue::next_retry`), and each live thread its
+//!   LQ park. Each ready list reports its earliest back-off expiry
+//!   ([`ReadyList::next_retry`]), and each live thread its
 //!   `stalled_until` (threads that are done report nothing; FLUSH-gated
 //!   or buffer-blocked threads ride the completion that releases them).
 //!   The MSHR files deliberately report nothing: a fill expiry on its
@@ -125,11 +131,11 @@
 //!   replays the skipped retries in one batch: `MemHier`'s load and
 //!   L1D-miss counts and the D-MSHR full-stall count
 //!   (`MemHier::replay_load_bounces`), and every backed-off load's retry
-//!   cycle (`IssueQueue::delay_retries`), beside the rotation counters
+//!   cycle ([`ReadyList::delay_retries`]), beside the rotation counters
 //!   and wheel migrations of a quiescent warp. Shadow-stepping checks
 //!   these jumps too: each skipped step may do no more than
 //!   `act::ISSUE_RETRY`, and the statistics, the raw MSHR counters,
-//!   the ready sets and a digest of the cache, TLB and MSHR state
+//!   the ready lists and a digest of the cache, TLB and MSHR state
 //!   (`MemHier::state_digest`) must come out as the batch predicted.
 //!
 //! # Hot/cold pool traffic per stage
@@ -144,7 +150,7 @@
 //! | rename | state, seq, dst | operands, old/src mappings (`pair_mut`) |
 //! | dispatch | state, `pending_srcs` | — (operands ride `DispatchEntry`) |
 //! | wakeup drain | countdown, seq/thread/op | address, memory ops only |
-//! | issue selection | — (ready sets are self-contained) | — |
+//! | issue selection | — (ready entries are self-contained) | — |
 //! | issue (`begin_execution`) | state, `ready_cycle` | — (op + address ride the ready entry) |
 //! | writeback | state, dst, op classification | — |
 //! | branch resolution | seq, flags, op | instruction (+ the snapshot array, cond branches) |
@@ -163,7 +169,7 @@ use hdsmt_isa::{FuKind, Pc, ThreadId};
 use hdsmt_mem::MemHier;
 use hdsmt_pipeline::{
     Completion, CompletionWheel, FuPool, InstId, InstPool, IssueQueue, PipeModel, ReadyEntry,
-    RegFile, RenameMap, RingBuf, Waiter,
+    ReadyList, RegFile, RenameMap, RingBuf, Waiter,
 };
 use hdsmt_trace::{ChunkBuf, DynInst, TraceSource};
 
@@ -297,10 +303,12 @@ pub(crate) struct Pipe {
     pub iq: IssueQueue,
     pub fq: IssueQueue,
     pub lq: IssueQueue,
+    /// The operand-ready members of the three queues, oldest first.
+    pub ready: ReadyList,
     /// The LQ's park: operand-ready loads waiting a known few cycles for
-    /// an older store's address, filed by the cycle they rejoin the LQ's
-    /// ready set. (A load backed off after an MSHR-full bounce waits in
-    /// the ready set itself, see `IssueQueue::back_off`.)
+    /// an older store's address, filed by the cycle they rejoin the
+    /// ready list. (A load backed off after an MSHR-full bounce waits in
+    /// the ready list itself, see `ReadyEntry::retry_at`.)
     pub lq_park: CompletionWheel<ReadyEntry>,
     pub int_fu: FuPool,
     pub fp_fu: FuPool,
@@ -321,6 +329,7 @@ impl Pipe {
             iq: IssueQueue::new(model.iq as usize),
             fq: IssueQueue::new(model.fq as usize),
             lq: IssueQueue::new(model.lq as usize),
+            ready: ReadyList::default(),
             lq_park: CompletionWheel::new(),
             int_fu: FuPool::new(model.int_units as usize),
             fp_fu: FuPool::new(model.fp_units as usize),
@@ -413,11 +422,7 @@ pub struct Processor {
 
     // ---- reusable per-cycle scratch (kept across cycles so the steady-
     // state hot loop allocates nothing) ----
-    /// Issue candidates: (packed age key, id, op, address, forwarded).
-    scratch_candidates: Vec<(u64, InstId, hdsmt_isa::Op, u64, bool)>,
-    /// Loads found blocked during the gather (applied after it).
-    scratch_blocked: Vec<(ReadyEntry, u64, u64)>,
-    /// Register-file wakeups being routed to ready sets.
+    /// Register-file wakeups being routed to ready lists.
     scratch_woken: Vec<Waiter>,
     /// Completions drained from the wheel this cycle.
     scratch_due: Vec<Completion>,
@@ -425,8 +430,8 @@ pub struct Processor {
     scratch_resolved: Vec<InstId>,
     /// FLUSH triggers firing this cycle.
     scratch_flush_due: Vec<Completion>,
-    /// Fetch-priority ordering of eligible threads.
-    scratch_order: Vec<usize>,
+    /// Eligible threads with their fetch-priority keys, sorted.
+    scratch_order: Vec<((i64, i64, i64, i64), usize)>,
     /// Loads released by a store's issue (moved to the LQ park).
     scratch_unblocked: Vec<ReadyEntry>,
     /// Squash scratch: correct-path instructions awaiting replay assembly.
@@ -535,8 +540,6 @@ impl Processor {
             retry_warped_cycles: 0,
             step_bounces: 0,
             retry_half: None,
-            scratch_candidates: Vec::new(),
-            scratch_blocked: Vec::new(),
             scratch_woken: Vec::new(),
             scratch_due: Vec::new(),
             scratch_resolved: Vec::new(),
@@ -777,7 +780,7 @@ impl Processor {
             if !retry_period {
                 // Quiescence proves every ready entry is a backed-off
                 // load: anything else would have been an issue candidate.
-                let retry = p.lq.next_retry();
+                let retry = p.ready.next_retry();
                 debug_assert!(retry >= now, "a due retry cannot be pending while quiescent");
                 tl.observe("lq-retry", retry);
             }
@@ -870,9 +873,9 @@ impl Processor {
         debug_assert!(self.mem.dmshr_full(), "a bounce leaves the D-MSHR file full");
         // Every ready entry is a load that bounced in the period, backed
         // off to one of the next period's two cycles.
-        debug_assert!(self.pipes.iter().all(|p| p.iq.ready_entries().is_empty()
-            && p.fq.ready_entries().is_empty()
-            && p.lq.ready_entries().iter().all(|e| e.retry_at == now || e.retry_at == now + 1)));
+        debug_assert!(self.pipes.iter().all(|p| {
+            p.ready.entries().iter().all(|e| e.retry_at == now || e.retry_at == now + 1)
+        }));
         // The D-MSHR file holds entries, so its fill always reports.
         let end = self.timeline(true).next_event().unwrap_or(limit).min(limit);
         let skipped = end.saturating_sub(now) & !1;
@@ -897,7 +900,7 @@ impl Processor {
     /// With the `invariant-checks` feature the skip is *shadow-stepped*
     /// instead: every skipped cycle is executed and asserted to do no
     /// more than the warp assumed, and the resulting statistics,
-    /// counters, ready sets and cache/TLB/MSHR state are asserted equal
+    /// counters, ready lists and cache/TLB/MSHR state are asserted equal
     /// to what the warp would have produced — the differential proof
     /// that warping is invisible.
     fn warp_to(&mut self, target: u64, bounces: u64) {
@@ -936,7 +939,7 @@ impl Processor {
             debug_assert_eq!(skipped % 2, 0, "a retry stretch skips whole periods");
             self.mem.replay_load_bounces(bounces);
             for p in &mut self.pipes {
-                p.lq.delay_retries(skipped);
+                p.ready.delay_retries(skipped);
             }
         }
     }
@@ -973,11 +976,11 @@ impl Processor {
             .pipes
             .iter()
             .map(|p| {
-                let mut lq = p.lq.ready_entries().to_vec();
+                let mut ready = p.ready.entries().to_vec();
                 if bounces > 0 {
-                    lq.iter_mut().for_each(|e| e.retry_at += skipped);
+                    ready.iter_mut().for_each(|e| e.retry_at += skipped);
                 }
-                lq
+                ready
             })
             .collect();
         let allowed = if bounces > 0 { act::ISSUE_RETRY } else { 0 };
@@ -998,11 +1001,11 @@ impl Processor {
         assert_eq!(self.mem.mshr_stats(), want_mshr, "warp MSHR statistics mismatch");
         assert_eq!(self.mem.state_digest(), want_mem, "warp moved cache, TLB or MSHR state");
         assert_eq!(self.fetch_rr, want_fetch_rr, "warp fetch-rotation mismatch");
-        for (p, (want_rr, want_lq)) in
+        for (p, (want_rr, want_ready)) in
             self.pipes.iter().zip(want_commit_rr.into_iter().zip(want_ready))
         {
             assert_eq!(p.commit_rr, want_rr, "warp commit-rotation mismatch");
-            assert_eq!(p.lq.ready_entries(), &want_lq[..], "warp back-off mismatch");
+            assert_eq!(p.ready.entries(), &want_ready[..], "warp back-off mismatch");
         }
     }
 
@@ -1110,8 +1113,9 @@ impl Processor {
     }
 
     /// Debug invariants of the event-driven scheduler structures: queue
-    /// counts matching the members derived from the ROBs, ready sets and
-    /// the LQ park sound and complete w.r.t. those members,
+    /// counts matching the members derived from the ROBs, ready lists in
+    /// age order, ready lists and the LQ park sound and complete w.r.t.
+    /// those members,
     /// completion-wheel population matching the executing instructions,
     /// and the per-thread store lists matching the ROBs. O(everything);
     /// test-only. Call between cycles (mid-cycle the lazily-maintained
@@ -1140,74 +1144,74 @@ impl Processor {
 
         for (pi, p) in self.pipes.iter().enumerate() {
             let kinds = [FuKind::Int, FuKind::Fp, FuKind::LdSt];
-            for (kind, q) in kinds.into_iter().zip([&p.iq, &p.fq, &p.lq]) {
-                let members = queue_members(pi, kind);
-                assert_eq!(q.len(), members.len(), "pipe {pi}: {kind:?} queue count drift");
-                // Soundness: ready sets are eagerly maintained, so every
-                // entry is a live Waiting queue member with all operands
-                // available and metadata matching its instruction.
-                for e in q.ready_entries() {
-                    let hot = self.pool.hot(e.id);
+            let members = kinds.map(|kind| queue_members(pi, kind));
+            for ((kind, q), m) in kinds.iter().zip([&p.iq, &p.fq, &p.lq]).zip(&members) {
+                assert_eq!(q.len(), m.len(), "pipe {pi}: {kind:?} queue count drift");
+            }
+            // The ready list is strictly ascending in age key, so it
+            // holds no duplicates and issue's walk is the age order.
+            let ready = p.ready.entries();
+            assert!(
+                ready.windows(2).all(|w| w[0].age() < w[1].age()),
+                "pipe {pi}: ready list out of age order"
+            );
+            // Soundness: the list is eagerly maintained, so every entry
+            // is a live Waiting member of its kind's queue with all
+            // operands available and metadata matching its instruction.
+            for e in ready {
+                let hot = self.pool.hot(e.id);
+                assert_eq!(
+                    hot.state(),
+                    InstState::Waiting,
+                    "pipe {pi}: ready entry {:?} is not waiting",
+                    e.id
+                );
+                let kind = kinds.iter().position(|&k| k == e.op.fu_kind());
+                assert!(
+                    kind.is_some_and(|k| members[k].contains(&e.id)),
+                    "pipe {pi}: ready entry {:?} not in its queue",
+                    e.id
+                );
+                assert!(
+                    operands_ready(e.id),
+                    "pipe {pi}: ready entry {:?} has an unready operand",
+                    e.id
+                );
+                assert!(
+                    e.seq == hot.seq.0 && e.thread == hot.thread().index() as u8 && e.op == hot.op,
+                    "pipe {pi}: ready entry {:?} carries stale metadata",
+                    e.id
+                );
+                if e.op.is_mem() {
                     assert_eq!(
-                        hot.state(),
-                        InstState::Waiting,
-                        "pipe {pi}: ready entry {:?} is not waiting",
-                        e.id
-                    );
-                    assert!(
-                        members.contains(&e.id),
-                        "pipe {pi}: ready entry {:?} not in its queue",
-                        e.id
-                    );
-                    assert!(
-                        operands_ready(e.id),
-                        "pipe {pi}: ready entry {:?} has an unready operand",
-                        e.id
-                    );
-                    assert!(
-                        e.seq == hot.seq.0
-                            && e.thread == hot.thread().index() as u8
-                            && e.op == hot.op,
-                        "pipe {pi}: ready entry {:?} carries stale metadata",
-                        e.id
-                    );
-                    if e.op.is_mem() {
-                        assert_eq!(
-                            e.addr,
-                            self.pool.cold(e.id).d.addr,
-                            "pipe {pi}: ready entry {:?} carries a stale address",
-                            e.id
-                        );
-                    }
-                    assert_eq!(
-                        q.ready_entries().iter().filter(|o| o.id == e.id).count(),
-                        1,
-                        "pipe {pi}: duplicate ready entry {:?}",
+                        e.addr,
+                        self.pool.cold(e.id).d.addr,
+                        "pipe {pi}: ready entry {:?} carries a stale address",
                         e.id
                     );
                 }
-                // Completeness: every operand-ready Waiting member is in
-                // the ready set, the LQ park, or blocked on a store's
-                // issue (the event-driven core never strands a wakeup).
-                for &id in &members {
-                    let hot = self.pool.hot(id);
-                    if hot.state() == InstState::Waiting && operands_ready(id) {
-                        let t = hot.thread().index();
-                        assert!(
-                            q.ready_entries().iter().any(|e| e.id == id)
-                                || p.lq_park.iter().any(|e| e.c.id == id)
-                                || self.threads[t].blocked_loads.iter().any(|&(_, e)| e.id == id),
-                            "pipe {pi}: operand-ready {id:?} missing from the ready set"
-                        );
-                        assert_eq!(
-                            hot.pending_srcs, 0,
-                            "pipe {pi}: {id:?} ready but counts pending sources"
-                        );
-                    }
+            }
+            // Completeness: every operand-ready Waiting member is in the
+            // ready list, the LQ park, or blocked on a store's issue (the
+            // event-driven core never strands a wakeup).
+            for &id in members.iter().flatten() {
+                let hot = self.pool.hot(id);
+                if hot.state() == InstState::Waiting && operands_ready(id) {
+                    let t = hot.thread().index();
+                    assert!(
+                        ready.iter().any(|e| e.id == id)
+                            || p.lq_park.iter().any(|e| e.c.id == id)
+                            || self.threads[t].blocked_loads.iter().any(|&(_, e)| e.id == id),
+                        "pipe {pi}: operand-ready {id:?} missing from the ready list"
+                    );
+                    assert_eq!(
+                        hot.pending_srcs, 0,
+                        "pipe {pi}: {id:?} ready but counts pending sources"
+                    );
                 }
             }
             // LQ park: entries are live waiting loads of this pipeline,
-            // and never double-listed with the ready set.
+            // and never double-listed with the ready list.
             for e in p.lq_park.iter().map(|e| &e.c) {
                 let hot = self.pool.hot(e.id);
                 assert_eq!(
@@ -1222,7 +1226,7 @@ impl Processor {
                     e.id
                 );
                 assert!(
-                    !p.lq.ready_entries().iter().any(|r| r.id == e.id),
+                    !p.ready.entries().iter().any(|r| r.id == e.id),
                     "pipe {pi}: {:?} both parked and ready",
                     e.id
                 );

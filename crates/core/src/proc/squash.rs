@@ -8,10 +8,11 @@ use super::Processor;
 
 impl Processor {
     /// Squash every instruction of thread `t` younger than `seq_min`, in
-    /// every structure: decoupling buffer, stage latches, issue queues
-    /// and ROB, releasing every squashed slot at once. Rename mappings are walked back youngest-
-    /// first; squashed *correct-path* instructions are pushed onto the
-    /// thread's replay queue (oldest first) so FLUSH can re-fetch them.
+    /// every structure: decoupling buffer, stage latches, issue queues,
+    /// ready list and ROB, releasing every squashed slot at once. Rename
+    /// mappings are walked back youngest-first; squashed *correct-path*
+    /// instructions are pushed onto the thread's replay queue (oldest
+    /// first) so FLUSH can re-fetch them.
     ///
     /// Returns the number of correct-path instructions queued for replay.
     ///
@@ -29,10 +30,10 @@ impl Processor {
         // ---- ROB walk-back (renamed instructions), youngest first ----
         //
         // The walk knows each squashed instruction's exact whereabouts, so
-        // queue membership is undone with O(1) targeted removes here — no
-        // whole-queue purge passes afterwards. Only the pre-rename
+        // queue counts are undone with O(1) updates here. The pre-rename
         // front-end containers (decoupling buffer, stage latches) are
-        // swept by flag below.
+        // swept by flag below, and the short ready list and LQ park by
+        // age.
         while let Some(&tail) = self.threads[t].rob.back() {
             // Hot half decides whether the walk stops; the cold half (rename
             // mappings, the fetched instruction) is opened only for entries
@@ -64,13 +65,9 @@ impl Processor {
                     to_release.push(tail);
                 }
                 InstState::Waiting => {
+                    // Its ready entry, if any, goes in the purge below.
                     self.threads[t].icount -= 1;
-                    // Eagerly maintained ready sets: drop the membership
-                    // and the ready entry (if its operands had become
-                    // ready) before the slot is reclaimed.
-                    let q = self.pipes[pipe_idx].queue_mut(op.fu_kind());
-                    q.remove_ready(tail);
-                    q.remove();
+                    self.pipes[pipe_idx].queue_mut(op.fu_kind()).remove();
                     to_release.push(tail);
                 }
                 InstState::Executing => {
@@ -132,9 +129,9 @@ impl Processor {
         }
         self.scratch_buffer_ids = buffer_ids;
 
-        // ---- purge the front-end containers of marked instructions ----
-        // (The issue queues were already cleaned by the targeted removes
-        // in the walk above.)
+        // ---- purge the front-end containers of marked instructions,
+        // and the thread's younger ready and parked entries ----
+        // (The queue counts were already updated in the walk above.)
         {
             let pool = &self.pool;
             let pipe = &mut self.pipes[pipe_idx];
@@ -142,6 +139,7 @@ impl Processor {
             pipe.decode_latch.retain(|e| !pool.hot(e.id).is_squashed());
             pipe.dispatch_latch.retain(|e| !pool.hot(e.id).is_squashed());
             let tt = t as u8;
+            pipe.ready.remove_younger(tt, seq_min);
             pipe.lq_park.retain(|e| !(e.thread == tt && e.seq > seq_min));
         }
         // Loads waiting on a blocking store's issue: squashed ones are

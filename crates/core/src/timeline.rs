@@ -14,9 +14,9 @@
 //!   wheel and the FLUSH wheel (the earliest filed completion/trigger,
 //!   stale entries included — conservative, never wrong), and each
 //!   pipeline's **LQ park** (loads waiting for a store's agen);
-//! * each pipeline's **LQ back-offs**, through `IssueQueue::next_retry`:
-//!   the earliest cycle a load that bounced off the full MSHR file
-//!   retries;
+//! * each pipeline's **back-offs**, through `ReadyList::next_retry`: the
+//!   earliest cycle a load that bounced off the full MSHR file retries
+//!   (after a quiescent step every ready entry is such a load);
 //! * the **front end**: each live thread's fetch-stall release cycle
 //!   (`stalled_until` — I-cache misses, redirect bubbles). A thread that
 //!   is done contributes nothing; a FLUSH-gated thread's release rides

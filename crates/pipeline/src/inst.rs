@@ -131,7 +131,7 @@ pub struct HotInst {
     /// machines top out at 8 contexts and 5 pipelines.
     tp: u8,
     /// While `Waiting`: source operands still outstanding. Counted down by
-    /// register-file wakeups; the instruction enters its queue's ready set
+    /// register-file wakeups; the instruction enters its pipeline's ready list
     /// when it hits zero.
     pub pending_srcs: u8,
     /// Opcode copy: classification (`is_load`/`is_control`/FU routing) on

@@ -24,11 +24,12 @@
 //!
 //! The scheduler-facing structures are *event-driven*: the register file
 //! keeps producer-indexed wakeup lists, each issue queue keeps a member
-//! count and an eagerly maintained ready set (where a load that bounced
-//! off a full MSHR file waits out its back-off in place), the LQ's park
-//! (a [`CompletionWheel`] of ready entries) holds loads waiting for a
-//! store's address, and the completion wheel files executing instructions by
-//! completion cycle so writeback drains O(due) work. Stale cross-references are
+//! count, each pipeline keeps one age-ordered, eagerly maintained
+//! [`ReadyList`] of its operand-ready instructions (where a load that
+//! bounced off a full MSHR file waits out its back-off in place), the
+//! LQ's park (a [`CompletionWheel`] of ready entries) holds loads waiting
+//! for a store's address, and the completion wheel files executing
+//! instructions by completion cycle so writeback drains O(due) work. Stale cross-references are
 //! impossible by construction: the instruction pool gives every slot a
 //! generation, and consumers validate `(id, generation)` pairs on use.
 //!
@@ -37,7 +38,7 @@
 //! [`CompletionWheel::next_due`] (O(1) — near-ring occupancy bitmask plus
 //! a maintained far-list minimum), which the LQ park reports through as
 //! well, tells the core `Timeline` the earliest cycle a wheel could act,
-//! [`IssueQueue::next_retry`] the earliest back-off expiry,
+//! [`ReadyList::next_retry`] the earliest back-off expiry,
 //! and [`CompletionWheel::warp_to`] performs the
 //! far-entry migrations that skipped lap boundaries would have done. See
 //! `hdsmt_core::proc` for the full contract.
@@ -53,8 +54,8 @@
 //! one-line [`ColdInst`] (the fetched instruction, source mappings) is
 //! touched only at per-instruction events, and predictor snapshots sit
 //! in a third array that only conditional branches ever reach. The
-//! event-carrying structures stay lean to match: each queue's
-//! [`ReadyEntry`] set makes issue selection pool-free, while register-
+//! event-carrying structures stay lean to match: the ready list's
+//! [`ReadyEntry`]s make issue selection pool-free, while register-
 //! file [`Waiter`]s and wheel [`Completion`]s are bare `(id, generation)`
 //! pairs — wakeup delivery and writeback resolve everything else from
 //! the hot record. Stage-scoped accessors (`hot`/`hot_mut`/`cold`/
@@ -75,6 +76,6 @@ pub use buffer::RingBuf;
 pub use fu::FuPool;
 pub use inst::{ColdInst, HotInst, InstId, InstPool, InstState};
 pub use model::{MicroArch, PipeModel, M2, M4, M6, M8};
-pub use queue::{IssueQueue, ReadyEntry};
+pub use queue::{IssueQueue, ReadyEntry, ReadyList};
 pub use regfile::{PhysReg, RegFile, RenameMap, Waiter};
 pub use wheel::{Completion, CompletionWheel, WheelEntry};

@@ -17,7 +17,7 @@
 //! | [`riscv`] | RV64I(+M) functional emulator: real-program trace sources (`rv:*` benchmarks) |
 //! | [`bpred`] | perceptron predictor, BTB, RAS (+ gshare ablation baseline) |
 //! | [`mem`] | banked L1I/L1D, unified L2, TLBs, MSHRs (Table 1 parameters) |
-//! | [`pipeline`] | out-of-order backend structures (wakeup lists, ready sets, completion wheel) and the M8/M6/M4/M2 models |
+//! | [`pipeline`] | out-of-order backend structures (wakeup lists, ready lists, completion wheel) and the M8/M6/M4/M2 models |
 //! | [`core`] | the processor: fetch engine + policies, mapping policies, cycle loop |
 //! | [`area`] | the §3 area cost model (Fig 2(b) / Fig 3) |
 //! | [`workloads`] | typed Tables 2–3, BEST/HEUR/WORST envelopes folded from a campaign, §5 summary |

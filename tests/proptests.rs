@@ -5,9 +5,11 @@ use proptest::prelude::*;
 
 use hdsmt::bpred::Ras;
 use hdsmt::core::{enumerate_mappings, run_sim, SimConfig, ThreadSpec};
-use hdsmt::isa::Pc;
+use hdsmt::isa::{FuKind, Op, Pc};
 use hdsmt::mem::{Cache, CacheConfig, Tlb};
-use hdsmt::pipeline::{InstId, MicroArch, RegFile, RingBuf};
+use hdsmt::pipeline::{
+    CompletionWheel, InstId, MicroArch, ReadyEntry, ReadyList, RegFile, RingBuf,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -185,6 +187,152 @@ proptest! {
                 let assigned = m.iter().filter(|&&x| x as usize == p).count();
                 prop_assert!(assigned <= pipe.contexts as usize);
             }
+        }
+    }
+    /// One pipeline's age-ordered ready list, walked in place, issues
+    /// exactly what the unordered ready set it replaced did when its
+    /// candidates were gathered and sorted every cycle: random dispatches
+    /// (ready at once, or later through a wakeup), issue cycles under a
+    /// width and per-kind FU limits with back-offs, blocked loads parked
+    /// for a few cycles, squashes and retry delays. The reference keeps
+    /// the old ready set's order (appends and swap-removals) and finds
+    /// entries by id.
+    #[test]
+    fn ready_list_matches_gather_and_sort_issue(
+        ops in prop::collection::vec((0u8..8, 0u8..4, 0u64..1 << 20), 1..300)
+    ) {
+        const OPS: [Op; 4] = [Op::IntAlu, Op::FpAlu, Op::Load, Op::Store];
+        const WIDTH: usize = 3;
+        let fu_limit = |op: Op| match op.fu_kind() {
+            FuKind::Int => 2,
+            FuKind::Fp => 1,
+            FuKind::LdSt => 2,
+        };
+        // What a memory op does when it reaches issue this cycle, a pure
+        // function of its identity and the cycle: 0 blocked on a store
+        // (loads only), 1 bounced off a full MSHR file (loads only).
+        let fate = |e: &ReadyEntry, now: u64| {
+            let h = (e.id.0 as u64 ^ now.wrapping_mul(0x9e37_79b9)).wrapping_mul(0xbf58_476d) >> 7;
+            if e.op.is_load() { h % 5 } else { 4 }
+        };
+        let mut list = ReadyList::default();
+        let mut set: Vec<ReadyEntry> = Vec::new();
+        let mut park: CompletionWheel<ReadyEntry> = CompletionWheel::new();
+        let mut set_park: CompletionWheel<ReadyEntry> = CompletionWheel::new();
+        let mut pending: Vec<ReadyEntry> = Vec::new();
+        let mut next_seq = [1u64; 4];
+        let (mut now, mut next_id) = (1u64, 0u32);
+        for (kind, thread, r) in ops {
+            match kind {
+                // Dispatch: operands ready now, or pending a wakeup.
+                0..=2 => {
+                    let t = thread as usize;
+                    let op = OPS[(r % 4) as usize];
+                    let e = ReadyEntry::new(next_seq[t], r & !7, InstId(next_id), thread, op);
+                    next_seq[t] += 1 + r % 3;
+                    next_id += 1;
+                    if kind == 0 {
+                        pending.push(e);
+                    } else {
+                        list.insert(e);
+                        set.push(e);
+                    }
+                }
+                // Wakeup of a pending instruction, in any order.
+                3 if !pending.is_empty() => {
+                    let e = pending.swap_remove((r % pending.len() as u64) as usize);
+                    list.insert(e);
+                    set.push(e);
+                }
+                // Squash a thread's instructions younger than a point.
+                4 => {
+                    let seq_min = r % next_seq[thread as usize].max(1);
+                    let younger = |e: &ReadyEntry| e.thread == thread && e.seq > seq_min;
+                    list.remove_younger(thread, seq_min);
+                    set.retain(|e| !younger(e));
+                    pending.retain(|e| !younger(e));
+                    park.retain(|e| !younger(e));
+                    set_park.retain(|e| !younger(e));
+                }
+                // A retry-only stretch: every entry is backed off.
+                5 if set.iter().all(|e| e.retry_at != 0) => {
+                    let by = 2 * (r % 4);
+                    list.delay_retries(by);
+                    set.iter_mut().for_each(|e| e.retry_at += by);
+                }
+                // One issue cycle.
+                _ => {
+                    list.unpark_due(&mut park, now);
+                    set_park.drain_due(now, &mut set);
+                    // The list: one walk, deciding in place.
+                    let (mut issued, mut fu_used) = (Vec::new(), [0usize; 3]);
+                    list.retain_mut(|e| {
+                        if e.retry_at > now {
+                            return true;
+                        }
+                        if e.retry_at == 0 && fate(e, now) == 0 {
+                            park.schedule(now + 1 + (e.id.0 % 3) as u64, *e, now);
+                            return false;
+                        }
+                        let k = e.op.fu_kind() as usize;
+                        if issued.len() >= WIDTH || fu_used[k] >= fu_limit(e.op) {
+                            return true;
+                        }
+                        fu_used[k] += 1;
+                        issued.push(e.id);
+                        if fate(e, now) == 1 {
+                            e.retry_at = now + 2;
+                            return true;
+                        }
+                        false
+                    });
+                    // The reference: gather, file the blocked loads,
+                    // sort, then issue in order, finding entries by id.
+                    let mut blocked = Vec::new();
+                    let mut candidates = Vec::new();
+                    for e in &set {
+                        if e.retry_at > now {
+                            continue;
+                        }
+                        if e.retry_at == 0 && fate(e, now) == 0 {
+                            blocked.push(*e);
+                        } else {
+                            candidates.push(*e);
+                        }
+                    }
+                    for e in blocked {
+                        let i = set.iter().position(|x| x.id == e.id).unwrap();
+                        set.swap_remove(i);
+                        set_park.schedule(now + 1 + (e.id.0 % 3) as u64, e, now);
+                    }
+                    candidates.sort_unstable_by_key(|e| (e.seq, e.thread));
+                    let (mut want, mut fu_used) = (Vec::new(), [0usize; 3]);
+                    for e in candidates {
+                        let k = e.op.fu_kind() as usize;
+                        if want.len() >= WIDTH {
+                            break;
+                        }
+                        if fu_used[k] >= fu_limit(e.op) {
+                            continue;
+                        }
+                        fu_used[k] += 1;
+                        want.push(e.id);
+                        let i = set.iter().position(|x| x.id == e.id).unwrap();
+                        if fate(&e, now) == 1 {
+                            set[i].retry_at = now + 2;
+                        } else {
+                            set.swap_remove(i);
+                        }
+                    }
+                    prop_assert_eq!(issued, want, "issue order at cycle {}", now);
+                    now += 1;
+                }
+            }
+            let mut sorted = set.clone();
+            sorted.sort_unstable_by_key(|e| (e.seq, e.thread));
+            prop_assert_eq!(list.entries(), &sorted[..]);
+            let want_retry = set.iter().map(|e| e.retry_at).min().unwrap_or(u64::MAX);
+            prop_assert_eq!(list.next_retry(), want_retry);
         }
     }
 }
