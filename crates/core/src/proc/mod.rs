@@ -1166,9 +1166,8 @@ impl Processor {
                     "pipe {pi}: ready entry {:?} is not waiting",
                     e.id
                 );
-                let kind = kinds.iter().position(|&k| k == e.op.fu_kind());
                 assert!(
-                    kind.is_some_and(|k| members[k].contains(&e.id)),
+                    members[e.op.fu_kind() as usize].contains(&e.id),
                     "pipe {pi}: ready entry {:?} not in its queue",
                     e.id
                 );
