@@ -120,7 +120,7 @@ impl Processor {
                 let (id, op, srcs, t, seq, addr) =
                     (de.id, de.op, de.src_phys, de.thread as usize, de.seq, de.addr);
                 let kind = op.fu_kind();
-                if !self.pipes[p].queue_mut(kind).push() {
+                if !self.pipes[p].queues[kind as usize].push() {
                     break;
                 }
                 let hot = self.pool.hot_mut(id);
@@ -161,36 +161,31 @@ impl Processor {
     /// operands became ready are examined — a handful of self-contained
     /// entries — never the whole queues, and never the instruction pool.
     /// The list is already in age order, so each entry is decided where
-    /// it stands: passed over while backed off, filed away when blocked
-    /// on a store, left for next cycle past the width or when its FU pool
-    /// is saturated, and otherwise issued (dropped) or bounced (backed
-    /// off in place).
+    /// it stands: passed over while its wait lasts, made to wait when
+    /// blocked on a store, left for next cycle past the width or when
+    /// its FU pool is saturated, and otherwise issued (dropped) or
+    /// bounced (backed off in place).
     ///
     /// Activity splits in two. A load that bounces off the full D-MSHR
     /// file after hitting the D-TLB and the L2 sets only
     /// [`act::ISSUE_RETRY`](super::act::ISSUE_RETRY), the raw material of
     /// a retry-only stretch (see the module docs). Everything else a
-    /// candidate does sets [`act::ISSUE_READY`](super::act::ISSUE_READY).
+    /// candidate does, and the end of an ordering wait, sets
+    /// [`act::ISSUE_READY`](super::act::ISSUE_READY).
     pub(crate) fn issue_stage(&mut self) {
         let now = self.cycle;
         for p in 0..self.pipes.len() {
             let width = self.pipes[p].model.width as usize;
-
-            // Re-admit loads whose wait for a store address expired.
-            let pipe = &mut self.pipes[p];
-            if pipe.ready.unpark_due(&mut pipe.lq_park, now) > 0 {
-                self.activity |= super::act::ISSUE_UNPARK;
-            }
             // The walk needs the whole processor; nothing it calls
             // touches a ready list, so the list is lent out meanwhile.
             let mut ready = std::mem::take(&mut self.pipes[p].ready);
             let mut issued = 0;
             ready.retain_mut(|e| {
                 if e.retry_at > now {
-                    return true; // backed off: passed over until its retry
+                    return true; // passed over until its wait ends
                 }
                 let mut forward = false;
-                if e.retry_at != 0 {
+                if e.clear {
                     // A backed-off load was clear of every older store
                     // when it bounced, and stays clear: older stores
                     // only commit, and none younger can come before it.
@@ -200,20 +195,24 @@ impl Processor {
                     ));
                 } else if e.op.is_load() {
                     debug_assert_eq!(self.pool.hot(e.id).state(), InstState::Waiting);
+                    if e.retry_at != 0 {
+                        // An ordering wait ends: order the load afresh.
+                        debug_assert_eq!(e.retry_at, now, "a wait is visited when it ends");
+                        e.retry_at = 0;
+                        self.activity |= super::act::ISSUE_READY;
+                    }
                     match self.load_order(e.thread as usize, e.seq, e.addr & !7) {
                         LoadOrder::Blocked { store_seq, known_at } => {
-                            // Blocked loads leave the list, whatever the
-                            // width: to wait for the store's issue (its
-                            // agen completion re-parks them), or in the
-                            // park until the agen of a store that issued
-                            // earlier, maybe earlier in this walk.
+                            // A blocked load waits, whatever the width:
+                            // in place until the agen of a store that
+                            // issued earlier, maybe earlier in this walk,
+                            // or off the list for the store's issue.
                             self.activity |= super::act::ISSUE_READY;
-                            if known_at == u64::MAX {
-                                let t = e.thread as usize;
-                                self.threads[t].blocked_loads.push((store_seq, *e));
-                            } else {
-                                self.pipes[p].park_load(known_at, *e, now);
+                            if known_at != u64::MAX {
+                                e.retry_at = known_at;
+                                return true;
                             }
+                            self.threads[e.thread as usize].blocked_loads.push((store_seq, *e));
                             return false;
                         }
                         LoadOrder::Clear => {}
@@ -226,13 +225,7 @@ impl Processor {
                     return true;
                 }
                 let occupy = if e.op.fu_pipelined() { 1 } else { e.op.exec_latency() };
-                let pipe = &mut self.pipes[p];
-                let fu = match e.op.fu_kind() {
-                    FuKind::Int => &mut pipe.int_fu,
-                    FuKind::Fp => &mut pipe.fp_fu,
-                    FuKind::LdSt => &mut pipe.ldst_fu,
-                };
-                if !fu.try_issue(now, occupy) {
+                if !self.pipes[p].fus[e.op.fu_kind() as usize].try_issue(now, occupy) {
                     // This pool is saturated; other kinds may go. The
                     // entry tries again next cycle.
                     self.activity |= super::act::ISSUE_READY;
@@ -242,11 +235,17 @@ impl Processor {
                 match self.begin_execution(p, e.id, e.op, e.addr, forward) {
                     Some(retry_at) => {
                         e.retry_at = retry_at;
+                        e.clear = true;
                         true
                     }
                     None => false,
                 }
             });
+            // Loads released by the stores this walk issued, each waiting
+            // in place for its store's agen.
+            for e in self.scratch_unblocked.drain(..) {
+                ready.insert(e);
+            }
             self.pipes[p].ready = ready;
         }
     }
@@ -311,30 +310,21 @@ impl Processor {
             // Address generation only; data is written at commit. The
             // thread's store list learns the agen completion cycle so
             // load-ordering checks need no pool lookup, and loads blocked
-            // on this store move to the LQ park (they cannot clear
-            // before the agen result is visible).
+            // on this store go back to the ready list, waiting there
+            // until the agen result is visible. The walk has the list
+            // lent out, so it inserts them when it is done.
             let agen_done = now + 1 + rf_extra as u64;
             let stores = &mut self.threads[t].lq_stores;
             let pos = stores.partition_point(|s| s.seq < seq);
             debug_assert!(stores[pos].id == id, "issuing store must be in its thread's list");
             stores[pos].known_at = agen_done;
-            let blocked = &mut self.threads[t].blocked_loads;
-            if !blocked.is_empty() {
-                let mut unblocked = std::mem::take(&mut self.scratch_unblocked);
-                unblocked.clear();
-                blocked.retain(|&(store_seq, e)| {
-                    if store_seq == seq {
-                        unblocked.push(e);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                for &e in &unblocked {
-                    self.pipes[p].park_load(agen_done, e, now);
+            let unblocked = &mut self.scratch_unblocked;
+            self.threads[t].blocked_loads.retain(|&(store_seq, e)| {
+                if store_seq == seq {
+                    unblocked.push(ReadyEntry { retry_at: agen_done, ..e });
                 }
-                self.scratch_unblocked = unblocked;
-            }
+                store_seq != seq
+            });
             agen_done
         } else {
             now + op.exec_latency() as u64 + rf_extra as u64
@@ -347,7 +337,7 @@ impl Processor {
         // Stores stay in the LQ itself (forwarding source) until commit;
         // everything else leaves its queue entirely.
         if !op.is_store() {
-            self.pipes[p].queue_mut(op.fu_kind()).remove();
+            self.pipes[p].queues[op.fu_kind() as usize].remove();
         }
         let th = &mut self.threads[t];
         th.icount -= 1;
@@ -632,7 +622,7 @@ impl Processor {
 
 #[cfg(test)]
 mod tests {
-    use hdsmt_isa::{Op, Pc, SeqNum, StaticInst, ThreadId};
+    use hdsmt_isa::{FuKind, Op, Pc, SeqNum, StaticInst, ThreadId};
     use hdsmt_pipeline::{ColdInst, HotInst, InstId, InstState, MicroArch};
     use hdsmt_trace::DynInst;
 
@@ -670,7 +660,7 @@ mod tests {
             h.set_state(state);
             h.ready_cycle = ready_cycle;
         }
-        assert!(p.pipes[0].queue_mut(op.fu_kind()).push());
+        assert!(p.pipes[0].queues[op.fu_kind() as usize].push());
         if state == InstState::Waiting {
             // Sources are None, so dispatch would mark it ready at once.
             p.pipes[0].ready.insert(ReadyEntry::new(seq, addr, id, t as u8, op));
@@ -776,7 +766,7 @@ mod tests {
         assert!(first.latency > 1, "must actually miss");
         // A second missing load now structurally replays, behind an
         // older entry that stays put for want of an FP unit.
-        p.pipes[0].fp_fu = hdsmt_pipeline::FuPool::new(0);
+        p.pipes[0].fus[FuKind::Fp as usize] = hdsmt_pipeline::FuPool::new(0);
         let fp = inject(&mut p, 1, 1, Op::FpAlu, 0, InstState::Waiting, 0);
         let load = inject(&mut p, 0, 1, Op::Load, 0x6000_0000, InstState::Waiting, 0);
         p.cycle = 0;
@@ -786,10 +776,11 @@ mod tests {
             InstState::Waiting,
             "MSHR stall keeps the load waiting"
         );
-        assert_eq!(p.pipes[0].lq.len(), 1, "the load stays in its queue");
-        let ids: Vec<_> = p.pipes[0].ready.entries().iter().map(|e| (e.id, e.retry_at)).collect();
-        assert_eq!(ids, [(load, 2), (fp, 0)], "backed off in place for two cycles");
-        assert_eq!(p.pipes[0].ready.next_retry(), 0, "the FP entry could issue now");
+        assert_eq!(p.pipes[0].queues[FuKind::LdSt as usize].len(), 1, "the load stays queued");
+        let ids: Vec<_> =
+            p.pipes[0].ready.entries().iter().map(|e| (e.id, e.retry_at, e.clear)).collect();
+        assert_eq!(ids, [(load, 2, true), (fp, 0, false)], "backed off in place for two cycles");
+        assert_eq!(p.pipes[0].ready.next_retry(true), 0, "the FP entry could issue now");
 
         // Retries against the full file bounce again, each pushing the
         // back-off out; the walk passes over the load in between. Once
@@ -804,7 +795,7 @@ mod tests {
                 break;
             }
             let e = p.pipes[0].ready.entries()[0];
-            assert_eq!(e.id, load, "the load keeps its place");
+            assert!(e.id == load && e.clear, "the load keeps its place, clear of stores");
             if c % 2 == 0 {
                 bounces += 1;
                 assert_eq!(e.retry_at, c + 2);
@@ -855,7 +846,7 @@ mod tests {
             let want = if waiting { InstState::Waiting } else { InstState::Executing };
             assert_eq!(p.pool.hot(id).state(), want, "thread {t} seq {seq}");
         }
-        assert_eq!(p.pipes[0].iq.len() + p.pipes[0].fq.len() + p.pipes[0].lq.len(), 3);
+        assert_eq!(p.pipes[0].queues.iter().map(|q| q.len()).sum::<usize>(), 3);
         assert_ne!(p.activity & super::super::act::ISSUE_READY, 0);
     }
 
@@ -869,9 +860,11 @@ mod tests {
         let agen = p.pool.hot(store).ready_cycle;
         assert_eq!(p.pool.hot(store).state(), InstState::Executing);
         assert_eq!(p.pool.hot(load).state(), InstState::Waiting);
-        assert!(p.pipes[0].ready.entries().is_empty(), "the load left the list");
+        let waits: Vec<_> =
+            p.pipes[0].ready.entries().iter().map(|e| (e.id, e.retry_at, e.clear)).collect();
+        assert_eq!(waits, [(load, agen, false)], "waits in place for the store's agen");
         assert!(p.threads[0].blocked_loads.is_empty(), "not filed under an issued store");
-        assert_eq!(p.pipes[0].lq_park.next_due(101), agen, "parked at the store's agen");
+        assert_eq!(p.pipes[0].ready.next_retry(false), agen, "an ordering wait reports");
         for c in 101..=agen {
             p.cycle = c;
             p.issue_stage();
@@ -879,8 +872,8 @@ mod tests {
         assert_eq!(p.pool.hot(load).state(), InstState::Executing);
         assert!(p.pool.hot(load).is_forwarded(), "the store's data is forwarded");
 
-        // A store whose operands are not ready yet: the load waits for
-        // its issue, then parks at its agen the same way.
+        // A store whose operands are not ready yet: the load waits off
+        // the list for its issue, then in place for its agen the same way.
         let store = inject(&mut p, 1, 1, Op::Store, 0x2000, InstState::Waiting, 0);
         let load = inject(&mut p, 1, 2, Op::Load, 0x2000, InstState::Waiting, 0);
         let entry = p.pipes[0].ready.entries()[0];
@@ -893,7 +886,10 @@ mod tests {
         p.cycle = 201;
         p.issue_stage();
         assert!(p.threads[1].blocked_loads.is_empty());
-        assert_eq!(p.pipes[0].lq_park.next_due(202), p.pool.hot(store).ready_cycle);
+        let agen = p.pool.hot(store).ready_cycle;
+        let waits: Vec<_> =
+            p.pipes[0].ready.entries().iter().map(|e| (e.id, e.retry_at, e.clear)).collect();
+        assert_eq!(waits, [(load, agen, false)], "back in the list after the store issued");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! round-robin across the pipeline's threads. Stores write the data cache
 //! here (write-buffered: commit does not stall on store misses).
 
+use hdsmt_isa::FuKind;
 use hdsmt_pipeline::InstState;
 
 use super::Processor;
@@ -47,7 +48,7 @@ impl Processor {
                         // latency is not charged to commit.
                         let addr = self.pool.cold(head).d.addr;
                         let _ = self.mem.store(addr, now);
-                        self.pipes[p].lq.remove();
+                        self.pipes[p].queues[FuKind::LdSt as usize].remove();
                         // In-order commit retires this thread's oldest
                         // in-LQ store: the front of its store list.
                         let popped = self.threads[t].lq_stores.pop_front();

@@ -22,30 +22,35 @@
 //! * **Ready lists** ([`ReadyList`]): each pipeline keeps the
 //!   operand-ready members of its three queues in one list of
 //!   self-contained entries (seq, thread, op, address), ordered by the
-//!   `(seq, thread)` age key at insertion (dispatch, wakeup drain, park
-//!   expiry) and kept eagerly in sync — issue and squash remove entries
-//!   immediately. Issue walks the list once, oldest first, and decides
-//!   each entry in place: pass over a back-off, file a blocked load,
-//!   leave an entry past the width or losing FU arbitration, issue the
-//!   rest. Nothing is gathered, sorted or looked up by id, and no pool
-//!   memory is read for selection. An [`IssueQueue`] keeps only its
-//!   member count, for dispatch's capacity check: which instructions it
-//!   holds is already recorded by the ROBs, from which the invariant
-//!   checks derive it.
-//! * **Blocked loads** are fully evented too: a load whose oldest
-//!   unknown-address older store has not issued waits on that store's
-//!   issue (`Thread::blocked_loads`); once the store's agen completion
-//!   cycle is known the load moves to the LQ's park (a
-//!   [`CompletionWheel`] of ready entries beside the LQ) and rejoins the
-//!   ready list exactly when the address becomes visible. The
-//!   load-ordering walk itself reads the per-thread `LqStore` list
-//!   (program-ordered, denormalised) instead of rescanning the LQ.
+//!   `(seq, thread)` age key at insertion (dispatch, wakeup drain, a
+//!   blocking store's issue) and kept eagerly in sync — issue and squash
+//!   remove entries immediately. Issue walks the list once, oldest first,
+//!   and decides each entry in place: pass over a waiting load, make a
+//!   load wait for an older store, leave an entry past the width or
+//!   losing FU arbitration, issue the rest. Nothing is gathered, sorted
+//!   or looked up by id, and no pool memory is read for selection. An
+//!   [`IssueQueue`] keeps only its member count, for dispatch's capacity
+//!   check: which instructions it holds is already recorded by the ROBs,
+//!   from which the invariant checks derive it.
+//! * **Blocked loads** are fully evented too. A load whose oldest
+//!   unknown-address older store has issued keeps its ready-list place
+//!   with an *ordering wait*: `ReadyEntry::retry_at` is the store's agen
+//!   completion cycle, and the load runs the load-ordering walk again
+//!   when it comes due. A load whose blocking store has not issued waits
+//!   for that issue instead, off the list (`Thread::blocked_loads`): the
+//!   issue has no known cycle, and such loads outnumber the ready
+//!   entries on the memory-bound workloads, so the walk would pass over
+//!   more than it decides. The store's issue puts them back into the
+//!   list with an ordering wait. The load-ordering walk itself reads the
+//!   per-thread `LqStore` list (program-ordered, denormalised) instead of
+//!   rescanning the LQ.
 //! * **MSHR-full retries** cost no churn: `begin_execution` reports a
 //!   load that bounced off the full D-MSHR file with its retry cycle, two
 //!   cycles out, and the issue walk writes that back-off into the load's
 //!   entry where it stands (`ReadyEntry::retry_at`); later walks pass
 //!   over it until then. It was clear of every older store when it
-//!   bounced and stays so, so its retry skips the load-ordering walk.
+//!   bounced and stays so, so its entry is marked `clear` and its retry
+//!   skips the load-ordering walk.
 //! * **Completion wheel** ([`CompletionWheel`]): executing instructions
 //!   are filed under their completion cycle; writeback drains exactly the
 //!   bucket due now. Squash releases an executing instruction's slot at
@@ -72,18 +77,18 @@
 //!   `act` flags). A step that ends with the mask zero changed nothing
 //!   but the per-cycle rotation counters — and, since every inter-cycle
 //!   dependency in the machine is *scheduled* (wheel completions, FLUSH
-//!   triggers, park expiries, back-off expiries, fetch-stall releases,
+//!   triggers, the ends of loads' ready-list waits, fetch-stall releases,
 //!   MSHR fills), the machine will do nothing again until the earliest
 //!   scheduled event.
 //! * **The [`Timeline`] contract.** Each time-bearing subsystem reports
 //!   its next-activity cycle. Every wheel reports through
 //!   `CompletionWheel::next_due` (O(1): near-ring occupancy mask + far
-//!   minimum): the completion and FLUSH wheels directly, stale entries
-//!   included, which is conservative, never wrong; and each pipeline's
-//!   LQ park. Each ready list reports its earliest back-off expiry
-//!   ([`ReadyList::next_retry`]), and each live thread its
-//!   `stalled_until` (threads that are done report nothing; FLUSH-gated
-//!   or buffer-blocked threads ride the completion that releases them).
+//!   minimum): the completion and FLUSH wheels, stale entries included,
+//!   which is conservative, never wrong. Each ready list reports the
+//!   earliest end of a load's wait ([`ReadyList::next_retry`]), and each
+//!   live thread its `stalled_until` (threads that are done report
+//!   nothing; FLUSH-gated or buffer-blocked threads ride the completion
+//!   that releases them).
 //!   The MSHR files deliberately report nothing: a fill expiry on its
 //!   own wakes no stage — every access that could exploit the freed
 //!   capacity arrives via a reporter above (a backed-off retry, a stall
@@ -96,15 +101,14 @@
 //!   or the next re-mapping decision, advancing `fetch_rr`/`commit_rr` by
 //!   the skipped distance (they tick on idle cycles and feed priority
 //!   tie-breaks) and letting the completion and FLUSH wheels perform the
-//!   far-entry migrations the skipped lap boundaries would have done (a
-//!   park's entries are a few cycles out, always in its near ring, so a
-//!   park has none to migrate). Nothing else moves —
-//!   that is exactly what the proof established — so statistics are
-//!   **bit-identical** to single-stepping: enforced by the golden-stats
-//!   matrix, by a warp-on/off differential proptest, and — under
-//!   `invariant-checks` — by *shadow-stepping*, which single-steps every
-//!   warped range, asserts each skipped cycle was inert, and checks the
-//!   fast path's counter math against the stepped result.
+//!   far-entry migrations the skipped lap boundaries would have done.
+//!   Nothing else moves — that is exactly what the proof established —
+//!   so statistics are **bit-identical** to single-stepping: enforced by
+//!   the golden-stats matrix, by a warp-on/off differential proptest,
+//!   and — under `invariant-checks` — by *shadow-stepping*, which
+//!   single-steps every warped range, asserts each skipped cycle was
+//!   inert, and checks the fast path's counter math against the stepped
+//!   result.
 //!   `SimConfig::warp = false` disables the engine (both kinds of jump);
 //!   external `step()` callers are never warped.
 //! * **Retry-only stretches.** With every D-MSHR taken, the MEM-class
@@ -116,23 +120,24 @@
 //!   consecutive such steps (one of them may bounce nothing: the idle
 //!   half of a period whose loads all retry on the same cycle parity)
 //!   with at least one bounce form a full **retry period**. Every ready
-//!   entry is then a load that bounced in it, and the machine is at a
-//!   fixed point: the next period sees the same candidates in the same
-//!   order, the load/store units free again (they are pipelined), the
-//!   same MSHR-full file (no fill due), and TLB and L2 recency that the
-//!   last period already brought to where repeating its promotions
-//!   leaves it; the L1D is untouched by misses.
+//!   entry is then a load that bounced in it, or a load whose ordering
+//!   wait has not ended, and the machine is at a fixed point: the next
+//!   period sees the same candidates in the same order, the load/store
+//!   units free again (they are pipelined), the same MSHR-full file (no
+//!   fill due), and TLB and L2 recency that the last period already
+//!   brought to where repeating its promotions leaves it; the L1D is
+//!   untouched by misses.
 //!   So the processor jumps an even number of cycles, to just before the
 //!   earliest event that can break the pattern — a completion or FLUSH
-//!   trigger, a park expiry, a fetch-stall release, the stop cycle, or
-//!   the first retry that would reach the D-MSHR file at or after its
-//!   earliest fill (the retry-period `Timeline` drops the back-off
-//!   reporter, which is the period itself, and adds that fill) — and
+//!   trigger, the end of an ordering wait, a fetch-stall release, the
+//!   stop cycle, or the first retry that would reach the D-MSHR file at
+//!   or after its earliest fill (the retry-period `Timeline` drops the
+//!   back-offs, which are the period itself, and adds that fill) — and
 //!   replays the skipped retries in one batch: `MemHier`'s load and
 //!   L1D-miss counts and the D-MSHR full-stall count
 //!   (`MemHier::replay_load_bounces`), and every backed-off load's retry
-//!   cycle ([`ReadyList::delay_retries`]), beside the rotation counters
-//!   and wheel migrations of a quiescent warp. Shadow-stepping checks
+//!   cycle ([`ReadyList::delay_retries`]; ordering waits stay), beside
+//!   the rotation counters and wheel migrations of a quiescent warp. Shadow-stepping checks
 //!   these jumps too: each skipped step may do no more than
 //!   `act::ISSUE_RETRY`, and the statistics, the raw MSHR counters,
 //!   the ready lists and a digest of the cache, TLB and MSHR state
@@ -165,7 +170,7 @@ mod squash;
 use std::collections::VecDeque;
 
 use hdsmt_bpred::{Btb, DirectionPredictor, Ras, RasSnapshot};
-use hdsmt_isa::{FuKind, Pc, ThreadId};
+use hdsmt_isa::{Pc, ThreadId};
 use hdsmt_mem::MemHier;
 use hdsmt_pipeline::{
     Completion, CompletionWheel, FuPool, InstId, InstPool, IssueQueue, PipeModel, ReadyEntry,
@@ -185,17 +190,16 @@ pub(crate) mod act {
     pub const WB_COMPLETE: u32 = 1 << 1;
     pub const WB_WAKEUP: u32 = 1 << 2;
     pub const FLUSH: u32 = 1 << 3;
-    pub const ISSUE_UNPARK: u32 = 1 << 4;
-    /// Issue selected a candidate that did anything but a clean bounce.
-    pub const ISSUE_READY: u32 = 1 << 5;
-    pub const DISPATCH: u32 = 1 << 6;
-    pub const RENAME: u32 = 1 << 7;
-    pub const DECODE: u32 = 1 << 8;
-    pub const FETCH: u32 = 1 << 9;
+    /// Issue selected a candidate that did anything but a clean bounce,
+    /// or a load's ordering wait ended.
+    pub const ISSUE_READY: u32 = 1 << 4;
+    pub const DISPATCH: u32 = 1 << 5;
+    pub const RENAME: u32 = 1 << 6;
+    pub const DECODE: u32 = 1 << 7;
+    pub const FETCH: u32 = 1 << 8;
     /// A load bounced off the full D-MSHR file after hitting the D-TLB
-    /// and the L2, or a load/store candidate found every load/store unit
-    /// taken: the only work a retry-only step does.
-    pub const ISSUE_RETRY: u32 = 1 << 10;
+    /// and the L2: the only work a retry-only step does.
+    pub const ISSUE_RETRY: u32 = 1 << 9;
 }
 
 /// One in-LQ store, denormalised for the load-ordering check: the walk
@@ -258,8 +262,9 @@ pub(crate) struct Thread {
     /// no LQ rescans and no instruction-pool traffic per candidate load.
     pub lq_stores: VecDeque<LqStore>,
     /// Ready loads blocked on a specific not-yet-issued older store
-    /// (keyed by that store's sequence number). Moved to the LQ's park,
-    /// due at the store's agen completion cycle, when the store issues.
+    /// (keyed by that store's sequence number). Put back into the ready
+    /// list when the store issues, with an ordering wait that ends at its
+    /// agen completion cycle.
     pub blocked_loads: Vec<(u64, ReadyEntry)>,
     pub st: ThreadStats,
     /// Retired its run-length target.
@@ -300,19 +305,12 @@ pub(crate) struct Pipe {
     pub decode_latch: Vec<FrontEntry>,
     /// Rename-stage output latch (≤ width), consumed by dispatch.
     pub dispatch_latch: Vec<DispatchEntry>,
-    pub iq: IssueQueue,
-    pub fq: IssueQueue,
-    pub lq: IssueQueue,
+    /// The IQ, FQ and LQ, indexed by `FuKind as usize`.
+    pub queues: [IssueQueue; 3],
     /// The operand-ready members of the three queues, oldest first.
     pub ready: ReadyList,
-    /// The LQ's park: operand-ready loads waiting a known few cycles for
-    /// an older store's address, filed by the cycle they rejoin the
-    /// ready list. (A load backed off after an MSHR-full bounce waits in
-    /// the ready list itself, see `ReadyEntry::retry_at`.)
-    pub lq_park: CompletionWheel<ReadyEntry>,
-    pub int_fu: FuPool,
-    pub fp_fu: FuPool,
-    pub ldst_fu: FuPool,
+    /// The integer, FP and load/store units, indexed by `FuKind as usize`.
+    pub fus: [FuPool; 3],
     /// Threads mapped to this pipeline (global ids).
     pub threads: Vec<usize>,
     /// Round-robin commit pointer over `threads`.
@@ -326,39 +324,15 @@ impl Pipe {
             buffer: RingBuf::new(model.buffer as usize),
             decode_latch: Vec::with_capacity(model.width as usize),
             dispatch_latch: Vec::with_capacity(model.width as usize),
-            iq: IssueQueue::new(model.iq as usize),
-            fq: IssueQueue::new(model.fq as usize),
-            lq: IssueQueue::new(model.lq as usize),
+            queues: [model.iq, model.fq, model.lq].map(|n| IssueQueue::new(n as usize)),
             ready: ReadyList::default(),
-            lq_park: CompletionWheel::new(),
-            int_fu: FuPool::new(model.int_units as usize),
-            fp_fu: FuPool::new(model.fp_units as usize),
-            ldst_fu: FuPool::new(model.ldst_units as usize),
+            fus: [model.int_units, model.fp_units, model.ldst_units]
+                .map(|n| FuPool::new(n as usize)),
             threads: Vec::new(),
             commit_rr: 0,
             retired: 0,
             model,
         }
-    }
-
-    /// The issue queue that holds instructions of functional-unit class
-    /// `kind`.
-    #[inline]
-    pub fn queue_mut(&mut self, kind: FuKind) -> &mut IssueQueue {
-        match kind {
-            FuKind::Int => &mut self.iq,
-            FuKind::Fp => &mut self.fq,
-            FuKind::LdSt => &mut self.lq,
-        }
-    }
-
-    /// Park a ready load until cycle `at`, at most 8 cycles after `now`:
-    /// always inside the wheel's near ring, so a warp never has a parked
-    /// load to migrate. The issue stage unparks every cycle.
-    #[inline]
-    pub fn park_load(&mut self, at: u64, e: ReadyEntry, now: u64) {
-        debug_assert!(at <= now + 8, "park waits are a few cycles");
-        self.lq_park.schedule(at, e, now);
     }
 }
 
@@ -432,7 +406,8 @@ pub struct Processor {
     scratch_flush_due: Vec<Completion>,
     /// Eligible threads with their fetch-priority keys, sorted.
     scratch_order: Vec<((i64, i64, i64, i64), usize)>,
-    /// Loads released by a store's issue (moved to the LQ park).
+    /// Loads released by a store's issue, inserted into the ready list
+    /// after the issue walk that lent it out.
     scratch_unblocked: Vec<ReadyEntry>,
     /// Squash scratch: correct-path instructions awaiting replay assembly.
     scratch_replay: Vec<(u64, DynInst)>,
@@ -776,14 +751,13 @@ impl Processor {
         tl.observe("completion-wheel", self.wheel.next_due(now));
         tl.observe("flush-wheel", self.flush_wheel.next_due(now));
         for p in &self.pipes {
-            tl.observe("lq-park", p.lq_park.next_due(now));
-            if !retry_period {
-                // Quiescence proves every ready entry is a backed-off
-                // load: anything else would have been an issue candidate.
-                let retry = p.ready.next_retry();
-                debug_assert!(retry >= now, "a due retry cannot be pending while quiescent");
-                tl.observe("lq-retry", retry);
-            }
+            // Quiescence, or a retry period, proves every ready entry is
+            // a load whose wait has not ended: anything else would have
+            // been an issue candidate. Within a retry period the MSHR
+            // back-offs are the period itself, not events.
+            let retry = p.ready.next_retry(!retry_period);
+            debug_assert!(retry >= now, "a due retry cannot be pending while quiescent");
+            tl.observe("lq-retry", retry);
         }
         // Outside a retry period the MSHR files report nothing: a fill
         // expiry on its own wakes no stage — its only effect is freeing
@@ -872,9 +846,16 @@ impl Processor {
         let now = self.cycle;
         debug_assert!(self.mem.dmshr_full(), "a bounce leaves the D-MSHR file full");
         // Every ready entry is a load that bounced in the period, backed
-        // off to one of the next period's two cycles.
+        // off to one of the next period's two cycles, or one whose
+        // ordering wait is not yet due (it reports to the timeline).
         debug_assert!(self.pipes.iter().all(|p| {
-            p.ready.entries().iter().all(|e| e.retry_at == now || e.retry_at == now + 1)
+            p.ready.entries().iter().all(|e| {
+                if e.clear {
+                    e.retry_at == now || e.retry_at == now + 1
+                } else {
+                    e.retry_at >= now
+                }
+            })
         }));
         // The D-MSHR file holds entries, so its fill always reports.
         let end = self.timeline(true).next_event().unwrap_or(limit).min(limit);
@@ -978,7 +959,7 @@ impl Processor {
             .map(|p| {
                 let mut ready = p.ready.entries().to_vec();
                 if bounces > 0 {
-                    ready.iter_mut().for_each(|e| e.retry_at += skipped);
+                    ready.iter_mut().filter(|e| e.clear).for_each(|e| e.retry_at += skipped);
                 }
                 ready
             })
@@ -1114,14 +1095,14 @@ impl Processor {
 
     /// Debug invariants of the event-driven scheduler structures: queue
     /// counts matching the members derived from the ROBs, ready lists in
-    /// age order, ready lists and the LQ park sound and complete w.r.t.
-    /// those members,
-    /// completion-wheel population matching the executing instructions,
-    /// and the per-thread store lists matching the ROBs. O(everything);
-    /// test-only. Call between cycles (mid-cycle the lazily-maintained
+    /// age order, sound and complete w.r.t. those members, with waits
+    /// that match their cause, completion-wheel population matching the
+    /// executing instructions, and the per-thread store lists matching
+    /// the ROBs. O(everything); test-only. Call between cycles (mid-cycle the lazily-maintained
     /// sets are allowed to be stale).
     #[cfg(any(test, feature = "invariant-checks"))]
     pub fn check_scheduler_invariants(&self) {
+        use hdsmt_isa::FuKind;
         use hdsmt_pipeline::InstState;
 
         let operands_ready = |id: InstId| {
@@ -1145,7 +1126,7 @@ impl Processor {
         for (pi, p) in self.pipes.iter().enumerate() {
             let kinds = [FuKind::Int, FuKind::Fp, FuKind::LdSt];
             let members = kinds.map(|kind| queue_members(pi, kind));
-            for ((kind, q), m) in kinds.iter().zip([&p.iq, &p.fq, &p.lq]).zip(&members) {
+            for ((kind, q), m) in kinds.iter().zip(&p.queues).zip(&members) {
                 assert_eq!(q.len(), m.len(), "pipe {pi}: {kind:?} queue count drift");
             }
             // The ready list is strictly ascending in age key, so it
@@ -1189,17 +1170,28 @@ impl Processor {
                         e.id
                     );
                 }
+                // A back-off follows an MSHR bounce, which only a load
+                // takes. An ordering wait ends when an older store's
+                // address becomes visible.
+                assert!(!e.clear || e.op.is_load(), "pipe {pi}: non-load {:?} backed off", e.id);
+                if e.retry_at != 0 && !e.clear {
+                    let stores = &self.threads[e.thread as usize].lq_stores;
+                    assert!(
+                        stores.iter().any(|s| s.seq < e.seq && s.known_at == e.retry_at),
+                        "pipe {pi}: ordering wait of {:?} ends at no older store's agen",
+                        e.id
+                    );
+                }
             }
             // Completeness: every operand-ready Waiting member is in the
-            // ready list, the LQ park, or blocked on a store's issue (the
-            // event-driven core never strands a wakeup).
+            // ready list or blocked on a store's issue (the event-driven
+            // core never strands a wakeup).
             for &id in members.iter().flatten() {
                 let hot = self.pool.hot(id);
                 if hot.state() == InstState::Waiting && operands_ready(id) {
                     let t = hot.thread().index();
                     assert!(
                         ready.iter().any(|e| e.id == id)
-                            || p.lq_park.iter().any(|e| e.c.id == id)
                             || self.threads[t].blocked_loads.iter().any(|&(_, e)| e.id == id),
                         "pipe {pi}: operand-ready {id:?} missing from the ready list"
                     );
@@ -1209,31 +1201,10 @@ impl Processor {
                     );
                 }
             }
-            // LQ park: entries are live waiting loads of this pipeline,
-            // and never double-listed with the ready list.
-            for e in p.lq_park.iter().map(|e| &e.c) {
-                let hot = self.pool.hot(e.id);
-                assert_eq!(
-                    hot.state(),
-                    InstState::Waiting,
-                    "pipe {pi}: parked entry {:?} is not waiting",
-                    e.id
-                );
-                assert!(
-                    hot.op.is_load() && hot.pipe() as usize == pi,
-                    "pipe {pi}: parked entry {:?} is not one of its loads",
-                    e.id
-                );
-                assert!(
-                    !p.ready.entries().iter().any(|r| r.id == e.id),
-                    "pipe {pi}: {:?} both parked and ready",
-                    e.id
-                );
-            }
         }
-        // Store-blocked loads: live waiting loads of the thread's ROB
-        // whose recorded blocker is a real, not-yet-issued older store of
-        // the same thread.
+        // Store-blocked loads: live waiting loads of the thread's ROB,
+        // off the ready list, whose recorded blocker is a real,
+        // not-yet-issued older store of the same thread.
         for (t, th) in self.threads.iter().enumerate() {
             for &(store_seq, e) in &th.blocked_loads {
                 assert_eq!(e.thread as usize, t, "blocked load filed under the wrong thread");
@@ -1242,6 +1213,11 @@ impl Processor {
                 assert!(
                     th.rob.iter().any(|&id| id == e.id),
                     "blocked load {:?} not in its ROB",
+                    e.id
+                );
+                assert!(
+                    !self.pipes[th.pipe as usize].ready.entries().iter().any(|r| r.id == e.id),
+                    "blocked load {:?} also in the ready list",
                     e.id
                 );
                 assert!(store_seq < e.seq, "blocker must be older than the load");

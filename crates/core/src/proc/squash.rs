@@ -1,6 +1,7 @@
 //! Squash machinery: walk-back recovery of rename state, structure purge,
 //! and correct-path replay collection (FLUSH re-fetch).
 
+use hdsmt_isa::FuKind;
 use hdsmt_pipeline::InstState;
 use hdsmt_trace::DynInst;
 
@@ -9,10 +10,10 @@ use super::Processor;
 impl Processor {
     /// Squash every instruction of thread `t` younger than `seq_min`, in
     /// every structure: decoupling buffer, stage latches, issue queues,
-    /// ready list and ROB, releasing every squashed slot at once. Rename
-    /// mappings are walked back youngest-first; squashed *correct-path*
-    /// instructions are pushed onto the thread's replay queue (oldest
-    /// first) so FLUSH can re-fetch them.
+    /// ready list, store-blocked loads and ROB, releasing every squashed
+    /// slot at once. Rename mappings are walked back youngest-first;
+    /// squashed *correct-path* instructions are pushed onto the thread's
+    /// replay queue (oldest first) so FLUSH can re-fetch them.
     ///
     /// Returns the number of correct-path instructions queued for replay.
     ///
@@ -32,8 +33,8 @@ impl Processor {
         // The walk knows each squashed instruction's exact whereabouts, so
         // queue counts are undone with O(1) updates here. The pre-rename
         // front-end containers (decoupling buffer, stage latches) are
-        // swept by flag below, and the short ready list and LQ park by
-        // age.
+        // swept by flag below, and the short ready list and the
+        // store-blocked loads by age.
         while let Some(&tail) = self.threads[t].rob.back() {
             // Hot half decides whether the walk stops; the cold half (rename
             // mappings, the fetched instruction) is opened only for entries
@@ -67,7 +68,7 @@ impl Processor {
                 InstState::Waiting => {
                     // Its ready entry, if any, goes in the purge below.
                     self.threads[t].icount -= 1;
-                    self.pipes[pipe_idx].queue_mut(op.fu_kind()).remove();
+                    self.pipes[pipe_idx].queues[op.fu_kind() as usize].remove();
                     to_release.push(tail);
                 }
                 InstState::Executing => {
@@ -77,7 +78,7 @@ impl Processor {
                     if op.is_store() {
                         // Issued stores remain LQ members (forwarding
                         // source) until commit; squash evicts them here.
-                        self.pipes[pipe_idx].lq.remove();
+                        self.pipes[pipe_idx].queues[FuKind::LdSt as usize].remove();
                     }
                     // Its completion-wheel and FLUSH-wheel entries go
                     // stale with the release and are dropped by
@@ -86,7 +87,7 @@ impl Processor {
                 }
                 InstState::Done => {
                     if op.is_store() {
-                        self.pipes[pipe_idx].lq.remove();
+                        self.pipes[pipe_idx].queues[FuKind::LdSt as usize].remove();
                     }
                     to_release.push(tail);
                 }
@@ -130,7 +131,8 @@ impl Processor {
         self.scratch_buffer_ids = buffer_ids;
 
         // ---- purge the front-end containers of marked instructions,
-        // and the thread's younger ready and parked entries ----
+        // and the thread's younger ready entries, waiting loads
+        // included ----
         // (The queue counts were already updated in the walk above.)
         {
             let pool = &self.pool;
@@ -138,9 +140,7 @@ impl Processor {
             pipe.buffer.retain(|e| !pool.hot(e.id).is_squashed());
             pipe.decode_latch.retain(|e| !pool.hot(e.id).is_squashed());
             pipe.dispatch_latch.retain(|e| !pool.hot(e.id).is_squashed());
-            let tt = t as u8;
-            pipe.ready.remove_younger(tt, seq_min);
-            pipe.lq_park.retain(|e| !(e.thread == tt && e.seq > seq_min));
+            pipe.ready.remove_younger(t as u8, seq_min);
         }
         // Loads waiting on a blocking store's issue: squashed ones are
         // exactly those younger than the squash point.

@@ -331,9 +331,12 @@ mod tests {
         // Ready sets ⊆ queues (and complete), wheel population == executing
         // instructions, per-thread store lists == LQ contents — checked
         // frequently on both a monolithic and a multipipeline machine so
-        // squash/flush/replay traffic is exercised between checks.
-        for arch in ["M8", "2M4+2M2"] {
-            let cfg = SimConfig::paper_defaults(MicroArch::parse(arch).unwrap(), 6_000);
+        // squash/flush/replay traffic is exercised between checks, and at
+        // a register-file latency of 8, where loads wait several cycles
+        // in the ready list for an older store's address.
+        for (arch, rf_lat) in [("M8", None), ("2M4+2M2", None), ("M8", Some(8))] {
+            let mut cfg = SimConfig::paper_defaults(MicroArch::parse(arch).unwrap(), 6_000);
+            cfg.regfile_lat = rf_lat;
             let workload = vec![spec("gcc", 5), spec("mcf", 6)];
             let mapping: Vec<u8> = if arch == "M8" { vec![0, 0] } else { vec![0, 1] };
             let mut proc = Processor::new(cfg, &workload, &mapping);

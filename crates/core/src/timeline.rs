@@ -12,11 +12,12 @@
 //!
 //! * every **wheel**, through `CompletionWheel::next_due`: the completion
 //!   wheel and the FLUSH wheel (the earliest filed completion/trigger,
-//!   stale entries included — conservative, never wrong), and each
-//!   pipeline's **LQ park** (loads waiting for a store's agen);
-//! * each pipeline's **back-offs**, through `ReadyList::next_retry`: the
-//!   earliest cycle a load that bounced off the full MSHR file retries
-//!   (after a quiescent step every ready entry is such a load);
+//!   stale entries included — conservative, never wrong);
+//! * each pipeline's **waiting loads**, through `ReadyList::next_retry`:
+//!   the earliest cycle a load that bounced off the full MSHR file
+//!   retries, or a load waiting for an older store's address generation
+//!   orders itself again (after a quiescent step every ready entry is
+//!   such a load);
 //! * the **front end**: each live thread's fetch-stall release cycle
 //!   (`stalled_until` — I-cache misses, redirect bubbles). A thread that
 //!   is done contributes nothing; a FLUSH-gated thread's release rides
@@ -33,9 +34,10 @@
 //! completion that actually wakes the machine.
 //!
 //! After a full *retry period* (two steps whose only work was MSHR-full
-//! bounces, see `hdsmt_core::proc`) the list changes: the back-offs are
-//! the period itself and do not report, and the D-MSHR file's earliest
-//! fill does, as the first cycle a retry could find room.
+//! bounces, see `hdsmt_core::proc`) the list changes: the MSHR back-offs
+//! are the period itself and do not report (the ordering waits still
+//! do), and the D-MSHR file's earliest fill does, as the first cycle a
+//! retry could find room.
 //!
 //! The fold keeps the minimum (and its source label, for diagnostics).
 //! The processor's one cycle loop (behind `Processor::run` and
@@ -99,14 +101,14 @@ mod tests {
         assert_eq!(t.next_event(), None);
         assert_eq!(t.source(), "none");
         t.observe("wheel", 120);
-        t.observe("park", 40);
+        t.observe("retry", 40);
         t.observe("stall", 300);
         t.observe("mshr", u64::MAX); // "never" reports are ignored
         assert_eq!(t.next_event(), Some(40));
-        assert_eq!(t.source(), "park");
+        assert_eq!(t.source(), "retry");
         // Ties keep the first reporter (deterministic either way: the
         // warp target is the cycle, not the label).
         t.observe("wheel2", 40);
-        assert_eq!(t.source(), "park");
+        assert_eq!(t.source(), "retry");
     }
 }

@@ -148,6 +148,9 @@ pub struct HotInst {
 /// straddles. (Compile-time; the `hot_record_fits_budget` test pins the
 /// exact size so growth is a conscious decision.)
 const _: () = assert!(core::mem::size_of::<HotInst>() <= 32);
+/// A ready-list entry stays within half a line too: its `clear` bit
+/// rides in what would otherwise be padding.
+const _: () = assert!(core::mem::size_of::<crate::queue::ReadyEntry>() <= 32);
 
 impl HotInst {
     /// Fresh hot half for a newly fetched instruction.

@@ -25,21 +25,20 @@
 //! The scheduler-facing structures are *event-driven*: the register file
 //! keeps producer-indexed wakeup lists, each issue queue keeps a member
 //! count, each pipeline keeps one age-ordered, eagerly maintained
-//! [`ReadyList`] of its operand-ready instructions (where a load that
-//! bounced off a full MSHR file waits out its back-off in place), the
-//! LQ's park (a [`CompletionWheel`] of ready entries) holds loads waiting
-//! for a store's address, and the completion wheel files executing
-//! instructions by completion cycle so writeback drains O(due) work. Stale cross-references are
-//! impossible by construction: the instruction pool gives every slot a
-//! generation, and consumers validate `(id, generation)` pairs on use.
+//! [`ReadyList`] of its operand-ready instructions (where a load waits
+//! out an MSHR-full back-off or an older store's address generation in
+//! place), and the completion wheel files executing instructions by
+//! completion cycle so writeback drains O(due) work. Stale
+//! cross-references are impossible by construction: the instruction pool
+//! gives every slot a generation, and consumers validate `(id,
+//! generation)` pairs on use.
 //!
 //! The time-bearing structures also *report their horizon* for the
 //! processor's quiescence-skipping cycle engine: the completion wheel's
 //! [`CompletionWheel::next_due`] (O(1) — near-ring occupancy bitmask plus
-//! a maintained far-list minimum), which the LQ park reports through as
-//! well, tells the core `Timeline` the earliest cycle a wheel could act,
-//! [`ReadyList::next_retry`] the earliest back-off expiry,
-//! and [`CompletionWheel::warp_to`] performs the
+//! a maintained far-list minimum) tells the core `Timeline` the earliest
+//! cycle a wheel could act, [`ReadyList::next_retry`] the earliest end
+//! of a load's wait, and [`CompletionWheel::warp_to`] performs the
 //! far-entry migrations that skipped lap boundaries would have done. See
 //! `hdsmt_core::proc` for the full contract.
 //!

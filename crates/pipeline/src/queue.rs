@@ -8,36 +8,36 @@
 //! the pipeline model (Fig 2(a)).
 //!
 //! The operand-ready members of a pipeline's three queues wait in one
-//! [`ReadyList`], fed by dispatch, register-file wakeups and the LQ's
-//! park. The list is kept in ascending `(seq, thread)` age-key order at
-//! insertion (a binary search and a short shift), so the issue stage
-//! walks it once, oldest first, and decides each entry in place
-//! ([`ReadyList::retain_mut`]): no candidate vector, no per-cycle sort,
-//! no search by id. (Sorting a gathered copy every cycle instead was
-//! measured slower: most entries wait several cycles, so they are
-//! ordered once rather than once per cycle.) Every entry is live — the
-//! scheduler drops an entry the moment its instruction issues or is
-//! squashed — and each [`ReadyEntry`] is self-contained (sequence,
-//! thread, opcode, address): selection touches no instruction-pool
-//! memory at all, which is what lets the scheduler's per-cycle paths run
-//! on the hot half of the instruction pool alone (see `inst`).
+//! [`ReadyList`], fed by dispatch, register-file wakeups and the issue
+//! of a store that loads were waiting for. The list is kept in ascending
+//! `(seq, thread)` age-key order at insertion (a binary search and a
+//! short shift), so the issue stage walks it once, oldest first, and
+//! decides each entry in place ([`ReadyList::retain_mut`]): no candidate
+//! vector, no per-cycle sort, no search by id. (Sorting a gathered copy
+//! every cycle instead was measured slower: most entries wait several
+//! cycles, so they are ordered once rather than once per cycle.) Every
+//! entry is live — the scheduler drops an entry the moment its
+//! instruction issues or is squashed — and each [`ReadyEntry`] is
+//! self-contained (sequence, thread, opcode, address): selection touches
+//! no instruction-pool memory at all, which is what lets the scheduler's
+//! per-cycle paths run on the hot half of the instruction pool alone
+//! (see `inst`).
 //!
 //! Only loads ever wait a known number of cycles with their operands
-//! ready, in two ways. A load that bounced off a full MSHR file keeps
-//! its place in the list with a **back-off**: its entry records the
-//! first cycle it may retry (`retry_at`), and issue passes over it until
-//! then. The bounce thus costs no removal or re-insertion, and
+//! ready, and they wait where they stand: the entry records the first
+//! cycle it may issue (`retry_at`), and issue passes over it until then.
+//! A wait costs no removal or re-insertion, and
 //! [`ReadyList::next_retry`] is what the processor's `Timeline` reads
-//! for the earliest retry. A load waiting for an older store's address
-//! goes to the LQ's park instead, which the processor keeps beside the
-//! LQ: a [`CompletionWheel`] of ready entries that
-//! [`ReadyList::unpark_due`] moves back into the list when they come
-//! due.
+//! for the earliest one to end. There are two kinds. A load that
+//! bounced off a full MSHR file is **backed off** and marked `clear`: it
+//! was clear of every older store, stays so, and retries without the
+//! load-ordering walk. A load waiting for an older store's address
+//! generation has an **ordering wait**, due at that store's agen
+//! completion, and runs the load-ordering walk again when it comes due.
 
 use hdsmt_isa::Op;
 
 use crate::inst::InstId;
-use crate::wheel::CompletionWheel;
 
 /// One operand-ready instruction, with the metadata issue selection
 /// orders and filters on. Self-contained: age ordering, FU routing and
@@ -51,20 +51,24 @@ pub struct ReadyEntry {
     /// straight to the memory hierarchy, so issuing a memory op touches
     /// no cold pool record at all.
     pub addr: u64,
-    /// First cycle a load backed off after an MSHR-full bounce may
-    /// retry; 0 when it never bounced.
+    /// First cycle a waiting load may issue: the retry of a back-off,
+    /// or the end of an ordering wait; 0 when it does not wait.
     pub retry_at: u64,
     pub id: InstId,
     /// Thread index (the deterministic cross-thread age tie-break).
     pub thread: u8,
     pub op: Op,
+    /// A load that bounced off a full MSHR file: clear of every older
+    /// store, so its retries skip the load-ordering walk. Unset on an
+    /// ordering wait.
+    pub clear: bool,
 }
 
 impl ReadyEntry {
     /// The entry of an instruction whose operands just became ready.
     #[inline]
     pub fn new(seq: u64, addr: u64, id: InstId, thread: u8, op: Op) -> Self {
-        ReadyEntry { seq, addr, retry_at: 0, id, thread, op }
+        ReadyEntry { seq, addr, retry_at: 0, id, thread, op, clear: false }
     }
 
     /// Packed issue-age priority: sequence number in the high bits,
@@ -122,8 +126,8 @@ impl IssueQueue {
     }
 
     /// One member left (issued, committed or squashed). It must also
-    /// leave the ready list (or the LQ park) if it was there: every ready
-    /// entry is required to be live.
+    /// leave the ready list if it was there: every ready entry is
+    /// required to be live.
     pub fn remove(&mut self) {
         debug_assert!(self.len > 0, "removing from an empty queue");
         self.len -= 1;
@@ -147,7 +151,8 @@ impl ReadyList {
     /// Record that an instruction's operands are all available, at its
     /// age position. Callers mark each instruction at most once (at
     /// dispatch when nothing is outstanding, when its last wakeup fires,
-    /// or when it leaves the LQ park), so the list holds no duplicates.
+    /// or when the store it waited for issues), so the list holds no
+    /// duplicates.
     #[inline]
     pub fn insert(&mut self, e: ReadyEntry) {
         let pos = self.entries.partition_point(|x| x.age() < e.age());
@@ -167,39 +172,26 @@ impl ReadyList {
         self.entries.retain(|e| e.thread != thread || e.seq <= seq_min);
     }
 
-    /// Earliest cycle an entry can issue: its back-off, or 0 for an
-    /// entry that never bounced (it could issue now); `u64::MAX` when the
-    /// list is empty. O(entries).
-    pub fn next_retry(&self) -> u64 {
-        self.entries.iter().map(|e| e.retry_at).min().unwrap_or(u64::MAX)
+    /// Earliest cycle an entry can issue: the end of its wait, or 0 for
+    /// an entry that does not wait (it could issue now); `u64::MAX` when
+    /// none. Without `with_backoffs` the MSHR back-offs (`clear` entries)
+    /// are left out. O(entries).
+    pub fn next_retry(&self, with_backoffs: bool) -> u64 {
+        let waits = self.entries.iter().filter(|e| with_backoffs || !e.clear);
+        waits.map(|e| e.retry_at).min().unwrap_or(u64::MAX)
     }
 
-    /// Push every back-off out by `by` cycles: what `by` cycles of
+    /// Push every MSHR back-off out by `by` cycles: what `by` cycles of
     /// retries that all bounce again would leave, `by` being a whole
-    /// number of back-off periods. Every entry must be backed off.
+    /// number of back-off periods. Ordering waits stay put, as their
+    /// stores' agen cycles do. Every entry must wait.
     pub fn delay_retries(&mut self, by: u64) {
         for e in &mut self.entries {
-            debug_assert!(e.retry_at != 0, "only backed-off loads are delayed");
-            e.retry_at += by;
+            debug_assert!(e.retry_at != 0, "only waiting loads are delayed");
+            if e.clear {
+                e.retry_at += by;
+            }
         }
-    }
-
-    /// Move every entry of `park` due exactly at `now` into the list at
-    /// its age position, returning how many moved. O(due × entries).
-    /// Must run every cycle the park is non-empty.
-    pub fn unpark_due(&mut self, park: &mut CompletionWheel<ReadyEntry>, now: u64) -> usize {
-        if park.is_empty() {
-            return 0;
-        }
-        let before = self.entries.len();
-        park.drain_due(now, &mut self.entries);
-        // Insertion-sort the drained tail into the ordered prefix.
-        for i in before..self.entries.len() {
-            let age = self.entries[i].age();
-            let pos = self.entries[..i].partition_point(|x| x.age() < age);
-            self.entries[pos..=i].rotate_right(1);
-        }
-        self.entries.len() - before
     }
 }
 
@@ -290,60 +282,26 @@ mod tests {
     #[test]
     fn backed_off_loads_keep_their_place_and_report_their_retry() {
         let mut l = ReadyList::default();
-        assert_eq!(l.next_retry(), u64::MAX, "an empty list never issues");
-        for id in 0..2 {
+        assert_eq!(l.next_retry(true), u64::MAX, "an empty list never issues");
+        for id in 0..3 {
             l.insert(ReadyEntry::new(10 + id as u64, 0x40, InstId(id), 0, Op::Load));
         }
-        assert_eq!(l.next_retry(), 0, "a fresh entry can issue now");
+        assert_eq!(l.next_retry(true), 0, "a fresh entry can issue now");
+        // The two oldest bounce off the full MSHR file and back off; the
+        // youngest waits for an older store's address.
         let mut at = 12;
         l.retain_mut(|e| {
             e.retry_at = at;
+            e.clear = e.seq < 12;
             at += 1;
             true
         });
-        assert_eq!(l.next_retry(), 12);
+        assert_eq!(keys(&l), [(10, 0), (11, 0), (12, 0)], "every wait keeps its place");
+        assert_eq!(l.next_retry(true), 12);
+        assert_eq!(l.next_retry(false), 14, "the ordering wait alone");
         l.delay_retries(4);
-        let got: Vec<u64> = l.entries().iter().map(|e| e.retry_at).collect();
-        assert_eq!(got, [16, 17]);
-        assert_eq!(l.next_retry(), 16);
-    }
-
-    #[test]
-    fn parked_entries_rejoin_the_list_in_age_order_when_due() {
-        let mut l = ReadyList::default();
-        let mut park = CompletionWheel::new();
-        l.insert(re(0, 10, 0));
-        l.insert(re(1, 40, 0));
-        park.schedule(7, re(2, 50, 1), 0);
-        park.schedule(7, re(3, 20, 1), 0);
-        park.schedule(7, re(4, 5, 2), 0);
-        park.schedule(9, re(5, 30, 0), 0);
-        assert_eq!(l.unpark_due(&mut park, 6), 0, "not due yet");
-        assert_eq!(l.unpark_due(&mut park, 7), 3);
-        assert_eq!(keys(&l), [(5, 2), (10, 0), (20, 1), (40, 0), (50, 1)]);
-        assert_eq!(park.next_due(8), 9);
-        assert_eq!(l.unpark_due(&mut park, 8), 0);
-        assert_eq!(l.unpark_due(&mut park, 9), 1);
-        assert_eq!(keys(&l), [(5, 2), (10, 0), (20, 1), (30, 0), (40, 0), (50, 1)]);
-        assert_eq!(park.next_due(10), u64::MAX);
-    }
-
-    #[test]
-    fn park_next_due_tracks_the_earliest_parked_entry() {
-        let mut l = ReadyList::default();
-        let mut park = CompletionWheel::new();
-        assert_eq!(park.next_due(1), u64::MAX, "empty park reports no activity");
-        park.schedule(9, re(0, 10, 0), 1);
-        park.schedule(4, re(1, 20, 0), 1);
-        assert_eq!(park.next_due(1), 4);
-        for now in 1..=4 {
-            l.unpark_due(&mut park, now);
-        }
-        assert_eq!(park.next_due(5), 9);
-        for now in 5..=9 {
-            l.unpark_due(&mut park, now);
-        }
-        assert_eq!(park.next_due(10), u64::MAX);
-        assert_eq!(keys(&l), [(10, 0), (20, 0)]);
+        let got: Vec<(u64, bool)> = l.entries().iter().map(|e| (e.retry_at, e.clear)).collect();
+        assert_eq!(got, [(16, true), (17, true), (14, false)], "only the back-offs move");
+        assert_eq!(l.next_retry(true), 14);
     }
 }

@@ -12,15 +12,13 @@
 //! cycles) and an unbounded far list for memory misses, swept into the
 //! ring once per lap.
 //!
-//! The payload defaults to a [`Completion`]: just `(id, generation)`, as
+//! The payload is a [`Completion`]: just `(id, generation)`, as
 //! everything writeback needs beyond the identity (state, destination
 //! register, opcode classification) sits in the instruction's *hot* pool
 //! record, so the drain runs without opening a single cold record.
 //! Squashed instructions are *not* removed from their bucket; the
 //! processor releases their pool slot (bumping the generation) and the
-//! stale entry is discarded when its bucket comes up. The LQ's park is a
-//! wheel of `ReadyEntry` payloads instead, purged eagerly on squash with
-//! [`CompletionWheel::retain`].
+//! stale entry is discarded when its bucket comes up.
 
 use crate::inst::InstId;
 
@@ -35,19 +33,19 @@ pub struct Completion {
     pub gen: u32,
 }
 
-/// One wheel slot: a payload plus its absolute due cycle.
+/// One wheel slot: a completion plus its absolute due cycle.
 #[derive(Clone, Copy, Debug)]
-pub struct WheelEntry<T = Completion> {
+pub struct WheelEntry {
     /// Absolute cycle the entry comes due.
     pub at: u64,
-    pub c: T,
+    pub c: Completion,
 }
 
-/// Time-indexed buckets (near ring + far overflow) of `T` payloads.
-pub struct CompletionWheel<T = Completion> {
+/// Time-indexed buckets (near ring + far overflow) of completions.
+pub struct CompletionWheel {
     /// One lap of buckets; an entry due within `NEAR_SLOTS` cycles lives
     /// in bucket `at % NEAR_SLOTS`.
-    near: Vec<Vec<WheelEntry<T>>>,
+    near: Vec<Vec<WheelEntry>>,
     /// Bit `b` set ⇔ `near[b]` is non-empty. Because a bucket only ever
     /// holds entries of one due cycle at a time (it is drained at that
     /// cycle before the index can recur), the mask plus the current cycle
@@ -57,7 +55,7 @@ pub struct CompletionWheel<T = Completion> {
     occupied: u64,
     /// Completions beyond the ring horizon (memory misses), migrated into
     /// the ring at lap boundaries.
-    far: Vec<WheelEntry<T>>,
+    far: Vec<WheelEntry>,
     /// Exact earliest `at` on the far list (`u64::MAX` when empty);
     /// maintained on push and recomputed during the migration pass that
     /// removes entries.
@@ -66,13 +64,13 @@ pub struct CompletionWheel<T = Completion> {
     scheduled: usize,
 }
 
-impl<T: Copy> Default for CompletionWheel<T> {
+impl Default for CompletionWheel {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Copy> CompletionWheel<T> {
+impl CompletionWheel {
     /// A wheel. The two-tier design handles any completion distance: the
     /// near ring covers one lap, the far list everything beyond it.
     pub fn new() -> Self {
@@ -91,7 +89,7 @@ impl<T: Copy> CompletionWheel<T> {
     }
 
     /// File `c` for cycle `at` (strictly in the future of `now`).
-    pub fn schedule(&mut self, at: u64, c: T, now: u64) {
+    pub fn schedule(&mut self, at: u64, c: Completion, now: u64) {
         debug_assert!(at > now, "completions are always at least one cycle out");
         let e = WheelEntry { at, c };
         if ((at - now) as usize) < NEAR_SLOTS {
@@ -106,7 +104,7 @@ impl<T: Copy> CompletionWheel<T> {
 
     /// Remove and append to `out` every entry due exactly at `now`.
     /// Must be called every cycle (buckets hold one lap only).
-    pub fn drain_due(&mut self, now: u64, out: &mut Vec<T>) {
+    pub fn drain_due(&mut self, now: u64, out: &mut Vec<Completion>) {
         // Lap boundary: pull the next lap's far entries into the ring.
         if (now as usize) & (NEAR_SLOTS - 1) == 0 && !self.far.is_empty() {
             self.migrate_far(now);
@@ -179,30 +177,6 @@ impl<T: Copy> CompletionWheel<T> {
         }
     }
 
-    /// Drop every filed entry whose payload `keep` rejects, keeping the
-    /// order of the rest (eager squash purge). Visits only the
-    /// occupied buckets.
-    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        let mut occupied = self.occupied;
-        while occupied != 0 {
-            let b = occupied.trailing_zeros() as usize;
-            occupied &= occupied - 1;
-            let bucket = &mut self.near[b];
-            let before = bucket.len();
-            bucket.retain(|e| keep(&e.c));
-            self.scheduled -= before - bucket.len();
-            if bucket.is_empty() {
-                self.occupied &= !(1 << b);
-            }
-        }
-        if !self.far.is_empty() {
-            let before = self.far.len();
-            self.far.retain(|e| keep(&e.c));
-            self.scheduled -= before - self.far.len();
-            self.far_min = self.far.iter().map(|e| e.at).min().unwrap_or(u64::MAX);
-        }
-    }
-
     /// Entries currently filed (stale ones included).
     #[inline]
     pub fn len(&self) -> usize {
@@ -215,7 +189,7 @@ impl<T: Copy> CompletionWheel<T> {
     }
 
     /// Every filed entry, for invariant checking.
-    pub fn iter(&self) -> impl Iterator<Item = &WheelEntry<T>> {
+    pub fn iter(&self) -> impl Iterator<Item = &WheelEntry> {
         self.near.iter().flatten().chain(self.far.iter())
     }
 }
@@ -326,30 +300,6 @@ mod tests {
         let mut out = Vec::new();
         w.drain_due(1000, &mut out);
         assert_eq!(out, vec![c(5, 2)]);
-    }
-
-    #[test]
-    fn retain_purges_both_tiers() {
-        let mut w = CompletionWheel::new();
-        w.schedule(5, c(1, 0), 0);
-        w.schedule(5, c(2, 0), 0);
-        w.schedule(5, c(3, 0), 0);
-        w.schedule(9, c(4, 0), 0);
-        w.schedule(300, c(6, 0), 0); // far
-        w.schedule(700, c(5, 0), 0); // far
-        w.retain(|e| e.id.0 % 2 == 1);
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.next_due(1), 5);
-        w.retain(|e| e.id.0 != 1);
-        let mut out = Vec::new();
-        w.drain_due(5, &mut out);
-        assert_eq!(out, vec![c(3, 0)], "the emptied bucket 9 no longer reports");
-        assert_eq!(w.next_due(6), 700, "the far minimum follows the purge");
-        w.warp_to(700);
-        out.clear();
-        w.drain_due(700, &mut out);
-        assert_eq!(out, vec![c(5, 0)]);
-        assert!(w.is_empty());
     }
 
     #[test]

@@ -7,9 +7,7 @@ use hdsmt::bpred::Ras;
 use hdsmt::core::{enumerate_mappings, run_sim, SimConfig, ThreadSpec};
 use hdsmt::isa::{FuKind, Op, Pc};
 use hdsmt::mem::{Cache, CacheConfig, Tlb};
-use hdsmt::pipeline::{
-    CompletionWheel, InstId, MicroArch, ReadyEntry, ReadyList, RegFile, RingBuf,
-};
+use hdsmt::pipeline::{InstId, MicroArch, ReadyEntry, ReadyList, RegFile, RingBuf};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -193,10 +191,12 @@ proptest! {
     /// exactly what the unordered ready set it replaced did when its
     /// candidates were gathered and sorted every cycle: random dispatches
     /// (ready at once, or later through a wakeup), issue cycles under a
-    /// width and per-kind FU limits with back-offs, blocked loads parked
-    /// for a few cycles, squashes and retry delays. The reference keeps
-    /// the old ready set's order (appends and swap-removals) and finds
-    /// entries by id.
+    /// width and per-kind FU limits with back-offs, loads blocked for a
+    /// few cycles on a store's address, squashes and retry delays. The
+    /// list keeps a blocked load in place with an ordering wait; the
+    /// reference keeps the old ready set's order (appends and
+    /// swap-removals), finds entries by id, and parks blocked loads
+    /// apart until they are due.
     #[test]
     fn ready_list_matches_gather_and_sort_issue(
         ops in prop::collection::vec((0u8..8, 0u8..4, 0u64..1 << 20), 1..300)
@@ -215,10 +215,13 @@ proptest! {
             let h = (e.id.0 as u64 ^ now.wrapping_mul(0x9e37_79b9)).wrapping_mul(0xbf58_476d) >> 7;
             if e.op.is_load() { h % 5 } else { 4 }
         };
+        // The blocking store's agen cycle.
+        let agen = |e: &ReadyEntry, now: u64| now + 1 + (e.id.0 % 3) as u64;
         let mut list = ReadyList::default();
+        // The reference: the ready set, its back-offs in `retry_at`
+        // alone, and the park of blocked loads with their due cycles.
         let mut set: Vec<ReadyEntry> = Vec::new();
-        let mut park: CompletionWheel<ReadyEntry> = CompletionWheel::new();
-        let mut set_park: CompletionWheel<ReadyEntry> = CompletionWheel::new();
+        let mut park: Vec<(u64, ReadyEntry)> = Vec::new();
         let mut pending: Vec<ReadyEntry> = Vec::new();
         let mut next_seq = [1u64; 4];
         let (mut now, mut next_id) = (1u64, 0u32);
@@ -251,10 +254,9 @@ proptest! {
                     list.remove_younger(thread, seq_min);
                     set.retain(|e| !younger(e));
                     pending.retain(|e| !younger(e));
-                    park.retain(|e| !younger(e));
-                    set_park.retain(|e| !younger(e));
+                    park.retain(|(_, e)| !younger(e));
                 }
-                // A retry-only stretch: every entry is backed off.
+                // A retry-only stretch: every ready entry is backed off.
                 5 if set.iter().all(|e| e.retry_at != 0) => {
                     let by = 2 * (r % 4);
                     list.delay_retries(by);
@@ -262,17 +264,18 @@ proptest! {
                 }
                 // One issue cycle.
                 _ => {
-                    list.unpark_due(&mut park, now);
-                    set_park.drain_due(now, &mut set);
                     // The list: one walk, deciding in place.
                     let (mut issued, mut fu_used) = (Vec::new(), [0usize; 3]);
                     list.retain_mut(|e| {
                         if e.retry_at > now {
                             return true;
                         }
-                        if e.retry_at == 0 && fate(e, now) == 0 {
-                            park.schedule(now + 1 + (e.id.0 % 3) as u64, *e, now);
-                            return false;
+                        if !e.clear {
+                            e.retry_at = 0; // an ordering wait ends
+                            if fate(e, now) == 0 {
+                                e.retry_at = agen(e, now);
+                                return true;
+                            }
                         }
                         let k = e.op.fu_kind() as usize;
                         if issued.len() >= WIDTH || fu_used[k] >= fu_limit(e.op) {
@@ -282,12 +285,20 @@ proptest! {
                         issued.push(e.id);
                         if fate(e, now) == 1 {
                             e.retry_at = now + 2;
+                            e.clear = true;
                             return true;
                         }
                         false
                     });
-                    // The reference: gather, file the blocked loads,
-                    // sort, then issue in order, finding entries by id.
+                    // The reference: unpark, gather, park the blocked
+                    // loads, sort, then issue in order, finding entries
+                    // by id.
+                    park.retain(|&(at, e)| {
+                        if at == now {
+                            set.push(e);
+                        }
+                        at != now
+                    });
                     let mut blocked = Vec::new();
                     let mut candidates = Vec::new();
                     for e in &set {
@@ -303,7 +314,7 @@ proptest! {
                     for e in blocked {
                         let i = set.iter().position(|x| x.id == e.id).unwrap();
                         set.swap_remove(i);
-                        set_park.schedule(now + 1 + (e.id.0 % 3) as u64, e, now);
+                        park.push((agen(&e, now), e));
                     }
                     candidates.sort_unstable_by_key(|e| (e.seq, e.thread));
                     let (mut want, mut fu_used) = (Vec::new(), [0usize; 3]);
@@ -328,20 +339,33 @@ proptest! {
                     now += 1;
                 }
             }
+            // The list's back-offs and fresh entries are the ready set,
+            // and its ordering waits the park, each in age order.
+            let ordering_wait = |e: &ReadyEntry| e.retry_at != 0 && !e.clear;
+            let key = |e: &ReadyEntry| (e.seq, e.thread);
             let mut sorted = set.clone();
-            sorted.sort_unstable_by_key(|e| (e.seq, e.thread));
-            prop_assert_eq!(list.entries(), &sorted[..]);
-            let want_retry = set.iter().map(|e| e.retry_at).min().unwrap_or(u64::MAX);
-            prop_assert_eq!(list.next_retry(), want_retry);
+            sorted.sort_unstable_by_key(key);
+            let got: Vec<_> =
+                list.entries().iter().filter(|e| !ordering_wait(e)).map(|e| (e.id, e.retry_at, e.clear)).collect();
+            let want: Vec<_> = sorted.iter().map(|e| (e.id, e.retry_at, e.retry_at != 0)).collect();
+            prop_assert_eq!(got, want);
+            park.sort_unstable_by_key(|(_, e)| key(e));
+            let got: Vec<_> =
+                list.entries().iter().filter(|e| ordering_wait(e)).map(|e| (e.id, e.retry_at)).collect();
+            let want: Vec<_> = park.iter().map(|&(at, e)| (e.id, at)).collect();
+            prop_assert_eq!(got, want);
+            let want_retry = set.iter().map(|e| e.retry_at).chain(park.iter().map(|p| p.0)).min();
+            prop_assert_eq!(list.next_retry(true), want_retry.unwrap_or(u64::MAX));
         }
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The quiescence-skipping cycle engine is statistically invisible:
-    /// any (arch × workload × policy × run length × warm-up) cell must
+    /// any (arch × workload × policy × run length × warm-up × register-
+    /// file latency) cell must
     /// serialize to byte-identical `SimStats` with warping on and
     /// force-disabled (the differential the golden matrix pins for fixed
     /// cells, here over random small configurations — including the
@@ -357,6 +381,7 @@ proptest! {
         warmup_i in 0usize..3,
         cap_i in 0usize..3,
         seed in 0u64..100,
+        rf_i in 0usize..3,
     ) {
         use hdsmt::core::FetchPolicy;
         let archs = ["M8", "2M4+2M2", "3M4"];
@@ -381,6 +406,10 @@ proptest! {
         cfg.fetch_policy = policies[policy_i];
         cfg.warmup_insts = warmup;
         cfg.max_cycles = cap;
+        // At a register-file latency of 3 or more, an ordering wait can
+        // outlast a two-cycle retry period, which the retry fast-forward
+        // must leave in place.
+        cfg.regfile_lat = [None, Some(3), Some(8)][rf_i];
         cfg.warp = true;
         let on = run_sim(&cfg, &specs, mapping);
         cfg.warp = false;
@@ -391,6 +420,10 @@ proptest! {
             "warp changed observable statistics"
         );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Architectural invariant: retired instruction counts are independent
     /// of the machine shape (same streams, same seeds → same committed
